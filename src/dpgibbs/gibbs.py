@@ -19,15 +19,16 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import gammaln
 
 from .errors import NumericalDegeneracyError
 from .niw import (
     ModelHyperParams,
+    NiwParams,
     SufficientStats,
-    cholesky_logdet,
     log_marginal,
+    log_multigamma,
     stats_from_points,
 )
 from .trace import IterationRecord, RunTrace
@@ -61,6 +62,24 @@ class PartitionState:
         data = np.asarray(data, dtype=np.float64)
         labels = np.zeros(data.shape[0], dtype=np.int64)
         return cls(labels=labels, clusters={0: stats_from_points(data)}, hyper=hyper)
+
+    @classmethod
+    def from_labels(cls, data, labels, hyper):
+        """State for dense labels 0..K-1, with statistics summed from the points."""
+        clusters = {k: stats_from_points(data[labels == k]) for k in range(int(labels.max()) + 1)}
+        return cls(labels=labels, clusters=clusters, hyper=hyper)
+
+
+def center_on_prior(data, hyper):
+    """Translate the data and the prior so that the prior mean is the origin.
+
+    The model is translation invariant, but the raw sums (sum x, sum x x^T)
+    of points far from the origin cancel catastrophically when the scatter
+    is formed from them; centering once at ingestion keeps them small.
+    """
+    p = hyper.prior
+    prior = NiwParams(mu=np.zeros(p.d), kappa=p.kappa, nu=p.nu, psi=p.psi)
+    return data - p.mu, ModelHyperParams(alpha=hyper.alpha, prior=prior)
 
 
 def validate_partition(state, data, rtol=1e-8):
@@ -98,242 +117,238 @@ def sample_log_weights(weights, rng):
 
 
 class _ClusterCache:
-    """Cluster posteriors vectorized across clusters for the per-point weights.
+    """One table of cluster posteriors, scored against points and batches.
 
-    Rows 0..K-1 hold clusters in ascending label order; row K always holds the
-    base measure (the new-cluster candidate) with pseudo-count alpha, so one
-    fused evaluation yields the whole candidate weight vector in the canonical
-    order: existing clusters by ascending label, then "new".
+    Rows 0..K-1 hold clusters in ascending label order; row K holds the base
+    measure (the new-cluster candidate: count 0, CRP weight alpha), so one
+    vectorized evaluation yields the whole candidate weight vector in the
+    canonical order: existing clusters by ascending label, then "new".
+
+    Exact raw sums (n, sum x, sum x x^T) are the source of truth.  Beside
+    them each row caches kappa, nu, mu, the precision Psi^-1, log det Psi and
+    the count-only weight term, recomputed from the sums (never updated in
+    place) whenever the row's membership changes.
     """
 
-    def __init__(self, prior, alpha, capacity=16):
+    _ROW_ARRAYS = (
+        "counts", "sums", "outers", "kappas", "nus", "mus", "precs", "log_dets", "consts",
+    )
+
+    def __init__(self, prior, alpha, clusters):
         self.prior = prior
-        self.alpha = float(alpha)
-        self.d = prior.d
-        d = self.d
-        self.counts = np.zeros(capacity)
-        self.sums = np.zeros((capacity, d))
-        self.outers = np.zeros((capacity, d, d))
-        self.kappas = np.zeros(capacity)
-        self.nus = np.zeros(capacity)
-        self.mus = np.zeros((capacity, d))
-        self.psis = np.zeros((capacity, d, d))
-        self.consts = np.zeros(capacity)
-        self.labels = []
-        self.row_of = {}
-        self.next_label = 0
+        self.log_alpha = math.log(alpha)
+        self.d = d = prior.d
+        shapes = {"sums": (d,), "mus": (d,), "outers": (d, d), "precs": (d, d)}
+        for name in self._ROW_ARRAYS:
+            setattr(self, name, np.zeros((16,) + shapes.get(name, ())))
         # Point-independent weight terms that depend only on the integer
         # cluster count m (through kappa0 + m and nu0 + m); grown lazily.
         self._count_consts = np.empty(0)
-        self._prior_const = self._log_weight_const(
-            math.log(self.alpha), prior.kappa, prior.nu, prior.log_det_psi
-        )
-        self._write_prior_row(0)
+        self.labels = []
+        self.row_of = {}
+        self.next_label = 0
+        self._refresh_row(0)
+        for lab in sorted(clusters):
+            stats = clusters[lab]
+            if stats.n < 1:
+                raise ValueError("cluster %d is empty" % lab)
+            self.next_label = int(lab)  # create() opens its row under next_label
+            self.create(stats.n, stats.sum, stats.sum_outer)
 
     @classmethod
     def from_partition(cls, state):
-        cache = cls(
-            state.hyper.prior,
-            state.hyper.alpha,
-            capacity=max(16, 2 * len(state.clusters) + 2),
-        )
-        for lab in sorted(state.clusters):
-            stats = state.clusters[lab]
-            if stats.n < 1:
-                raise ValueError("cluster %d is empty" % lab)
-            r = len(cache.labels)
-            cache.counts[r] = stats.n
-            cache.sums[r] = stats.sum
-            cache.outers[r] = stats.sum_outer
-            cache.labels.append(int(lab))
-            cache.row_of[int(lab)] = r
-            cache._refresh_row(r)
-        cache.next_label = max(cache.labels) + 1 if cache.labels else 0
-        cache._write_prior_row(len(cache.labels))
-        return cache
+        return cls(state.hyper.prior, state.hyper.alpha, state.clusters)
 
     # -- row maintenance ----------------------------------------------------
 
-    def _log_weight_const(self, log_count, kappa, nu, log_det_psi):
-        """Point-independent part of a candidate's log-weight."""
-        d = self.d
-        return (
-            log_count
-            - 0.5 * d * _LOG_PI
-            + 0.5 * d * (math.log(kappa) - math.log(kappa + 1.0))
-            + gammaln(0.5 * (nu + 1.0))
-            - gammaln(0.5 * (nu + 1.0 - d))
-            + 0.5 * nu * log_det_psi
-        )
-
-    def _write_prior_row(self, r):
-        self._grow(r + 1)
-        p = self.prior
-        self.counts[r] = self.alpha
-        self.kappas[r] = p.kappa
-        self.nus[r] = p.nu
-        self.mus[r] = p.mu
-        self.psis[r] = p.psi
-        self.consts[r] = self._prior_const
-
     def _count_const(self, m):
-        """log m plus every weight term that depends only on the count m."""
+        """log m plus every point-weight term that depends only on the count m.
+
+        m = 0 is the base measure, whose CRP weight is alpha.
+        """
         if m >= self._count_consts.shape[0]:
             p = self.prior
             d = self.d
-            counts = np.arange(1, max(2 * m, 64) + 1, dtype=np.float64)
+            counts = np.arange(max(2 * m, 64) + 1, dtype=np.float64)
             kap = p.kappa + counts
             nu = p.nu + counts
-            table = (
-                np.log(counts)
+            log_counts = np.log(np.maximum(counts, 1.0))
+            log_counts[0] = self.log_alpha
+            self._count_consts = (
+                log_counts
                 - 0.5 * d * _LOG_PI
                 + 0.5 * d * (np.log(kap) - np.log(kap + 1.0))
                 + gammaln(0.5 * (nu + 1.0))
                 - gammaln(0.5 * (nu + 1.0 - d))
             )
-            self._count_consts = np.concatenate([[np.nan], table])  # index by m
         return self._count_consts[m]
 
     def _refresh_row(self, r):
-        """Recompute the cached posterior of row r from its raw sums."""
+        """Recompute the cached posterior of row r from its raw sums.
+
+        The base-measure row holds no points and keeps the prior's scale.
+        """
         p = self.prior
         m = self.counts[r]
         sumv = self.sums[r]
         kappa = p.kappa + m
-        nu = p.nu + m
-        t = sumv / m
-        diff = p.mu - t
-        scatter = self.outers[r] - sumv[:, None] * (sumv / m)
-        psi = p.psi + scatter + (p.kappa * m / kappa) * (diff[:, None] * diff)
-        psi = 0.5 * (psi + psi.T)
-        log_det = self._fast_cholesky_logdet(psi, r)
-        self.kappas[r] = kappa
-        self.nus[r] = nu
-        self.mus[r] = (p.kappa * p.mu + sumv) / kappa
-        self.psis[r] = psi
-        self.consts[r] = self._count_const(int(m)) + 0.5 * nu * log_det
-
-    def _fast_cholesky_logdet(self, psi, r):
-        """Low-overhead Cholesky log-determinant for one engine row.
-
-        Falls back to the public cholesky_logdet on any failure so the error
-        payload (minimum eigenvalue estimate) stays consistent.
-        """
+        psi = p.psi
+        if m:
+            diff = p.mu - sumv / m
+            scatter = self.outers[r] - sumv[:, None] * (sumv / m)
+            psi = psi + scatter + (p.kappa * m / kappa) * (diff[:, None] * diff)
+            psi = 0.5 * (psi + psi.T)
         chol, info = dpotrf(psi, lower=1)
-        if info == 0:
-            log_det = 2.0 * float(np.log(chol.diagonal()).sum())
-            if math.isfinite(log_det):
-                return log_det
-        try:
-            return cholesky_logdet(psi, "cluster posterior scale")
-        except NumericalDegeneracyError as err:
-            err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else None)
-            raise
+        log_det = 2.0 * float(np.log(chol.diagonal()).sum()) if info == 0 else math.nan
+        if not math.isfinite(log_det):
+            finite = bool(np.all(np.isfinite(psi)))
+            raise NumericalDegeneracyError(
+                "cluster posterior scale is not positive definite",
+                min_eigenvalue=float(np.linalg.eigvalsh(psi).min()) if finite else None,
+                context={"cluster_label": self.labels[r] if m else "new"},
+            )
+        # The precision comes from two triangular solves, not dpotri:
+        # OpenBLAS threads dpotri's dlauum step, which stalls when workers
+        # share the cores.
+        self.precs[r] = dpotrs(chol, np.eye(self.d), lower=1)[0]
+        self.log_dets[r] = log_det
+        self.kappas[r] = kappa
+        self.nus[r] = p.nu + m
+        self.mus[r] = (p.kappa * p.mu + sumv) / kappa
+        self.consts[r] = self._count_const(int(m))
 
     def _grow(self, rows_needed):
         cap = self.counts.shape[0]
         if rows_needed <= cap:
             return
         new_cap = max(2 * cap, rows_needed)
-        d = self.d
-        for name, shape in (
-            ("counts", (new_cap,)),
-            ("sums", (new_cap, d)),
-            ("outers", (new_cap, d, d)),
-            ("kappas", (new_cap,)),
-            ("nus", (new_cap,)),
-            ("mus", (new_cap, d)),
-            ("psis", (new_cap, d, d)),
-            ("consts", (new_cap,)),
-        ):
+        for name in self._ROW_ARRAYS:
             old = getattr(self, name)
-            fresh = np.zeros(shape)
-            fresh[: old.shape[0]] = old
+            fresh = np.zeros((new_cap,) + old.shape[1:])
+            fresh[:cap] = old
             setattr(self, name, fresh)
 
     # -- mutation -----------------------------------------------------------
 
-    def remove_point(self, label, x, x_outer=None):
-        """Remove x from its cluster; delete the cluster when it empties."""
+    def add(self, label, n, sumv, outer):
+        """Add n points with raw sums (sumv, outer) to an existing cluster."""
         r = self.row_of[label]
-        remaining = self.counts[r] - 1.0
-        if remaining < 0.5:
-            k = len(self.labels)
-            for arr in (
-                self.counts, self.kappas, self.nus, self.consts,
-                self.sums, self.mus, self.outers, self.psis,
-            ):
-                arr[r:k] = arr[r + 1 : k + 1]
-            del self.labels[r]
-            del self.row_of[label]
-            for lab in self.labels[r:]:
-                self.row_of[lab] -= 1
-            return True
-        self.counts[r] = remaining
-        self.sums[r] -= x
-        self.outers[r] -= np.outer(x, x) if x_outer is None else x_outer
-        self._refresh_row(r)
-        return False
-
-    def add_point(self, label, x, x_outer=None):
-        r = self.row_of[label]
-        self.counts[r] += 1.0
-        self.sums[r] += x
-        self.outers[r] += np.outer(x, x) if x_outer is None else x_outer
+        self.counts[r] += n
+        self.sums[r] += sumv
+        self.outers[r] += outer
         self._refresh_row(r)
 
-    def create_cluster(self, x, x_outer=None):
-        """Open a fresh singleton cluster for x; returns its label."""
+    def remove(self, label, n, sumv, outer):
+        """Take n points out of a cluster; delete the cluster when it empties."""
+        r = self.row_of[label]
+        if self.counts[r] > n:
+            self.add(label, -n, -sumv, -outer)
+            return
+        k = len(self.labels)
+        for name in self._ROW_ARRAYS:
+            arr = getattr(self, name)
+            arr[r:k] = arr[r + 1 : k + 1]
+        del self.labels[r]
+        del self.row_of[label]
+        for lab in self.labels[r:]:
+            self.row_of[lab] -= 1
+
+    def create(self, n, sumv, outer):
+        """Open a fresh cluster holding n points; returns its label."""
         k = len(self.labels)
         self._grow(k + 2)
+        for name in self._ROW_ARRAYS:  # the base-measure row moves down one
+            arr = getattr(self, name)
+            arr[k + 1] = arr[k]
         label = self.next_label
         self.next_label += 1
-        self.counts[k] = 1.0
-        self.sums[k] = x
-        self.outers[k] = np.outer(x, x) if x_outer is None else x_outer
         self.labels.append(label)
         self.row_of[label] = k
-        self._refresh_row(k)
-        self._write_prior_row(k + 1)
+        self.add(label, n, sumv, outer)
         return label
 
     # -- evaluation ---------------------------------------------------------
 
-    def point_log_weights(self, x):
-        """Log-weights over (clusters in ascending label order, new cluster)."""
+    def point_log_weights(self, x, own=None):
+        """Log-weights of point x over (clusters by ascending label, new).
+
+        By the matrix-determinant lemma, absorbing x changes log det Psi by
+        log1p(kappa / (kappa + 1) q) with q = (x - mu)^T Psi^-1 (x - mu).
+        ``own`` is the row of a cluster of two or more points that already
+        holds x; its entry is x's weight with x taken out, p(C) / p(C \\ x),
+        computed without changing the table.
+        """
         rows = len(self.labels) + 1
         kap = self.kappas[:rows]
-        diff = self.mus[:rows] - x
-        psi_new = self.psis[:rows] + (kap / (kap + 1.0))[:, None, None] * (
-            diff[:, :, None] * diff[:, None, :]
+        diff = x - self.mus[:rows]
+        q = np.einsum("ki,kij,kj->k", diff, self.precs[:rows], diff)
+        weights = self.consts[:rows] - 0.5 * (
+            self.log_dets[:rows] + (self.nus[:rows] + 1.0) * np.log1p(kap / (kap + 1.0) * q)
+        )
+        if own is not None:
+            weights[own] = self._own_log_weight(own, q[own])
+        return weights
+
+    def _own_log_weight(self, r, q):
+        # Taking x out gives Psi' = Psi - kappa / (kappa - 1) v v^T with
+        # v = x - mu, so log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).
+        kappa = self.kappas[r]
+        shrink = kappa / (kappa - 1.0) * q
+        if not shrink < 1.0:
+            raise NumericalDegeneracyError(
+                "downdated scale matrix is not positive definite",
+                context={"cluster_label": self.labels[r]},
+            )
+        return self._count_const(int(self.counts[r]) - 1) + 0.5 * (
+            (self.nus[r] - 1.0) * math.log1p(-shrink) - self.log_dets[r]
+        )
+
+    def batch_log_weights(self, stats):
+        """Log-weights of a point batch over (clusters by ascending label, new).
+
+        Each candidate's posterior scale after absorbing the batch is formed
+        from the merged raw sums, and all of them are factored by one stacked
+        Cholesky.
+        """
+        k = len(self.labels)
+        rows = k + 1
+        p = self.prior
+        d = self.d
+        nb = stats.n
+        m = self.counts[:rows] + nb
+        s = self.sums[:rows] + stats.sum
+        diff = p.mu - s / m[:, None]
+        psi = (
+            p.psi
+            + self.outers[:rows]
+            + stats.sum_outer
+            - (s[:, :, None] * s[:, None, :]) / m[:, None, None]
+            + (p.kappa * m / (p.kappa + m))[:, None, None] * (diff[:, :, None] * diff[:, None, :])
         )
         try:
-            chol = np.linalg.cholesky(psi_new)
+            chol = np.linalg.cholesky(psi)
         except np.linalg.LinAlgError:
-            self._raise_degenerate(psi_new)
+            raise NumericalDegeneracyError(
+                "candidate scale matrix is not positive definite",
+                min_eigenvalue=float(np.linalg.eigvalsh(psi).min()),
+            ) from None
         log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        return self.consts[:rows] - 0.5 * (self.nus[:rows] + 1.0) * log_det
+        kap = self.kappas[:rows]
+        nu = self.nus[:rows]
+        return (
+            np.append(np.log(self.counts[:k]), self.log_alpha)
+            - 0.5 * nb * d * _LOG_PI
+            + 0.5 * d * (np.log(kap) - np.log(kap + nb))
+            + log_multigamma(d, 0.5 * (nu + nb))
+            - log_multigamma(d, 0.5 * nu)
+            + 0.5 * (nu * self.log_dets[:rows] - (nu + nb) * log_det)
+        )
 
-    def _raise_degenerate(self, psi_new):
-        for r in range(psi_new.shape[0]):
-            try:
-                np.linalg.cholesky(psi_new[r])
-            except np.linalg.LinAlgError:
-                label = self.labels[r] if r < len(self.labels) else "new"
-                raise NumericalDegeneracyError(
-                    "candidate scale matrix is not positive definite",
-                    min_eigenvalue=float(np.linalg.eigvalsh(psi_new[r]).min()),
-                    context={"cluster_label": label},
-                ) from None
-        raise NumericalDegeneracyError("batched Cholesky failed")
-
-    def clusters_dict(self, relabel=None):
-        """Materialize {label: SufficientStats}; ``relabel`` remaps labels."""
+    def clusters_dict(self, relabel):
+        """Materialize {relabel[label]: SufficientStats}."""
         out = {}
-        for lab in self.labels:
-            r = self.row_of[lab]
-            key = lab if relabel is None else relabel[lab]
-            out[key] = SufficientStats(
+        for r, lab in enumerate(self.labels):
+            out[relabel[lab]] = SufficientStats(
                 int(round(self.counts[r])),
                 self.sums[r].copy(),
                 self.outers[r].copy(),
@@ -344,10 +359,12 @@ class _ClusterCache:
 def cgs_sweep(state, data, rng, weight_log=None):
     """One collapsed Gibbs pass over all points in ascending index order.
 
-    Emptied clusters are deleted immediately; labels are compacted to a dense
-    0..K-1 range (ascending original label order) once at sweep end.  When
-    ``weight_log`` is a list, the per-step log-weight vectors are appended to
-    it before each draw.
+    A point in a cluster of two or more is scored without leaving it, and
+    the table changes only when the draw moves the point.  A singleton's
+    cluster is deleted before scoring.  Emptied clusters are deleted
+    immediately; labels are compacted to a dense 0..K-1 range (ascending
+    original label order) once at sweep end.  When ``weight_log`` is a list,
+    the per-step log-weight vectors are appended to it before each draw.
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
@@ -359,18 +376,25 @@ def cgs_sweep(state, data, rng, weight_log=None):
     try:
         for i in range(n):
             x = data[i]
-            x_outer = x[:, None] * x
-            cache.remove_point(int(labels[i]), x, x_outer)
-            weights = cache.point_log_weights(x)
+            label = int(labels[i])
+            own = cache.row_of[label]
+            if cache.counts[own] == 1.0:
+                cache.remove(label, 1, x, None)
+                own = None
+            weights = cache.point_log_weights(x, own)
             if weight_log is not None:
                 weight_log.append(weights.copy())
             idx = sample_log_weights(weights, rng)
+            if idx == own:
+                continue
+            x_outer = x[:, None] * x
+            if own is not None:
+                cache.remove(label, 1, x, x_outer)
             if idx == len(cache.labels):
-                labels[i] = cache.create_cluster(x, x_outer)
+                labels[i] = cache.create(1, x, x_outer)
             else:
-                chosen = cache.labels[idx]
-                cache.add_point(chosen, x, x_outer)
-                labels[i] = chosen
+                labels[i] = cache.labels[idx]
+                cache.add(cache.labels[idx], 1, x, x_outer)
     except NumericalDegeneracyError as err:
         err.add_context(point_index=i)
         raise
@@ -408,6 +432,8 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None, record_trace=True)
     Returns (final PartitionState, RunTrace).  The trace records log p(x, z),
     the cluster count, wall-clock seconds per iteration, and (when ground
     truth labels are supplied) the adjusted Rand index after each iteration.
+    Sweeps run on the data centered on the prior mean; the returned state
+    holds the statistics of ``data`` as given.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1, got %r" % (iterations,))
@@ -415,7 +441,8 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None, record_trace=True)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("data must be a non-empty (n, d) array")
     rng = np.random.default_rng(np.random.SeedSequence(seed_to_u64(seed)))
-    state = PartitionState.single_cluster(data, hyper)
+    centered, centered_hyper = center_on_prior(data, hyper)
+    state = PartitionState.single_cluster(centered, centered_hyper)
     trace = RunTrace(
         meta={
             "algorithm": "cgs",
@@ -430,7 +457,7 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None, record_trace=True)
     for t in range(1, iterations + 1):
         started = time.perf_counter()
         try:
-            state = cgs_sweep(state, data, rng)
+            state = cgs_sweep(state, centered, rng)
         except NumericalDegeneracyError as err:
             err.add_context(iteration=t)
             raise
@@ -449,4 +476,4 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None, record_trace=True)
                     ari=score,
                 )
             )
-    return state, trace
+    return PartitionState.from_labels(data, state.labels, hyper), trace

@@ -9,25 +9,20 @@ clusters with log-weights
     new:        log alpha  + log p(batch stats | base measure)
 
 mirroring the per-point centralized sweep with batches in place of points.
-Global cluster statistics are maintained incrementally by field-wise
-add/subtract of batch statistics.
+Global clusters live in the centralized sampler's cluster table: exact sums
+maintained by field-wise add/subtract of batch statistics, with every
+candidate scored against a batch in one vectorized evaluation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .gibbs import crp_log_prob, sample_log_weights
-from .niw import (
-    SufficientStats,
-    log_marginal,
-    log_posterior_predictive,
-    log_prior_predictive,
-)
+from .gibbs import _ClusterCache, crp_log_prob, sample_log_weights
+from .niw import log_marginal, stats_merge
 
 
 @dataclass(frozen=True)
@@ -75,44 +70,6 @@ def _collect_batches(summaries):
     return batches
 
 
-class _GlobalClusters:
-    """Mutable accumulator of global cluster statistics."""
-
-    def __init__(self, d):
-        self.d = d
-        self.counts = {}
-        self.sums = {}
-        self.outers = {}
-        self.next_label = 0
-
-    def add(self, g, stats):
-        if g not in self.counts:
-            self.counts[g] = 0
-            self.sums[g] = np.zeros(self.d)
-            self.outers[g] = np.zeros((self.d, self.d))
-            self.next_label = max(self.next_label, g + 1)
-        self.counts[g] += stats.n
-        self.sums[g] = self.sums[g] + stats.sum
-        self.outers[g] = self.outers[g] + stats.sum_outer
-
-    def subtract(self, g, stats):
-        self.counts[g] -= stats.n
-        if self.counts[g] <= 0:
-            del self.counts[g], self.sums[g], self.outers[g]
-            return True
-        self.sums[g] = self.sums[g] - stats.sum
-        self.outers[g] = self.outers[g] - stats.sum_outer
-        return False
-
-    def stats_of(self, g):
-        return SufficientStats(int(self.counts[g]), self.sums[g], self.outers[g])
-
-    def fresh_label(self):
-        label = self.next_label
-        self.next_label += 1
-        return label
-
-
 def master_sweep(summaries, hyper, rng, initial=None, order=None, weight_log=None):
     """One randomized pass reassigning every batch; returns a new GlobalState.
 
@@ -124,52 +81,47 @@ def master_sweep(summaries, hyper, rng, initial=None, order=None, weight_log=Non
     """
     batches = _collect_batches(summaries)
     index_of = {(j, h): i for i, (j, h, _) in enumerate(batches)}
-    clusters = _GlobalClusters(batches[0][2].d)
     assignments = {}
+    members = {}
     if initial is not None:
         for key, g in initial.assignments.items():
             if key not in index_of:
                 raise ValueError("initial assignment for unknown batch %r" % (key,))
             assignments[key] = g
-            clusters.add(g, batches[index_of[key]][2])
+            members.setdefault(g, []).append(batches[index_of[key]][2])
+    table = _ClusterCache(
+        hyper.prior, hyper.alpha, {g: stats_merge(parts) for g, parts in members.items()}
+    )
     if order is None:
         order = rng.permutation(len(batches))
     else:
         order = np.asarray(order, dtype=np.int64)
         if sorted(order.tolist()) != list(range(len(batches))):
             raise ValueError("order must be a permutation of batch indices")
-    prior = hyper.prior
-    log_alpha = math.log(hyper.alpha)
     for i in order:
         worker_id, local_label, stats = batches[i]
         key = (worker_id, local_label)
         previous = assignments.pop(key, None)
         if previous is not None:
-            clusters.subtract(previous, stats)
-        candidates = sorted(clusters.counts)
-        weights = np.empty(len(candidates) + 1)
+            table.remove(previous, stats.n, stats.sum, stats.sum_outer)
         try:
-            for ci, g in enumerate(candidates):
-                weights[ci] = math.log(clusters.counts[g]) + log_posterior_predictive(
-                    stats, clusters.stats_of(g), prior
-                )
-            weights[-1] = log_alpha + log_prior_predictive(stats, prior)
+            weights = table.batch_log_weights(stats)
         except NumericalDegeneracyError as err:
             err.add_context(worker_id=worker_id, local_label=local_label)
             raise
         if weight_log is not None:
             weight_log.append(weights.copy())
         choice = sample_log_weights(weights, rng)
-        if choice == len(candidates):
-            target = clusters.fresh_label()
+        if choice == len(table.labels):
+            target = table.create(stats.n, stats.sum, stats.sum_outer)
         else:
-            target = candidates[choice]
-        clusters.add(target, stats)
+            target = table.labels[choice]
+            table.add(target, stats.n, stats.sum, stats.sum_outer)
         assignments[key] = target
-    dense = {g: i for i, g in enumerate(sorted(clusters.counts))}
+    dense = {g: i for i, g in enumerate(table.labels)}
     return GlobalState(
         assignments={key: dense[g] for key, g in assignments.items()},
-        clusters={dense[g]: clusters.stats_of(g) for g in sorted(clusters.counts)},
+        clusters=table.clusters_dict(dense),
         hyper=hyper,
     )
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .gibbs import seed_to_u64
+from .gibbs import center_on_prior, seed_to_u64
 from .master import GlobalState, global_log_joint, master_sweep
 from .niw import ModelHyperParams, NiwParams, default_prior
 from .trace import IterationRecord, RunTrace
@@ -99,9 +99,19 @@ class StopCmd:
 
 @dataclass(frozen=True)
 class WorkerFailure:
+    """An exception raised in a worker, in a form that crosses the pipe.
+
+    A NumericalDegeneracyError keeps its type, eigenvalue estimate and
+    context, so the coordinator raises it again as itself; any other
+    exception arrives as a RuntimeError carrying the worker's traceback.
+    """
+
     worker_id: int
     message: str
     details: str
+    error_type: type = RuntimeError
+    context: dict | None = None
+    min_eigenvalue: float | None = None
 
 
 def worker_loop(channel, worker_id, shard_data, start, seed, hyper):
@@ -132,7 +142,13 @@ def worker_loop(channel, worker_id, shard_data, start, seed, hyper):
                 raise RuntimeError("unknown command %r" % (msg,))
     except BaseException as exc:  # surfaced to the coordinator, never swallowed
         try:
-            channel.send(WorkerFailure(worker_id, repr(exc), traceback.format_exc()))
+            failure = WorkerFailure(worker_id, repr(exc), traceback.format_exc())
+            if isinstance(exc, NumericalDegeneracyError):
+                failure = WorkerFailure(
+                    worker_id, exc.message, failure.details,
+                    type(exc), exc.context, exc.min_eigenvalue,
+                )
+            channel.send(failure)
         except Exception:
             pass
 
@@ -217,12 +233,15 @@ def thread_channels(data, ranges, seed, hyper):
 
 
 def _checked(msg, iteration):
-    if isinstance(msg, WorkerFailure):
-        raise RuntimeError(
-            "worker %d failed at iteration %d: %s\n%s"
-            % (msg.worker_id, iteration, msg.message, msg.details)
-        )
-    return msg
+    if not isinstance(msg, WorkerFailure):
+        return msg
+    if issubclass(msg.error_type, NumericalDegeneracyError):
+        err = msg.error_type(msg.message, msg.min_eigenvalue, msg.context)
+        raise err.add_context(worker_id=msg.worker_id, iteration=iteration)
+    raise RuntimeError(
+        "worker %d failed at iteration %d: %s\n%s"
+        % (msg.worker_id, iteration, msg.message, msg.details)
+    )
 
 
 def _coordinate(channels, hyper, config, n, ground_truth):
@@ -320,7 +339,7 @@ def run_discgs(data, config, ground_truth=None, channel_factory=None):
         prior = config.prior_override
     else:
         prior = default_prior(data, metadata=prior_meta)
-    hyper = ModelHyperParams(alpha=config.alpha, prior=prior)
+    data, hyper = center_on_prior(data, ModelHyperParams(alpha=config.alpha, prior=prior))
     factory = process_channels if channel_factory is None else channel_factory
     channels, shutdown = factory(data, ranges, seed_to_u64(config.seed), hyper)
     try:

@@ -235,6 +235,32 @@ class TestFitDistributed:
             tmp_path / "db" / "labels.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_worker_numerical_error_is_exit_4(self, tmp_path, capsys, monkeypatch, backend):
+        from dpgibbs import runtime
+        from dpgibbs.errors import NumericalDegeneracyError
+
+        def degenerate_sweep(w, rng):
+            raise NumericalDegeneracyError(
+                "forced", min_eigenvalue=-1.0, context={"worker_id": w.worker_id}
+            )
+
+        monkeypatch.setattr(runtime, "worker_sweep", degenerate_sweep)
+        if backend == "thread":
+            monkeypatch.setattr(runtime, "process_channels", runtime.thread_channels)
+        data_path, _ = blob_files(tmp_path, n=20)
+        code, _, err = run_cli(
+            [
+                "fit-distributed", "--data", data_path, "--workers", "2",
+                "--iters", "2", "--out", out_dir(tmp_path, "fail"),
+            ],
+            capsys,
+        )
+        assert code == 4
+        assert err.startswith("numerical-error: forced min eigenvalue estimate -1.000e+00")
+        assert "iteration=1" in err and "worker_id=0" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestEvaluate:
     def test_hand_checked_ari(self, tmp_path, capsys):

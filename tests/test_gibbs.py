@@ -14,6 +14,7 @@ from dpgibbs.gibbs import (
     sample_log_weights,
     validate_partition,
 )
+from dpgibbs.errors import NumericalDegeneracyError
 from dpgibbs.metrics import ari
 from dpgibbs.niw import (
     ModelHyperParams,
@@ -167,6 +168,47 @@ class TestCgsSweep:
             slow.append(math.log(hyper.alpha) + log_prior_predictive(xs, hyper.prior))
             assert np.allclose(fast, np.array(slow), rtol=1e-12, atol=1e-12)
 
+    def test_own_row_weight_equals_remove_then_score(self):
+        """Scoring a point inside its own cluster equals taking it out first."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        rng = np.random.default_rng(31)
+        labels = np.array([0, 0, 1, 1, 1, 2, 3, 3])
+        for d in range(1, 9):
+            for _ in range(5):
+                data = rng.standard_normal((8, d)) * rng.uniform(0.5, 5.0)
+                hyper = unit_hyper(d, alpha=float(rng.uniform(0.2, 3.0)))
+                state = state_for_partition(data, labels, hyper)
+                cache = _ClusterCache.from_partition(state)
+                for i in (0, 1, 2, 6):
+                    own = cache.row_of[int(labels[i])]
+                    fast = cache.point_log_weights(data[i], own)
+                    xs = stats_from_points(data[i])
+                    slow = []
+                    for lab in sorted(state.clusters):
+                        stats = state.clusters[lab]
+                        if lab == labels[i]:
+                            rest = np.delete(np.arange(8), i)
+                            stats = stats_from_points(data[rest][labels[rest] == lab])
+                        slow.append(
+                            math.log(stats.n)
+                            + log_posterior_predictive(xs, stats, hyper.prior)
+                        )
+                    slow.append(math.log(hyper.alpha) + log_prior_predictive(xs, hyper.prior))
+                    assert np.allclose(fast, np.array(slow), rtol=1e-12, atol=1e-12)
+
+    def test_degenerate_downdate_raises_with_cluster_label(self):
+        from dpgibbs.gibbs import _ClusterCache
+
+        data = np.random.default_rng(32).standard_normal((3, 2))
+        state = state_for_partition(data, [0, 5, 5], unit_hyper(2))
+        cache = _ClusterCache.from_partition(state)
+        # An inflated cached precision makes 1 - kappa / (kappa - 1) q negative.
+        cache.precs[1] *= 1e6
+        with pytest.raises(NumericalDegeneracyError) as info:
+            cache.point_log_weights(data[1], own=1)
+        assert info.value.context["cluster_label"] == 5
+
     def test_weight_log_records_candidate_vectors(self):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((10, 1))
@@ -248,6 +290,21 @@ class TestRunCgs:
         _, trace = run_cgs(data, empirical_hyper(data), 30, seed=3)
         lj = trace.log_joints
         assert lj[0:10].mean() < lj[20:30].mean()
+
+    @pytest.mark.parametrize("transform", [lambda x: x + 1e8, lambda x: 3.0 * x])
+    def test_translated_or_scaled_data_give_the_same_labels(self, transform):
+        """The default prior follows the data, so the fit must not move."""
+        rng = np.random.default_rng(33)
+        means = np.array([[-8.0, 0.0], [8.0, 0.0], [0.0, 8.0], [0.0, -8.0]])
+        data = means[rng.integers(0, 4, 2000)] + rng.standard_normal((2000, 2))
+
+        def fit(x):
+            state, _ = run_cgs(x, empirical_hyper(x), 6, seed=5)
+            return state.labels
+
+        base = fit(data)
+        assert np.unique(base).size > 1
+        assert ari(base, fit(transform(data))) >= 0.999
 
     def test_trace_disabled(self):
         data, _ = separated_two_component(30, seed=15)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from dpgibbs.gibbs import PartitionState, log_joint
+from dpgibbs.gibbs import PartitionState, log_joint, sample_log_weights
 from dpgibbs.master import (
     GlobalLabelMap,
     GlobalState,
@@ -132,6 +132,55 @@ class TestMasterSweep:
         assert math.isclose(
             log[1][1], math.log(hyper.alpha) + log_marginal(s1, hyper.prior), rel_tol=1e-12
         )
+
+    def test_batched_scores_equal_per_candidate_predictive(self):
+        """Replay a sweep with one log_posterior_predictive call per candidate."""
+        rng = np.random.default_rng(23)
+        for trial in range(12):
+            d = int(rng.integers(1, 9))
+            hyper = make_hyper(
+                d, alpha=float(rng.uniform(0.2, 3.0)), scale=float(rng.uniform(0.5, 4.0))
+            )
+            summaries = []
+            for j in range(3):
+                sizes = rng.integers(1, 12, size=int(rng.integers(1, 5)))
+                summaries.append(summary_of(j, [
+                    rng.standard_normal((int(m), d)) + 4.0 * rng.integers(-1, 2, d)
+                    for m in sizes
+                ]))
+            batches = {
+                (s.worker_id, e.local_label): e.stats for s in summaries for e in s.clusters
+            }
+            keys = sorted(batches)
+            initial = GlobalState(
+                assignments={key: int(rng.integers(0, 3)) for key in keys},
+                clusters={},
+                hyper=hyper,
+            )
+            order = rng.permutation(len(keys))
+            log = []
+            master_sweep(
+                summaries, hyper, np.random.default_rng(trial), initial=initial,
+                order=order, weight_log=log,
+            )
+            replay_rng = np.random.default_rng(trial)
+            assigned = dict(initial.assignments)
+            for step, i in enumerate(order):
+                stats = batches[keys[i]]
+                del assigned[keys[i]]
+                members = {}
+                for key, g in assigned.items():
+                    members.setdefault(g, []).append(batches[key])
+                reference = [
+                    math.log(sum(s.n for s in members[g]))
+                    + log_posterior_predictive(stats, stats_merge(members[g]), hyper.prior)
+                    for g in sorted(members)
+                ]
+                reference.append(math.log(hyper.alpha) + log_prior_predictive(stats, hyper.prior))
+                assert np.allclose(log[step], reference, rtol=1e-12, atol=1e-12)
+                choice = sample_log_weights(log[step], replay_rng)
+                fresh = max(list(members) + [max(initial.assignments.values())]) + 1
+                assigned[keys[i]] = sorted(members)[choice] if choice < len(members) else fresh
 
     def test_initial_state_reassignment(self):
         rng = np.random.default_rng(9)

@@ -163,6 +163,20 @@ class TestRunDiscgs:
         assert np.array_equal(thread_labels, proc_labels)
         assert np.array_equal(thread_trace.log_joints, proc_trace.log_joints)
 
+    @pytest.mark.parametrize("transform", [lambda x: x + 1e8, lambda x: 3.0 * x])
+    def test_translated_or_scaled_data_give_the_same_labels(self, transform):
+        rng = np.random.default_rng(34)
+        means = np.array([[-8.0, 0.0], [8.0, 0.0], [0.0, 8.0], [0.0, -8.0]])
+        data = means[rng.integers(0, 4, 2000)] + rng.standard_normal((2000, 2))
+        config = RunConfig(alpha=20.0, iterations=12, workers=2, seed=5)
+
+        def fit(x):
+            return run_discgs(x, config, channel_factory=thread_channels)[0]
+
+        base = fit(data)
+        assert np.unique(base).size > 1
+        assert ari(base, fit(transform(data))) >= 0.999
+
     def test_recovers_separated_components(self):
         data, truth = two_blob_data(80, seed=7)
         labels, trace = run_discgs(
