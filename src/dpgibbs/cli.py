@@ -4,8 +4,8 @@ Every run writes a reproducibility manifest (seed, alpha, prior, worker
 count, iterations, code version) next to its outputs, and reruns with the
 same flags produce identical files apart from wall-clock timing fields.
 Errors exit nonzero with a single-line prefixed message on stderr:
-``usage-error:`` (exit 2), ``io-error:`` (exit 3), ``numerical-error:``
-(exit 4).
+``usage-error:`` (exit 2), ``io-error:`` (exit 3; also a worker process that
+dies), ``numerical-error:`` (exit 4).
 """
 
 from __future__ import annotations

@@ -33,6 +33,17 @@ class NumericalDegeneracyError(RuntimeError):
         return " ".join(parts)
 
 
+class WorkerLostError(ConnectionError):
+    """A worker's channel closed before it replied (an OSError: I/O error)."""
+
+    def __init__(self, worker_id, iteration):
+        super().__init__(
+            "worker %d exited at iteration %d without replying" % (worker_id, iteration)
+        )
+        self.worker_id = worker_id
+        self.iteration = iteration
+
+
 class DatasetError(ValueError):
     """Malformed dataset or label file. ``line`` is 1-based when known."""
 

@@ -1,15 +1,18 @@
 """Centralized collapsed Gibbs sampler for the DP Gaussian mixture.
 
 Component parameters are integrated out; the sampler operates on the partition
-alone.  Each sweep visits every point in index order, removes it from its
-cluster, and reassigns it among existing clusters and one fresh cluster with
-log-weights
+alone.  Each sweep visits every point in index order and reassigns it among
+existing clusters and one fresh cluster with log-weights
 
-    existing k: log n_k    + log p(x | cluster k's posterior)
+    existing k: log n_k    + log p(x | cluster k's posterior, x taken out)
     new:        log alpha  + log p(x | base measure)
 
-normalized by log-sum-exp and sampled by inverse CDF on a single uniform, so
-RNG consumption is exactly one draw per point per sweep.
+sampled by inverse CDF on a single uniform, so RNG consumption is exactly one
+draw per point per sweep.  Points are scored in blocks.  A point is scored in
+its own cluster without leaving it, so the cluster table changes only when a
+point moves or a singleton is reached; a run of consecutive points is scored
+against the unchanged table at once, and the block is committed up to and
+including its first point that changes the table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 from scipy.special import gammaln
 
 from .errors import NumericalDegeneracyError
@@ -34,6 +38,19 @@ from .niw import (
 from .trace import IterationRecord, RunTrace
 
 _LOG_PI = math.log(math.pi)
+# Block lengths in cgs_sweep.  Scoring a block costs a fixed overhead, about
+# that of 1,500 (point, candidate row) cells with NumPy 2 and OpenBLAS at
+# d <= 8, plus one cell per point and row; the points after the block's first
+# table change are scored in vain.  With runs of mean length L between
+# changes, the cost per committed point is least near sqrt(2 L overhead / rows)
+# points.  Scoring also takes rows * d * d multiply-adds per point in one
+# matrix product, which OpenBLAS runs on every core above 2^18 of them
+# (stalling workers that share the cores), and rows * d doubles per point of
+# temporaries, so rows * d * max(d, 4) per point stays under 2^18.
+_BLOCK_OVERHEAD = 1500.0
+_BLOCK_CELLS = 1 << 18
+_FIRST_RUN = 16.0
+_RUN_DECAY = 0.75
 _U64 = (1 << 64) - 1
 
 
@@ -82,38 +99,19 @@ def center_on_prior(data, hyper):
     return data - p.mu, ModelHyperParams(alpha=hyper.alpha, prior=prior)
 
 
-def validate_partition(state, data, rtol=1e-8):
-    """Check the PartitionState invariants against the raw data (test helper)."""
-    labels = state.labels
-    n = labels.shape[0]
-    if n != np.asarray(data).shape[0]:
-        raise ValueError("labels length does not match data")
-    present = set(int(v) for v in np.unique(labels))
-    if present != set(state.clusters):
-        raise ValueError("cluster keys %r do not match labels %r" % (set(state.clusters), present))
-    if present and present != set(range(len(present))):
-        raise ValueError("labels are not dense 0..K-1: %r" % present)
-    for lab, stats in state.clusters.items():
-        member = np.asarray(data)[labels == lab]
-        ref = stats_from_points(member)
-        if stats.n != ref.n:
-            raise ValueError("cluster %d size mismatch" % lab)
-        if not np.allclose(stats.sum, ref.sum, rtol=rtol, atol=1e-9):
-            raise ValueError("cluster %d sum mismatch" % lab)
-        if not np.allclose(stats.sum_outer, ref.sum_outer, rtol=rtol, atol=1e-9):
-            raise ValueError("cluster %d outer mismatch" % lab)
-    return state
+def sample_log_weights(weights, u):
+    """Inverse-CDF categorical draws from unnormalized log-weights.
 
-
-def sample_log_weights(weights, rng):
-    """Categorical draw from unnormalized log-weights using one uniform."""
-    m = weights.max()
-    if not np.isfinite(m):
-        raise NumericalDegeneracyError("non-finite sampling weights")
-    probs = np.exp(weights - m)
-    cum = np.cumsum(probs)
-    u = rng.random() * cum[-1]
-    return min(int(np.searchsorted(cum, u, side="right")), len(weights) - 1)
+    Candidates run along the first axis: a (K+1,) vector is drawn with the
+    uniform ``u``, a (K+1, B) block column by column with the B uniforms
+    ``u``.  A column whose largest weight is not finite draws -1.
+    """
+    m = weights.max(axis=0)
+    finite = np.isfinite(m)
+    cum = np.add.accumulate(np.exp(weights - np.where(finite, m, 0.0)), axis=0)
+    # Counting only the first K partial sums clamps the draw to the last row.
+    idx = (cum[:-1] <= u * cum[-1]).sum(axis=0)
+    return np.where(finite, idx, -1)
 
 
 class _ClusterCache:
@@ -125,27 +123,31 @@ class _ClusterCache:
     canonical order: existing clusters by ascending label, then "new".
 
     Exact raw sums (n, sum x, sum x x^T) are the source of truth.  Beside
-    them each row caches kappa, nu, mu, the precision Psi^-1, log det Psi and
-    the count-only weight term, recomputed from the sums (never updated in
-    place) whenever the row's membership changes.
+    them each row caches log det Psi, the whitening factor L^-1 of
+    Psi = L L^T, the whitened posterior mean L^-1 mu and the scalar terms of
+    a point's weight (``terms``, columns named by _BASE.._OWN_POWER),
+    recomputed from the sums (never updated in place) whenever the row's
+    membership changes.
     """
 
-    _ROW_ARRAYS = (
-        "counts", "sums", "outers", "kappas", "nus", "mus", "precs", "log_dets", "consts",
-    )
+    _ROW_ARRAYS = ("counts", "sums", "outers", "log_dets", "whitens", "shifts", "terms")
+    # A point's weight against row k is BASE - POWER log1p(GAIN q); against
+    # its own row, with itself taken out, OWN_BASE + OWN_POWER log1p(OWN_SHRINK q).
+    _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(6)
 
     def __init__(self, prior, alpha, clusters):
         self.prior = prior
         self.log_alpha = math.log(alpha)
         self.d = d = prior.d
-        shapes = {"sums": (d,), "mus": (d,), "outers": (d, d), "precs": (d, d)}
+        shapes = {"sums": (d,), "shifts": (d,), "outers": (d, d), "whitens": (d, d), "terms": (6,)}
         for name in self._ROW_ARRAYS:
             setattr(self, name, np.zeros((16,) + shapes.get(name, ())))
         # Point-independent weight terms that depend only on the integer
         # cluster count m (through kappa0 + m and nu0 + m); grown lazily.
         self._count_consts = np.empty(0)
+        self._identity = np.eye(d)
         self.labels = []
-        self.row_of = {}
+        self.row_of = np.full(16, -1, dtype=np.int64)  # label -> row, -1 if none
         self.next_label = 0
         self._refresh_row(0)
         for lab in sorted(clusters):
@@ -189,9 +191,10 @@ class _ClusterCache:
         The base-measure row holds no points and keeps the prior's scale.
         """
         p = self.prior
-        m = self.counts[r]
+        m = int(self.counts[r])
         sumv = self.sums[r]
         kappa = p.kappa + m
+        nu = p.nu + m
         psi = p.psi
         if m:
             diff = p.mu - sumv / m
@@ -207,15 +210,23 @@ class _ClusterCache:
                 min_eigenvalue=float(np.linalg.eigvalsh(psi).min()) if finite else None,
                 context={"cluster_label": self.labels[r] if m else "new"},
             )
-        # The precision comes from two triangular solves, not dpotri:
-        # OpenBLAS threads dpotri's dlauum step, which stalls when workers
-        # share the cores.
-        self.precs[r] = dpotrs(chol, np.eye(self.d), lower=1)[0]
+        # L^-1 comes from the BLAS triangular solve: OpenBLAS's own LAPACK
+        # dtrtrs, dtrtri and dpotri run threaded and stall when workers share
+        # the cores.
+        whiten = dtrsm(1.0, chol, self._identity, lower=1)
+        self.whitens[r] = whiten
+        self.shifts[r] = whiten @ ((p.kappa * p.mu + sumv) / kappa)
         self.log_dets[r] = log_det
-        self.kappas[r] = kappa
-        self.nus[r] = p.nu + m
-        self.mus[r] = (p.kappa * p.mu + sumv) / kappa
-        self.consts[r] = self._count_const(int(m))
+        # Taking x out of a cluster of m >= 2 gives
+        # Psi' = Psi - kappa / (kappa - 1) v v^T with v = x - mu, so
+        # log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).  A
+        # singleton's own entry is -inf: its only other home is "new".
+        own = (-math.inf, 0.0, 0.0)
+        if m > 1:
+            own = (self._count_const(m - 1) - 0.5 * log_det, -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
+        self.terms[r] = (
+            self._count_const(m) - 0.5 * log_det, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)
+        ) + own
 
     def _grow(self, rows_needed):
         cap = self.counts.shape[0]
@@ -249,9 +260,8 @@ class _ClusterCache:
             arr = getattr(self, name)
             arr[r:k] = arr[r + 1 : k + 1]
         del self.labels[r]
-        del self.row_of[label]
-        for lab in self.labels[r:]:
-            self.row_of[lab] -= 1
+        self.row_of[label] = -1
+        self.row_of[self.labels[r:]] -= 1
 
     def create(self, n, sumv, outer):
         """Open a fresh cluster holding n points; returns its label."""
@@ -262,6 +272,8 @@ class _ClusterCache:
             arr[k + 1] = arr[k]
         label = self.next_label
         self.next_label += 1
+        if label >= self.row_of.shape[0]:
+            self.row_of = np.append(self.row_of, np.full(label + 1, -1, dtype=np.int64))
         self.labels.append(label)
         self.row_of[label] = k
         self.add(label, n, sumv, outer)
@@ -269,39 +281,43 @@ class _ClusterCache:
 
     # -- evaluation ---------------------------------------------------------
 
-    def point_log_weights(self, x, own=None):
-        """Log-weights of point x over (clusters by ascending label, new).
+    def point_log_weights(self, xs, own=None):
+        """Log-weights of points over (clusters by ascending label, new).
 
-        By the matrix-determinant lemma, absorbing x changes log det Psi by
-        log1p(kappa / (kappa + 1) q) with q = (x - mu)^T Psi^-1 (x - mu).
-        ``own`` is the row of a cluster of two or more points that already
-        holds x; its entry is x's weight with x taken out, p(C) / p(C \\ x),
-        computed without changing the table.
+        ``xs`` is one point (d,) or a block of points (B, d); candidates run
+        along the first axis of the result, (K+1,) or (K+1, B).  By the
+        matrix-determinant lemma, absorbing x changes log det Psi by
+        log1p(kappa / (kappa + 1) q) with q = |L^-1 x - L^-1 mu|^2, so one
+        matrix product scores every point against every row.
+
+        ``own`` holds, per point, the row of the cluster that already holds
+        it.  That entry is the point's weight with it taken out,
+        p(C) / p(C \\ x), computed without changing the table: -inf for a
+        singleton, whose row would be deleted, and NaN where the downdate is
+        not positive definite.
         """
         rows = len(self.labels) + 1
-        kap = self.kappas[:rows]
-        diff = x - self.mus[:rows]
-        q = np.einsum("ki,kij,kj->k", diff, self.precs[:rows], diff)
-        weights = self.consts[:rows] - 0.5 * (
-            self.log_dets[:rows] + (self.nus[:rows] + 1.0) * np.log1p(kap / (kap + 1.0) * q)
-        )
+        d = self.d
+        z = self.whitens[:rows].reshape(rows * d, d) @ xs.reshape(-1, d).T
+        z -= self.shifts[:rows].reshape(-1, 1)
+        z *= z
+        q = z.reshape(rows, d, -1).sum(axis=1) if d > 1 else z
+        terms = self.terms[:rows, :, None]
+        weights = terms[:, self._BASE] - terms[:, self._POWER] * np.log1p(terms[:, self._GAIN] * q)
         if own is not None:
-            weights[own] = self._own_log_weight(own, q[own])
-        return weights
-
-    def _own_log_weight(self, r, q):
-        # Taking x out gives Psi' = Psi - kappa / (kappa - 1) v v^T with
-        # v = x - mu, so log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).
-        kappa = self.kappas[r]
-        shrink = kappa / (kappa - 1.0) * q
-        if not shrink < 1.0:
-            raise NumericalDegeneracyError(
-                "downdated scale matrix is not positive definite",
-                context={"cluster_label": self.labels[r]},
-            )
-        return self._count_const(int(self.counts[r]) - 1) + 0.5 * (
-            (self.nus[r] - 1.0) * math.log1p(-shrink) - self.log_dets[r]
-        )
+            r = np.reshape(own, -1)
+            cols = np.arange(r.shape[0])
+            base, shrink, power = self.terms[r, self._OWN_BASE :].T
+            shrink = shrink * q[r, cols]
+            valid = shrink > -1.0
+            degenerate = not valid.all()
+            if degenerate:
+                shrink[~valid] = 0.0
+            own_weights = base + power * np.log1p(shrink)
+            if degenerate:
+                own_weights[~valid] = np.nan
+            weights[r, cols] = own_weights
+        return weights if xs.ndim == 2 else weights[:, 0]
 
     def batch_log_weights(self, stats):
         """Log-weights of a point batch over (clusters by ascending label, new).
@@ -333,8 +349,8 @@ class _ClusterCache:
                 min_eigenvalue=float(np.linalg.eigvalsh(psi).min()),
             ) from None
         log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        kap = self.kappas[:rows]
-        nu = self.nus[:rows]
+        kap = p.kappa + self.counts[:rows]
+        nu = p.nu + self.counts[:rows]
         return (
             np.append(np.log(self.counts[:k]), self.log_alpha)
             - 0.5 * nb * d * _LOG_PI
@@ -359,12 +375,19 @@ class _ClusterCache:
 def cgs_sweep(state, data, rng, weight_log=None):
     """One collapsed Gibbs pass over all points in ascending index order.
 
-    A point in a cluster of two or more is scored without leaving it, and
-    the table changes only when the draw moves the point.  A singleton's
-    cluster is deleted before scoring.  Emptied clusters are deleted
-    immediately; labels are compacted to a dense 0..K-1 range (ascending
-    original label order) once at sweep end.  When ``weight_log`` is a list,
-    the per-step log-weight vectors are appended to it before each draw.
+    A point is scored in its own cluster without leaving it, so the table
+    changes only when a point moves, or when a singleton is reached (its
+    cluster is deleted, and re-created under a new label if it draws
+    "new").  A block of consecutive points is therefore scored against the
+    unchanged table at once and drawn with uniforms taken for the whole
+    sweep up front, one per point in index order.  The block is committed up
+    to and including its first point that changes the table, and the next
+    block starts after it.  Block lengths follow the run lengths between
+    such points seen so far in the sweep; they do not change the result.
+    Emptied clusters are deleted immediately; labels are compacted to a
+    dense 0..K-1 range (ascending original label order) once at sweep end.
+    When ``weight_log`` is a list, the log-weight vector of each point
+    reached is appended to it (a singleton's without its own cluster).
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
@@ -372,29 +395,54 @@ def cgs_sweep(state, data, rng, weight_log=None):
         raise ValueError("state covers %d points, data has %d" % (state.labels.shape[0], n))
     cache = _ClusterCache.from_partition(state)
     labels = np.array(state.labels, dtype=np.int64, copy=True)
-    i = -1
+    uniforms = rng.random(n)
+    cells = _BLOCK_CELLS // (cache.d * max(cache.d, 4))
+    # Decayed counts of points reached and of table changes: the run length.
+    reached, changes = _FIRST_RUN, 1.0
+    i = 0
     try:
-        for i in range(n):
-            x = data[i]
-            label = int(labels[i])
-            own = cache.row_of[label]
-            if cache.counts[own] == 1.0:
-                cache.remove(label, 1, x, None)
-                own = None
-            weights = cache.point_log_weights(x, own)
+        while i < n:
+            rows = len(cache.labels) + 1
+            length = math.sqrt(2.0 * _BLOCK_OVERHEAD * reached / changes / rows)
+            length = int(min(max(length, 1.0), max(cells // rows, 1)))
+            own = cache.row_of[labels[i : i + length]]
+            weights = cache.point_log_weights(data[i : i + own.shape[0]], own)
+            draws = sample_log_weights(weights, uniforms[i : i + own.shape[0]])
+            stops = draws != own
+            stay = int(stops.argmax())
+            changed = bool(stops[stay])
+            if not changed:
+                stay = own.shape[0]
             if weight_log is not None:
-                weight_log.append(weights.copy())
-            idx = sample_log_weights(weights, rng)
-            if idx == own:
+                weight_log.extend(weights[:, :stay].T.copy())
+            reached = _RUN_DECAY * reached + stay + changed
+            changes = _RUN_DECAY * changes + changed
+            i += stay
+            if not changed:
                 continue
+            r, idx = int(own[stay]), int(draws[stay])
+            column = weights[:, stay]
+            if np.isnan(column[r]):
+                raise NumericalDegeneracyError(
+                    "downdated scale matrix is not positive definite",
+                    context={"cluster_label": cache.labels[r]},
+                )
+            singleton = cache.counts[r] == 1.0
+            if weight_log is not None:
+                weight_log.append(np.delete(column, r) if singleton else column.copy())
+            if idx < 0:
+                raise NumericalDegeneracyError("non-finite sampling weights")
+            x = data[i]
             x_outer = x[:, None] * x
-            if own is not None:
-                cache.remove(label, 1, x, x_outer)
+            cache.remove(int(labels[i]), 1, x, x_outer)
+            if singleton and idx > r:
+                idx -= 1  # deleting the singleton's row moved later rows up
             if idx == len(cache.labels):
                 labels[i] = cache.create(1, x, x_outer)
             else:
                 labels[i] = cache.labels[idx]
                 cache.add(cache.labels[idx], 1, x, x_outer)
+            i += 1
     except NumericalDegeneracyError as err:
         err.add_context(point_index=i)
         raise

@@ -106,12 +106,14 @@ def master_sweep(summaries, hyper, rng, initial=None, order=None, weight_log=Non
             table.remove(previous, stats.n, stats.sum, stats.sum_outer)
         try:
             weights = table.batch_log_weights(stats)
+            if weight_log is not None:
+                weight_log.append(weights.copy())
+            choice = int(sample_log_weights(weights, rng.random()))
+            if choice < 0:
+                raise NumericalDegeneracyError("non-finite sampling weights")
         except NumericalDegeneracyError as err:
             err.add_context(worker_id=worker_id, local_label=local_label)
             raise
-        if weight_log is not None:
-            weight_log.append(weights.copy())
-        choice = sample_log_weights(weights, rng)
         if choice == len(table.labels):
             target = table.create(stats.n, stats.sum, stats.sum_outer)
         else:
@@ -135,29 +137,3 @@ def global_log_joint(state, n):
     for stats in state.clusters.values():
         value += log_marginal(stats, state.hyper.prior)
     return value
-
-
-def expand_to_global_membership(label_map, worker_states):
-    """Per-point global labels in original dataset order.
-
-    Worker shards are contiguous; each worker's points take the global label
-    of their local cluster under the map.  A missing batch entry is an error.
-    """
-    states = sorted(worker_states, key=lambda w: w.worker_id)
-    n = sum(w.data.shape[0] for w in states)
-    out = np.full(n, -1, dtype=np.int64)
-    for w in states:
-        k = w.local.num_clusters
-        lut = np.empty(k, dtype=np.int64)
-        for h in range(k):
-            key = (w.worker_id, h)
-            if key not in label_map.entries:
-                raise ValueError("label map missing batch %r" % (key,))
-            lut[h] = label_map.entries[key]
-        stop = w.start + w.data.shape[0]
-        if w.start < 0 or stop > n:
-            raise ValueError("worker %d shard range out of bounds" % w.worker_id)
-        out[w.start : stop] = lut[w.local.labels]
-    if np.any(out < 0):
-        raise ValueError("shards do not cover the dataset")
-    return out

@@ -44,15 +44,6 @@ class ContingencyTable:
             n=int(a.shape[0]),
         )
 
-    def validate(self):
-        if int(self.counts.sum()) != self.n:
-            raise ValueError("contingency total does not equal n")
-        if not np.array_equal(self.counts.sum(axis=1), self.row_sums):
-            raise ValueError("row marginals inconsistent")
-        if not np.array_equal(self.counts.sum(axis=0), self.col_sums):
-            raise ValueError("column marginals inconsistent")
-        return self
-
 
 def _pairs(x):
     """Exact number of co-clustered pairs, as an arbitrary-precision int."""

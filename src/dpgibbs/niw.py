@@ -140,17 +140,6 @@ class SufficientStats:
         s = self.sum_outer - np.outer(self.sum, self.sum) / self.n
         return 0.5 * (s + s.T)
 
-    def validate(self):
-        """Check the PSD invariant of the derived scatter (test helper)."""
-        s = self.scatter
-        tr = float(np.trace(s))
-        min_eig = float(np.linalg.eigvalsh(s).min()) if self.n else 0.0
-        if min_eig < -1e-9 * max(tr, 0.0):
-            raise ValueError(
-                "scatter has eigenvalue %.3e below PSD tolerance" % min_eig
-            )
-        return self
-
 
 @dataclass(frozen=True)
 class ModelHyperParams:

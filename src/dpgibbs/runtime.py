@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalDegeneracyError
+from .errors import NumericalDegeneracyError, WorkerLostError
 from .gibbs import center_on_prior, seed_to_u64
 from .master import GlobalState, global_log_joint, master_sweep
 from .niw import ModelHyperParams, NiwParams, default_prior
@@ -141,16 +141,20 @@ def worker_loop(channel, worker_id, shard_data, start, seed, hyper):
             else:
                 raise RuntimeError("unknown command %r" % (msg,))
     except BaseException as exc:  # surfaced to the coordinator, never swallowed
-        try:
-            failure = WorkerFailure(worker_id, repr(exc), traceback.format_exc())
-            if isinstance(exc, NumericalDegeneracyError):
-                failure = WorkerFailure(
-                    worker_id, exc.message, failure.details,
-                    type(exc), exc.context, exc.min_eigenvalue,
-                )
-            channel.send(failure)
-        except Exception:
-            pass
+        failures = [WorkerFailure(worker_id, repr(exc), traceback.format_exc())]
+        if isinstance(exc, NumericalDegeneracyError):
+            failures.insert(0, WorkerFailure(
+                worker_id, exc.message, failures[0].details,
+                type(exc), exc.context, exc.min_eigenvalue,
+            ))
+        # A context that cannot be pickled falls back to the plain failure; if
+        # nothing can be sent, the coordinator sees the channel close.
+        for failure in failures:
+            try:
+                channel.send(failure)
+                break
+            except Exception:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +236,18 @@ def thread_channels(data, ranges, seed, hyper):
 # ---------------------------------------------------------------------------
 
 
+def _receive(channels, iteration):
+    """One reply from each worker, in worker order, with failures raised."""
+    replies = []
+    for worker_id, channel in enumerate(channels):
+        try:
+            msg = channel.recv()
+        except (EOFError, ConnectionError) as err:
+            raise WorkerLostError(worker_id, iteration) from err
+        replies.append(_checked(msg, iteration))
+    return replies
+
+
 def _checked(msg, iteration):
     if not isinstance(msg, WorkerFailure):
         return msg
@@ -265,7 +281,7 @@ def _coordinate(channels, hyper, config, n, ground_truth):
         started = time.perf_counter()
         for channel in channels:
             channel.send(SweepCmd(t))
-        summaries = [_checked(ch.recv(), t) for ch in channels]
+        summaries = _receive(channels, t)
         initial = None
         if carry:
             # Local sweeps create and retire clusters, so only batch keys
@@ -302,7 +318,7 @@ def _coordinate(channels, hyper, config, n, ground_truth):
         if want_ari or t == config.iterations:
             for channel in channels:
                 channel.send(ReportLabelsCmd())
-            shards = [_checked(ch.recv(), t) for ch in channels]
+            shards = _receive(channels, t)
             labels = np.concatenate(shards)
             if t == config.iterations:
                 final_labels = labels

@@ -2,13 +2,18 @@
 
 Everything here is computed by routes that do not share code with the package:
 Monte Carlo integration over explicit Normal-Inverse-Wishart draws, Student-t
-predictive densities from scipy, and hand-rolled parameter updates.
+predictive densities from scipy, and hand-rolled parameter updates.  The one
+exception is the point-by-point reference sweep, which scores points on its
+own but keeps its clusters in the package's cluster table, so that row order
+and label numbering match the sweep it checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.stats import invwishart, multivariate_t
+
+from dpgibbs.errors import NumericalDegeneracyError
 
 
 def mc_prior_predictive(points, mu0, kappa0, nu0, psi0, n_draws=100_000, seed=0):
@@ -132,3 +137,151 @@ def chain_log_marginal(mu0, kappa0, nu0, psi0, pts):
             mu, kappa, nu, psi = manual_posterior(mu0, kappa0, nu0, psi0, pts[:i])
         total += t_point_log_predictive(pts[i], mu, kappa, nu, psi)
     return total
+
+
+def validate_scatter(stats):
+    """Check that the scatter derived from SufficientStats is PSD."""
+    s = stats.scatter
+    tr = float(np.trace(s))
+    min_eig = float(np.linalg.eigvalsh(s).min()) if stats.n else 0.0
+    if min_eig < -1e-9 * max(tr, 0.0):
+        raise ValueError("scatter has eigenvalue %.3e below PSD tolerance" % min_eig)
+    return stats
+
+
+def validate_contingency(table):
+    """Check that a ContingencyTable's total and marginals agree with its counts."""
+    if int(table.counts.sum()) != table.n:
+        raise ValueError("contingency total does not equal n")
+    if not np.array_equal(table.counts.sum(axis=1), table.row_sums):
+        raise ValueError("row marginals inconsistent")
+    if not np.array_equal(table.counts.sum(axis=0), table.col_sums):
+        raise ValueError("column marginals inconsistent")
+    return table
+
+
+def validate_partition(state, data, rtol=1e-8):
+    """Check the PartitionState invariants against the raw data."""
+    from dpgibbs.niw import stats_from_points
+
+    labels = state.labels
+    n = labels.shape[0]
+    if n != np.asarray(data).shape[0]:
+        raise ValueError("labels length does not match data")
+    present = set(int(v) for v in np.unique(labels))
+    if present != set(state.clusters):
+        raise ValueError("cluster keys %r do not match labels %r" % (set(state.clusters), present))
+    if present and present != set(range(len(present))):
+        raise ValueError("labels are not dense 0..K-1: %r" % present)
+    for lab, stats in state.clusters.items():
+        member = np.asarray(data)[labels == lab]
+        ref = stats_from_points(member)
+        if stats.n != ref.n:
+            raise ValueError("cluster %d size mismatch" % lab)
+        if not np.allclose(stats.sum, ref.sum, rtol=rtol, atol=1e-9):
+            raise ValueError("cluster %d sum mismatch" % lab)
+        if not np.allclose(stats.sum_outer, ref.sum_outer, rtol=rtol, atol=1e-9):
+            raise ValueError("cluster %d outer mismatch" % lab)
+    return state
+
+
+def _pointwise_log_weight(prior, log_weight, n, sumv, outer, x, downdate):
+    """Student-t predictive log-weight of x against raw sums (n, sumv, outer).
+
+    With ``downdate`` the sums already hold x and the weight is that of x
+    against the rest, p(C) / p(C \\ x), through the determinant identity
+    log det(Psi - c v v^T) = log det Psi + log1p(-c v^T Psi^-1 v).
+    """
+    from scipy.special import gammaln
+
+    d = x.shape[0]
+    kappa = prior.kappa + n
+    nu = prior.nu + n
+    mu = (prior.kappa * prior.mu + sumv) / kappa
+    psi = prior.psi.copy()
+    if n:
+        mean = sumv / n
+        psi += outer - n * np.outer(mean, mean)
+        psi += (prior.kappa * n / kappa) * np.outer(prior.mu - mean, prior.mu - mean)
+    v = x - mu
+    q = float(v @ np.linalg.solve(psi, v))
+    log_det = np.linalg.slogdet(psi)[1]
+    # gain = log det(Psi with x) - log det(Psi without x)
+    gain = np.log1p(kappa / (kappa + 1.0) * q)
+    if downdate:
+        shrink = kappa / (kappa - 1.0) * q
+        if not shrink < 1.0:
+            raise NumericalDegeneracyError("downdated scale matrix is not positive definite")
+        kappa, nu = kappa - 1.0, nu - 1.0
+        gain = -np.log1p(-shrink)
+        log_det -= gain
+    return (
+        log_weight
+        - 0.5 * d * np.log(np.pi)
+        + 0.5 * d * (np.log(kappa) - np.log(kappa + 1.0))
+        + gammaln(0.5 * (nu + 1.0))
+        - gammaln(0.5 * (nu + 1.0 - d))
+        - 0.5 * log_det
+        - 0.5 * (nu + 1.0) * gain
+    )
+
+
+def pointwise_cgs_sweep(state, data, rng, weight_log=None):
+    """Reference collapsed Gibbs sweep that scores and draws one point at a time.
+
+    Points are visited in index order.  A point in a cluster of two or more
+    is scored against its own cluster with itself taken out; a singleton's
+    cluster is deleted first.  Each draw takes its own ``rng.random()`` and
+    inverts the CDF with ``searchsorted``.  Weights are computed from the
+    table's raw sums with dense solves; the table itself (row order, label
+    numbering, add/remove) is the package's ``_ClusterCache``.
+    """
+    from dpgibbs.gibbs import PartitionState, _ClusterCache
+
+    data = np.asarray(data, dtype=np.float64)
+    cache = _ClusterCache.from_partition(state)
+    prior = state.hyper.prior
+    labels = np.array(state.labels, dtype=np.int64, copy=True)
+    for i in range(data.shape[0]):
+        x = data[i]
+        label = int(labels[i])
+        own = cache.row_of[label]
+        if cache.counts[own] == 1.0:
+            cache.remove(label, 1, x, None)
+            own = None
+        weights = []
+        for r in range(len(cache.labels) + 1):
+            n = int(cache.counts[r])
+            log_weight = np.log(n - (r == own)) if r < len(cache.labels) else cache.log_alpha
+            try:
+                weights.append(_pointwise_log_weight(
+                    prior, log_weight, n, cache.sums[r], cache.outers[r], x, r == own
+                ))
+            except NumericalDegeneracyError as err:
+                err.add_context(cluster_label=cache.labels[r], point_index=i)
+                raise
+        weights = np.array(weights)
+        if weight_log is not None:
+            weight_log.append(weights)
+        m = weights.max()
+        if not np.isfinite(m):
+            raise NumericalDegeneracyError("non-finite sampling weights", context={"point_index": i})
+        cum = np.cumsum(np.exp(weights - m))
+        idx = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(weights) - 1)
+        if idx == own:
+            continue
+        x_outer = np.outer(x, x)
+        if own is not None:
+            cache.remove(label, 1, x, x_outer)
+        if idx == len(cache.labels):
+            labels[i] = cache.create(1, x, x_outer)
+        else:
+            labels[i] = cache.labels[idx]
+            cache.add(cache.labels[idx], 1, x, x_outer)
+    lut = np.full(cache.next_label, -1, dtype=np.int64)
+    lut[cache.labels] = np.arange(len(cache.labels))
+    return PartitionState(
+        labels=lut[labels],
+        clusters=cache.clusters_dict({lab: int(lut[lab]) for lab in cache.labels}),
+        hyper=state.hyper,
+    )

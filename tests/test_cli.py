@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its file outputs."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -260,6 +261,25 @@ class TestFitDistributed:
         assert err.startswith("numerical-error: forced min eigenvalue estimate -1.000e+00")
         assert "iteration=1" in err and "worker_id=0" in err
         assert len(err.splitlines()) == 1
+
+
+    def test_worker_death_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        from dpgibbs import runtime
+
+        def dying_sweep(w, rng):
+            os._exit(9)
+
+        monkeypatch.setattr(runtime, "worker_sweep", dying_sweep)
+        data_path, _ = blob_files(tmp_path, n=20)
+        code, _, err = run_cli(
+            [
+                "fit-distributed", "--data", data_path, "--workers", "2",
+                "--iters", "2", "--out", out_dir(tmp_path, "dead"),
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert err == "io-error: worker 0 exited at iteration 1 without replying\n"
 
 
 class TestEvaluate:

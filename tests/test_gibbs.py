@@ -12,7 +12,6 @@ from dpgibbs.gibbs import (
     log_joint,
     run_cgs,
     sample_log_weights,
-    validate_partition,
 )
 from dpgibbs.errors import NumericalDegeneracyError
 from dpgibbs.metrics import ari
@@ -26,6 +25,7 @@ from dpgibbs.niw import (
 )
 
 import _oracles
+from _oracles import validate_partition
 
 
 def unit_hyper(d, alpha=1.0):
@@ -84,19 +84,19 @@ class TestSampleLogWeights:
     def test_degenerate_weight_vector_is_deterministic(self):
         rng = np.random.default_rng(1)
         w = np.array([0.0, -np.inf, -np.inf])
-        assert all(sample_log_weights(w, rng) == 0 for _ in range(20))
+        assert all(sample_log_weights(w, rng.random()) == 0 for _ in range(20))
 
     def test_frequencies_match_probabilities(self):
         rng = np.random.default_rng(2)
         w = np.log(np.array([0.2, 0.5, 0.3]))
-        draws = np.array([sample_log_weights(w, rng) for _ in range(20000)])
+        draws = np.array([sample_log_weights(w, rng.random()) for _ in range(20000)])
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.abs(freqs - [0.2, 0.5, 0.3]).max() < 0.015
 
     def test_shift_invariance(self):
         w = np.array([1.0, 2.0, 0.5])
-        a = sample_log_weights(w, np.random.default_rng(3))
-        b = sample_log_weights(w + 123.0, np.random.default_rng(3))
+        a = sample_log_weights(w, np.random.default_rng(3).random())
+        b = sample_log_weights(w + 123.0, np.random.default_rng(3).random())
         assert a == b
 
 
@@ -197,17 +197,70 @@ class TestCgsSweep:
                     slow.append(math.log(hyper.alpha) + log_prior_predictive(xs, hyper.prior))
                     assert np.allclose(fast, np.array(slow), rtol=1e-12, atol=1e-12)
 
-    def test_degenerate_downdate_raises_with_cluster_label(self):
+    def test_degenerate_downdate_raises_with_cluster_label(self, monkeypatch):
         from dpgibbs.gibbs import _ClusterCache
 
+        refresh = _ClusterCache._refresh_row
+
+        def inflated(cache, r):
+            refresh(cache, r)
+            # An inflated whitening map makes 1 - kappa / (kappa - 1) q negative.
+            cache.whitens[r] *= 1e3
+            cache.shifts[r] *= 1e3
+
+        monkeypatch.setattr(_ClusterCache, "_refresh_row", inflated)
         data = np.random.default_rng(32).standard_normal((3, 2))
         state = state_for_partition(data, [0, 5, 5], unit_hyper(2))
         cache = _ClusterCache.from_partition(state)
-        # An inflated cached precision makes 1 - kappa / (kappa - 1) q negative.
-        cache.precs[1] *= 1e6
+        assert np.isnan(cache.point_log_weights(data[1], own=1)[1])
+        # Point 0 is a singleton and changes the table; point 1 is reached next.
         with pytest.raises(NumericalDegeneracyError) as info:
-            cache.point_log_weights(data[1], own=1)
-        assert info.value.context["cluster_label"] == 5
+            cgs_sweep(state, data, np.random.default_rng(0))
+        assert info.value.context == {"cluster_label": 5, "point_index": 1}
+
+    def test_faults_past_a_blocks_first_move_are_not_raised(self, monkeypatch):
+        """Points scored after a move in the same block are rescored, not raised."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        score = _ClusterCache.point_log_weights
+        blocks = []
+
+        def faulty_first_block(cache, xs, own=None):
+            weights = score(cache, xs, own)
+            if not blocks:
+                weights[own[0], 0] = -np.inf  # point 0 must move
+                weights[own[1], 1] = np.nan  # as if point 1's downdate failed
+                weights[:, 2] = np.inf  # non-finite weights for point 2
+            blocks.append(xs.shape[0])
+            return weights
+
+        monkeypatch.setattr(_ClusterCache, "point_log_weights", faulty_first_block)
+        data = np.random.default_rng(35).standard_normal((12, 2))
+        state = state_for_partition(data, [0] * 6 + [1] * 6, unit_hyper(2))
+        log = []
+        out = cgs_sweep(state, data, np.random.default_rng(3), weight_log=log)
+        assert blocks[0] > 3 and len(blocks) > 1
+        assert len(log) == 12 and all(np.all(np.isfinite(w)) for w in log[1:])
+        validate_partition(out, data)
+
+    def test_non_finite_weights_raise_at_the_point_reached(self, monkeypatch):
+        from dpgibbs.gibbs import _ClusterCache
+
+        score = _ClusterCache.point_log_weights
+        data = np.random.default_rng(36).standard_normal((10, 2))
+
+        def infinite_for_point_4(cache, xs, own=None):
+            weights = score(cache, xs, own)
+            first = int(np.flatnonzero((data == xs[0]).all(axis=1))[0])
+            if first <= 4 < first + xs.shape[0]:
+                weights[-1, 4 - first] = np.inf
+            return weights
+
+        monkeypatch.setattr(_ClusterCache, "point_log_weights", infinite_for_point_4)
+        state = state_for_partition(data, [0] * 10, unit_hyper(2))
+        with pytest.raises(NumericalDegeneracyError, match="non-finite") as info:
+            cgs_sweep(state, data, np.random.default_rng(4))
+        assert info.value.context == {"point_index": 4}
 
     def test_weight_log_records_candidate_vectors(self):
         rng = np.random.default_rng(8)
@@ -225,6 +278,63 @@ class TestCgsSweep:
         state = PartitionState.single_cluster(np.zeros((3, 1)), unit_hyper(1))
         with pytest.raises(ValueError):
             cgs_sweep(state, data, np.random.default_rng(0))
+
+
+def _compare_with_pointwise(data, state, seed, sweeps=3):
+    """Run the block sweep and the reference loop side by side.
+
+    Returns how many labels changed over the sweeps.
+    """
+    block_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = ref = state
+    changed = 0
+    for _ in range(sweeps):
+        block_log, ref_log = [], []
+        before = block.labels
+        block = cgs_sweep(block, data, block_rng, weight_log=block_log)
+        ref = _oracles.pointwise_cgs_sweep(ref, data, ref_rng, weight_log=ref_log)
+        assert np.array_equal(block.labels, ref.labels)
+        assert sorted(block.clusters) == sorted(ref.clusters)
+        for lab, stats in block.clusters.items():
+            assert stats.n == ref.clusters[lab].n
+            assert np.array_equal(stats.sum, ref.clusters[lab].sum)
+            assert np.array_equal(stats.sum_outer, ref.clusters[lab].sum_outer)
+        assert len(block_log) == len(ref_log) == data.shape[0]
+        for b, r in zip(block_log, ref_log):
+            assert b.shape == r.shape
+            assert np.allclose(b, r, rtol=1e-12, atol=1e-12)
+        changed += int(np.count_nonzero(before != block.labels))
+    assert block_rng.random() == ref_rng.random()  # one uniform per point
+    return changed
+
+
+class TestBlockSweepMatchesPointwiseLoop:
+    """The block sweep is the point-by-point sampler: same draws, same table."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_singletons_churn_and_stillness(self, d):
+        rng = np.random.default_rng(50 + d)
+        n = 90
+        data = rng.standard_normal((n, d)) + 6.0 * rng.integers(0, 3, (n, 1))
+        prior = default_prior(data)
+        # Every point starts alone: each one is a singleton when reached.
+        singletons = PartitionState.from_labels(
+            data, np.arange(n), ModelHyperParams(alpha=1.0, prior=prior)
+        )
+        assert _compare_with_pointwise(data, singletons, seed=d) > 0
+        # A large alpha over many small clusters keeps points moving.
+        churn = PartitionState.from_labels(
+            data,
+            np.unique(rng.integers(0, 30, n), return_inverse=True)[1],
+            ModelHyperParams(alpha=50.0, prior=prior),
+        )
+        assert _compare_with_pointwise(data, churn, seed=100 + d) > n // 2
+        # One tight cluster and a tiny alpha: nobody moves.
+        tight = rng.standard_normal((n, d))
+        still = PartitionState.single_cluster(
+            tight, ModelHyperParams(alpha=1e-12, prior=default_prior(tight))
+        )
+        assert _compare_with_pointwise(tight, still, seed=200 + d) == 0
 
 
 class TestLogJoint:

@@ -10,7 +10,6 @@ from dpgibbs.gibbs import PartitionState, log_joint, sample_log_weights
 from dpgibbs.master import (
     GlobalLabelMap,
     GlobalState,
-    expand_to_global_membership,
     global_log_joint,
     master_sweep,
 )
@@ -24,7 +23,7 @@ from dpgibbs.niw import (
     stats_from_points,
     stats_merge,
 )
-from dpgibbs.worker import ClusterSummary, WorkerState, WorkerSummary
+from dpgibbs.worker import ClusterSummary, WorkerState, WorkerSummary, global_label_vector
 
 
 def make_hyper(d=2, alpha=1.0, scale=1.0):
@@ -178,7 +177,7 @@ class TestMasterSweep:
                 ]
                 reference.append(math.log(hyper.alpha) + log_prior_predictive(stats, hyper.prior))
                 assert np.allclose(log[step], reference, rtol=1e-12, atol=1e-12)
-                choice = sample_log_weights(log[step], replay_rng)
+                choice = sample_log_weights(log[step], replay_rng.random())
                 fresh = max(list(members) + [max(initial.assignments.values())]) + 1
                 assigned[keys[i]] = sorted(members)[choice] if choice < len(members) else fresh
 
@@ -218,13 +217,18 @@ class TestMasterSweep:
         assert set(out.assignments.values()) == set(out.clusters)
 
 
+def collected_labels(label_map, workers):
+    """Per-point global labels as the runtime collects them: shards in worker order."""
+    return np.concatenate([global_label_vector(w, label_map) for w in workers])
+
+
 class TestExpansion:
     def test_identity_single_worker(self):
         rng = np.random.default_rng(16)
         data = rng.standard_normal((10, 2))
         hyper = make_hyper()
         w = WorkerState.single_cluster(0, data, 0, hyper)
-        out = expand_to_global_membership(GlobalLabelMap({(0, 0): 0}), [w])
+        out = collected_labels(GlobalLabelMap({(0, 0): 0}), [w])
         assert np.array_equal(out, np.zeros(10, dtype=np.int64))
 
     def test_permuted_names_same_partition(self):
@@ -237,8 +241,8 @@ class TestExpansion:
             0: stats_from_points(data[6:]),
             1: stats_from_points(data[:6]),
         }
-        a = expand_to_global_membership(GlobalLabelMap({(0, 0): 0, (0, 1): 1}), [w])
-        b = expand_to_global_membership(GlobalLabelMap({(0, 0): 7, (0, 1): 3}), [w])
+        a = collected_labels(GlobalLabelMap({(0, 0): 0, (0, 1): 1}), [w])
+        b = collected_labels(GlobalLabelMap({(0, 0): 7, (0, 1): 3}), [w])
         assert ari(a, b) == 1.0
 
     def test_three_workers_hand_checked(self):
@@ -259,7 +263,7 @@ class TestExpansion:
             (1, 0): 1, (1, 1): 2,
             (2, 0): 0, (2, 1): 2,
         }
-        out = expand_to_global_membership(GlobalLabelMap(entries), workers)
+        out = collected_labels(GlobalLabelMap(entries), workers)
         assert np.array_equal(out, np.array([0, 0, 1, 1, 1, 1, 2, 2, 0, 0, 2, 2]))
 
     def test_coverage_gap_rejected(self):
@@ -267,7 +271,7 @@ class TestExpansion:
         data = rng.standard_normal((6, 2))
         w = WorkerState.single_cluster(0, data, 0, make_hyper())
         with pytest.raises(ValueError):
-            expand_to_global_membership(GlobalLabelMap({(1, 0): 0}), [w])
+            collected_labels(GlobalLabelMap({(1, 0): 0}), [w])
 
 
 class TestGlobalLogJoint:
@@ -285,7 +289,7 @@ class TestGlobalLogJoint:
 
             summaries.append(summarize(w))
         gstate = master_sweep(summaries, hyper, np.random.default_rng(22))
-        membership = expand_to_global_membership(gstate.label_map(), workers)
+        membership = collected_labels(gstate.label_map(), workers)
         central = PartitionState(
             labels=membership,
             clusters={

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpgibbs.errors import NumericalDegeneracyError
 from dpgibbs.niw import (
@@ -94,11 +97,60 @@ class TestSufficientStats:
     def test_scatter_psd_invariant(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            stats_from_points(rng.standard_normal((6, 3)) * 10).validate()
+            _oracles.validate_scatter(stats_from_points(rng.standard_normal((6, 3)) * 10))
 
     def test_empty_stats_must_be_zero(self):
         with pytest.raises(ValueError):
             SufficientStats(0, np.ones(2), np.zeros((2, 2)))
+
+
+coordinates = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def batches(draw, count):
+    """``count`` non-empty batches of points of one shared dimension d."""
+    d = draw(st.integers(1, 4))
+    return [
+        draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=coordinates))
+        for _ in range(count)
+    ]
+
+
+def assert_stats_close(a, b, parts):
+    """Equal counts; sums equal up to the rounding of adding up ``parts``."""
+    assert a.n == b.n
+    sum_scale = 1.0 + sum(np.abs(p.sum).max() for p in parts)
+    outer_scale = 1.0 + sum(np.abs(p.sum_outer).max() for p in parts)
+    assert np.allclose(a.sum, b.sum, rtol=0, atol=1e-12 * sum_scale)
+    assert np.allclose(a.sum_outer, b.sum_outer, rtol=0, atol=1e-12 * outer_scale)
+
+
+class TestStatsAlgebraProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(batches(2))
+    def test_remove_undoes_add(self, case):
+        points, extra = case
+        s, x = stats_from_points(points), extra[0]
+        back = stats_remove_point(stats_add_point(s, x), x)
+        assert_stats_close(back, s, [s, stats_from_points(x)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(1))
+    def test_add_undoes_remove(self, case):
+        (points,) = case
+        s, x = stats_from_points(points), points[-1]
+        back = stats_add_point(stats_remove_point(s, x), x)
+        assert_stats_close(back, s, [s, stats_from_points(x)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(3))
+    def test_merge_is_associative(self, case):
+        parts = [stats_from_points(p) for p in case]
+        left = stats_merge([stats_merge(parts[:2]), parts[2]])
+        right = stats_merge([parts[0], stats_merge(parts[1:])])
+        assert_stats_close(left, right, parts)
+        assert_stats_close(left, stats_merge(parts), parts)
 
 
 class TestPosterior:
