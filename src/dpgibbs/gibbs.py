@@ -43,9 +43,10 @@ _LOG_PI = math.log(math.pi)
 # d <= 8, plus one cell per point and row; the points after the block's first
 # table change are scored in vain.  With runs of mean length L between
 # changes, the cost per committed point is least near sqrt(2 L overhead / rows)
-# points.  Scoring also takes rows * d * d multiply-adds per point in one
-# matrix product, which OpenBLAS runs on every core above 2^18 of them
-# (stalling workers that share the cores), and rows * d doubles per point of
+# points.  L starts at 16; each block decays the earlier counts by 0.75.
+# Scoring also takes rows * d * d multiply-adds per point in one matrix
+# product, which OpenBLAS runs on every core above 2^18 of them (stalling
+# workers that share the cores), and rows * d doubles per point of
 # temporaries, so rows * d * max(d, 4) per point stays under 2^18.
 _BLOCK_OVERHEAD = 1500.0
 _BLOCK_CELLS = 1 << 18
@@ -383,7 +384,8 @@ def cgs_sweep(state, data, rng, weight_log=None):
     sweep up front, one per point in index order.  The block is committed up
     to and including its first point that changes the table, and the next
     block starts after it.  Block lengths follow the run lengths between
-    such points seen so far in the sweep; they do not change the result.
+    such points seen so far in the sweep; they set how much work is done,
+    not which draws are made (up to last-bit rounding of the weights).
     Emptied clusters are deleted immediately; labels are compacted to a
     dense 0..K-1 range (ascending original label order) once at sweep end.
     When ``weight_log`` is a list, the log-weight vector of each point
