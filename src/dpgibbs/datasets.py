@@ -1,9 +1,8 @@
 """Synthetic mixture generation and CSV/JSON dataset plumbing.
 
 Generation side: fixed-K Gaussian mixture draws (``GmmSpec`` /
-``generate_gmm``) and truncated stick-breaking weight draws
-(``sample_stick_breaking``).  These carry the mixture weights and component
-parameters that the samplers never see; inference works from data alone.
+``generate_gmm``).  These hold the mixture weights and component parameters
+that the samplers never see; inference works from data alone.
 
 File side: RFC-4180-style CSV with a required header for datasets and label
 vectors, JSON for metrics and traces.  Readers reject malformed or non-finite
@@ -97,35 +96,6 @@ def generate_gmm(spec):
         chol = np.linalg.cholesky(comp.cov)
         data[idx] = comp.mean + noise @ chol.T
     return data, labels.astype(np.int64)
-
-
-def sample_stick_breaking(alpha, truncation, rng):
-    """Truncated stick-breaking weights: length ``truncation``, sums to 1.
-
-    Breaks v_k ~ Beta(1, alpha) i.i.d.; weight k is the stick mass broken off
-    at step k.  The mass left after the last break is folded into the final
-    weight (instead of renormalizing), which preserves the expectation of
-    every earlier weight.  A final one-ulp adjustment of the largest weight
-    makes the exact sum of the emitted floats (math.fsum) precisely one.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1, got %r" % (truncation,))
-    if not alpha > 0:
-        raise ValueError("alpha must be positive, got %r" % (alpha,))
-    v = np.asarray(rng.beta(1.0, alpha, size=truncation), dtype=np.float64)
-    # remaining[k] = mass left after k breaks; weight k is the drop between
-    # consecutive remainders, and the last weight takes all remaining mass.
-    remaining = np.concatenate([[1.0], np.cumprod(1.0 - v[:-1])])
-    weights = np.empty(truncation)
-    weights[:-1] = remaining[:-1] - remaining[1:]
-    weights[-1] = remaining[-1]
-    largest = int(np.argmax(weights))
-    for _ in range(4):
-        defect = 1.0 - math.fsum(weights)
-        if defect == 0.0:
-            break
-        weights[largest] += defect
-    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,9 @@ def seed_to_u64(seed):
 class PartitionState:
     """Partition of points into clusters with per-cluster exact statistics.
 
-    ``labels`` is dense (values 0..K-1) between sweeps; ``clusters`` maps each
-    label to the statistics of exactly the points carrying it.
+    ``clusters`` maps each label present in ``labels`` to the statistics of
+    exactly the points with that label.  Labels are non-negative cluster ids;
+    they are dense (0..K-1) only in the state ``run_cgs`` returns.
     """
 
     labels: np.ndarray
@@ -83,7 +84,8 @@ class PartitionState:
 
     @classmethod
     def from_labels(cls, data, labels, hyper):
-        """State for dense labels 0..K-1, with statistics summed from the points."""
+        """State with statistics summed from the points, labels made dense 0..K-1 in order."""
+        _, labels = np.unique(labels, return_inverse=True)
         clusters = {k: stats_from_points(data[labels == k]) for k in range(int(labels.max()) + 1)}
         return cls(labels=labels, clusters=clusters, hyper=hyper)
 
@@ -386,8 +388,9 @@ def cgs_sweep(state, data, rng, weight_log=None):
     block starts after it.  Block lengths follow the run lengths between
     such points seen so far in the sweep; they set how much work is done,
     not which draws are made (up to last-bit rounding of the weights).
-    Emptied clusters are deleted immediately; labels are compacted to a
-    dense 0..K-1 range (ascending original label order) once at sweep end.
+    Emptied clusters are deleted immediately and their labels are not
+    reused: surviving clusters keep their labels, and new clusters are
+    numbered above the largest label the sweep started with.
     When ``weight_log`` is a list, the log-weight vector of each point
     reached is appended to it (a singleton's without its own cluster).
     """
@@ -448,14 +451,8 @@ def cgs_sweep(state, data, rng, weight_log=None):
     except NumericalDegeneracyError as err:
         err.add_context(point_index=i)
         raise
-    lut = np.full(cache.next_label, -1, dtype=np.int64)
-    lut[cache.labels] = np.arange(len(cache.labels))
-    relabel = {lab: int(lut[lab]) for lab in cache.labels}
-    return PartitionState(
-        labels=lut[labels],
-        clusters=cache.clusters_dict(relabel),
-        hyper=state.hyper,
-    )
+    same = {lab: lab for lab in cache.labels}
+    return PartitionState(labels=labels, clusters=cache.clusters_dict(same), hyper=state.hyper)
 
 
 def crp_log_prob(alpha, sizes, n):
@@ -483,7 +480,8 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None, record_trace=True)
     the cluster count, wall-clock seconds per iteration, and (when ground
     truth labels are supplied) the adjusted Rand index after each iteration.
     Sweeps run on the data centered on the prior mean; the returned state
-    holds the statistics of ``data`` as given.
+    holds the statistics of ``data`` as given, with labels made dense 0..K-1
+    in the order the sweeps numbered the clusters.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1, got %r" % (iterations,))

@@ -1,9 +1,10 @@
 """Master-level batch reassignment over worker cluster statistics.
 
 The master never sees raw points.  Each worker-local cluster is a batch
-(worker_id, local_label, stats); one master sweep visits the batches in a
-randomized order and reassigns each whole batch among the current global
-clusters with log-weights
+(worker_id, local_label, previous global id, stats); one master sweep starts
+from the previous assignment, visits the batches in a randomized order and
+reassigns each whole batch among the current global clusters with
+log-weights
 
     existing k: log n_k    + log p(batch stats | global cluster k's posterior)
     new:        log alpha  + log p(batch stats | base measure)
@@ -25,16 +26,10 @@ from .gibbs import _ClusterCache, crp_log_prob, sample_log_weights
 from .niw import log_marginal, stats_merge
 
 
-@dataclass(frozen=True)
-class GlobalLabelMap:
-    """Batch map (worker_id, local_label) -> dense global label."""
-
-    entries: dict
-
-
 @dataclass
 class GlobalState:
-    """Batch assignments plus incrementally maintained global cluster stats."""
+    """Batch assignments (worker_id, local_label) -> dense global label, plus
+    the statistics of each global cluster."""
 
     assignments: dict
     clusters: dict
@@ -43,9 +38,6 @@ class GlobalState:
     @property
     def num_clusters(self):
         return len(self.clusters)
-
-    def label_map(self):
-        return GlobalLabelMap(entries=dict(self.assignments))
 
 
 def _collect_batches(summaries):
@@ -56,39 +48,34 @@ def _collect_batches(summaries):
             raise ValueError("duplicate summary for worker %d" % summary.worker_id)
         seen.add(summary.worker_id)
         for entry in summary.clusters:
-            if entry.stats.n != entry.size or entry.size < 1:
-                raise ValueError(
-                    "batch (%d, %d) size field disagrees with stats"
-                    % (summary.worker_id, entry.local_label)
-                )
-            batches.append((summary.worker_id, entry.local_label, entry.stats))
+            if entry.stats.n < 1:
+                raise ValueError("batch (%d, %d) is empty" % (summary.worker_id, entry.local_label))
+            batches.append((summary.worker_id, entry.local_label, entry.previous, entry.stats))
     if not batches:
         raise ValueError("no batches to assign")
-    d = batches[0][2].d
-    if any(b[2].d != d for b in batches):
+    d = batches[0][3].d
+    if any(b[3].d != d for b in batches):
         raise ValueError("batch dimension mismatch")
     return batches
 
 
-def master_sweep(summaries, hyper, rng, initial=None, order=None, weight_log=None):
+def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
     """One randomized pass reassigning every batch; returns a new GlobalState.
 
-    ``initial`` seeds the sweep with a previous assignment (its cluster stats
-    are rebuilt from the current batch statistics); None means every batch
-    starts unassigned, which is the runtime's per-iteration mode.  ``order``
-    overrides the random visitation order (a permutation of batch indices);
-    ``weight_log`` collects the per-step candidate log-weight vectors.
+    The sweep starts from the previous assignment the batches name: each
+    global cluster is rebuilt from the current statistics of the batches
+    whose ``previous`` names it, and a batch without one starts unassigned.
+    ``order`` overrides the random visitation order (a permutation of batch
+    indices); ``weight_log`` collects the per-step candidate log-weight
+    vectors.
     """
     batches = _collect_batches(summaries)
-    index_of = {(j, h): i for i, (j, h, _) in enumerate(batches)}
     assignments = {}
     members = {}
-    if initial is not None:
-        for key, g in initial.assignments.items():
-            if key not in index_of:
-                raise ValueError("initial assignment for unknown batch %r" % (key,))
-            assignments[key] = g
-            members.setdefault(g, []).append(batches[index_of[key]][2])
+    for worker_id, local_label, previous, stats in batches:
+        if previous is not None:
+            assignments[(worker_id, local_label)] = previous
+            members.setdefault(previous, []).append(stats)
     table = _ClusterCache(
         hyper.prior, hyper.alpha, {g: stats_merge(parts) for g, parts in members.items()}
     )
@@ -99,7 +86,7 @@ def master_sweep(summaries, hyper, rng, initial=None, order=None, weight_log=Non
         if sorted(order.tolist()) != list(range(len(batches))):
             raise ValueError("order must be a permutation of batch indices")
     for i in order:
-        worker_id, local_label, stats = batches[i]
+        worker_id, local_label, _, stats = batches[i]
         key = (worker_id, local_label)
         previous = assignments.pop(key, None)
         if previous is not None:

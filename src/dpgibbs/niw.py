@@ -43,7 +43,7 @@ def cholesky_logdet(mat, what="scale matrix"):
 
     Cholesky is the single factorization primitive: it both checks positive
     definiteness and yields the determinant.  On failure raises
-    :class:`NumericalDegeneracyError` carrying a minimum-eigenvalue estimate
+    :class:`NumericalDegeneracyError` with a minimum-eigenvalue estimate
     instead of letting NaNs propagate.
     """
     mat = np.asarray(mat, dtype=np.float64)

@@ -2,11 +2,12 @@
 
 Workers are actors owning disjoint contiguous shards.  Per global iteration:
 every worker runs one local sweep in parallel and sends its WorkerSummary; the
-master reassigns all batches in one sweep and broadcasts the GlobalLabelMap;
-workers apply it.  The only payloads crossing the worker boundary are
-summaries, label maps, the small command values below, and per-point label
-vectors when explicitly requested (trace ARI with ground truth, and the final
-collection).
+master reassigns all batches in one sweep, starting from the global ids the
+batches name, and sends each worker its own {local label: global id} map;
+workers apply it, after which their local labels are global ids.  The only
+payloads crossing the worker boundary are summaries, label maps, the small
+command values below, and per-point label vectors when explicitly requested
+(trace ARI with ground truth, and the final collection).
 
 Worker RNG streams are derived as SeedSequence([seed, worker_id, iteration])
 and the master stream as SeedSequence([seed]), so results are reproducible
@@ -28,10 +29,10 @@ import numpy as np
 
 from .errors import NumericalDegeneracyError, WorkerLostError
 from .gibbs import center_on_prior, seed_to_u64
-from .master import GlobalState, global_log_joint, master_sweep
+from .master import global_log_joint, master_sweep
 from .niw import ModelHyperParams, NiwParams, default_prior
 from .trace import IterationRecord, RunTrace
-from .worker import WorkerState, apply_global_labels, global_label_vector, summarize, worker_sweep
+from .worker import WorkerState, apply_global_labels, summarize, worker_sweep
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class SweepCmd:
 
 @dataclass(frozen=True)
 class ApplyCmd:
-    label_map: object
+    label_map: dict
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class WorkerFailure:
 
     A NumericalDegeneracyError keeps its type, eigenvalue estimate and
     context, so the coordinator raises it again as itself; any other
-    exception arrives as a RuntimeError carrying the worker's traceback.
+    exception arrives as a RuntimeError with the worker's traceback.
     """
 
     worker_id: int
@@ -122,7 +123,6 @@ def worker_loop(channel, worker_id, shard_data, start, seed, hyper):
     """
     try:
         state = WorkerState.single_cluster(worker_id, shard_data, start, hyper)
-        global_labels = None
         while True:
             msg = channel.recv()
             if isinstance(msg, SweepCmd):
@@ -132,10 +132,9 @@ def worker_loop(channel, worker_id, shard_data, start, seed, hyper):
                 state = worker_sweep(state, rng)
                 channel.send(summarize(state))
             elif isinstance(msg, ApplyCmd):
-                global_labels = global_label_vector(state, msg.label_map)
                 state = apply_global_labels(state, msg.label_map)
             elif isinstance(msg, ReportLabelsCmd):
-                channel.send(global_labels)
+                channel.send(state.local.labels)
             elif isinstance(msg, StopCmd):
                 return
             else:
@@ -276,44 +275,21 @@ def _coordinate(channels, hyper, config, n, ground_truth):
     )
     want_ari = ground_truth is not None and config.record_trace
     final_labels = None
-    carry = None
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
         for channel in channels:
             channel.send(SweepCmd(t))
         summaries = _receive(channels, t)
-        initial = None
-        if carry:
-            # Local sweeps create and retire clusters, so only batch keys
-            # still present keep their previous global assignment; the rest
-            # start the sweep unassigned.
-            present = {
-                (s.worker_id, entry.local_label)
-                for s in summaries
-                for entry in s.clusters
-            }
-            seeded = {key: g for key, g in carry.items() if key in present}
-            if seeded:
-                initial = GlobalState(assignments=seeded, clusters={}, hyper=hyper)
         try:
-            gstate = master_sweep(summaries, hyper, master_rng, initial=initial)
+            gstate = master_sweep(summaries, hyper, master_rng)
         except NumericalDegeneracyError as err:
             err.add_context(iteration=t)
             raise
-        label_map = gstate.label_map()
-        for channel in channels:
+        label_maps = [{} for _ in channels]
+        for (j, h), g in gstate.assignments.items():
+            label_maps[j][h] = g
+        for channel, label_map in zip(channels, label_maps):
             channel.send(ApplyCmd(label_map))
-        # Applying the map renames worker j's local clusters to dense ids
-        # ordered by ascending global label, which fixes the batch keys the
-        # next iteration's summaries will carry.
-        per_worker = {}
-        for (j, _), g in label_map.entries.items():
-            per_worker.setdefault(j, set()).add(g)
-        carry = {
-            (j, idx): g
-            for j, gs in per_worker.items()
-            for idx, g in enumerate(sorted(gs))
-        }
         labels = None
         if want_ari or t == config.iterations:
             for channel in channels:

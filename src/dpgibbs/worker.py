@@ -3,8 +3,9 @@
 A worker owns a contiguous shard of the data and runs the same collapsed
 Gibbs sweep as the centralized sampler, with the same concentration alpha and
 base measure.  After each sweep it ships per-cluster sufficient statistics to
-the master; the master's reply (a batch label map) is applied by renaming and
-merging local clusters, never by splitting them.
+the master; the master's reply (this worker's label map) is applied by
+renaming and merging local clusters, never by splitting them, and keys the
+local clusters by their global ids from then on.
 """
 
 from __future__ import annotations
@@ -20,12 +21,18 @@ from .niw import SufficientStats, stats_merge
 
 @dataclass
 class WorkerState:
-    """worker_id, the local shard, its global start index, local partition."""
+    """worker_id, the local shard, its global start index, local partition.
+
+    After an apply the local labels are global cluster ids.  A sweep numbers
+    the clusters it creates above every label it starts with, so labels from
+    ``first_new`` up belong to clusters born since the last apply.
+    """
 
     worker_id: int
     data: np.ndarray
     start: int
     local: PartitionState
+    first_new: int = 0
 
     @classmethod
     def single_cluster(cls, worker_id, data, start, hyper):
@@ -40,8 +47,11 @@ class WorkerState:
 
 @dataclass(frozen=True)
 class ClusterSummary:
+    """One local cluster: its label, its global id from the last apply (None
+    for a cluster born since), and its statistics."""
+
     local_label: int
-    size: int
+    previous: int | None
     stats: SufficientStats
 
 
@@ -51,10 +61,6 @@ class WorkerSummary:
 
     worker_id: int
     clusters: tuple[ClusterSummary, ...]
-
-    @property
-    def total_size(self):
-        return sum(entry.size for entry in self.clusters)
 
 
 def worker_sweep(w, rng):
@@ -70,52 +76,37 @@ def worker_sweep(w, rng):
 def summarize(w):
     """WorkerSummary with one entry per non-empty local cluster."""
     entries = tuple(
-        ClusterSummary(local_label=lab, size=w.local.clusters[lab].n, stats=w.local.clusters[lab])
+        ClusterSummary(lab, lab if lab < w.first_new else None, w.local.clusters[lab])
         for lab in sorted(w.local.clusters)
     )
     return WorkerSummary(worker_id=w.worker_id, clusters=entries)
 
 
-def _local_to_global_lut(w, label_map):
-    """Dense lookup table from this worker's local labels to global labels.
+def apply_global_labels(w, label_map):
+    """Rename local clusters to their global ids and merge collisions.
 
-    The map must contain exactly the worker's current local labels (0..K-1);
-    a missing or unknown local label is an error.
+    ``label_map`` maps each current local label to its global id; a missing
+    or unknown local label is an error.  Afterwards the local labels are the
+    global ids; merged cluster statistics are field-wise sums.
     """
-    k = w.local.num_clusters
-    mine = {h: g for (j, h), g in label_map.entries.items() if j == w.worker_id}
-    if set(mine) != set(range(k)):
-        missing = sorted(set(range(k)) - set(mine))
-        unknown = sorted(set(mine) - set(range(k)))
+    if set(label_map) != set(w.local.clusters):
+        missing = sorted(set(w.local.clusters) - set(label_map))
+        unknown = sorted(set(label_map) - set(w.local.clusters))
         raise ValueError(
             "label map does not match worker %d clusters: missing %r, unknown %r"
             % (w.worker_id, missing, unknown)
         )
-    lut = np.empty(k, dtype=np.int64)
-    for h, g in mine.items():
-        lut[h] = g
-    return lut
-
-
-def global_label_vector(w, label_map):
-    """Per-point global labels of this shard under the map (state unchanged)."""
-    return _local_to_global_lut(w, label_map)[w.local.labels]
-
-
-def apply_global_labels(w, label_map):
-    """Rename local clusters to their global ids and merge collisions.
-
-    The resulting local partition is re-compacted to dense labels ordered by
-    ascending global id; merged cluster statistics are field-wise sums.
-    """
-    lut = _local_to_global_lut(w, label_map)
-    globals_present = np.unique(lut)
-    dense = {int(g): i for i, g in enumerate(globals_present)}
-    new_labels = np.array([dense[int(g)] for g in lut], dtype=np.int64)[w.local.labels]
-    clusters = {}
-    for new_lab, g in ((dense[int(g)], int(g)) for g in globals_present):
-        parts = [w.local.clusters[h] for h in range(lut.shape[0]) if lut[h] == g]
-        clusters[new_lab] = parts[0] if len(parts) == 1 else stats_merge(parts)
+    lut = np.empty(max(label_map) + 1, dtype=np.int64)
+    members = {}
+    for h in sorted(label_map):
+        lut[h] = label_map[h]
+        members.setdefault(label_map[h], []).append(w.local.clusters[h])
+    clusters = {
+        g: parts[0] if len(parts) == 1 else stats_merge(parts)
+        for g, parts in sorted(members.items())
+    }
     return replace(
-        w, local=PartitionState(labels=new_labels, clusters=clusters, hyper=w.local.hyper)
+        w,
+        local=PartitionState(labels=lut[w.local.labels], clusters=clusters, hyper=w.local.hyper),
+        first_new=max(clusters) + 1,
     )

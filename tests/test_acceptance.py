@@ -20,7 +20,7 @@ import _oracles
 from dpgibbs.cli import main as cli_main
 from dpgibbs.datasets import generate_gmm, preset_spec, write_dataset, write_labels
 from dpgibbs.gibbs import PartitionState, cgs_sweep, log_joint, run_cgs
-from dpgibbs.master import GlobalState, master_sweep
+from dpgibbs.master import master_sweep
 from dpgibbs.metrics import acc, ari, nmi
 from dpgibbs.niw import (
     ModelHyperParams,
@@ -250,23 +250,20 @@ def test_criterion_04_master_matches_central_on_singletons():
         seed = 10_000 + trial
         swept = cgs_sweep(central, data, np.random.default_rng(seed), weight_log=central_log)
 
+        # Each point is a batch whose previous global cluster is its
+        # cluster in the central partition.
         summary = WorkerSummary(
             worker_id=0,
             clusters=tuple(
-                ClusterSummary(i, 1, stats_from_points(data[i : i + 1])) for i in range(n)
+                ClusterSummary(i, int(init[i]), stats_from_points(data[i : i + 1]))
+                for i in range(n)
             ),
-        )
-        initial = GlobalState(
-            assignments={(0, i): int(init[i]) for i in range(n)},
-            clusters={},
-            hyper=hyper,
         )
         master_log = []
         out = master_sweep(
             [summary],
             hyper,
             np.random.default_rng(seed),
-            initial=initial,
             order=list(range(n)),
             weight_log=master_log,
         )

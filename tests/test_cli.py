@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import dpgibbs
 from dpgibbs.cli import main
 from dpgibbs.datasets import read_labels, write_dataset, write_labels
 
@@ -387,10 +388,14 @@ class TestBench:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # The child imports the package under test, installed or not.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dpgibbs.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "dpgibbs.cli", "--version"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert result.returncode == 0
         assert result.stdout.strip()

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from dpgibbs.datasets import (
     preset_spec,
     read_dataset,
     read_labels,
-    sample_stick_breaking,
     spec_from_json,
     write_dataset,
     write_labels,
@@ -115,55 +113,6 @@ class TestGenerateGmm:
         data, labels = generate_gmm(two_component_spec(n=2000, seed=5))
         assert np.all(data[labels == 0, 0] < 0)
         assert np.all(data[labels == 1, 0] > 0)
-
-
-class ConstantBreaks:
-    """Stub RNG whose every Beta draw is a fixed value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def beta(self, a, b, size):
-        return np.full(size, self.value)
-
-
-class TestStickBreaking:
-    def test_constant_half_breaks(self):
-        weights = sample_stick_breaking(1.0, 3, ConstantBreaks(0.5))
-        assert np.allclose(weights, [0.5, 0.25, 0.25], rtol=0, atol=0)
-
-    def test_truncation_one(self):
-        weights = sample_stick_breaking(2.0, 1, ConstantBreaks(0.3))
-        assert weights.shape == (1,)
-        assert weights[0] == 1.0
-
-    def test_probability_vector_exactly(self):
-        rng = np.random.default_rng(6)
-        for _ in range(500):
-            alpha = float(rng.uniform(0.1, 10.0))
-            t = int(rng.integers(1, 65))
-            weights = sample_stick_breaking(alpha, t, rng)
-            assert weights.shape == (t,)
-            assert np.all(weights >= 0)
-            # Exact sum of the emitted floats is precisely one.
-            assert math.fsum(weights) == 1.0
-            assert abs(weights.sum() - 1.0) < 1e-15
-
-    def test_first_weight_mean_matches_beta_expectation(self):
-        rng = np.random.default_rng(7)
-        draws = 20_000
-        first = np.empty(draws)
-        for i in range(draws):
-            first[i] = sample_stick_breaking(1.0, 50, rng)[0]
-        se = np.sqrt(1.0 / 12.0 / draws)
-        assert abs(first.mean() - 0.5) <= 3 * se
-
-    def test_bad_arguments_rejected(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValueError):
-            sample_stick_breaking(1.0, 0, rng)
-        with pytest.raises(ValueError):
-            sample_stick_breaking(0.0, 3, rng)
 
 
 class TestPresets:

@@ -52,6 +52,15 @@ def separated_two_component(n=200, seed=0):
     return data, truth
 
 
+def compacted(state):
+    """The state with its cluster ids renumbered 0..K-1 in ascending order."""
+    ids = sorted(state.clusters)
+    lut = np.full(max(ids) + 1, -1, dtype=np.int64)
+    lut[ids] = np.arange(len(ids))
+    clusters = {k: state.clusters[lab] for k, lab in enumerate(ids)}
+    return PartitionState(labels=lut[state.labels], clusters=clusters, hyper=state.hyper)
+
+
 def state_for_partition(data, labels, hyper):
     labels = np.asarray(labels, dtype=np.int64)
     clusters = {
@@ -107,7 +116,7 @@ class TestCgsSweep:
         for seed in range(5):
             out = cgs_sweep(state, data, np.random.default_rng(seed))
             assert out.num_clusters == 1
-            validate_partition(out, data)
+            validate_partition(compacted(out), data)
 
     def test_identical_points_co_cluster_in_small_alpha_limit(self):
         hyper = unit_hyper(1, alpha=1e-8)
@@ -139,11 +148,13 @@ class TestCgsSweep:
         state = PartitionState.single_cluster(data, unit_hyper(2))
         sweep_rng = np.random.default_rng(7)
         for _ in range(10):
+            before = set(state.clusters)
             state = cgs_sweep(state, data, sweep_rng)
-            validate_partition(state, data)
+            validate_partition(compacted(state), data)
             assert sum(s.n for s in state.clusters.values()) == data.shape[0]
-            labs = np.unique(state.labels)
-            assert labs.min() == 0 and labs.max() == state.num_clusters - 1
+            # Surviving clusters keep their labels; new ones are numbered
+            # above every label the sweep started with.
+            assert all(lab in before or lab > max(before) for lab in state.clusters)
 
     def test_cached_weights_equal_public_predictive_route(self):
         """The vectorized cluster cache and the public log_marginal route must agree."""
@@ -241,7 +252,7 @@ class TestCgsSweep:
         out = cgs_sweep(state, data, np.random.default_rng(3), weight_log=log)
         assert blocks[0] > 3 and len(blocks) > 1
         assert len(log) == 12 and all(np.all(np.isfinite(w)) for w in log[1:])
-        validate_partition(out, data)
+        validate_partition(compacted(out), data)
 
     def test_non_finite_weights_raise_at_the_point_reached(self, monkeypatch):
         from dpgibbs.gibbs import _ClusterCache
@@ -283,7 +294,9 @@ class TestCgsSweep:
 def _compare_with_pointwise(data, state, seed, sweeps=3):
     """Run the block sweep and the reference loop side by side.
 
-    Returns how many labels changed over the sweeps.
+    The reference loop makes its labels dense after every sweep and the
+    block sweep keeps them, so the block sweep's state is compacted before
+    the two are compared.  Returns how many labels changed over the sweeps.
     """
     block_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     block = ref = state
@@ -293,9 +306,10 @@ def _compare_with_pointwise(data, state, seed, sweeps=3):
         before = block.labels
         block = cgs_sweep(block, data, block_rng, weight_log=block_log)
         ref = _oracles.pointwise_cgs_sweep(ref, data, ref_rng, weight_log=ref_log)
-        assert np.array_equal(block.labels, ref.labels)
-        assert sorted(block.clusters) == sorted(ref.clusters)
-        for lab, stats in block.clusters.items():
+        dense = compacted(block)
+        assert np.array_equal(dense.labels, ref.labels)
+        assert sorted(dense.clusters) == sorted(ref.clusters)
+        for lab, stats in dense.clusters.items():
             assert stats.n == ref.clusters[lab].n
             assert np.array_equal(stats.sum, ref.clusters[lab].sum)
             assert np.array_equal(stats.sum_outer, ref.clusters[lab].sum_outer)

@@ -7,12 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from dpgibbs.gibbs import PartitionState, log_joint, sample_log_weights
-from dpgibbs.master import (
-    GlobalLabelMap,
-    GlobalState,
-    global_log_joint,
-    master_sweep,
-)
+from dpgibbs.master import global_log_joint, master_sweep
 from dpgibbs.metrics import ari
 from dpgibbs.niw import (
     ModelHyperParams,
@@ -22,8 +17,9 @@ from dpgibbs.niw import (
     log_prior_predictive,
     stats_from_points,
     stats_merge,
+    zero_stats,
 )
-from dpgibbs.worker import ClusterSummary, WorkerState, WorkerSummary, global_label_vector
+from dpgibbs.worker import ClusterSummary, WorkerState, WorkerSummary, apply_global_labels
 
 
 def make_hyper(d=2, alpha=1.0, scale=1.0):
@@ -33,13 +29,16 @@ def make_hyper(d=2, alpha=1.0, scale=1.0):
     )
 
 
-def summary_of(worker_id, batches):
-    """batches: list of (n, d) arrays, one per local cluster."""
+def summary_of(worker_id, batches, previous=None):
+    """batches: list of (n, d) arrays, one per local cluster; ``previous``
+    lists each batch's previous global id (default: all unassigned)."""
+    if previous is None:
+        previous = [None] * len(batches)
     return WorkerSummary(
         worker_id=worker_id,
         clusters=tuple(
-            ClusterSummary(h, pts.shape[0], stats_from_points(pts))
-            for h, pts in enumerate(batches)
+            ClusterSummary(h, g, stats_from_points(pts))
+            for h, (pts, g) in enumerate(zip(batches, previous))
         ),
     )
 
@@ -140,30 +139,27 @@ class TestMasterSweep:
             hyper = make_hyper(
                 d, alpha=float(rng.uniform(0.2, 3.0)), scale=float(rng.uniform(0.5, 4.0))
             )
-            summaries = []
+            shards = []
             for j in range(3):
                 sizes = rng.integers(1, 12, size=int(rng.integers(1, 5)))
-                summaries.append(summary_of(j, [
+                shards.append([
                     rng.standard_normal((int(m), d)) + 4.0 * rng.integers(-1, 2, d)
                     for m in sizes
-                ]))
+                ])
+            previous = [[int(rng.integers(0, 3)) for _ in shard] for shard in shards]
+            summaries = [summary_of(j, shards[j], previous[j]) for j in range(3)]
             batches = {
                 (s.worker_id, e.local_label): e.stats for s in summaries for e in s.clusters
             }
             keys = sorted(batches)
-            initial = GlobalState(
-                assignments={key: int(rng.integers(0, 3)) for key in keys},
-                clusters={},
-                hyper=hyper,
-            )
+            seeded = {(j, h): g for j in range(3) for h, g in enumerate(previous[j])}
             order = rng.permutation(len(keys))
             log = []
             master_sweep(
-                summaries, hyper, np.random.default_rng(trial), initial=initial,
-                order=order, weight_log=log,
+                summaries, hyper, np.random.default_rng(trial), order=order, weight_log=log,
             )
             replay_rng = np.random.default_rng(trial)
-            assigned = dict(initial.assignments)
+            assigned = dict(seeded)
             for step, i in enumerate(order):
                 stats = batches[keys[i]]
                 del assigned[keys[i]]
@@ -178,7 +174,7 @@ class TestMasterSweep:
                 reference.append(math.log(hyper.alpha) + log_prior_predictive(stats, hyper.prior))
                 assert np.allclose(log[step], reference, rtol=1e-12, atol=1e-12)
                 choice = sample_log_weights(log[step], replay_rng.random())
-                fresh = max(list(members) + [max(initial.assignments.values())]) + 1
+                fresh = max(list(members) + [max(seeded.values())]) + 1
                 assigned[keys[i]] = sorted(members)[choice] if choice < len(members) else fresh
 
     def test_initial_state_reassignment(self):
@@ -186,19 +182,23 @@ class TestMasterSweep:
         batches = [rng.standard_normal((3, 2)), rng.standard_normal((3, 2)) + 12.0]
         hyper = make_hyper()
         first = master_sweep([summary_of(0, batches)], hyper, np.random.default_rng(10))
+        previous = [first.assignments[(0, 0)], first.assignments[(0, 1)]]
         again = master_sweep(
-            [summary_of(0, batches)], hyper, np.random.default_rng(11), initial=first
+            [summary_of(0, batches, previous)], hyper, np.random.default_rng(11)
         )
         assert set(again.assignments) == {(0, 0), (0, 1)}
         sizes = sorted(s.n for s in again.clusters.values())
         assert sum(sizes) == 6
 
-    def test_initial_with_unknown_batch_rejected(self):
+    def test_empty_or_mismatched_batches_rejected(self):
         rng = np.random.default_rng(12)
         summary = summary_of(0, [rng.standard_normal((3, 2))])
-        bogus = GlobalState(assignments={(5, 9): 0}, clusters={}, hyper=make_hyper())
-        with pytest.raises(ValueError):
-            master_sweep([summary], make_hyper(), np.random.default_rng(0), initial=bogus)
+        empty = WorkerSummary(1, (ClusterSummary(0, None, zero_stats(2)),))
+        with pytest.raises(ValueError, match="empty"):
+            master_sweep([summary, empty], make_hyper(), np.random.default_rng(0))
+        wide = summary_of(1, [rng.standard_normal((3, 3))])
+        with pytest.raises(ValueError, match="dimension"):
+            master_sweep([summary, wide], make_hyper(), np.random.default_rng(0))
 
     def test_duplicate_worker_rejected(self):
         rng = np.random.default_rng(13)
@@ -217,9 +217,20 @@ class TestMasterSweep:
         assert set(out.assignments.values()) == set(out.clusters)
 
 
-def collected_labels(label_map, workers):
-    """Per-point global labels as the runtime collects them: shards in worker order."""
-    return np.concatenate([global_label_vector(w, label_map) for w in workers])
+def collected_labels(label_maps, workers):
+    """Per-point global labels as the runtime collects them: each worker
+    applies its own map, and the shards are joined in worker order."""
+    return np.concatenate([
+        apply_global_labels(w, label_map).local.labels for w, label_map in zip(workers, label_maps)
+    ])
+
+
+def label_maps_of(gstate, workers):
+    """Each worker's {local label: global id} map from a master sweep."""
+    maps = [{} for _ in range(workers)]
+    for (j, h), g in gstate.assignments.items():
+        maps[j][h] = g
+    return maps
 
 
 class TestExpansion:
@@ -228,7 +239,7 @@ class TestExpansion:
         data = rng.standard_normal((10, 2))
         hyper = make_hyper()
         w = WorkerState.single_cluster(0, data, 0, hyper)
-        out = collected_labels(GlobalLabelMap({(0, 0): 0}), [w])
+        out = collected_labels([{0: 0}], [w])
         assert np.array_equal(out, np.zeros(10, dtype=np.int64))
 
     def test_permuted_names_same_partition(self):
@@ -241,8 +252,8 @@ class TestExpansion:
             0: stats_from_points(data[6:]),
             1: stats_from_points(data[:6]),
         }
-        a = collected_labels(GlobalLabelMap({(0, 0): 0, (0, 1): 1}), [w])
-        b = collected_labels(GlobalLabelMap({(0, 0): 7, (0, 1): 3}), [w])
+        a = collected_labels([{0: 0, 1: 1}], [w])
+        b = collected_labels([{0: 7, 1: 3}], [w])
         assert ari(a, b) == 1.0
 
     def test_three_workers_hand_checked(self):
@@ -258,12 +269,8 @@ class TestExpansion:
                 1: stats_from_points(shard[2:]),
             }
             workers.append(w)
-        entries = {
-            (0, 0): 0, (0, 1): 1,
-            (1, 0): 1, (1, 1): 2,
-            (2, 0): 0, (2, 1): 2,
-        }
-        out = collected_labels(GlobalLabelMap(entries), workers)
+        label_maps = [{0: 0, 1: 1}, {0: 1, 1: 2}, {0: 0, 1: 2}]
+        out = collected_labels(label_maps, workers)
         assert np.array_equal(out, np.array([0, 0, 1, 1, 1, 1, 2, 2, 0, 0, 2, 2]))
 
     def test_coverage_gap_rejected(self):
@@ -271,7 +278,7 @@ class TestExpansion:
         data = rng.standard_normal((6, 2))
         w = WorkerState.single_cluster(0, data, 0, make_hyper())
         with pytest.raises(ValueError):
-            collected_labels(GlobalLabelMap({(1, 0): 0}), [w])
+            collected_labels([{}], [w])
 
 
 class TestGlobalLogJoint:
@@ -289,7 +296,7 @@ class TestGlobalLogJoint:
 
             summaries.append(summarize(w))
         gstate = master_sweep(summaries, hyper, np.random.default_rng(22))
-        membership = collected_labels(gstate.label_map(), workers)
+        membership = collected_labels(label_maps_of(gstate, 2), workers)
         central = PartitionState(
             labels=membership,
             clusters={

@@ -6,7 +6,6 @@ import threading
 import numpy as np
 import pytest
 
-from dpgibbs.master import GlobalLabelMap
 from dpgibbs.metrics import ari
 from dpgibbs.niw import NiwParams, default_prior, ModelHyperParams
 from dpgibbs.runtime import (
@@ -34,6 +33,14 @@ def two_blob_data(n=60, seed=0):
     )
     truth = np.repeat([0, 1], [half, n - half])
     return data, truth
+
+
+def churn_data():
+    """Unstructured points on which local clusters retire and are born."""
+    return np.random.default_rng(3).standard_normal((3000, 2))
+
+
+CHURN_CONFIG = RunConfig(alpha=20.0, iterations=8, workers=2, seed=7)
 
 
 class TestShard:
@@ -156,12 +163,64 @@ class TestRunDiscgs:
         assert np.array_equal(a, b)
 
     def test_process_backend_matches_thread_backend(self):
-        data, _ = two_blob_data(40, seed=6)
-        cfg = RunConfig(iterations=3, workers=2, seed=13)
-        thread_labels, thread_trace = run_discgs(data, cfg, channel_factory=thread_channels)
-        proc_labels, proc_trace = run_discgs(data, cfg)
-        assert np.array_equal(thread_labels, proc_labels)
-        assert np.array_equal(thread_trace.log_joints, proc_trace.log_joints)
+        cases = [
+            (two_blob_data(40, seed=6)[0], RunConfig(iterations=3, workers=2, seed=13)),
+            # Local clusters retire and are born here, so the master is
+            # seeded from batches whose local labels are not dense.
+            (churn_data(), CHURN_CONFIG),
+        ]
+        for data, cfg in cases:
+            thread_labels, thread_trace = run_discgs(data, cfg, channel_factory=thread_channels)
+            proc_labels, proc_trace = run_discgs(data, cfg)
+            assert np.array_equal(thread_labels, proc_labels)
+            assert np.array_equal(thread_trace.log_joints, proc_trace.log_joints)
+
+    def test_master_seeds_each_batch_with_its_own_previous_global_id(self, monkeypatch):
+        """A batch is seeded with the global id its cluster held after the
+        last apply: a cluster that survives the sweep keeps its label, which
+        is that id, and a cluster born in the sweep is seeded with none."""
+        from dpgibbs import runtime
+
+        sweep, master = runtime.worker_sweep, runtime.master_sweep
+        before = {}  # (worker, iteration) -> the worker's state going into its sweep
+        sweeps = {}
+        rounds = []  # (summaries, result) of each master sweep
+
+        def recording_sweep(w, rng):
+            t = sweeps[w.worker_id] = sweeps.get(w.worker_id, 0) + 1
+            before[(w.worker_id, t)] = w
+            return sweep(w, rng)
+
+        def recording_master(summaries, *args, **kwargs):
+            out = master(summaries, *args, **kwargs)
+            rounds.append((summaries, out))
+            return out
+
+        monkeypatch.setattr(runtime, "worker_sweep", recording_sweep)
+        monkeypatch.setattr(runtime, "master_sweep", recording_master)
+        run_discgs(churn_data(), CHURN_CONFIG, channel_factory=thread_channels)
+
+        retired = born = seeded = 0
+        for t, (summaries, _) in enumerate(rounds, start=1):
+            for summary in summaries:
+                j = summary.worker_id
+                start = before[(j, t)].local.clusters
+                labels = {e.local_label for e in summary.clusters}
+                retired += len(set(start) - labels)
+                applied = set()
+                if t > 1:
+                    applied = {g for (i, _), g in rounds[t - 2][1].assignments.items() if i == j}
+                    assert set(start) == applied
+                previous = [e.previous for e in summary.clusters if e.previous is not None]
+                assert len(previous) == len(set(previous))
+                for entry in summary.clusters:
+                    if entry.local_label in applied:
+                        seeded += 1
+                        assert entry.previous == entry.local_label
+                    else:
+                        born += t > 1
+                        assert entry.previous is None
+        assert retired > 0 and born > 0 and seeded > 0
 
     @pytest.mark.parametrize("transform", [lambda x: x + 1e8, lambda x: 3.0 * x])
     def test_translated_or_scaled_data_give_the_same_labels(self, transform):
@@ -276,12 +335,15 @@ class TestMessageTraffic:
             assert len(sweep_cmds) == iters
             assert [m.iteration for m in sweep_cmds] == list(range(1, iters + 1))
             assert len(apply_cmds) == iters
-            assert all(isinstance(m.label_map, GlobalLabelMap) for m in apply_cmds)
+            # Each worker receives a map of exactly its own local clusters.
+            summaries = [m for m in received if isinstance(m, WorkerSummary)]
+            assert [set(m.label_map) for m in apply_cmds] == [
+                {e.local_label for e in s.clusters} for s in summaries
+            ]
             assert len(report_cmds) == 1
             assert len(stop_cmds) == 1
             assert len(sent) == 2 * iters + 2
 
-            summaries = [m for m in received if isinstance(m, WorkerSummary)]
             arrays = [m for m in received if isinstance(m, np.ndarray)]
             assert len(summaries) == iters
             assert len(arrays) == 1
@@ -310,7 +372,7 @@ class TestMessageTraffic:
             summaries = [m for m in received if isinstance(m, WorkerSummary)]
             assert len(arrays) == iters
             assert all(a.shape == (size,) for a in arrays)
-            assert [s.total_size for s in summaries] == [size] * iters
+            assert [sum(e.stats.n for e in s.clusters) for s in summaries] == [size] * iters
             per_channel_arrays.append(arrays)
         for t in range(iters):
             labels = np.concatenate([arrays[t] for arrays in per_channel_arrays])

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from dpgibbs.master import GlobalLabelMap
+from dpgibbs.gibbs import PartitionState
 from dpgibbs.metrics import ari
-from dpgibbs.niw import ModelHyperParams, default_prior, stats_from_points, stats_merge
-from dpgibbs.worker import (
-    WorkerState,
-    apply_global_labels,
-    global_label_vector,
-    summarize,
-    worker_sweep,
+from dpgibbs.niw import (
+    ModelHyperParams,
+    NiwParams,
+    default_prior,
+    stats_from_points,
+    stats_merge,
 )
+from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
 
 
 def shard_hyper(data, alpha=1.0):
@@ -63,7 +63,8 @@ class TestWorkerSweep:
         assert len(sa.clusters) == len(sb.clusters)
         for ea, eb in zip(sa.clusters, sb.clusters):
             assert ea.local_label == eb.local_label
-            assert ea.size == eb.size
+            assert ea.previous == eb.previous
+            assert ea.stats.n == eb.stats.n
             assert np.array_equal(ea.stats.sum, eb.stats.sum)
 
     def test_conservation_across_sweeps(self):
@@ -72,7 +73,7 @@ class TestWorkerSweep:
         rng = np.random.default_rng(5)
         for _ in range(5):
             w = worker_sweep(w, rng)
-            assert summarize(w).total_size == 50
+            assert sum(e.stats.n for e in summarize(w).clusters) == 50
 
 
 class TestSummarize:
@@ -81,7 +82,8 @@ class TestSummarize:
         w = WorkerState.single_cluster(2, data, 0, shard_hyper(data))
         summary = summarize(w)
         assert len(summary.clusters) == 1
-        assert summary.clusters[0].size == 30
+        assert summary.clusters[0].stats.n == 30
+        assert summary.clusters[0].previous is None
         assert summary.worker_id == 2
 
     def test_entry_stats_match_direct_recomputation(self):
@@ -94,7 +96,7 @@ class TestSummarize:
         for entry in summary.clusters:
             members = data[w.local.labels == entry.local_label]
             ref = stats_from_points(members)
-            assert entry.size == ref.n
+            assert entry.stats.n == ref.n
             assert np.allclose(entry.stats.sum, ref.sum, rtol=1e-10)
             assert np.allclose(entry.stats.sum_outer, ref.sum_outer, rtol=1e-10)
 
@@ -123,8 +125,7 @@ def _worker_with_k_clusters(seed=11, n=60):
 class TestApplyGlobalLabels:
     def test_identity_map_preserves_partition(self):
         w = _worker_with_k_clusters()
-        k = w.local.num_clusters
-        identity = GlobalLabelMap({(0, h): h for h in range(k)})
+        identity = {h: h for h in w.local.clusters}
         out = apply_global_labels(w, identity)
         assert np.array_equal(out.local.labels, w.local.labels)
         assert set(out.local.clusters) == set(w.local.clusters)
@@ -134,14 +135,15 @@ class TestApplyGlobalLabels:
         k = w.local.num_clusters
         if k < 2:
             pytest.skip("fixture did not split; adjust seed")
-        # Map local 0 and 1 to the same global id, everything else distinct.
-        entries = {(0, 0): 100, (0, 1): 100}
-        entries.update({(0, h): h for h in range(2, k)})
-        out = apply_global_labels(w, GlobalLabelMap(entries))
+        # Map the first two local clusters to the same global id, the rest
+        # to distinct ones.
+        first, second, *rest = sorted(w.local.clusters)
+        label_map = {first: 100, second: 100}
+        label_map.update({h: i for i, h in enumerate(rest)})
+        out = apply_global_labels(w, label_map)
         assert out.local.num_clusters == k - 1
-        merged = stats_merge([w.local.clusters[0], w.local.clusters[1]])
-        # Global id 100 sorts after ids 2..k-1, so it lands at dense label k-2.
-        got = out.local.clusters[k - 2]
+        merged = stats_merge([w.local.clusters[first], w.local.clusters[second]])
+        got = out.local.clusters[100]
         assert got.n == merged.n
         assert np.allclose(got.sum, merged.sum, rtol=1e-12)
 
@@ -150,25 +152,62 @@ class TestApplyGlobalLabels:
         k = w.local.num_clusters
         rng = np.random.default_rng(14)
         targets = rng.integers(0, max(1, k - 1), k)  # random merges
-        out = apply_global_labels(w, GlobalLabelMap({(0, h): int(targets[h]) for h in range(k)}))
-        for h in range(k):
+        out = apply_global_labels(
+            w, {h: int(g) for h, g in zip(sorted(w.local.clusters), targets)}
+        )
+        for h in w.local.clusters:
             downstream = out.local.labels[w.local.labels == h]
             assert np.unique(downstream).size == 1
 
     def test_missing_entry_rejected(self):
         w = _worker_with_k_clusters()
+        labels = sorted(w.local.clusters)
         with pytest.raises(ValueError):
-            apply_global_labels(w, GlobalLabelMap({(0, 0): 0}))
+            apply_global_labels(w, {labels[0]: 0} if len(labels) > 1 else {})
         # Unknown local label in the map is also an error.
-        k = w.local.num_clusters
-        entries = {(0, h): h for h in range(k)}
-        entries[(0, k + 5)] = 1
+        label_map = {h: h for h in labels}
+        label_map[max(labels) + 5] = 1
         with pytest.raises(ValueError):
-            apply_global_labels(w, GlobalLabelMap(entries))
+            apply_global_labels(w, label_map)
 
     def test_global_label_vector_matches_map(self):
+        """After an apply the local labels are the global ids of the map."""
         w = _worker_with_k_clusters(seed=15)
-        k = w.local.num_clusters
-        entries = {(0, h): h + 40 for h in range(k)}
-        vec = global_label_vector(w, GlobalLabelMap(entries))
-        assert np.array_equal(vec, w.local.labels + 40)
+        out = apply_global_labels(w, {h: h + 40 for h in w.local.clusters})
+        assert np.array_equal(out.local.labels, w.local.labels + 40)
+        assert sorted(out.local.clusters) == [h + 40 for h in sorted(w.local.clusters)]
+
+
+class TestPreviousGlobalIds:
+    def test_survivors_keep_their_global_id_and_a_newborn_has_none(self):
+        """One local cluster empties and another is born in the same sweep.
+
+        Global cluster 5 is a lone point beside cluster 9, which it joins;
+        an outlier in cluster 3 leaves it for a cluster of its own.  The
+        survivors must report their own global ids, not the ids of the
+        clusters numbered below them, and the newborn must report none.
+        """
+        rng = np.random.default_rng(40)
+        data = np.vstack([
+            rng.standard_normal((20, 2)) + [-10.0, 0.0],
+            [[0.0, 40.0]],
+            [[10.0, 0.0]],
+            rng.standard_normal((20, 2)) + [10.0, 0.0],
+        ])
+        local = np.repeat([0, 0, 1, 2], [20, 1, 1, 20])
+        hyper = ModelHyperParams(
+            alpha=1.0, prior=NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
+        )
+        w = WorkerState(0, data, 0, PartitionState.from_labels(data, local, hyper))
+        w = apply_global_labels(w, {0: 3, 1: 5, 2: 9})
+        assert [e.previous for e in summarize(w).clusters] == [3, 5, 9]
+
+        w = worker_sweep(w, np.random.default_rng(41))
+        assert w.local.labels[20] not in (3, 5, 9)  # the outlier left for a new cluster
+        assert w.local.labels[21] == 9  # global cluster 5 emptied into 9
+        entries = {e.local_label: e.previous for e in summarize(w).clusters}
+        assert entries == {3: 3, 9: 9, int(w.local.labels[20]): None}
+        for entry in summarize(w).clusters:
+            ref = stats_from_points(data[w.local.labels == entry.local_label])
+            assert entry.stats.n == ref.n
+            assert np.allclose(entry.stats.sum, ref.sum, rtol=1e-12)
