@@ -22,17 +22,14 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
-from scipy.special import gammaln
 
 from .errors import NumericalDegeneracyError
 from .niw import (
     ModelHyperParams,
     NiwParams,
     SufficientStats,
+    cholesky_logdet,
     log_marginal,
-    log_multigamma,
     stats_from_points,
 )
 from .trace import IterationRecord, RunTrace
@@ -53,6 +50,17 @@ _BLOCK_CELLS = 1 << 18
 _FIRST_RUN = 16.0
 _RUN_DECAY = 0.75
 _U64 = (1 << 64) - 1
+# lgamma((b + i) / 2) for i = 0, 1, ..., keyed by b; filled on demand and
+# shared by every table, so master sweeps reuse the values of earlier ones.
+_HALF_LGAMMA = {}
+
+
+def _half_lgamma(b, size):
+    table = _HALF_LGAMMA.get(b)
+    if table is None or table.shape[0] < size:
+        size = max(size, 64, 0 if table is None else 2 * table.shape[0])
+        table = _HALF_LGAMMA[b] = np.array([math.lgamma(0.5 * (b + i)) for i in range(size)])
+    return table
 
 
 def seed_to_u64(seed):
@@ -126,39 +134,40 @@ class _ClusterCache:
     canonical order: existing clusters by ascending label, then "new".
 
     Exact raw sums (n, sum x, sum x x^T) are the source of truth.  Beside
-    them each row caches log det Psi, the whitening factor L^-1 of
-    Psi = L L^T, the whitened posterior mean L^-1 mu and the scalar terms of
-    a point's weight (``terms``, columns named by _BASE.._OWN_POWER),
+    them each row caches the whitening factor L^-1 of Psi = L L^T, the
+    whitened posterior mean L^-1 mu, and log det Psi with the scalar terms
+    of a point's weight (``terms``, columns named by _LOG_DET.._OWN_POWER),
     recomputed from the sums (never updated in place) whenever the row's
     membership changes.
     """
 
-    _ROW_ARRAYS = ("counts", "sums", "outers", "log_dets", "whitens", "shifts", "terms")
+    _ROW_ARRAYS = ("counts", "sums", "outers", "whitens", "shifts", "terms")
     # A point's weight against row k is BASE - POWER log1p(GAIN q); against
     # its own row, with itself taken out, OWN_BASE + OWN_POWER log1p(OWN_SHRINK q).
-    _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(6)
+    _LOG_DET, _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(7)
 
     def __init__(self, prior, alpha, clusters):
         self.prior = prior
         self.log_alpha = math.log(alpha)
         self.d = d = prior.d
-        shapes = {"sums": (d,), "shifts": (d,), "outers": (d, d), "whitens": (d, d), "terms": (6,)}
+        self.labels = sorted(int(lab) for lab in clusters)
+        k = len(self.labels)
+        shapes = {"sums": (d,), "shifts": (d,), "outers": (d, d), "whitens": (d, d), "terms": (7,)}
         for name in self._ROW_ARRAYS:
-            setattr(self, name, np.zeros((16,) + shapes.get(name, ())))
-        # Point-independent weight terms that depend only on the integer
-        # cluster count m (through kappa0 + m and nu0 + m); grown lazily.
-        self._count_consts = np.empty(0)
-        self._identity = np.eye(d)
-        self.labels = []
-        self.row_of = np.full(16, -1, dtype=np.int64)  # label -> row, -1 if none
-        self.next_label = 0
-        self._refresh_row(0)
-        for lab in sorted(clusters):
+            setattr(self, name, np.zeros((max(16, k + 2),) + shapes.get(name, ())))
+        self.next_label = self.labels[-1] + 1 if k else 0
+        self.row_of = np.full(max(16, self.next_label), -1, dtype=np.int64)  # label -> row, -1 if none
+        for r, lab in enumerate(self.labels):
             stats = clusters[lab]
             if stats.n < 1:
                 raise ValueError("cluster %d is empty" % lab)
-            self.next_label = int(lab)  # create() opens its row under next_label
-            self.create(stats.n, stats.sum, stats.sum_outer)
+            self.row_of[lab] = r
+            self.counts[r], self.sums[r], self.outers[r] = stats.n, stats.sum, stats.sum_outer
+        # Psi_n = Psi0 + kappa0 mu0 mu0^T + sum x x^T - t t^T / kappa_n with
+        # t = kappa0 mu0 + sum x; the first two terms are the same in every row.
+        self._kappa_mu = prior.kappa * prior.mu
+        self._psi_base = prior.psi + self._kappa_mu[:, None] * prior.mu
+        self._refresh(np.arange(k + 1))
 
     @classmethod
     def from_partition(cls, state):
@@ -171,55 +180,57 @@ class _ClusterCache:
 
         m = 0 is the base measure, whose CRP weight is alpha.
         """
-        if m >= self._count_consts.shape[0]:
-            p = self.prior
-            d = self.d
-            counts = np.arange(max(2 * m, 64) + 1, dtype=np.float64)
-            kap = p.kappa + counts
-            nu = p.nu + counts
-            log_counts = np.log(np.maximum(counts, 1.0))
-            log_counts[0] = self.log_alpha
-            self._count_consts = (
-                log_counts
-                - 0.5 * d * _LOG_PI
-                + 0.5 * d * (np.log(kap) - np.log(kap + 1.0))
-                + gammaln(0.5 * (nu + 1.0))
-                - gammaln(0.5 * (nu + 1.0 - d))
-            )
-        return self._count_consts[m]
+        kappa = self.prior.kappa + m
+        nu = self.prior.nu + m
+        return (
+            (math.log(m) if m else self.log_alpha)
+            - 0.5 * self.d * _LOG_PI
+            + 0.5 * self.d * (math.log(kappa) - math.log(kappa + 1.0))
+            + math.lgamma(0.5 * (nu + 1.0))
+            - math.lgamma(0.5 * (nu + 1.0 - self.d))
+        )
 
-    def _refresh_row(self, r):
-        """Recompute the cached posterior of row r from its raw sums.
+    def _scales(self, counts, sums, outers):
+        """Posterior scales Psi_n and means mu_n of rows with these raw sums.
 
-        The base-measure row holds no points and keeps the prior's scale.
+        ``outers`` is overwritten with the scales.  Only the lower triangle
+        of each Psi_n is exact, and only it is read.
         """
-        p = self.prior
-        m = int(self.counts[r])
-        sumv = self.sums[r]
-        kappa = p.kappa + m
-        nu = p.nu + m
-        psi = p.psi
-        if m:
-            diff = p.mu - sumv / m
-            scatter = self.outers[r] - sumv[:, None] * (sumv / m)
-            psi = psi + scatter + (p.kappa * m / kappa) * (diff[:, None] * diff)
-            psi = 0.5 * (psi + psi.T)
-        chol, info = dpotrf(psi, lower=1)
-        log_det = 2.0 * float(np.log(chol.diagonal()).sum()) if info == 0 else math.nan
-        if not math.isfinite(log_det):
-            finite = bool(np.all(np.isfinite(psi)))
-            raise NumericalDegeneracyError(
-                "cluster posterior scale is not positive definite",
-                min_eigenvalue=float(np.linalg.eigvalsh(psi).min()) if finite else None,
-                context={"cluster_label": self.labels[r] if m else "new"},
-            )
-        # L^-1 comes from the BLAS triangular solve: OpenBLAS's own LAPACK
-        # dtrtrs, dtrtri and dpotri run threaded and stall when workers share
-        # the cores.
-        whiten = dtrsm(1.0, chol, self._identity, lower=1)
-        self.whitens[r] = whiten
-        self.shifts[r] = whiten @ ((p.kappa * p.mu + sumv) / kappa)
-        self.log_dets[r] = log_det
+        t = sums + self._kappa_mu
+        mus = t / (counts + self.prior.kappa)[:, None]
+        outers += self._psi_base
+        outers -= t[:, :, None] * mus[:, None, :]
+        return outers, mus
+
+    def _refresh(self, rows):
+        """Recompute the cached posteriors of ``rows`` (an index array) with
+        one stacked Cholesky and one stacked inverse."""
+        counts = self.counts.take(rows)
+        psi, mus = self._scales(counts, self.sums.take(rows, axis=0), self.outers.take(rows, axis=0))
+        try:
+            chol = np.linalg.cholesky(psi)
+            log_dets = [2.0 * sum(map(math.log, diag)) for diag in chol.diagonal(0, 1, 2).tolist()]
+            degenerate = not math.isfinite(sum(log_dets))
+        except np.linalg.LinAlgError:
+            degenerate = True
+        if degenerate:
+            for r, mat in zip(rows.tolist(), psi):  # find the row at fault
+                try:
+                    cholesky_logdet(mat, "cluster posterior scale")
+                except NumericalDegeneracyError as err:
+                    raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
+        # L^-1 comes from NumPy's LAPACK (dgesv); for d x d blocks this small
+        # OpenBLAS runs it on one thread, so workers sharing the cores do not
+        # stall each other.
+        whitens = np.linalg.inv(chol)
+        self.whitens[rows] = whitens
+        self.shifts[rows] = (whitens @ mus[:, :, None])[:, :, 0]
+        self.terms[rows] = [self._row_terms(m, ld) for m, ld in zip(counts.tolist(), log_dets)]
+
+    def _row_terms(self, m, log_det):
+        """log det Psi and the scalar weight terms of a row of m points."""
+        kappa = self.prior.kappa + m
+        nu = self.prior.nu + m
         # Taking x out of a cluster of m >= 2 gives
         # Psi' = Psi - kappa / (kappa - 1) v v^T with v = x - mu, so
         # log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).  A
@@ -227,60 +238,58 @@ class _ClusterCache:
         own = (-math.inf, 0.0, 0.0)
         if m > 1:
             own = (self._count_const(m - 1) - 0.5 * log_det, -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
-        self.terms[r] = (
-            self._count_const(m) - 0.5 * log_det, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)
+        return (
+            log_det, self._count_const(m) - 0.5 * log_det, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)
         ) + own
-
-    def _grow(self, rows_needed):
-        cap = self.counts.shape[0]
-        if rows_needed <= cap:
-            return
-        new_cap = max(2 * cap, rows_needed)
-        for name in self._ROW_ARRAYS:
-            old = getattr(self, name)
-            fresh = np.zeros((new_cap,) + old.shape[1:])
-            fresh[:cap] = old
-            setattr(self, name, fresh)
 
     # -- mutation -----------------------------------------------------------
 
-    def add(self, label, n, sumv, outer):
-        """Add n points with raw sums (sumv, outer) to an existing cluster."""
+    def delete(self, label):
+        """Delete a cluster and its row; later rows move up one."""
         r = self.row_of[label]
-        self.counts[r] += n
-        self.sums[r] += sumv
-        self.outers[r] += outer
-        self._refresh_row(r)
-
-    def remove(self, label, n, sumv, outer):
-        """Take n points out of a cluster; delete the cluster when it empties."""
-        r = self.row_of[label]
-        if self.counts[r] > n:
-            self.add(label, -n, -sumv, -outer)
-            return
         k = len(self.labels)
         for name in self._ROW_ARRAYS:
             arr = getattr(self, name)
             arr[r:k] = arr[r + 1 : k + 1]
-        del self.labels[r]
         self.row_of[label] = -1
+        del self.labels[r]
         self.row_of[self.labels[r:]] -= 1
 
-    def create(self, n, sumv, outer):
-        """Open a fresh cluster holding n points; returns its label."""
+    def move(self, label, choice, n, sumv, outer):
+        """Move n points with raw sums (sumv, outer) into candidate row ``choice``.
+
+        The points leave cluster ``label``, which keeps at least one other
+        point, or enter from outside the table when ``label`` is None.  The
+        base-measure row opens a new cluster.  The source and target rows
+        are refreshed together.  Returns the target's label.
+        """
+        changed = []
+        if label is not None:
+            r = self.row_of[label]
+            self.counts[r] -= n
+            self.sums[r] -= sumv
+            self.outers[r] -= outer
+            changed.append(r)
         k = len(self.labels)
-        self._grow(k + 2)
-        for name in self._ROW_ARRAYS:  # the base-measure row moves down one
-            arr = getattr(self, name)
-            arr[k + 1] = arr[k]
-        label = self.next_label
-        self.next_label += 1
-        if label >= self.row_of.shape[0]:
-            self.row_of = np.append(self.row_of, np.full(label + 1, -1, dtype=np.int64))
-        self.labels.append(label)
-        self.row_of[label] = k
-        self.add(label, n, sumv, outer)
-        return label
+        if choice == k:  # a new row; the base-measure row moves down one
+            for name in self._ROW_ARRAYS:
+                arr = getattr(self, name)
+                if k + 2 > arr.shape[0]:
+                    arr = np.concatenate([arr, np.zeros_like(arr)])
+                    setattr(self, name, arr)
+                arr[k + 1] = arr[k]
+            if self.next_label >= self.row_of.shape[0]:
+                self.row_of = np.append(self.row_of, np.full(self.next_label + 1, -1, dtype=np.int64))
+            self.row_of[self.next_label] = k
+            self.labels.append(self.next_label)
+            self.next_label += 1
+        target = self.labels[choice]
+        self.counts[choice] += n
+        self.sums[choice] += sumv
+        self.outers[choice] += outer
+        changed.append(choice)
+        self._refresh(np.array(changed))
+        return target
 
     # -- evaluation ---------------------------------------------------------
 
@@ -322,28 +331,30 @@ class _ClusterCache:
             weights[r, cols] = own_weights
         return weights if xs.ndim == 2 else weights[:, 0]
 
-    def batch_log_weights(self, stats):
+    def batch_log_weights(self, stats, own=None):
         """Log-weights of a point batch over (clusters by ascending label, new).
 
         Each candidate's posterior scale after absorbing the batch is formed
         from the merged raw sums, and all of them are factored by one stacked
-        Cholesky.
+        Cholesky.  ``own`` is the row of the cluster C that holds the batch
+        and other points.  That entry is the batch's weight with the batch
+        taken out, p(C) / p(C \\ batch), computed without changing the table:
+        its place in the stack factors the scale of C \\ batch.
         """
         k = len(self.labels)
         rows = k + 1
         p = self.prior
         d = self.d
         nb = stats.n
-        m = self.counts[:rows] + nb
+        counts = self.counts[:rows]
+        m = counts + nb
         s = self.sums[:rows] + stats.sum
-        diff = p.mu - s / m[:, None]
-        psi = (
-            p.psi
-            + self.outers[:rows]
-            + stats.sum_outer
-            - (s[:, :, None] * s[:, None, :]) / m[:, None, None]
-            + (p.kappa * m / (p.kappa + m))[:, None, None] * (diff[:, :, None] * diff[:, None, :])
-        )
+        o = self.outers[:rows] + stats.sum_outer
+        if own is not None:
+            m[own] = counts[own] - nb
+            s[own] = self.sums[own] - stats.sum
+            o[own] = self.outers[own] - stats.sum_outer
+        psi, _ = self._scales(m, s, o)
         try:
             chol = np.linalg.cholesky(psi)
         except np.linalg.LinAlgError:
@@ -351,16 +362,25 @@ class _ClusterCache:
                 "candidate scale matrix is not positive definite",
                 min_eigenvalue=float(np.linalg.eigvalsh(psi).min()),
             ) from None
-        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        kap = p.kappa + self.counts[:rows]
-        nu = p.nu + self.counts[:rows]
+        log_det = 2.0 * np.log(chol.diagonal(0, 1, 2)).sum(axis=1)
+        base_log_det = self.terms[:rows, self._LOG_DET]
+        if own is not None:
+            base_log_det = base_log_det.copy()
+            base_log_det[own], log_det[own] = log_det[own], base_log_det[own]
+            counts = counts.copy()
+            counts[own] -= nb
+        kap = p.kappa + counts
+        nu = p.nu + counts
+        # log Gamma_d((nu0 + c) / 2) is, up to a constant, the sum of
+        # lgamma((nu0 - d + 1 + c + j) / 2) over j < d.
+        at = counts[:, None].astype(np.intp) + np.arange(d)
+        half_lgamma = _half_lgamma(p.nu - d + 1.0, int(at.max()) + nb + 1)
         return (
-            np.append(np.log(self.counts[:k]), self.log_alpha)
+            np.append(np.log(counts[:k]), self.log_alpha)
             - 0.5 * nb * d * _LOG_PI
             + 0.5 * d * (np.log(kap) - np.log(kap + nb))
-            + log_multigamma(d, 0.5 * (nu + nb))
-            - log_multigamma(d, 0.5 * nu)
-            + 0.5 * (nu * self.log_dets[:rows] - (nu + nb) * log_det)
+            + (half_lgamma[at + nb].sum(axis=1) - half_lgamma[at].sum(axis=1))
+            + 0.5 * (nu * base_log_det - (nu + nb) * log_det)
         )
 
     def clusters_dict(self, relabel):
@@ -437,16 +457,14 @@ def cgs_sweep(state, data, rng, weight_log=None):
                 weight_log.append(np.delete(column, r) if singleton else column.copy())
             if idx < 0:
                 raise NumericalDegeneracyError("non-finite sampling weights")
+            source = int(labels[i])
+            if singleton:
+                cache.delete(source)
+                source = None
+                if idx > r:
+                    idx -= 1  # deleting the singleton's row moved later rows up
             x = data[i]
-            x_outer = x[:, None] * x
-            cache.remove(int(labels[i]), 1, x, x_outer)
-            if singleton and idx > r:
-                idx -= 1  # deleting the singleton's row moved later rows up
-            if idx == len(cache.labels):
-                labels[i] = cache.create(1, x, x_outer)
-            else:
-                labels[i] = cache.labels[idx]
-                cache.add(cache.labels[idx], 1, x, x_outer)
+            labels[i] = cache.move(source, idx, 1, x, x[:, None] * x)
             i += 1
     except NumericalDegeneracyError as err:
         err.add_context(point_index=i)
@@ -457,11 +475,10 @@ def cgs_sweep(state, data, rng, weight_log=None):
 
 def crp_log_prob(alpha, sizes, n):
     """Log of the exchangeable partition probability under CRP(alpha)."""
-    k = len(sizes)
-    total = k * math.log(alpha) + gammaln(alpha) - gammaln(alpha + n)
+    total = len(sizes) * math.log(alpha) + math.lgamma(alpha) - math.lgamma(alpha + n)
     for size in sizes:
-        total += gammaln(size)
-    return float(total)
+        total += math.lgamma(size)
+    return total
 
 
 def log_joint(state):

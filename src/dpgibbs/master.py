@@ -12,7 +12,9 @@ log-weights
 mirroring the per-point centralized sweep with batches in place of points.
 Global clusters live in the centralized sampler's cluster table: exact sums
 maintained by field-wise add/subtract of batch statistics, with every
-candidate scored against a batch in one vectorized evaluation.
+candidate scored against a batch in one vectorized evaluation.  A batch is
+scored in its own global cluster without leaving it (unless it is the whole
+cluster), so only a batch that moves changes the table.
 """
 
 from __future__ import annotations
@@ -88,11 +90,15 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
     for i in order:
         worker_id, local_label, _, stats = batches[i]
         key = (worker_id, local_label)
-        previous = assignments.pop(key, None)
+        previous = assignments.get(key)
+        own = None
         if previous is not None:
-            table.remove(previous, stats.n, stats.sum, stats.sum_outer)
+            own = int(table.row_of[previous])
+            if table.counts[own] == stats.n:  # the batch is the whole cluster
+                table.delete(previous)
+                previous = own = None
         try:
-            weights = table.batch_log_weights(stats)
+            weights = table.batch_log_weights(stats, own)
             if weight_log is not None:
                 weight_log.append(weights.copy())
             choice = int(sample_log_weights(weights, rng.random()))
@@ -101,12 +107,8 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
         except NumericalDegeneracyError as err:
             err.add_context(worker_id=worker_id, local_label=local_label)
             raise
-        if choice == len(table.labels):
-            target = table.create(stats.n, stats.sum, stats.sum_outer)
-        else:
-            target = table.labels[choice]
-            table.add(target, stats.n, stats.sum, stats.sum_outer)
-        assignments[key] = target
+        if choice != own:
+            assignments[key] = table.move(previous, choice, stats.n, stats.sum, stats.sum_outer)
     dense = {g: i for i, g in enumerate(table.labels)}
     return GlobalState(
         assignments={key: dense[g] for key, g in assignments.items()},

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 NMI_NORMALIZATION = "arithmetic_mean"
 
@@ -102,6 +101,9 @@ def nmi(a, b):
 
 def acc(predicted, truth):
     """Clustering accuracy: best fraction matched under an injective relabeling."""
+    # The only SciPy import in the package: a fit without ground truth never loads it.
+    from scipy.optimize import linear_sum_assignment
+
     table = ContingencyTable.from_labels(predicted, truth)
     k = max(table.counts.shape)
     square = np.zeros((k, k), dtype=np.int64)

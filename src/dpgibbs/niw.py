@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalDegeneracyError
 
@@ -234,13 +233,9 @@ def niw_posterior(prior, stats):
 
 def log_multigamma(d, a):
     """Log multivariate gamma log Gamma_d(a); requires a > (d - 1) / 2."""
-    a = np.asarray(a, dtype=np.float64)
-    if np.any(a <= (d - 1) / 2.0):
+    if not a > (d - 1) / 2.0:
         raise ValueError("log_multigamma needs a > (d - 1) / 2")
-    offsets = 0.5 * np.arange(d)
-    total = gammaln(a[..., None] - offsets).sum(axis=-1)
-    total = total + d * (d - 1) / 4.0 * _LOG_PI
-    return float(total) if np.isscalar(total) or total.ndim == 0 else total
+    return sum(math.lgamma(a - 0.5 * j) for j in range(d)) + d * (d - 1) / 4.0 * _LOG_PI
 
 
 def log_marginal(stats, prior):

@@ -115,14 +115,14 @@ class WorkerFailure:
     min_eigenvalue: float | None = None
 
 
-def worker_loop(channel, worker_id, shard_data, start, seed, hyper):
+def worker_loop(channel, worker_id, shard_data, seed, hyper):
     """Actor body: serve commands over the channel until StopCmd.
 
     Holds the shard privately; outbound traffic is WorkerSummary per sweep and
     the shard's global label vector on explicit request.
     """
     try:
-        state = WorkerState.single_cluster(worker_id, shard_data, start, hyper)
+        state = WorkerState.single_cluster(worker_id, shard_data, hyper)
         while True:
             msg = channel.recv()
             if isinstance(msg, SweepCmd):
@@ -170,7 +170,7 @@ def process_channels(data, ranges, seed, hyper):
         parent_end, child_end = ctx.Pipe()
         proc = ctx.Process(
             target=worker_loop,
-            args=(child_end, j, np.ascontiguousarray(data[sl]), sl.start, seed, hyper),
+            args=(child_end, j, np.ascontiguousarray(data[sl]), seed, hyper),
             daemon=True,
         )
         proc.start()
@@ -216,7 +216,7 @@ def thread_channels(data, ranges, seed, hyper):
         master_end = LocalChannel(to_master, to_worker)
         th = threading.Thread(
             target=worker_loop,
-            args=(worker_end, j, data[sl], sl.start, seed, hyper),
+            args=(worker_end, j, data[sl], seed, hyper),
             daemon=True,
         )
         th.start()

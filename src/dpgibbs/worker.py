@@ -21,7 +21,7 @@ from .niw import SufficientStats, stats_merge
 
 @dataclass
 class WorkerState:
-    """worker_id, the local shard, its global start index, local partition.
+    """worker_id, the local shard and its local partition.
 
     After an apply the local labels are global cluster ids.  A sweep numbers
     the clusters it creates above every label it starts with, so labels from
@@ -30,19 +30,13 @@ class WorkerState:
 
     worker_id: int
     data: np.ndarray
-    start: int
     local: PartitionState
     first_new: int = 0
 
     @classmethod
-    def single_cluster(cls, worker_id, data, start, hyper):
+    def single_cluster(cls, worker_id, data, hyper):
         data = np.asarray(data, dtype=np.float64)
-        return cls(
-            worker_id=int(worker_id),
-            data=data,
-            start=int(start),
-            local=PartitionState.single_cluster(data, hyper),
-        )
+        return cls(worker_id=int(worker_id), data=data, local=PartitionState.single_cluster(data, hyper))
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,7 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
     cluster is deleted first.  Each draw takes its own ``rng.random()`` and
     inverts the CDF with ``searchsorted``.  Weights are computed from the
     table's raw sums with dense solves; the table itself (row order, label
-    numbering, add/remove) is the package's ``_ClusterCache``.
+    numbering, moves) is the package's ``_ClusterCache``.
     """
     from dpgibbs.gibbs import PartitionState, _ClusterCache
 
@@ -247,7 +247,7 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
         label = int(labels[i])
         own = cache.row_of[label]
         if cache.counts[own] == 1.0:
-            cache.remove(label, 1, x, None)
+            cache.delete(label)
             own = None
         weights = []
         for r in range(len(cache.labels) + 1):
@@ -270,14 +270,7 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
         idx = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(weights) - 1)
         if idx == own:
             continue
-        x_outer = np.outer(x, x)
-        if own is not None:
-            cache.remove(label, 1, x, x_outer)
-        if idx == len(cache.labels):
-            labels[i] = cache.create(1, x, x_outer)
-        else:
-            labels[i] = cache.labels[idx]
-            cache.add(cache.labels[idx], 1, x, x_outer)
+        labels[i] = cache.move(None if own is None else label, idx, 1, x, np.outer(x, x))
     lut = np.full(cache.next_label, -1, dtype=np.int64)
     lut[cache.labels] = np.arange(len(cache.labels))
     return PartitionState(

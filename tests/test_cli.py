@@ -386,16 +386,61 @@ class TestBench:
         assert err.startswith("usage-error:")
 
 
+def child_env():
+    """Environment in which a child interpreter imports the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpgibbs.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+# Runs each argv given as JSON through the CLI, then prints the SciPy modules loaded.
+FITS_THEN_LIST_SCIPY = """
+import json, sys
+import dpgibbs.cli
+for argv in json.loads(sys.argv[1]):
+    if dpgibbs.cli.main(argv) != 0:
+        sys.exit(1)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestSciPyFreeFit:
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_scipy_loads_only_to_score_against_truth(self, tmp_path, with_truth):
+        data_path, truth_path = blob_files(tmp_path)
+        truth = ["--truth", truth_path] if with_truth else []
+        fits = [
+            ["fit", "--data", data_path, "--iters", "2", "--out", str(tmp_path / "c")] + truth,
+            [
+                "fit-distributed", "--data", data_path, "--iters", "2", "--workers", "2",
+                "--out", str(tmp_path / "d"),
+            ] + truth,
+        ]
+        result = subprocess.run(
+            [sys.executable, "-c", FITS_THEN_LIST_SCIPY, json.dumps(fits)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        scipy_modules = json.loads(result.stdout)
+        for out in ("c", "d"):
+            metrics = json.loads((tmp_path / out / "metrics.json").read_text())
+            assert ("acc" in metrics) == with_truth
+        if with_truth:
+            assert "scipy.optimize" in scipy_modules
+        else:
+            assert scipy_modules == []
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # The child imports the package under test, installed or not.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(dpgibbs.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "dpgibbs.cli", "--version"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=child_env(),
         )
         assert result.returncode == 0
         assert result.stdout.strip()

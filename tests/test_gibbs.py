@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from dpgibbs.gibbs import (
     PartitionState,
     cgs_sweep,
+    crp_log_prob,
     log_joint,
     run_cgs,
     sample_log_weights,
@@ -18,9 +19,12 @@ from dpgibbs.metrics import ari
 from dpgibbs.niw import (
     ModelHyperParams,
     NiwParams,
+    SufficientStats,
     default_prior,
+    log_multigamma,
     log_posterior_predictive,
     log_prior_predictive,
+    niw_posterior,
     stats_from_points,
 )
 
@@ -211,15 +215,15 @@ class TestCgsSweep:
     def test_degenerate_downdate_raises_with_cluster_label(self, monkeypatch):
         from dpgibbs.gibbs import _ClusterCache
 
-        refresh = _ClusterCache._refresh_row
+        refresh = _ClusterCache._refresh
 
-        def inflated(cache, r):
-            refresh(cache, r)
+        def inflated(cache, rows):
+            refresh(cache, rows)
             # An inflated whitening map makes 1 - kappa / (kappa - 1) q negative.
-            cache.whitens[r] *= 1e3
-            cache.shifts[r] *= 1e3
+            cache.whitens[rows] *= 1e3
+            cache.shifts[rows] *= 1e3
 
-        monkeypatch.setattr(_ClusterCache, "_refresh_row", inflated)
+        monkeypatch.setattr(_ClusterCache, "_refresh", inflated)
         data = np.random.default_rng(32).standard_normal((3, 2))
         state = state_for_partition(data, [0, 5, 5], unit_hyper(2))
         cache = _ClusterCache.from_partition(state)
@@ -390,6 +394,98 @@ class TestLogJoint:
         assert math.isclose(
             ours[0] - logsumexp(ours), oracle_log_post[0], rel_tol=1e-9
         )
+
+
+class TestLgammaPaths:
+    """math.lgamma paths against scipy.special.gammaln as the oracle.
+
+    Counts run up to 20,000, and each dimension also gets a non-integer nu0,
+    as a prior_override may carry.  Values agree within 1e-12 relative, or
+    within a few units in the last place of the largest term summed: the
+    count constants and multigamma gaps are differences of lgamma values
+    near 8e4, where the two libraries part by up to 2 ulps (2.9e-11).
+    """
+
+    COUNTS = (0, 1, 2, 3, 17, 999, 19_999, 20_000)
+
+    @staticmethod
+    def priors(d):
+        for nu in (d + 1.0, d - 1 + 0.37):
+            yield NiwParams(mu=np.zeros(d), kappa=0.25, nu=nu, psi=np.eye(d))
+
+    @staticmethod
+    def agree(value, terms):
+        terms = [float(t) for t in terms]
+        scale = max(abs(t) for t in terms)
+        return math.isclose(value, math.fsum(terms), rel_tol=1e-12, abs_tol=8 * math.ulp(scale))
+
+    @staticmethod
+    def multigamma_terms(d, a):
+        return [d * (d - 1) / 4.0 * math.log(math.pi)] + list(gammaln(a - 0.5 * np.arange(d)))
+
+    def oracle_multigamma(self, d, a):
+        return math.fsum(self.multigamma_terms(d, a))
+
+    def test_count_constants(self):
+        from dpgibbs.gibbs import _ClusterCache
+
+        for d in range(1, 9):
+            for prior in self.priors(d):
+                cache = _ClusterCache(prior, 2.5, {})
+                for m in self.COUNTS:
+                    kappa, nu = prior.kappa + m, prior.nu + m
+                    terms = [
+                        math.log(m) if m else math.log(2.5),
+                        -0.5 * d * math.log(math.pi),
+                        0.5 * d * (math.log(kappa) - math.log(kappa + 1.0)),
+                        gammaln(0.5 * (nu + 1.0)),
+                        -gammaln(0.5 * (nu + 1.0 - d)),
+                    ]
+                    assert self.agree(cache._count_const(m), terms)
+
+    def test_log_multigamma(self):
+        for d in range(1, 9):
+            for prior in self.priors(d):
+                for m in self.COUNTS:
+                    a = 0.5 * (prior.nu + m)
+                    assert self.agree(log_multigamma(d, a), self.multigamma_terms(d, a))
+
+    def test_batch_weights_with_the_multigamma_gap(self):
+        """Batch weights, own row included, against gammaln and dense log dets."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        rng = np.random.default_rng(40)
+        for d in range(1, 9):
+            big = stats_from_points(rng.standard_normal((20_000, d)))
+            small = stats_from_points(rng.standard_normal((7, d)) + 3.0)
+            batch = stats_from_points(rng.standard_normal((40, d)) - 2.0)
+            holder = SufficientStats(
+                big.n + batch.n, big.sum + batch.sum, big.sum_outer + batch.sum_outer
+            )
+            for prior in self.priors(d):
+                cache = _ClusterCache(prior, 2.5, {0: small, 1: holder})
+                weights = cache.batch_log_weights(batch, own=1)
+                expected = []
+                for rest, log_count in ((small, math.log(7)), (big, math.log(big.n)), (None, math.log(2.5))):
+                    base = prior if rest is None else niw_posterior(prior, rest)
+                    post = niw_posterior(base, batch)
+                    expected.append(
+                        log_count
+                        - 0.5 * batch.n * d * math.log(math.pi)
+                        + 0.5 * d * (math.log(base.kappa) - math.log(post.kappa))
+                        + self.oracle_multigamma(d, 0.5 * post.nu)
+                        - self.oracle_multigamma(d, 0.5 * base.nu)
+                        + 0.5 * (base.nu * base.log_det_psi - post.nu * post.log_det_psi)
+                    )
+                assert np.allclose(weights, expected, rtol=1e-12, atol=0.0)
+
+    def test_crp_log_prob(self):
+        for alpha in (0.3, 2.5):
+            for sizes in ([1], [3, 1, 17], [20_000], [19_999, 1, 1, 999]):
+                n = sum(sizes)
+                terms = [len(sizes) * math.log(alpha), gammaln(alpha), -gammaln(alpha + n)]
+                terms += list(gammaln(np.array(sizes, dtype=np.float64)))
+                assert self.agree(crp_log_prob(alpha, sizes, n), terms)
 
 
 class TestRunCgs:

@@ -238,7 +238,7 @@ class TestExpansion:
         rng = np.random.default_rng(16)
         data = rng.standard_normal((10, 2))
         hyper = make_hyper()
-        w = WorkerState.single_cluster(0, data, 0, hyper)
+        w = WorkerState.single_cluster(0, data, hyper)
         out = collected_labels([{0: 0}], [w])
         assert np.array_equal(out, np.zeros(10, dtype=np.int64))
 
@@ -246,7 +246,7 @@ class TestExpansion:
         rng = np.random.default_rng(17)
         data = rng.standard_normal((12, 2))
         hyper = make_hyper()
-        w = WorkerState.single_cluster(0, data, 0, hyper)
+        w = WorkerState.single_cluster(0, data, hyper)
         w.local.labels[:6] = 1
         w.local.clusters = {
             0: stats_from_points(data[6:]),
@@ -262,7 +262,7 @@ class TestExpansion:
         workers = []
         for j in range(3):
             shard = data[4 * j : 4 * j + 4]
-            w = WorkerState.single_cluster(j, shard, 4 * j, hyper)
+            w = WorkerState.single_cluster(j, shard, hyper)
             w.local.labels = np.array([0, 0, 1, 1], dtype=np.int64)
             w.local.clusters = {
                 0: stats_from_points(shard[:2]),
@@ -276,7 +276,7 @@ class TestExpansion:
     def test_coverage_gap_rejected(self):
         rng = np.random.default_rng(18)
         data = rng.standard_normal((6, 2))
-        w = WorkerState.single_cluster(0, data, 0, make_hyper())
+        w = WorkerState.single_cluster(0, data, make_hyper())
         with pytest.raises(ValueError):
             collected_labels([{}], [w])
 
@@ -289,7 +289,7 @@ class TestGlobalLogJoint:
         workers = []
         summaries = []
         for j, sl in ((0, slice(0, 8)), (1, slice(8, 15))):
-            w = WorkerState.single_cluster(j, data[sl], sl.start, hyper)
+            w = WorkerState.single_cluster(j, data[sl], hyper)
             w = replace_with_sweeps(w, seed=20 + j)
             workers.append(w)
             from dpgibbs.worker import summarize

@@ -32,7 +32,7 @@ def separated_shard(n=80, seed=0):
 class TestWorkerSweep:
     def test_single_point_shard(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = WorkerState.single_cluster(0, data[:1], 0, shard_hyper(data))
+        w = WorkerState.single_cluster(0, data[:1], shard_hyper(data))
         for seed in range(4):
             w = worker_sweep(w, np.random.default_rng(seed))
             assert w.local.num_clusters == 1
@@ -42,7 +42,7 @@ class TestWorkerSweep:
         # the posterior mode: most post-burn-in sweeps sit exactly on the
         # two-component truth and none drift far from it.
         data, truth = separated_shard(80, seed=1)
-        w = WorkerState.single_cluster(3, data, 0, shard_hyper(data))
+        w = WorkerState.single_cluster(3, data, shard_hyper(data))
         rng = np.random.default_rng(2)
         tail = []
         for sweep in range(60):
@@ -55,8 +55,8 @@ class TestWorkerSweep:
     def test_identical_shards_and_streams_give_identical_summaries(self):
         data, _ = separated_shard(40, seed=3)
         hyper = shard_hyper(data)
-        a = WorkerState.single_cluster(0, data, 0, hyper)
-        b = WorkerState.single_cluster(1, data, 40, hyper)
+        a = WorkerState.single_cluster(0, data, hyper)
+        b = WorkerState.single_cluster(1, data, hyper)
         a = worker_sweep(a, np.random.default_rng(9))
         b = worker_sweep(b, np.random.default_rng(9))
         sa, sb = summarize(a), summarize(b)
@@ -69,7 +69,7 @@ class TestWorkerSweep:
 
     def test_conservation_across_sweeps(self):
         data, _ = separated_shard(50, seed=4)
-        w = WorkerState.single_cluster(0, data, 0, shard_hyper(data))
+        w = WorkerState.single_cluster(0, data, shard_hyper(data))
         rng = np.random.default_rng(5)
         for _ in range(5):
             w = worker_sweep(w, rng)
@@ -79,7 +79,7 @@ class TestWorkerSweep:
 class TestSummarize:
     def test_one_cluster_shard(self):
         data, _ = separated_shard(30, seed=6)
-        w = WorkerState.single_cluster(2, data, 0, shard_hyper(data))
+        w = WorkerState.single_cluster(2, data, shard_hyper(data))
         summary = summarize(w)
         assert len(summary.clusters) == 1
         assert summary.clusters[0].stats.n == 30
@@ -88,7 +88,7 @@ class TestSummarize:
 
     def test_entry_stats_match_direct_recomputation(self):
         data, _ = separated_shard(60, seed=7)
-        w = WorkerState.single_cluster(0, data, 0, shard_hyper(data))
+        w = WorkerState.single_cluster(0, data, shard_hyper(data))
         rng = np.random.default_rng(8)
         for _ in range(10):
             w = worker_sweep(w, rng)
@@ -102,7 +102,7 @@ class TestSummarize:
 
     def test_summary_round_trip_merges_to_whole_shard(self):
         data, _ = separated_shard(60, seed=9)
-        w = WorkerState.single_cluster(0, data, 0, shard_hyper(data))
+        w = WorkerState.single_cluster(0, data, shard_hyper(data))
         rng = np.random.default_rng(10)
         for _ in range(5):
             w = worker_sweep(w, rng)
@@ -115,7 +115,7 @@ class TestSummarize:
 
 def _worker_with_k_clusters(seed=11, n=60):
     data, _ = separated_shard(n, seed=seed)
-    w = WorkerState.single_cluster(0, data, 0, shard_hyper(data))
+    w = WorkerState.single_cluster(0, data, shard_hyper(data))
     rng = np.random.default_rng(seed + 1)
     for _ in range(15):
         w = worker_sweep(w, rng)
@@ -198,7 +198,7 @@ class TestPreviousGlobalIds:
         hyper = ModelHyperParams(
             alpha=1.0, prior=NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
         )
-        w = WorkerState(0, data, 0, PartitionState.from_labels(data, local, hyper))
+        w = WorkerState(0, data, PartitionState.from_labels(data, local, hyper))
         w = apply_global_labels(w, {0: 3, 1: 5, 2: 9})
         assert [e.previous for e in summarize(w).clusters] == [3, 5, 9]
 
