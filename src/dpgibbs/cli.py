@@ -169,7 +169,7 @@ def _write_fit_outputs(args, out, labels, trace, truth, workers, prior, prior_me
     if truth is not None:
         metrics = metrics_report(labels, truth)
     else:
-        # Not np.unique, which imports numpy.ma (30 ms) to test for a mask.
+        # Not np.unique, which imports numpy.ma (about 20 ms) to test for a mask.
         metrics = {"num_clusters_pred": int(np.count_nonzero(np.bincount(labels)))}
     write_metrics(os.path.join(out, "metrics.json"), metrics)
     _write_manifest(
