@@ -228,10 +228,6 @@ def cmd_fit(args):
 
 def cmd_fit_distributed(args):
     data, truth, prior, prior_meta = _load_fit_inputs(args)
-    if args.workers > data.shape[0]:
-        raise UsageError(
-            "more workers (%d) than points (%d)" % (args.workers, data.shape[0])
-        )
     config = RunConfig(
         alpha=args.alpha,
         iterations=args.iters,
@@ -272,31 +268,20 @@ def cmd_bench(args):
             "per-iteration trace scoring during a timing run pollutes the numbers; "
             "pass --force to do it anyway"
         )
-    loaded = read_dataset(args.data)
-    data = loaded.data
-    truth = read_labels(args.truth) if args.truth is not None else None
-    if truth is not None and truth.shape[0] != data.shape[0]:
-        raise UsageError(
-            "truth has %d labels but data has %d rows" % (truth.shape[0], data.shape[0])
-        )
+    data, truth, prior, prior_meta = _load_fit_inputs(args)
     for workers in args.workers_list:
         if workers > data.shape[0]:
             raise UsageError(
                 "more workers (%d) than points (%d)" % (workers, data.shape[0])
             )
-    prior_meta = {}
-    prior = default_prior(data, metadata=prior_meta)
-    scoring = truth is not None
     rows = []
     if args.include_central:
         hyper = ModelHyperParams(alpha=args.alpha, prior=prior)
         started = time.perf_counter()
-        _, trace = run_cgs(
-            data, hyper, args.iters, args.seed, ground_truth=truth, record_trace=scoring
-        )
+        _, trace = run_cgs(data, hyper, args.iters, args.seed, ground_truth=truth)
         total = time.perf_counter() - started
         rows.append(_timing_row("central", 1, args.iters, total))
-        if scoring:
+        if truth is not None:
             write_trace(os.path.join(args.out, "trace_central.json"), trace)
     for workers in args.workers_list:
         config = RunConfig(
@@ -305,13 +290,12 @@ def cmd_bench(args):
             workers=workers,
             seed=args.seed,
             prior_override=prior,
-            record_trace=scoring,
         )
         started = time.perf_counter()
         _, trace = run_discgs(data, config, ground_truth=truth)
         total = time.perf_counter() - started
         rows.append(_timing_row("distributed", workers, args.iters, total))
-        if scoring:
+        if truth is not None:
             write_trace(os.path.join(args.out, "trace_w%d.json" % workers), trace)
     _write_timings(args.out, rows)
     _write_manifest(

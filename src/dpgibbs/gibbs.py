@@ -29,7 +29,7 @@ from .niw import (
     NiwParams,
     SufficientStats,
     cholesky_logdet,
-    log_marginal,
+    log_multigamma,
     stats_from_points,
 )
 from .trace import IterationRecord, RunTrace
@@ -148,6 +148,7 @@ class _ClusterCache:
 
     def __init__(self, prior, alpha, clusters):
         self.prior = prior
+        self.alpha = alpha
         self.log_alpha = math.log(alpha)
         self.d = d = prior.d
         self.labels = sorted(int(lab) for lab in clusters)
@@ -343,8 +344,6 @@ class _ClusterCache:
         """
         k = len(self.labels)
         rows = k + 1
-        p = self.prior
-        d = self.d
         nb = stats.n
         counts = self.counts[:rows]
         m = counts + nb
@@ -369,19 +368,49 @@ class _ClusterCache:
             base_log_det[own], log_det[own] = log_det[own], base_log_det[own]
             counts = counts.copy()
             counts[own] -= nb
-        kap = p.kappa + counts
-        nu = p.nu + counts
         # log Gamma_d((nu0 + c) / 2) is, up to a constant, the sum of
         # lgamma((nu0 - d + 1 + c + j) / 2) over j < d.
+        d = self.d
         at = counts[:, None].astype(np.intp) + np.arange(d)
-        half_lgamma = _half_lgamma(p.nu - d + 1.0, int(at.max()) + nb + 1)
+        half_lgamma = _half_lgamma(self.prior.nu - d + 1.0, int(at.max()) + nb + 1)
+        multigamma = half_lgamma[at + nb].sum(axis=1) - half_lgamma[at].sum(axis=1)
+        crp = np.append(np.log(counts[:k]), self.log_alpha)
+        return self._plus_gains(crp, counts, nb, multigamma, base_log_det, log_det)
+
+    def _plus_gains(self, start, counts, nb, multigamma, base_log_det, log_det):
+        """``start`` plus log p(B | C) = log p(C + B) - log p(C) for each row.
+
+        C holds ``counts`` points and has log det Psi ``base_log_det``; C + B
+        holds ``nb`` more points (one batch size, or one per row) and has log
+        det Psi ``log_det``.  ``multigamma`` is
+        log Gamma_d((nu0 + counts + nb) / 2) - log Gamma_d((nu0 + counts) / 2).
+        """
+        kap = self.prior.kappa + counts
+        nu = self.prior.nu + counts
         return (
-            np.append(np.log(counts[:k]), self.log_alpha)
-            - 0.5 * nb * d * _LOG_PI
-            + 0.5 * d * (np.log(kap) - np.log(kap + nb))
-            + (half_lgamma[at + nb].sum(axis=1) - half_lgamma[at].sum(axis=1))
+            start
+            - 0.5 * nb * self.d * _LOG_PI
+            + 0.5 * self.d * (np.log(kap) - np.log(kap + nb))
+            + multigamma
             + 0.5 * (nu * base_log_det - (nu + nb) * log_det)
         )
+
+    def log_joint(self, n):
+        """log p(x, z) of the table's n points: the CRP partition prior plus
+        each cluster's log marginal, its gain over the empty base row."""
+        k = len(self.labels)
+        sizes = self.counts[:k]
+        # K * d lgamma calls; the batch lookup table would have to be filled
+        # up to the largest cluster (20,000 calls, 5.7 ms, for the first
+        # record of a fit on 20,000 points).
+        nu0 = self.prior.nu
+        base = log_multigamma(self.d, 0.5 * nu0)
+        multigamma = [log_multigamma(self.d, 0.5 * (nu0 + m)) - base for m in sizes.tolist()]
+        log_dets = self.terms[: k + 1, self._LOG_DET]
+        gains = self._plus_gains(
+            0.0, np.zeros(k), sizes, np.array(multigamma), log_dets[k], log_dets[:k]
+        )
+        return crp_log_prob(self.alpha, sizes.tolist(), n) + float(gains.sum())
 
     def clusters_dict(self, relabel):
         """Materialize {relabel[label]: SufficientStats}."""
@@ -483,14 +512,10 @@ def crp_log_prob(alpha, sizes, n):
 
 def log_joint(state):
     """log p(x, z): CRP partition prior plus per-cluster marginal likelihoods."""
-    sizes = [s.n for s in state.clusters.values()]
-    value = crp_log_prob(state.hyper.alpha, sizes, int(state.labels.shape[0]))
-    for stats in state.clusters.values():
-        value += log_marginal(stats, state.hyper.prior)
-    return value
+    return _ClusterCache.from_partition(state).log_joint(int(state.labels.shape[0]))
 
 
-def run_cgs(data, hyper, iterations, seed, ground_truth=None, record_trace=True):
+def run_cgs(data, hyper, iterations, seed, ground_truth=None):
     """Run the centralized sampler from a single-cluster initialization.
 
     Returns (final PartitionState, RunTrace).  The trace records log p(x, z),
@@ -526,19 +551,18 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None, record_trace=True)
         except NumericalDegeneracyError as err:
             err.add_context(iteration=t)
             raise
-        if record_trace:
-            score = None
-            if truth is not None:
-                from .metrics import ari
+        score = None
+        if truth is not None:
+            from .metrics import ari
 
-                score = ari(state.labels, truth)
-            trace.append(
-                IterationRecord(
-                    iteration=t,
-                    log_joint=log_joint(state),
-                    num_clusters=state.num_clusters,
-                    seconds=time.perf_counter() - started,
-                    ari=score,
-                )
+            score = ari(state.labels, truth)
+        trace.append(
+            IterationRecord(
+                iteration=t,
+                log_joint=log_joint(state),
+                num_clusters=state.num_clusters,
+                seconds=time.perf_counter() - started,
+                ari=score,
             )
+        )
     return PartitionState.from_labels(data, state.labels, hyper), trace

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .gibbs import _ClusterCache, crp_log_prob, sample_log_weights
-from .niw import log_marginal, stats_merge
+from .gibbs import _ClusterCache, sample_log_weights
+from .niw import stats_merge
 
 
 @dataclass
@@ -119,10 +119,7 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
 
 def global_log_joint(state, n):
     """log p(x, z) of the global partition, from cluster statistics alone."""
-    sizes = [s.n for s in state.clusters.values()]
-    if sum(sizes) != n:
-        raise ValueError("global cluster sizes sum to %d, expected %d" % (sum(sizes), n))
-    value = crp_log_prob(state.hyper.alpha, sizes, n)
-    for stats in state.clusters.values():
-        value += log_marginal(stats, state.hyper.prior)
-    return value
+    total = sum(s.n for s in state.clusters.values())
+    if total != n:
+        raise ValueError("global cluster sizes sum to %d, expected %d" % (total, n))
+    return _ClusterCache(state.hyper.prior, state.hyper.alpha, state.clusters).log_joint(n)

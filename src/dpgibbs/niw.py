@@ -171,25 +171,6 @@ def stats_from_points(points):
     return SufficientStats(n, pts.sum(axis=0), pts.T @ pts)
 
 
-def stats_add_point(stats, x):
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return SufficientStats(
-        stats.n + 1, stats.sum + x, stats.sum_outer + np.outer(x, x)
-    )
-
-
-def stats_remove_point(stats, x):
-    """Exact inverse of :func:`stats_add_point`; emptying restores exact zeros."""
-    if stats.n == 0:
-        raise ValueError("cannot remove a point from empty statistics")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if stats.n == 1:
-        return zero_stats(stats.d)
-    return SufficientStats(
-        stats.n - 1, stats.sum - x, stats.sum_outer - np.outer(x, x)
-    )
-
-
 def stats_merge(parts):
     """Merge a sequence of statistics by field-wise addition."""
     parts = list(parts)

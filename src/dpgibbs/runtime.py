@@ -19,7 +19,6 @@ parallel); a threaded in-process backend is provided for embedding and tests.
 from __future__ import annotations
 
 import multiprocessing
-import queue
 import threading
 import time
 import traceback
@@ -42,7 +41,6 @@ class RunConfig:
     workers: int = 1
     seed: int = 0
     prior_override: NiwParams | None = None
-    record_trace: bool = True
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -191,29 +189,17 @@ def process_channels(data, ranges, seed, hyper):
     return channels, shutdown
 
 
-class LocalChannel:
-    """In-memory bidirectional channel endpoint (send/recv over two queues)."""
-
-    def __init__(self, inbox, outbox):
-        self._inbox = inbox
-        self._outbox = outbox
-
-    def send(self, obj):
-        self._outbox.put(obj)
-
-    def recv(self):
-        return self._inbox.get()
-
-
 def thread_channels(data, ranges, seed, hyper):
-    """In-process backend: worker threads over queue-backed channels."""
+    """In-process backend: worker threads over pipe connections.
+
+    Messages are pickled as on the process backend, so a payload that
+    cannot cross a process boundary fails here too.
+    """
     channels = []
+    worker_ends = []
     threads = []
     for j, sl in enumerate(ranges):
-        to_worker = queue.Queue()
-        to_master = queue.Queue()
-        worker_end = LocalChannel(to_worker, to_master)
-        master_end = LocalChannel(to_master, to_worker)
+        master_end, worker_end = multiprocessing.Pipe()
         th = threading.Thread(
             target=worker_loop,
             args=(worker_end, j, data[sl], seed, hyper),
@@ -221,11 +207,18 @@ def thread_channels(data, ranges, seed, hyper):
         )
         th.start()
         channels.append(master_end)
+        worker_ends.append(worker_end)
         threads.append(th)
 
     def shutdown():
+        # Closing the coordinator's ends first ends a worker still waiting
+        # for a command (its recv raises EOFError) instead of timing out.
+        for channel in channels:
+            channel.close()
         for th in threads:
             th.join(timeout=5.0)
+        for worker_end in worker_ends:
+            worker_end.close()
 
     return channels, shutdown
 
@@ -273,7 +266,7 @@ def _coordinate(channels, hyper, config, n, ground_truth):
             "n": n,
         }
     )
-    want_ari = ground_truth is not None and config.record_trace
+    want_ari = ground_truth is not None
     final_labels = None
     for t in range(1, config.iterations + 1):
         started = time.perf_counter()
@@ -298,16 +291,15 @@ def _coordinate(channels, hyper, config, n, ground_truth):
             labels = np.concatenate(shards)
             if t == config.iterations:
                 final_labels = labels
-        if config.record_trace:
-            trace.append(
-                IterationRecord(
-                    iteration=t,
-                    log_joint=global_log_joint(gstate, n),
-                    num_clusters=gstate.num_clusters,
-                    seconds=time.perf_counter() - started,
-                    ari=ari(labels, ground_truth) if want_ari else None,
-                )
+        trace.append(
+            IterationRecord(
+                iteration=t,
+                log_joint=global_log_joint(gstate, n),
+                num_clusters=gstate.num_clusters,
+                seconds=time.perf_counter() - started,
+                ari=ari(labels, ground_truth) if want_ari else None,
             )
+        )
     return final_labels, trace
 
 

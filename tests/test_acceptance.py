@@ -295,12 +295,10 @@ def test_criterion_05_central_ari(central20k, synth20k):
 
 
 @pytest.mark.xfail(
-    reason="distributed ARI saturates near 0.8 on this preset family: worker "
-    "sweeps over contiguous 2500-point shards fragment components, and the "
-    "merge-only label reconciliation cannot coalesce a component whose "
-    "shard-level pieces lock onto distinct global clusters within 100 "
-    "iterations; measured over a broad scan of preset seeds, concentrations, "
-    "prior scales, and run seeds",
+    reason="distributed W=8 ARI is 0.7435 (ROADMAP item 2): no move in either "
+    "sampler splits a cluster that holds two components once it has formed, "
+    "and in the final partition 6 of 8 shards hold a local cluster that "
+    "spans two or three true components",
     strict=True,
 )
 def test_criterion_05_distributed_ari(discgs20k, synth20k):
@@ -320,9 +318,9 @@ def test_criterion_06_distributed_speedup(synth20k):
     iters = 5
     hyper = ModelHyperParams(alpha=1.0, prior=default_prior(data))
     started = time.perf_counter()
-    run_cgs(data, hyper, iters, 1, record_trace=False)
+    run_cgs(data, hyper, iters, 1)
     central_per_iter = (time.perf_counter() - started) / iters
-    config = RunConfig(alpha=1.0, iterations=iters, workers=8, seed=1, record_trace=False)
+    config = RunConfig(alpha=1.0, iterations=iters, workers=8, seed=1)
     started = time.perf_counter()
     run_discgs(data, config)
     dist_per_iter = (time.perf_counter() - started) / iters
@@ -340,9 +338,7 @@ def test_criterion_07_scaleup_trend():
     iters = 3
     per_iter = []
     for workers in (2, 4, 8):
-        config = RunConfig(
-            alpha=1.0, iterations=iters, workers=workers, seed=1, record_trace=False
-        )
+        config = RunConfig(alpha=1.0, iterations=iters, workers=workers, seed=1)
         started = time.perf_counter()
         run_discgs(data, config)
         per_iter.append((time.perf_counter() - started) / iters)

@@ -20,10 +20,8 @@ from dpgibbs.niw import (
     log_posterior_predictive,
     log_prior_predictive,
     niw_posterior,
-    stats_add_point,
     stats_from_points,
     stats_merge,
-    stats_remove_point,
     zero_stats,
 )
 
@@ -55,27 +53,6 @@ class TestSufficientStats:
         assert np.allclose(s.sum_outer, pts.T @ pts, rtol=1e-12)
         centered = pts - pts.mean(axis=0)
         assert np.allclose(s.scatter, centered.T @ centered, rtol=1e-10, atol=1e-12)
-
-    def test_add_then_remove_restores_exactly(self):
-        rng = np.random.default_rng(1)
-        pts = rng.standard_normal((5, 2)) * 3.0
-        s = stats_from_points(pts)
-        x = rng.standard_normal(2)
-        back = stats_remove_point(stats_add_point(s, x), x)
-        assert back.n == s.n
-        assert np.allclose(back.sum, s.sum, rtol=1e-12, atol=1e-12)
-        assert np.allclose(back.sum_outer, s.sum_outer, rtol=1e-12, atol=1e-12)
-
-    def test_removing_last_point_yields_exact_zeros(self):
-        x = np.array([2.5, -1.0])
-        s = stats_remove_point(stats_from_points(x), x)
-        assert s.n == 0
-        assert np.count_nonzero(s.sum) == 0
-        assert np.count_nonzero(s.sum_outer) == 0
-
-    def test_remove_from_empty_is_an_error(self):
-        with pytest.raises(ValueError):
-            stats_remove_point(zero_stats(2), np.zeros(2))
 
     def test_merge_matches_pooled_batch(self):
         rng = np.random.default_rng(2)
@@ -127,22 +104,6 @@ def assert_stats_close(a, b, parts):
 
 
 class TestStatsAlgebraProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(batches(2))
-    def test_remove_undoes_add(self, case):
-        points, extra = case
-        s, x = stats_from_points(points), extra[0]
-        back = stats_remove_point(stats_add_point(s, x), x)
-        assert_stats_close(back, s, [s, stats_from_points(x)])
-
-    @settings(max_examples=60, deadline=None)
-    @given(batches(1))
-    def test_add_undoes_remove(self, case):
-        (points,) = case
-        s, x = stats_from_points(points), points[-1]
-        back = stats_add_point(stats_remove_point(s, x), x)
-        assert_stats_close(back, s, [s, stats_from_points(x)])
-
     @settings(max_examples=60, deadline=None)
     @given(batches(3))
     def test_merge_is_associative(self, case):
@@ -298,7 +259,7 @@ class TestPredictives:
         grown = cluster
         for x in pts:
             acc += log_posterior_predictive(stats_from_points(x), grown, prior)
-            grown = stats_add_point(grown, x)
+            grown = stats_merge([grown, stats_from_points(x)])
         assert math.isclose(whole, acc, rel_tol=1e-10)
 
 

@@ -1,6 +1,6 @@
 """Tests for sharding, the worker actor loop, and end-to-end distributed runs."""
 
-import queue
+import multiprocessing
 import threading
 
 import numpy as np
@@ -10,7 +10,6 @@ from dpgibbs.metrics import ari
 from dpgibbs.niw import NiwParams, default_prior, ModelHyperParams
 from dpgibbs.runtime import (
     ApplyCmd,
-    LocalChannel,
     ReportLabelsCmd,
     RunConfig,
     StopCmd,
@@ -278,16 +277,6 @@ class TestRunDiscgs:
         assert trace.meta["n"] == 24
         assert trace.meta["d"] == 2
 
-    def test_trace_disabled(self):
-        data, _ = two_blob_data(20, seed=9)
-        labels, trace = run_discgs(
-            data,
-            RunConfig(iterations=3, workers=2, seed=5, record_trace=False),
-            channel_factory=thread_channels,
-        )
-        assert len(trace) == 0
-        assert labels.shape == (20,)
-
     def test_truth_free_run_has_no_aris(self):
         data, _ = two_blob_data(20, seed=10)
         _, trace = run_discgs(
@@ -384,6 +373,30 @@ class TestMessageTraffic:
             assert trace.records[t].num_clusters == uniq.size
 
 
+class TestFitPathUsesTheClusterTable:
+    def test_fits_complete_without_niw_posterior(self, monkeypatch):
+        """Sweeps and the trace's log joint read the cluster table alone."""
+        from dpgibbs import niw
+        from dpgibbs.gibbs import run_cgs
+
+        def forbidden(prior, stats):
+            raise AssertionError("niw_posterior called on the fit path")
+
+        monkeypatch.setattr(niw, "niw_posterior", forbidden)
+        data, truth = two_blob_data(40, seed=16)
+        hyper = ModelHyperParams(alpha=1.0, prior=default_prior(data))
+        _, trace = run_cgs(data, hyper, 3, seed=2, ground_truth=truth)
+        assert len(trace) == 3 and np.all(np.isfinite(trace.log_joints))
+        labels, trace = run_discgs(
+            data,
+            RunConfig(iterations=3, workers=2, seed=2),
+            ground_truth=truth,
+            channel_factory=thread_channels,
+        )
+        assert labels.shape == (40,)
+        assert len(trace) == 3 and np.all(np.isfinite(trace.log_joints))
+
+
 class TestWorkerLoopFailure:
     def test_failure_that_cannot_be_pickled_still_reaches_the_coordinator(self, monkeypatch):
         from dpgibbs import runtime
@@ -398,12 +411,31 @@ class TestWorkerLoopFailure:
             run_discgs(data, RunConfig(iterations=2, workers=2, seed=1))
         assert "forced" in str(info.value)
 
+    def test_thread_backend_shutdown_ends_idle_workers(self, monkeypatch):
+        """A failed run does not wait out a join timeout per idle worker."""
+        import time
+
+        from dpgibbs import runtime
+        from dpgibbs.errors import NumericalDegeneracyError
+
+        def failing_master(*args, **kwargs):
+            raise NumericalDegeneracyError("forced")
+
+        monkeypatch.setattr(runtime, "master_sweep", failing_master)
+        data, _ = two_blob_data(20, seed=17)
+        started = time.perf_counter()
+        with pytest.raises(NumericalDegeneracyError, match="forced"):
+            run_discgs(
+                data, RunConfig(iterations=2, workers=2, seed=1), channel_factory=thread_channels
+            )
+        # Each join waits up to 5 s; closing the coordinator's ends lets the
+        # workers, blocked on their next command, exit at once.
+        assert time.perf_counter() - started < 4.0
+
     def test_unknown_command_surfaces_as_worker_failure(self):
         data, _ = two_blob_data(10, seed=14)
         hyper = ModelHyperParams(alpha=1.0, prior=default_prior(data))
-        to_worker, to_master = queue.Queue(), queue.Queue()
-        worker_end = LocalChannel(to_worker, to_master)
-        master_end = LocalChannel(to_master, to_worker)
+        master_end, worker_end = multiprocessing.Pipe()
         th = threading.Thread(
             target=worker_loop, args=(worker_end, 0, data, 1, hyper), daemon=True
         )
@@ -420,3 +452,5 @@ class TestWorkerLoopFailure:
             _checked(msg, 3)
         th.join(timeout=5.0)
         assert not th.is_alive()
+        master_end.close()
+        worker_end.close()
