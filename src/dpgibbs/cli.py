@@ -5,7 +5,8 @@ count, iterations, code version) next to its outputs, and reruns with the
 same flags produce identical files apart from wall-clock timing fields.
 Errors exit nonzero with a single-line prefixed message on stderr:
 ``usage-error:`` (exit 2), ``io-error:`` (exit 3; also a worker process that
-dies), ``numerical-error:`` (exit 4).
+dies), ``numerical-error:`` (exit 4).  An error raised in a worker exits as it
+would in ``fit``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ def _positive_int(text):
 
 def _positive_float(text):
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive, got %r" % text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite, got %r" % text)
     return value
 
 
@@ -141,8 +142,9 @@ def _prior_payload(prior, prior_meta):
 
 
 def _write_manifest(out_dir, payload):
-    payload = dict(payload)
-    payload["version"] = __version__
+    # Commands without a sampler run record its keys as null.
+    run_keys = dict.fromkeys(("seed", "alpha", "iterations", "workers", "prior"))
+    payload = {**run_keys, **payload, "version": __version__}
     with open(os.path.join(out_dir, "manifest.json"), "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -210,10 +212,6 @@ def cmd_generate(args):
         "n": spec.n,
         "d": spec.dim,
         "num_components": len(spec.components),
-        "alpha": None,
-        "iterations": None,
-        "workers": None,
-        "prior": None,
     }
     manifest.update(source)
     _write_manifest(args.out, manifest)
@@ -253,11 +251,6 @@ def cmd_evaluate(args):
             "command": "evaluate",
             "pred": args.pred,
             "truth": args.truth,
-            "seed": None,
-            "alpha": None,
-            "iterations": None,
-            "workers": None,
-            "prior": None,
         },
     )
 
@@ -347,10 +340,7 @@ def main(argv=None):
     except UsageError as err:
         print("usage-error: %s" % err, file=sys.stderr)
         return 2
-    except DatasetError as err:
-        print("io-error: %s" % err, file=sys.stderr)
-        return 3
-    except OSError as err:
+    except (DatasetError, OSError) as err:
         print("io-error: %s" % err, file=sys.stderr)
         return 3
     except NumericalDegeneracyError as err:

@@ -148,8 +148,8 @@ class ModelHyperParams:
     prior: NiwParams
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive, got %r" % (self.alpha,))
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite, got %r" % (self.alpha,))
         object.__setattr__(self, "alpha", float(self.alpha))
 
 

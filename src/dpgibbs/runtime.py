@@ -6,8 +6,9 @@ master reassigns all batches in one sweep, starting from the global ids the
 batches name, and sends each worker its own {local label: global id} map;
 workers apply it, after which their local labels are global ids.  The only
 payloads crossing the worker boundary are summaries, label maps, the small
-command values below, and per-point label vectors when explicitly requested
-(trace ARI with ground truth, and the final collection).
+command values below, per-point label vectors when explicitly requested
+(trace ARI with ground truth, and the final collection), and a failed worker's
+exception with its traceback text.
 
 Worker RNG streams are derived as SeedSequence([seed, worker_id, iteration])
 and the master stream as SeedSequence([seed]), so results are reproducible
@@ -19,6 +20,7 @@ parallel); a threaded in-process backend is provided for embedding and tests.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import threading
 import time
 import traceback
@@ -43,8 +45,8 @@ class RunConfig:
     prior_override: NiwParams | None = None
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive, got %r" % (self.alpha,))
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite, got %r" % (self.alpha,))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1, got %r" % (self.iterations,))
         if self.workers < 1:
@@ -98,26 +100,19 @@ class StopCmd:
 
 @dataclass(frozen=True)
 class WorkerFailure:
-    """An exception raised in a worker, in a form that crosses the pipe.
-
-    A NumericalDegeneracyError keeps its type, eigenvalue estimate and
-    context, so the coordinator raises it again as itself; any other
-    exception arrives as a RuntimeError with the worker's traceback.
-    """
+    """An exception raised in a worker, with the worker's traceback text."""
 
     worker_id: int
-    message: str
+    error: BaseException
     details: str
-    error_type: type = RuntimeError
-    context: dict | None = None
-    min_eigenvalue: float | None = None
 
 
 def worker_loop(channel, worker_id, shard_data, seed, hyper):
-    """Actor body: serve commands over the channel until StopCmd.
+    """Actor body: serve commands over the channel until StopCmd or EOF.
 
     Holds the shard privately; outbound traffic is WorkerSummary per sweep and
-    the shard's global label vector on explicit request.
+    the shard's global label vector on explicit request.  Closes the channel
+    on return.
     """
     try:
         state = WorkerState.single_cluster(worker_id, shard_data, hyper)
@@ -138,25 +133,47 @@ def worker_loop(channel, worker_id, shard_data, seed, hyper):
             else:
                 raise RuntimeError("unknown command %r" % (msg,))
     except BaseException as exc:  # surfaced to the coordinator, never swallowed
-        failures = [WorkerFailure(worker_id, repr(exc), traceback.format_exc())]
-        if isinstance(exc, NumericalDegeneracyError):
-            failures.insert(0, WorkerFailure(
-                worker_id, exc.message, failures[0].details,
-                type(exc), exc.context, exc.min_eigenvalue,
-            ))
-        # A context that cannot be pickled falls back to the plain failure; if
-        # nothing can be sent, the coordinator sees the channel close.
-        for failure in failures:
-            try:
-                channel.send(failure)
-                break
-            except Exception:
-                pass
+        details = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(repr(exc))
+        try:
+            channel.send(WorkerFailure(worker_id, exc, details))
+        except Exception:
+            pass  # the coordinator sees the channel close
+    finally:
+        channel.close()
 
 
 # ---------------------------------------------------------------------------
 # channel backends
 # ---------------------------------------------------------------------------
+
+
+def _stopper(channels, workers):
+    """Close the coordinator's ends, then join.
+
+    A worker still waiting for a command reads EOF and returns, so a failed
+    run does not wait out a join timeout per idle worker.
+    """
+
+    def shutdown():
+        for channel in channels:
+            channel.close()
+        for worker in workers:
+            worker.join(timeout=5.0)
+
+    return shutdown
+
+
+def _process_worker(coordinator_ends, *args):
+    # A forked child inherits the coordinator's end of its own pipe and of
+    # each earlier one.  A worker reads EOF only once every copy of its pipe's
+    # coordinator end is closed, so each child drops the copies it holds.
+    for end in coordinator_ends:
+        end.close()
+    worker_loop(*args)
 
 
 def process_channels(data, ranges, seed, hyper):
@@ -167,26 +184,18 @@ def process_channels(data, ranges, seed, hyper):
     for j, sl in enumerate(ranges):
         parent_end, child_end = ctx.Pipe()
         proc = ctx.Process(
-            target=worker_loop,
-            args=(child_end, j, np.ascontiguousarray(data[sl]), seed, hyper),
+            target=_process_worker,
+            args=(
+                channels + [parent_end],
+                child_end, j, np.ascontiguousarray(data[sl]), seed, hyper,
+            ),
             daemon=True,
         )
         proc.start()
         child_end.close()
         channels.append(parent_end)
         processes.append(proc)
-
-    def shutdown():
-        for proc in processes:
-            proc.join(timeout=5.0)
-        for proc in processes:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for channel in channels:
-            channel.close()
-
-    return channels, shutdown
+    return channels, _stopper(channels, processes)
 
 
 def thread_channels(data, ranges, seed, hyper):
@@ -196,7 +205,6 @@ def thread_channels(data, ranges, seed, hyper):
     cannot cross a process boundary fails here too.
     """
     channels = []
-    worker_ends = []
     threads = []
     for j, sl in enumerate(ranges):
         master_end, worker_end = multiprocessing.Pipe()
@@ -207,20 +215,8 @@ def thread_channels(data, ranges, seed, hyper):
         )
         th.start()
         channels.append(master_end)
-        worker_ends.append(worker_end)
         threads.append(th)
-
-    def shutdown():
-        # Closing the coordinator's ends first ends a worker still waiting
-        # for a command (its recv raises EOFError) instead of timing out.
-        for channel in channels:
-            channel.close()
-        for th in threads:
-            th.join(timeout=5.0)
-        for worker_end in worker_ends:
-            worker_end.close()
-
-    return channels, shutdown
+    return channels, _stopper(channels, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +239,11 @@ def _receive(channels, iteration):
 def _checked(msg, iteration):
     if not isinstance(msg, WorkerFailure):
         return msg
-    if issubclass(msg.error_type, NumericalDegeneracyError):
-        err = msg.error_type(msg.message, msg.min_eigenvalue, msg.context)
-        raise err.add_context(worker_id=msg.worker_id, iteration=iteration)
-    raise RuntimeError(
-        "worker %d failed at iteration %d: %s\n%s"
-        % (msg.worker_id, iteration, msg.message, msg.details)
+    err = msg.error
+    if isinstance(err, NumericalDegeneracyError):
+        err.add_context(worker_id=msg.worker_id, iteration=iteration)
+    raise err from RuntimeError(
+        "worker %d failed at iteration %d:\n%s" % (msg.worker_id, iteration, msg.details)
     )
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -14,15 +14,6 @@ class IterationRecord:
     num_clusters: int
     seconds: float
     ari: float | None = None
-
-    def to_dict(self):
-        return {
-            "iteration": self.iteration,
-            "log_joint": self.log_joint,
-            "num_clusters": self.num_clusters,
-            "seconds": self.seconds,
-            "ari": self.ari,
-        }
 
 
 @dataclass
@@ -56,4 +47,4 @@ class RunTrace:
 
     def to_payload(self):
         """JSON-ready array of per-iteration records."""
-        return [r.to_dict() for r in self.records]
+        return [asdict(r) for r in self.records]

@@ -117,6 +117,15 @@ class TestFit:
         assert code == 2
         assert err.startswith("usage-error:")
 
+    def test_infinite_alpha_is_usage_error(self, tmp_path, capsys):
+        data_path, _ = blob_files(tmp_path)
+        code, _, err = run_cli(
+            ["fit", "--data", data_path, "--alpha", "inf", "--out", out_dir(tmp_path, "a")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("usage-error:") and len(err.splitlines()) == 1
+
     def test_metrics_without_truth_lack_score_keys(self, tmp_path, capsys):
         data_path, _ = blob_files(tmp_path)
         out = out_dir(tmp_path, "nt")
@@ -281,6 +290,34 @@ class TestFitDistributed:
         )
         assert code == 3
         assert err == "io-error: worker 0 exited at iteration 1 without replying\n"
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [(OSError("forced"), 3, "io-error:"), (ValueError("forced"), 2, "usage-error:")],
+        ids=["oserror", "valueerror"],
+    )
+    def test_worker_error_exits_as_in_fit(
+        self, tmp_path, capsys, monkeypatch, backend, error, code, prefix
+    ):
+        from dpgibbs import runtime
+
+        def failing_sweep(w, rng):
+            raise error
+
+        monkeypatch.setattr(runtime, "worker_sweep", failing_sweep)
+        if backend == "thread":
+            monkeypatch.setattr(runtime, "process_channels", runtime.thread_channels)
+        data_path, _ = blob_files(tmp_path, n=20)
+        got, _, err = run_cli(
+            [
+                "fit-distributed", "--data", data_path, "--workers", "2",
+                "--iters", "2", "--out", out_dir(tmp_path, "fail"),
+            ],
+            capsys,
+        )
+        assert got == code
+        assert err == "%s forced\n" % prefix
 
 
 class TestEvaluate:

@@ -283,6 +283,8 @@ class TestValidation:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             ModelHyperParams(alpha=0.0, prior=unit_prior_1d())
+        with pytest.raises(ValueError):
+            ModelHyperParams(alpha=float("inf"), prior=unit_prior_1d())
 
     def test_cholesky_logdet_rejects_non_finite(self):
         with pytest.raises(NumericalDegeneracyError):

@@ -16,6 +16,7 @@ from dpgibbs.runtime import (
     SweepCmd,
     WorkerFailure,
     _checked,
+    process_channels,
     run_discgs,
     shard,
     thread_channels,
@@ -84,6 +85,8 @@ class TestRunConfig:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(alpha=0.0)
+        with pytest.raises(ValueError):
+            RunConfig(alpha=float("inf"))
         with pytest.raises(ValueError):
             RunConfig(iterations=0)
         with pytest.raises(ValueError):
@@ -407,11 +410,18 @@ class TestWorkerLoopFailure:
 
         monkeypatch.setattr(runtime, "worker_sweep", failing_sweep)
         data, _ = two_blob_data(20, seed=15)
-        with pytest.raises(RuntimeError, match="worker 0 failed at iteration 1") as info:
+        with pytest.raises(RuntimeError, match="forced") as info:
             run_discgs(data, RunConfig(iterations=2, workers=2, seed=1))
-        assert "forced" in str(info.value)
+        # The error's context holds a lambda, so its repr arrives instead.
+        assert type(info.value) is RuntimeError
+        cause = str(info.value.__cause__)
+        assert "worker 0 failed at iteration 1" in cause
+        assert "worker_loop" in cause
 
-    def test_thread_backend_shutdown_ends_idle_workers(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "factory", [thread_channels, process_channels], ids=["thread", "process"]
+    )
+    def test_shutdown_ends_idle_workers(self, monkeypatch, factory):
         """A failed run does not wait out a join timeout per idle worker."""
         import time
 
@@ -425,12 +435,11 @@ class TestWorkerLoopFailure:
         data, _ = two_blob_data(20, seed=17)
         started = time.perf_counter()
         with pytest.raises(NumericalDegeneracyError, match="forced"):
-            run_discgs(
-                data, RunConfig(iterations=2, workers=2, seed=1), channel_factory=thread_channels
-            )
+            run_discgs(data, RunConfig(iterations=2, workers=2, seed=1), channel_factory=factory)
         # Each join waits up to 5 s; closing the coordinator's ends lets the
         # workers, blocked on their next command, exit at once.
         assert time.perf_counter() - started < 4.0
+        assert not multiprocessing.active_children()
 
     def test_unknown_command_surfaces_as_worker_failure(self):
         data, _ = two_blob_data(10, seed=14)
@@ -446,10 +455,10 @@ class TestWorkerLoopFailure:
         msg = master_end.recv()
         assert isinstance(msg, WorkerFailure)
         assert msg.worker_id == 0
-        assert "unknown command" in msg.message
         assert "worker_loop" in msg.details
-        with pytest.raises(RuntimeError, match="worker 0 failed at iteration 3"):
+        with pytest.raises(RuntimeError, match="unknown command") as info:
             _checked(msg, 3)
+        assert "worker 0 failed at iteration 3" in str(info.value.__cause__)
         th.join(timeout=5.0)
         assert not th.is_alive()
         master_end.close()
