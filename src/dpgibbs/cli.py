@@ -151,6 +151,7 @@ def _write_manifest(out_dir, payload):
 
 
 def _load_fit_inputs(args):
+    """Data, truth labels or None, the model both samplers take, manifest prior."""
     loaded = read_dataset(args.data)
     truth = None
     if args.truth is not None:
@@ -162,20 +163,21 @@ def _load_fit_inputs(args):
             )
     prior_meta = {}
     prior = default_prior(loaded.data, metadata=prior_meta)
-    return loaded.data, truth, prior, prior_meta
+    hyper = ModelHyperParams(alpha=args.alpha, prior=prior)
+    return loaded.data, truth, hyper, _prior_payload(prior, prior_meta)
 
 
-def _write_fit_outputs(args, out, labels, trace, truth, workers, prior, prior_meta):
-    write_labels(os.path.join(out, "labels.csv"), labels)
-    write_trace(os.path.join(out, "trace.json"), trace)
+def _write_fit_outputs(args, labels, trace, truth, workers, prior_payload):
+    write_labels(os.path.join(args.out, "labels.csv"), labels)
+    write_trace(os.path.join(args.out, "trace.json"), trace)
     if truth is not None:
         metrics = metrics_report(labels, truth)
     else:
         # Not np.unique, which imports numpy.ma (about 20 ms) to test for a mask.
         metrics = {"num_clusters_pred": int(np.count_nonzero(np.bincount(labels)))}
-    write_metrics(os.path.join(out, "metrics.json"), metrics)
+    write_metrics(os.path.join(args.out, "metrics.json"), metrics)
     _write_manifest(
-        out,
+        args.out,
         {
             "command": args.subcommand,
             "data": args.data,
@@ -184,7 +186,7 @@ def _write_fit_outputs(args, out, labels, trace, truth, workers, prior, prior_me
             "alpha": args.alpha,
             "iterations": args.iters,
             "workers": workers,
-            "prior": _prior_payload(prior, prior_meta),
+            "prior": prior_payload,
         },
     )
 
@@ -218,23 +220,16 @@ def cmd_generate(args):
 
 
 def cmd_fit(args):
-    data, truth, prior, prior_meta = _load_fit_inputs(args)
-    hyper = ModelHyperParams(alpha=args.alpha, prior=prior)
+    data, truth, hyper, prior_payload = _load_fit_inputs(args)
     state, trace = run_cgs(data, hyper, args.iters, args.seed, ground_truth=truth)
-    _write_fit_outputs(args, args.out, state.labels, trace, truth, 1, prior, prior_meta)
+    _write_fit_outputs(args, state.labels, trace, truth, 1, prior_payload)
 
 
 def cmd_fit_distributed(args):
-    data, truth, prior, prior_meta = _load_fit_inputs(args)
-    config = RunConfig(
-        alpha=args.alpha,
-        iterations=args.iters,
-        workers=args.workers,
-        seed=args.seed,
-        prior_override=prior,
-    )
+    data, truth, hyper, prior_payload = _load_fit_inputs(args)
+    config = RunConfig(hyper, iterations=args.iters, workers=args.workers, seed=args.seed)
     labels, trace = run_discgs(data, config, ground_truth=truth)
-    _write_fit_outputs(args, args.out, labels, trace, truth, args.workers, prior, prior_meta)
+    _write_fit_outputs(args, labels, trace, truth, args.workers, prior_payload)
 
 
 def cmd_evaluate(args):
@@ -261,7 +256,7 @@ def cmd_bench(args):
             "per-iteration trace scoring during a timing run pollutes the numbers; "
             "pass --force to do it anyway"
         )
-    data, truth, prior, prior_meta = _load_fit_inputs(args)
+    data, truth, hyper, prior_payload = _load_fit_inputs(args)
     for workers in args.workers_list:
         if workers > data.shape[0]:
             raise UsageError(
@@ -269,7 +264,6 @@ def cmd_bench(args):
             )
     rows = []
     if args.include_central:
-        hyper = ModelHyperParams(alpha=args.alpha, prior=prior)
         started = time.perf_counter()
         _, trace = run_cgs(data, hyper, args.iters, args.seed, ground_truth=truth)
         total = time.perf_counter() - started
@@ -277,13 +271,7 @@ def cmd_bench(args):
         if truth is not None:
             write_trace(os.path.join(args.out, "trace_central.json"), trace)
     for workers in args.workers_list:
-        config = RunConfig(
-            alpha=args.alpha,
-            iterations=args.iters,
-            workers=workers,
-            seed=args.seed,
-            prior_override=prior,
-        )
+        config = RunConfig(hyper, iterations=args.iters, workers=workers, seed=args.seed)
         started = time.perf_counter()
         _, trace = run_discgs(data, config, ground_truth=truth)
         total = time.perf_counter() - started
@@ -302,7 +290,7 @@ def cmd_bench(args):
             "iterations": args.iters,
             "workers": args.workers_list,
             "include_central": args.include_central,
-            "prior": _prior_payload(prior, prior_meta),
+            "prior": prior_payload,
         },
     )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,7 +166,6 @@ def spec_from_json(path):
 class LoadedDataset:
     data: np.ndarray
     labels: np.ndarray | None = None
-    columns: list = field(default_factory=list)
 
 
 def _parse_cell(text, line_num, column):
@@ -229,11 +228,10 @@ def read_dataset(path):
     return LoadedDataset(
         data=data,
         labels=np.asarray(labels, dtype=np.int64) if label_col is not None else None,
-        columns=[header[i] for i in feature_cols],
     )
 
 
-def write_dataset(path, data, labels=None, columns=None):
+def write_dataset(path, data, labels=None):
     """Write observations as header-ed CSV; floats use shortest round-trip text."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -241,11 +239,7 @@ def write_dataset(path, data, labels=None, columns=None):
     if not np.all(np.isfinite(data)):
         raise ValueError("refusing to write non-finite values")
     n, d = data.shape
-    if columns is None:
-        columns = ["x%d" % j for j in range(d)]
-    if len(columns) != d:
-        raise ValueError("expected %d column names, got %d" % (d, len(columns)))
-    header = list(columns) + (["label"] if labels is not None else [])
+    header = ["x%d" % j for j in range(d)] + (["label"] if labels is not None else [])
     if labels is not None and len(labels) != n:
         raise ValueError("labels length %d does not match %d rows" % (len(labels), n))
     with open(path, "w", newline="") as handle:

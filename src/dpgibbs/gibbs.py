@@ -106,6 +106,8 @@ def center_on_prior(data, hyper):
     is formed from them; centering once at ingestion keeps them small.
     """
     p = hyper.prior
+    if data.shape[1] != p.d:
+        raise ValueError("data has %d columns but the prior has %d" % (data.shape[1], p.d))
     prior = NiwParams(mu=np.zeros(p.d), kappa=p.kappa, nu=p.nu, psi=p.psi)
     return data - p.mu, ModelHyperParams(alpha=hyper.alpha, prior=prior)
 

@@ -31,22 +31,21 @@ import numpy as np
 from .errors import NumericalDegeneracyError, WorkerLostError
 from .gibbs import center_on_prior, seed_to_u64
 from .master import global_log_joint, master_sweep
-from .niw import ModelHyperParams, NiwParams, default_prior
+from .niw import ModelHyperParams
 from .trace import IterationRecord, RunTrace
 from .worker import WorkerState, apply_global_labels, summarize, worker_sweep
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    alpha: float = 1.0
+    """The model, as ``run_cgs`` takes it, and the distributed run's settings."""
+
+    hyper: ModelHyperParams
     iterations: int = 100
     workers: int = 1
     seed: int = 0
-    prior_override: NiwParams | None = None
 
     def __post_init__(self):
-        if not 0 < self.alpha < np.inf:
-            raise ValueError("alpha must be positive and finite, got %r" % (self.alpha,))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1, got %r" % (self.iterations,))
         if self.workers < 1:
@@ -257,7 +256,7 @@ def _coordinate(channels, hyper, config, n, ground_truth):
             "iterations": config.iterations,
             "workers": config.workers,
             "seed": config.seed,
-            "alpha": config.alpha,
+            "alpha": config.hyper.alpha,
             "n": n,
         }
     )
@@ -301,7 +300,8 @@ def _coordinate(channels, hyper, config, n, ground_truth):
 def run_discgs(data, config, ground_truth=None, channel_factory=None):
     """Run the distributed sampler; returns (final global labels, RunTrace).
 
-    Deterministic given (seed, workers, data); changing the worker count
+    The model is ``config.hyper``, the same value ``run_cgs`` takes.
+    Deterministic given (config, data); changing the worker count
     changes the sampled path by design.  ``channel_factory`` selects the
     worker backend (default: one OS process per worker).
     """
@@ -313,12 +313,7 @@ def run_discgs(data, config, ground_truth=None, channel_factory=None):
         if ground_truth.shape[0] != data.shape[0]:
             raise ValueError("ground truth length does not match data")
     ranges = shard(data, config.workers)
-    prior_meta = {}
-    if config.prior_override is not None:
-        prior = config.prior_override
-    else:
-        prior = default_prior(data, metadata=prior_meta)
-    data, hyper = center_on_prior(data, ModelHyperParams(alpha=config.alpha, prior=prior))
+    data, hyper = center_on_prior(data, config.hyper)
     factory = process_channels if channel_factory is None else channel_factory
     channels, shutdown = factory(data, ranges, seed_to_u64(config.seed), hyper)
     try:
@@ -327,6 +322,5 @@ def run_discgs(data, config, ground_truth=None, channel_factory=None):
             channel.send(StopCmd())
     finally:
         shutdown()
-    trace.meta.update(prior_meta)
     trace.meta["d"] = int(data.shape[1])
     return final_labels, trace

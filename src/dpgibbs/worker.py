@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalDegeneracyError
 from .gibbs import PartitionState, cgs_sweep
 from .niw import SufficientStats, stats_merge
 
@@ -59,12 +58,7 @@ class WorkerSummary:
 
 def worker_sweep(w, rng):
     """One local collapsed Gibbs sweep over the shard."""
-    try:
-        swept = cgs_sweep(w.local, w.data, rng)
-    except NumericalDegeneracyError as err:
-        err.add_context(worker_id=w.worker_id)
-        raise
-    return replace(w, local=swept)
+    return replace(w, local=cgs_sweep(w.local, w.data, rng))
 
 
 def summarize(w):

@@ -102,9 +102,7 @@ def discgs20k(synth20k):
         nu=float(data.shape[1] + 1),
         psi=np.cov(data, rowvar=False) / 6.0,
     )
-    config = RunConfig(
-        alpha=5.0, iterations=100, workers=8, seed=0, prior_override=prior
-    )
+    config = RunConfig(ModelHyperParams(5.0, prior), iterations=100, workers=8, seed=0)
     return run_discgs(data, config, ground_truth=truth)
 
 
@@ -320,7 +318,7 @@ def test_criterion_06_distributed_speedup(synth20k):
     started = time.perf_counter()
     run_cgs(data, hyper, iters, 1)
     central_per_iter = (time.perf_counter() - started) / iters
-    config = RunConfig(alpha=1.0, iterations=iters, workers=8, seed=1)
+    config = RunConfig(hyper, iterations=iters, workers=8, seed=1)
     started = time.perf_counter()
     run_discgs(data, config)
     dist_per_iter = (time.perf_counter() - started) / iters
@@ -335,10 +333,11 @@ def test_criterion_06_distributed_speedup(synth20k):
 @NEEDS_THREADS
 def test_criterion_07_scaleup_trend():
     data, _ = generate_gmm(preset_spec("synth-100k", seed=11))
+    hyper = ModelHyperParams(alpha=1.0, prior=default_prior(data))
     iters = 3
     per_iter = []
     for workers in (2, 4, 8):
-        config = RunConfig(alpha=1.0, iterations=iters, workers=workers, seed=1)
+        config = RunConfig(hyper, iterations=iters, workers=workers, seed=1)
         started = time.perf_counter()
         run_discgs(data, config)
         per_iter.append((time.perf_counter() - started) / iters)

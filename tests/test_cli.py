@@ -10,7 +10,7 @@ import pytest
 
 import dpgibbs
 from dpgibbs.cli import main
-from dpgibbs.datasets import read_labels, write_dataset, write_labels
+from dpgibbs.datasets import read_dataset, read_labels, write_dataset, write_labels
 
 
 def run_cli(argv, capsys):
@@ -246,15 +246,39 @@ class TestFitDistributed:
             tmp_path / "db" / "labels.csv"
         ).read_bytes()
 
+    def test_matches_the_library_recipe(self, tmp_path, capsys):
+        """The CLI fits the model the README's library example builds."""
+        from dpgibbs.niw import ModelHyperParams, default_prior
+        from dpgibbs.runtime import RunConfig, run_discgs, thread_channels
+
+        data_path, truth_path = blob_files(tmp_path, n=90, seed=3, separation=4.0)
+        code, _, err = run_cli(
+            [
+                "fit-distributed", "--data", data_path, "--truth", truth_path,
+                "--alpha", "5", "--workers", "3", "--iters", "8", "--seed", "4",
+                "--out", out_dir(tmp_path, "cli"),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        data, truth = read_dataset(data_path).data, read_labels(truth_path)
+        config = RunConfig(
+            ModelHyperParams(alpha=5.0, prior=default_prior(data)), iterations=8, workers=3, seed=4
+        )
+        labels, trace = run_discgs(data, config, ground_truth=truth, channel_factory=thread_channels)
+        write_labels(tmp_path / "recipe.csv", labels)
+        assert (tmp_path / "recipe.csv").read_bytes() == (tmp_path / "cli" / "labels.csv").read_bytes()
+        records = json.loads((tmp_path / "cli" / "trace.json").read_text())
+        assert [r["log_joint"] for r in records] == trace.log_joints.tolist()
+        assert [r["num_clusters"] for r in records] == trace.num_clusters.tolist()
+
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_worker_numerical_error_is_exit_4(self, tmp_path, capsys, monkeypatch, backend):
         from dpgibbs import runtime
         from dpgibbs.errors import NumericalDegeneracyError
 
         def degenerate_sweep(w, rng):
-            raise NumericalDegeneracyError(
-                "forced", min_eigenvalue=-1.0, context={"worker_id": w.worker_id}
-            )
+            raise NumericalDegeneracyError("forced", min_eigenvalue=-1.0)
 
         monkeypatch.setattr(runtime, "worker_sweep", degenerate_sweep)
         if backend == "thread":
@@ -270,6 +294,38 @@ class TestFitDistributed:
         assert code == 4
         assert err.startswith("numerical-error: forced min eigenvalue estimate -1.000e+00")
         assert "iteration=1" in err and "worker_id=0" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_degenerate_downdate_in_a_worker_sweep_is_exit_4(
+        self, tmp_path, capsys, monkeypatch, backend
+    ):
+        from dpgibbs import runtime
+        from dpgibbs.gibbs import _ClusterCache
+
+        refresh = _ClusterCache._refresh
+
+        def inflated(cache, rows):
+            refresh(cache, rows)
+            # An inflated whitening map makes 1 - kappa / (kappa - 1) q negative.
+            cache.whitens[rows] *= 1e3
+            cache.shifts[rows] *= 1e3
+
+        monkeypatch.setattr(_ClusterCache, "_refresh", inflated)
+        if backend == "thread":
+            monkeypatch.setattr(runtime, "process_channels", runtime.thread_channels)
+        data_path, _ = blob_files(tmp_path, n=20)
+        code, _, err = run_cli(
+            [
+                "fit-distributed", "--data", data_path, "--workers", "2",
+                "--iters", "2", "--out", out_dir(tmp_path, "fail"),
+            ],
+            capsys,
+        )
+        assert code == 4
+        assert err.startswith("numerical-error: ")
+        for field in ("iteration=1", "worker_id=0", "point_index=0"):
+            assert field in err
         assert len(err.splitlines()) == 1
 
 

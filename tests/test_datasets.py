@@ -162,7 +162,6 @@ class TestDatasetFiles:
         loaded = read_dataset(path)
         assert np.array_equal(loaded.data, data)
         assert loaded.labels is None
-        assert loaded.columns == ["x0", "x1", "x2"]
 
     def test_two_by_two_round_trip(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -177,7 +176,6 @@ class TestDatasetFiles:
         loaded = read_dataset(path)
         assert np.array_equal(loaded.data, data)
         assert np.array_equal(loaded.labels, [0, 1, 1])
-        assert loaded.columns == ["x0", "x1"]
 
     def test_header_only_errors(self, tmp_path):
         path = tmp_path / "empty.csv"

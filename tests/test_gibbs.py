@@ -432,7 +432,7 @@ class TestLgammaPaths:
     """math.lgamma paths against scipy.special.gammaln as the oracle.
 
     Counts run up to 20,000, and each dimension also gets a non-integer nu0,
-    as a prior_override may carry.  Values agree within 1e-12 relative, or
+    as a caller's prior may carry.  Values agree within 1e-12 relative, or
     within a few units in the last place of the largest term summed: the
     count constants and multigamma gaps are differences of lgamma values
     near 8e4, where the two libraries part by up to 2 ulps (2.9e-11).

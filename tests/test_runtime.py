@@ -1,11 +1,13 @@
 """Tests for sharding, the worker actor loop, and end-to-end distributed runs."""
 
+import dataclasses
 import multiprocessing
 import threading
 
 import numpy as np
 import pytest
 
+from dpgibbs.gibbs import run_cgs
 from dpgibbs.metrics import ari
 from dpgibbs.niw import NiwParams, default_prior, ModelHyperParams
 from dpgibbs.runtime import (
@@ -35,12 +37,18 @@ def two_blob_data(n=60, seed=0):
     return data, truth
 
 
+def config(data, alpha=1.0, **fields):
+    """RunConfig of the model both samplers fit by default: alpha and the
+    empirical prior of ``data``."""
+    return RunConfig(ModelHyperParams(alpha, default_prior(data)), **fields)
+
+
 def churn_data():
     """Unstructured points on which local clusters retire and are born."""
     return np.random.default_rng(3).standard_normal((3000, 2))
 
 
-CHURN_CONFIG = RunConfig(alpha=20.0, iterations=8, workers=2, seed=7)
+CHURN_CONFIG = config(churn_data(), alpha=20.0, iterations=8, workers=2, seed=7)
 
 
 class TestShard:
@@ -77,20 +85,18 @@ class TestShard:
 
 
 class TestRunConfig:
+    HYPER = ModelHyperParams(1.0, NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2)))
+
     def test_defaults_valid(self):
-        cfg = RunConfig()
-        assert cfg.alpha == 1.0
-        assert cfg.workers == 1
+        cfg = RunConfig(self.HYPER)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["hyper", "iterations", "workers", "seed"]
+        assert (cfg.iterations, cfg.workers, cfg.seed) == (100, 1, 0)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
-            RunConfig(alpha=0.0)
+            RunConfig(self.HYPER, iterations=0)
         with pytest.raises(ValueError):
-            RunConfig(alpha=float("inf"))
-        with pytest.raises(ValueError):
-            RunConfig(iterations=0)
-        with pytest.raises(ValueError):
-            RunConfig(workers=0)
+            RunConfig(self.HYPER, workers=0)
 
 
 class RecordingChannel:
@@ -129,7 +135,7 @@ class TestRunDiscgs:
         data, truth = two_blob_data(30, seed=2)
         labels, trace = run_discgs(
             data,
-            RunConfig(iterations=5, workers=1, seed=3),
+            config(data, iterations=5, workers=1, seed=3),
             channel_factory=thread_channels,
         )
         assert labels.shape == (30,)
@@ -138,11 +144,11 @@ class TestRunDiscgs:
         assert len(trace) == 5
         assert np.all(np.isfinite(trace.log_joints))
 
-    def test_single_point_with_prior_override(self):
+    def test_single_point_with_explicit_prior(self):
         prior = NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
         labels, trace = run_discgs(
             np.array([[0.5, -0.5]]),
-            RunConfig(iterations=3, workers=1, seed=0, prior_override=prior),
+            RunConfig(ModelHyperParams(1.0, prior), iterations=3, workers=1, seed=0),
             channel_factory=thread_channels,
         )
         assert np.array_equal(labels, [0])
@@ -150,7 +156,7 @@ class TestRunDiscgs:
 
     def test_same_seed_same_labels(self):
         data, _ = two_blob_data(60, seed=4)
-        cfg = RunConfig(iterations=6, workers=3, seed=11)
+        cfg = config(data, iterations=6, workers=3, seed=11)
         a, trace_a = run_discgs(data, cfg, channel_factory=thread_channels)
         b, trace_b = run_discgs(data, cfg, channel_factory=thread_channels)
         assert np.array_equal(a, b)
@@ -159,14 +165,15 @@ class TestRunDiscgs:
 
     def test_negative_seed_accepted(self):
         data, _ = two_blob_data(20, seed=5)
-        cfg = RunConfig(iterations=2, workers=2, seed=-7)
+        cfg = config(data, iterations=2, workers=2, seed=-7)
         a, _ = run_discgs(data, cfg, channel_factory=thread_channels)
         b, _ = run_discgs(data, cfg, channel_factory=thread_channels)
         assert np.array_equal(a, b)
 
     def test_process_backend_matches_thread_backend(self):
+        blobs = two_blob_data(40, seed=6)[0]
         cases = [
-            (two_blob_data(40, seed=6)[0], RunConfig(iterations=3, workers=2, seed=13)),
+            (blobs, config(blobs, iterations=3, workers=2, seed=13)),
             # Local clusters retire and are born here, so the master is
             # seeded from batches whose local labels are not dense.
             (churn_data(), CHURN_CONFIG),
@@ -229,10 +236,10 @@ class TestRunDiscgs:
         rng = np.random.default_rng(34)
         means = np.array([[-8.0, 0.0], [8.0, 0.0], [0.0, 8.0], [0.0, -8.0]])
         data = means[rng.integers(0, 4, 2000)] + rng.standard_normal((2000, 2))
-        config = RunConfig(alpha=20.0, iterations=12, workers=2, seed=5)
 
         def fit(x):
-            return run_discgs(x, config, channel_factory=thread_channels)[0]
+            cfg = config(x, alpha=20.0, iterations=12, workers=2, seed=5)
+            return run_discgs(x, cfg, channel_factory=thread_channels)[0]
 
         base = fit(data)
         assert np.unique(base).size > 1
@@ -249,15 +256,15 @@ class TestRunDiscgs:
         means = np.array([[-8.0, 0.0], [8.0, 0.0], [0.0, 8.0], [0.0, -8.0]])
         truth = rng.integers(0, 4, 2000)
         data = means[truth] + rng.standard_normal((2000, 2))
-        config = RunConfig(alpha=1.0, iterations=6, workers=2, seed=5)
-        labels, _ = run_discgs(data, config, channel_factory=thread_channels)
+        cfg = config(data, iterations=6, workers=2, seed=5)
+        labels, _ = run_discgs(data, cfg, channel_factory=thread_channels)
         assert ari(labels, truth) >= 0.9
 
     def test_recovers_separated_components(self):
         data, truth = two_blob_data(80, seed=7)
         labels, trace = run_discgs(
             data,
-            RunConfig(iterations=25, workers=4, seed=1),
+            config(data, iterations=25, workers=4, seed=1),
             ground_truth=truth,
             channel_factory=thread_channels,
         )
@@ -268,7 +275,7 @@ class TestRunDiscgs:
         data, truth = two_blob_data(24, seed=8)
         labels, trace = run_discgs(
             data,
-            RunConfig(iterations=4, workers=2, seed=2),
+            config(data, iterations=4, workers=2, seed=2),
             ground_truth=truth,
             channel_factory=thread_channels,
         )
@@ -284,25 +291,37 @@ class TestRunDiscgs:
         data, _ = two_blob_data(20, seed=10)
         _, trace = run_discgs(
             data,
-            RunConfig(iterations=3, workers=2, seed=5),
+            config(data, iterations=3, workers=2, seed=5),
             channel_factory=thread_channels,
         )
         assert trace.aris == [None, None, None]
 
     def test_too_many_workers_rejected(self):
-        with pytest.raises(ValueError):
-            run_discgs(
-                np.zeros((3, 2)),
-                RunConfig(iterations=1, workers=5),
-                channel_factory=thread_channels,
-            )
+        data, _ = two_blob_data(4, seed=9)
+        with pytest.raises(ValueError, match="more workers"):
+            run_discgs(data, config(data, iterations=1, workers=5), channel_factory=thread_channels)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda data, hyper: run_cgs(data, hyper, 1, 0),
+            lambda data, hyper: run_discgs(
+                data, RunConfig(hyper, iterations=1, workers=2), channel_factory=thread_channels
+            ),
+        ],
+        ids=["cgs", "discgs"],
+    )
+    def test_prior_of_another_dimension_rejected(self, fit):
+        """Both samplers refuse a prior that does not match the data's columns."""
+        with pytest.raises(ValueError, match="data has 1 columns but the prior has 2"):
+            fit(np.arange(4.0).reshape(4, 1), TestRunConfig.HYPER)
 
     def test_truth_length_mismatch_rejected(self):
         data, _ = two_blob_data(20, seed=11)
         with pytest.raises(ValueError):
             run_discgs(
                 data,
-                RunConfig(iterations=1, workers=2),
+                config(data, iterations=1, workers=2),
                 ground_truth=np.zeros(7, dtype=np.int64),
                 channel_factory=thread_channels,
             )
@@ -315,7 +334,7 @@ class TestMessageTraffic:
         iters = 4
         run_discgs(
             data,
-            RunConfig(iterations=iters, workers=3, seed=21),
+            config(data, iterations=iters, workers=3, seed=21),
             channel_factory=recording_factory(log),
         )
         assert len(log) == 3
@@ -353,7 +372,7 @@ class TestMessageTraffic:
         iters = 5
         _, trace = run_discgs(
             data,
-            RunConfig(iterations=iters, workers=3, seed=22),
+            config(data, iterations=iters, workers=3, seed=22),
             ground_truth=truth,
             channel_factory=recording_factory(log),
         )
@@ -380,7 +399,6 @@ class TestFitPathUsesTheClusterTable:
     def test_fits_complete_without_niw_posterior(self, monkeypatch):
         """Sweeps and the trace's log joint read the cluster table alone."""
         from dpgibbs import niw
-        from dpgibbs.gibbs import run_cgs
 
         def forbidden(prior, stats):
             raise AssertionError("niw_posterior called on the fit path")
@@ -392,7 +410,7 @@ class TestFitPathUsesTheClusterTable:
         assert len(trace) == 3 and np.all(np.isfinite(trace.log_joints))
         labels, trace = run_discgs(
             data,
-            RunConfig(iterations=3, workers=2, seed=2),
+            RunConfig(hyper, iterations=3, workers=2, seed=2),
             ground_truth=truth,
             channel_factory=thread_channels,
         )
@@ -411,7 +429,7 @@ class TestWorkerLoopFailure:
         monkeypatch.setattr(runtime, "worker_sweep", failing_sweep)
         data, _ = two_blob_data(20, seed=15)
         with pytest.raises(RuntimeError, match="forced") as info:
-            run_discgs(data, RunConfig(iterations=2, workers=2, seed=1))
+            run_discgs(data, config(data, iterations=2, workers=2, seed=1))
         # The error's context holds a lambda, so its repr arrives instead.
         assert type(info.value) is RuntimeError
         cause = str(info.value.__cause__)
@@ -435,7 +453,7 @@ class TestWorkerLoopFailure:
         data, _ = two_blob_data(20, seed=17)
         started = time.perf_counter()
         with pytest.raises(NumericalDegeneracyError, match="forced"):
-            run_discgs(data, RunConfig(iterations=2, workers=2, seed=1), channel_factory=factory)
+            run_discgs(data, config(data, iterations=2, workers=2, seed=1), channel_factory=factory)
         # Each join waits up to 5 s; closing the coordinator's ends lets the
         # workers, blocked on their next command, exit at once.
         assert time.perf_counter() - started < 4.0
