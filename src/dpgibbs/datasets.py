@@ -6,15 +6,25 @@ that the samplers never see; inference works from data alone.
 
 File side: RFC-4180-style CSV with a required header for datasets and label
 vectors, JSON for metrics and traces.  Readers reject malformed or non-finite
-input with the offending line number; writers emit shortest round-trip float
-text so ``read(write(x)) == x`` for finite values.
+input, and labels outside int64, with the offending line number; writers emit
+shortest round-trip float text so ``read(write(x)) == x`` for finite values.
+
+Files are read and written as whole tables, not cell by cell.  A reader parses the body after
+the header with one ``np.loadtxt`` call on the open file and keeps the result
+only when it parsed, is finite and has one row per line.  Otherwise the row
+parser (``csv`` plus ``float()``/``int()``, one call per cell) reads the file
+again: it takes what ``loadtxt`` does not (quoted cells, ``1_000``) and names
+the first bad line.  A writer formats a block of rows with one ``%``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +178,52 @@ class LoadedDataset:
     labels: np.ndarray | None = None
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# Rows formatted per % operation by the writers; bounds their temporaries.
+_WRITE_ROWS = 4096
+
+
+def _read_header(reader):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError("empty file, expected a header row") from None
+    return [h.strip() for h in header]
+
+
+def _rows_after_header(handle):
+    """A fresh CSV reader on ``handle`` past its header record."""
+    handle.seek(0)
+    reader = csv.reader(handle)
+    next(reader)
+    return reader
+
+
+def _bulk_columns(handle, kinds):
+    """The rest of ``handle`` as one array per column, from one ``np.loadtxt`` call.
+
+    ``kinds`` gives each column's dtype.  None unless every line parsed as
+    one record and every float is finite: ``loadtxt`` skips blank lines (the
+    line count catches them) and rejects quoted cells and ``1_000``.  What
+    it accepts, ``float()`` and ``int()`` accept with the same values.
+    """
+    dtype = np.dtype([("c%d" % j, kind) for j, kind in enumerate(kinds)])
+    lines = itertools.count()
+    counted = map(operator.itemgetter(0), zip(handle, lines))  # one count per line read
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body
+            table = np.loadtxt(counted, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if not 0 < table.shape[0] == next(lines):
+        return None
+    columns = [np.ascontiguousarray(table[name]) for name in dtype.names]
+    if not all(np.isfinite(c).all() for c in columns if c.dtype.kind == "f"):
+        return None
+    return columns
+
+
 def _parse_cell(text, line_num, column):
     try:
         value = float(text)
@@ -177,6 +233,12 @@ def _parse_cell(text, line_num, column):
         ) from None
     if not math.isfinite(value):
         raise DatasetError("non-finite value %r in column %r" % (text, column), line=line_num)
+    return value
+
+
+def _check_label(value, text, line_num):
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise DatasetError("label %r outside the int64 range" % (text,), line=line_num)
     return value
 
 
@@ -195,40 +257,59 @@ def read_dataset(path):
     """
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("empty file, expected a header row") from None
-        header = [h.strip() for h in header]
+        header = _read_header(reader)
         if all(_looks_numeric(h) for h in header):
             raise DatasetError("missing header row", line=1)
         label_col = header.index("label") if "label" in header else None
         feature_cols = [i for i in range(len(header)) if i != label_col]
         if not feature_cols:
             raise DatasetError("no feature columns", line=1)
-        rows = []
-        labels = []
-        for row in reader:
-            if len(row) != len(header):
+        kinds = [np.int64 if i == label_col else np.float64 for i in range(len(header))]
+        columns = _bulk_columns(handle, kinds)
+        if columns is None:
+            return _dataset_rows(_rows_after_header(handle), header, label_col, feature_cols)
+    return LoadedDataset(
+        data=np.column_stack([columns[i] for i in feature_cols]),
+        labels=None if label_col is None else columns[label_col],
+    )
+
+
+def _dataset_rows(reader, header, label_col, feature_cols):
+    """Row-by-row parse of a dataset body: the files the bulk parse does
+    not take, and the first bad line of a malformed one."""
+    rows = []
+    labels = []
+    for row in reader:
+        if len(row) != len(header):
+            raise DatasetError(
+                "expected %d cells, got %d" % (len(header), len(row)),
+                line=reader.line_num,
+            )
+        rows.append([_parse_cell(row[i], reader.line_num, header[i]) for i in feature_cols])
+        if label_col is not None:
+            try:
+                label = int(row[label_col])
+            except ValueError:
                 raise DatasetError(
-                    "expected %d cells, got %d" % (len(header), len(row)),
-                    line=reader.line_num,
-                )
-            rows.append([_parse_cell(row[i], reader.line_num, header[i]) for i in feature_cols])
-            if label_col is not None:
-                try:
-                    labels.append(int(row[label_col]))
-                except ValueError:
-                    raise DatasetError(
-                        "non-integer label %r" % (row[label_col],), line=reader.line_num
-                    ) from None
+                    "non-integer label %r" % (row[label_col],), line=reader.line_num
+                ) from None
+            labels.append(_check_label(label, row[label_col], reader.line_num))
     if not rows:
         raise DatasetError("no rows after the header")
-    data = np.asarray(rows, dtype=np.float64)
     return LoadedDataset(
-        data=data,
+        data=np.asarray(rows, dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64) if label_col is not None else None,
     )
+
+
+def _write_table(path, header, row_format, table):
+    """Write a CSV header line, then one ``row_format`` line per row of
+    ``table``, formatting a block of rows with one % operation."""
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, table.shape[0], _WRITE_ROWS):
+            block = table[start : start + _WRITE_ROWS]
+            handle.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def write_dataset(path, data, labels=None):
@@ -239,46 +320,50 @@ def write_dataset(path, data, labels=None):
     if not np.all(np.isfinite(data)):
         raise ValueError("refusing to write non-finite values")
     n, d = data.shape
-    header = ["x%d" % j for j in range(d)] + (["label"] if labels is not None else [])
-    if labels is not None and len(labels) != n:
-        raise ValueError("labels length %d does not match %d rows" % (len(labels), n))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(n):
-            row = [repr(float(v)) for v in data[i]]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
+    header = ["x%d" % j for j in range(d)]
+    row_format = ",".join(["%r"] * d)
+    table = data
+    if labels is not None:
+        if len(labels) != n:
+            raise ValueError("labels length %d does not match %d rows" % (len(labels), n))
+        header.append("label")
+        row_format += ",%d"
+        # Object cells keep every int64 label exact beside the floats.
+        table = np.column_stack([data.astype(object), np.asarray(labels).astype(object)])
+    _write_table(path, header, row_format + "\n", table)
 
 
 def read_labels(path):
     """Read an (index,label) CSV; indices must be exactly 0..n-1 in order."""
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("empty file, expected a header row") from None
-        header = [h.strip() for h in header]
+        header = _read_header(reader)
         if header != ["index", "label"]:
             raise DatasetError("expected header 'index,label', got %r" % ",".join(header), line=1)
-        labels = []
-        for row in reader:
-            if len(row) != 2:
-                raise DatasetError("expected 2 cells, got %d" % len(row), line=reader.line_num)
-            try:
-                idx, label = int(row[0]), int(row[1])
-            except ValueError:
-                raise DatasetError(
-                    "non-integer cell in row %r" % (row,), line=reader.line_num
-                ) from None
-            if idx != len(labels):
-                raise DatasetError(
-                    "index %d out of order, expected %d" % (idx, len(labels)),
-                    line=reader.line_num,
-                )
-            labels.append(label)
+        columns = _bulk_columns(handle, [np.int64, np.int64])
+        if columns is None or not np.array_equal(columns[0], np.arange(columns[0].shape[0])):
+            return _label_rows(_rows_after_header(handle))
+    return columns[1]
+
+
+def _label_rows(reader):
+    """Row-by-row parse of a labels body, as ``_dataset_rows`` is for data."""
+    labels = []
+    for row in reader:
+        if len(row) != 2:
+            raise DatasetError("expected 2 cells, got %d" % len(row), line=reader.line_num)
+        try:
+            idx, label = int(row[0]), int(row[1])
+        except ValueError:
+            raise DatasetError(
+                "non-integer cell in row %r" % (row,), line=reader.line_num
+            ) from None
+        if idx != len(labels):
+            raise DatasetError(
+                "index %d out of order, expected %d" % (idx, len(labels)),
+                line=reader.line_num,
+            )
+        labels.append(_check_label(label, row[1], reader.line_num))
     if not labels:
         raise DatasetError("no rows after the header")
     return np.asarray(labels, dtype=np.int64)
@@ -286,11 +371,8 @@ def read_labels(path):
 
 def write_labels(path, labels):
     labels = np.asarray(labels).reshape(-1)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["index", "label"])
-        for i, label in enumerate(labels):
-            writer.writerow([i, int(label)])
+    table = np.column_stack([np.arange(labels.shape[0]), labels])
+    _write_table(path, ["index", "label"], "%d,%d\n", table)
 
 
 def write_metrics(path, metrics):

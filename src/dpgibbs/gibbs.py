@@ -92,9 +92,19 @@ class PartitionState:
 
     @classmethod
     def from_labels(cls, data, labels, hyper):
-        """State with statistics summed from the points, labels made dense 0..K-1 in order."""
-        _, labels = np.unique(labels, return_inverse=True)
-        clusters = {k: stats_from_points(data[labels == k]) for k in range(int(labels.max()) + 1)}
+        """State with statistics summed from the points, labels made dense 0..K-1 in order.
+
+        ``labels`` are non-negative.  One stable sort groups each cluster's
+        rows, still in index order, so the sums are those of ``data[labels == k]``.
+        """
+        sizes = np.bincount(labels)
+        present = sizes > 0
+        dense = np.cumsum(present) - 1
+        labels = dense[labels]
+        # NumPy's stable sort of an integer type of at most 16 bits is a radix sort.
+        order = np.argsort(labels.astype(np.min_scalar_type(dense[-1])), kind="stable")
+        parts = np.split(data[order], np.cumsum(sizes[present])[:-1])
+        clusters = dict(enumerate(map(stats_from_points, parts)))
         return cls(labels=labels, clusters=clusters, hyper=hyper)
 
 
@@ -148,7 +158,7 @@ class _ClusterCache:
     # its own row, with itself taken out, OWN_BASE + OWN_POWER log1p(OWN_SHRINK q).
     _LOG_DET, _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(7)
 
-    def __init__(self, prior, alpha, clusters):
+    def __init__(self, prior, alpha, clusters, factor_only=False):
         self.prior = prior
         self.alpha = alpha
         self.log_alpha = math.log(alpha)
@@ -170,7 +180,11 @@ class _ClusterCache:
         # t = kappa0 mu0 + sum x; the first two terms are the same in every row.
         self._kappa_mu = prior.kappa * prior.mu
         self._psi_base = prior.psi + self._kappa_mu[:, None] * prior.mu
-        self._refresh(np.arange(k + 1))
+        rows = np.arange(k + 1)
+        if factor_only:  # all that log_joint reads; such a table scores nothing
+            self.terms[rows, self._LOG_DET] = self._factor(rows)[3]
+        else:
+            self._refresh(rows)
 
     @classmethod
     def from_partition(cls, state):
@@ -205,9 +219,9 @@ class _ClusterCache:
         outers -= t[:, :, None] * mus[:, None, :]
         return outers, mus
 
-    def _refresh(self, rows):
-        """Recompute the cached posteriors of ``rows`` (an index array) with
-        one stacked Cholesky and one stacked inverse."""
+    def _factor(self, rows):
+        """Counts, posterior means, stacked Cholesky factors and log dets of
+        the posterior scales of ``rows`` (an index array)."""
         counts = self.counts.take(rows)
         psi, mus = self._scales(counts, self.sums.take(rows, axis=0), self.outers.take(rows, axis=0))
         try:
@@ -222,6 +236,12 @@ class _ClusterCache:
                     cholesky_logdet(mat, "cluster posterior scale")
                 except NumericalDegeneracyError as err:
                     raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
+        return counts, mus, chol, log_dets
+
+    def _refresh(self, rows):
+        """Recompute the cached posteriors of ``rows`` (an index array) with
+        one stacked Cholesky and one stacked inverse."""
+        counts, mus, chol, log_dets = self._factor(rows)
         # L^-1 comes from NumPy's LAPACK (dgesv); for d x d blocks this small
         # OpenBLAS runs it on one thread, so workers sharing the cores do not
         # stall each other.
@@ -514,7 +534,8 @@ def crp_log_prob(alpha, sizes, n):
 
 def log_joint(state):
     """log p(x, z): CRP partition prior plus per-cluster marginal likelihoods."""
-    return _ClusterCache.from_partition(state).log_joint(int(state.labels.shape[0]))
+    table = _ClusterCache(state.hyper.prior, state.hyper.alpha, state.clusters, factor_only=True)
+    return table.log_joint(int(state.labels.shape[0]))
 
 
 def run_cgs(data, hyper, iterations, seed, ground_truth=None):

@@ -122,4 +122,5 @@ def global_log_joint(state, n):
     total = sum(s.n for s in state.clusters.values())
     if total != n:
         raise ValueError("global cluster sizes sum to %d, expected %d" % (total, n))
-    return _ClusterCache(state.hyper.prior, state.hyper.alpha, state.clusters).log_joint(n)
+    table = _ClusterCache(state.hyper.prior, state.hyper.alpha, state.clusters, factor_only=True)
+    return table.log_joint(n)

@@ -5,10 +5,13 @@ Monte Carlo integration over explicit Normal-Inverse-Wishart draws, Student-t
 predictive densities from scipy, and hand-rolled parameter updates.  The one
 exception is the point-by-point reference sweep, which scores points on its
 own but keeps its clusters in the package's cluster table, so that row order
-and label numbering match the sweep it checks.
+and label numbering match the sweep it checks.  The row-by-row CSV writers
+are the package's writers before they formatted blocks of rows at once.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from scipy.stats import invwishart, multivariate_t
@@ -278,3 +281,26 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
         clusters=cache.clusters_dict({lab: int(lut[lab]) for lab in cache.labels}),
         hyper=state.hyper,
     )
+
+
+def rowwise_write_dataset(path, data, labels=None):
+    """Header-ed CSV through csv.writer, one row and one repr() per cell."""
+    data = np.asarray(data, dtype=np.float64)
+    header = ["x%d" % j for j in range(data.shape[1])] + (["label"] if labels is not None else [])
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(data.shape[0]):
+            row = [repr(float(v)) for v in data[i]]
+            if labels is not None:
+                row.append(str(int(labels[i])))
+            writer.writerow(row)
+
+
+def rowwise_write_labels(path, labels):
+    """index,label CSV through csv.writer, one row per label."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["index", "label"])
+        for i, label in enumerate(np.asarray(labels).reshape(-1)):
+            writer.writerow([i, int(label)])

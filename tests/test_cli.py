@@ -171,6 +171,16 @@ class TestFit:
         assert err.startswith("io-error:")
         assert "line 3" in err
 
+    def test_label_column_outside_int64_is_io_error_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,label\n1.0,0\n2.0,-99999999999999999999\n")
+        code, _, err = run_cli(
+            ["fit", "--data", str(bad), "--out", out_dir(tmp_path, "lb")], capsys
+        )
+        assert code == 3
+        assert err.startswith("io-error:")
+        assert "line 3" in err
+
     def test_truth_length_mismatch_is_usage_error(self, tmp_path, capsys):
         data_path, _ = blob_files(tmp_path)
         short = tmp_path / "short.csv"
@@ -391,6 +401,19 @@ class TestEvaluate:
         assert metrics["nmi"] == 0.0
         assert metrics["num_clusters_pred"] == 2
 
+    def test_label_outside_int64_is_io_error_with_line(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred.csv", tmp_path / "true.csv"
+        write_labels(pred, [0, 0, 1])
+        truth.write_text("index,label\n0,0\n1,99999999999999999999\n2,1\n")
+        code, _, err = run_cli(
+            ["evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("io-error:")
+        assert "line 3" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_length_mismatch_is_usage_error(self, tmp_path, capsys):
         pred, truth = tmp_path / "pred.csv", tmp_path / "true.csv"
         write_labels(pred, [0, 0, 1])
@@ -486,14 +509,14 @@ def child_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-# Runs each argv given as JSON through the CLI, then prints the SciPy modules loaded.
-FITS_THEN_LIST_SCIPY = """
+# Runs each argv given as JSON through the CLI, then prints the names of the loaded modules.
+FITS_THEN_LIST_MODULES = """
 import json, sys
 import dpgibbs.cli
 for argv in json.loads(sys.argv[1]):
     if dpgibbs.cli.main(argv) != 0:
         sys.exit(1)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
@@ -510,14 +533,15 @@ class TestSciPyFreeFit:
             ] + truth,
         ]
         result = subprocess.run(
-            [sys.executable, "-c", FITS_THEN_LIST_SCIPY, json.dumps(fits)],
+            [sys.executable, "-c", FITS_THEN_LIST_MODULES, json.dumps(fits)],
             capture_output=True,
             text=True,
             env=child_env(),
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        scipy_modules = json.loads(result.stdout)
+        modules = json.loads(result.stdout)
+        scipy_modules = [m for m in modules if m.split(".")[0] == "scipy"]
         for out in ("c", "d"):
             metrics = json.loads((tmp_path / out / "metrics.json").read_text())
             assert ("acc" in metrics) == with_truth
@@ -525,6 +549,10 @@ class TestSciPyFreeFit:
             assert "scipy.optimize" in scipy_modules
         else:
             assert scipy_modules == []
+            # np.unique of values alone imports numpy.ma; np.loadtxt given a
+            # path opens it through numpy.lib._datasource, which imports gzip.
+            assert "numpy.ma" not in modules
+            assert "gzip" not in modules
 
 
 class TestEntryPoint:

@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import stats
 
 from dpgibbs.datasets import (
@@ -23,6 +28,8 @@ from dpgibbs.datasets import (
 )
 from dpgibbs.errors import DatasetError
 from dpgibbs.trace import IterationRecord, RunTrace
+
+import _oracles
 
 
 def two_component_spec(n=100, seed=0, w0=0.5):
@@ -248,6 +255,166 @@ class TestLabelFiles:
         path.write_text("index,label\n")
         with pytest.raises(DatasetError, match="no rows"):
             read_labels(path)
+
+
+def csv_file(tmp_path, text):
+    path = tmp_path / "file.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    return path
+
+
+class TestCsvContract:
+    """What the readers accept and how they reject, bulk parse or row parser.
+
+    Every case but the int64 range describes the row parser's behaviour
+    before the bulk parse existed: the same values, or the same message and
+    line number.  TestDatasetFiles covers nan, inf and a short row.
+    """
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x0,x1\r\n1.5,2.0\r\n-3,4e-3\r\n", [[1.5, 2.0], [-3.0, 4e-3]]),
+            ("x0,x1\r1.5,2.0\r-3,4e-3\r", [[1.5, 2.0], [-3.0, 4e-3]]),
+            ('"x0","x1"\n"1.5",2.0\n-3,"4e-3"\n', [[1.5, 2.0], [-3.0, 4e-3]]),
+            ("x0\n1_000\n", [[1000.0]]),
+            ("x0,x1\n 1.5 ,+2\n", [[1.5, 2.0]]),
+            ("x0,x1\n1.5,2.0", [[1.5, 2.0]]),
+            ("x0\n1.5\n-2\n0\n", [[1.5], [-2.0], [0.0]]),
+        ],
+        ids=["crlf", "cr", "quoted", "underscore", "spaces", "one-row-no-newline", "one-column"],
+    )
+    def test_dataset_accepted(self, tmp_path, text, expected):
+        loaded = read_dataset(csv_file(tmp_path, text))
+        assert loaded.data.dtype == np.float64
+        assert loaded.data.tolist() == expected
+        assert loaded.labels is None
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("x0,x1\n1,2\n\n3,4\n", "expected 2 cells, got 0", 3),
+            ("x0,x1\n1,2\n3,4\n\n", "expected 2 cells, got 0", 4),
+            ("x0,x1\r\n1,2\r\n\r\n", "expected 2 cells, got 0", 3),
+            ("x0\n1\n1e400\n", "non-finite value '1e400'", 3),
+            ("x0,x1\n1,2,3\n", "expected 2 cells, got 3", 2),
+            ("x0,x1\n1,2#3\n", "non-numeric cell '2#3'", 2),
+            ("x0,label\n1.0,2\n2.0,3.0\n", "non-integer label '3.0'", 3),
+            ("x0,label\n1.0,2\n2.0,99999999999999999999\n", "outside the int64 range", 3),
+        ],
+        ids=[
+            "blank-mid", "blank-end", "blank-crlf", "overflow", "long-row", "hash",
+            "float-label", "label-out-of-range",
+        ],
+    )
+    def test_dataset_rejected(self, tmp_path, text, message, line):
+        with pytest.raises(DatasetError, match=message) as err:
+            read_dataset(csv_file(tmp_path, text))
+        assert err.value.line == line
+
+    def test_dataset_label_column_anywhere(self, tmp_path):
+        text = "label,x0\n-9223372036854775808,1.5\n 9223372036854775807 ,2\n"
+        loaded = read_dataset(csv_file(tmp_path, text))
+        assert loaded.data.tolist() == [[1.5], [2.0]]
+        assert loaded.labels.dtype == np.int64
+        assert loaded.labels.tolist() == [-(2**63), 2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("index,label\r\n0,3\r\n1,-5\r\n", [3, -5]),
+            ('"index","label"\n"0","3"\n', [3]),
+            ("index,label\n0,1_000\n", [1000]),
+            ("index,label\n0,9223372036854775807", [2**63 - 1]),
+        ],
+        ids=["crlf", "quoted", "underscore", "one-row-int64-max"],
+    )
+    def test_labels_accepted(self, tmp_path, text, expected):
+        labels = read_labels(csv_file(tmp_path, text))
+        assert labels.dtype == np.int64
+        assert labels.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("index,label\n0,1\n\n1,2\n", "expected 2 cells, got 0", 3),
+            ("index,label\n0,1\n1,2\n\n", "expected 2 cells, got 0", 4),
+            ("index,label\n0,3.0\n", "non-integer cell", 2),
+            ("index,label\n0,1\n1,2,3\n", "expected 2 cells, got 3", 3),
+            ("index,label\n0,1\n1,-99999999999999999999\n", "outside the int64 range", 3),
+        ],
+        ids=["blank-mid", "blank-end", "float-label", "long-row", "label-out-of-range"],
+    )
+    def test_labels_rejected(self, tmp_path, text, message, line):
+        with pytest.raises(DatasetError, match=message) as err:
+            read_labels(csv_file(tmp_path, text))
+        assert err.value.line == line
+
+
+floats64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
+SPECIAL = np.array([[-0.0, 5e-324], [1.7e308, -1.7e308], [2.2250738585072014e-308, -1e-310]])
+
+
+class TestRoundTripBitwise:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=floats64),
+        draw=st.data(),
+        with_labels=st.booleans(),
+    )
+    @example(data=SPECIAL, draw=None, with_labels=False)
+    @example(data=SPECIAL, draw=None, with_labels=True)
+    def test_read_returns_what_was_written(self, data, draw, with_labels):
+        labels = None
+        if with_labels:
+            labels = np.array([-(2**63), 2**63 - 1, 0][: data.shape[0]], dtype=np.int64)
+            if draw is not None:
+                labels = draw.draw(arrays(np.int64, data.shape[0]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            write_dataset(path, data, labels=labels)
+            loaded = read_dataset(path)
+        assert loaded.data.dtype == np.float64
+        assert loaded.data.shape == data.shape
+        assert loaded.data.tobytes() == data.tobytes()
+        if with_labels:
+            assert loaded.labels.dtype == np.int64
+            assert np.array_equal(loaded.labels, labels)
+        else:
+            assert loaded.labels is None
+
+
+class TestWriterBytes:
+    """The block writers write the bytes the row-by-row csv.writer wrote."""
+
+    @staticmethod
+    def fixed_table():
+        rng = np.random.default_rng(21)
+        data = rng.standard_normal((5_000, 3)) * np.array([1e-8, 1.0, 1e12])
+        data[:2] = SPECIAL.T
+        labels = rng.integers(-(2**63), 2**63 - 1, 5_000, dtype=np.int64, endpoint=True)
+        labels[:2] = [-(2**63), 2**63 - 1]
+        return data, labels
+
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_dataset(self, tmp_path, with_labels):
+        data, labels = self.fixed_table()
+        labels = labels if with_labels else None
+        write_dataset(tmp_path / "new.csv", data, labels=labels)
+        _oracles.rowwise_write_dataset(tmp_path / "old.csv", data, labels=labels)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["int64", "list", "empty"])
+    def test_labels(self, tmp_path, kind):
+        labels = {
+            "int64": self.fixed_table()[1],
+            "list": [3, 0, 2, 2],
+            "empty": np.array([], dtype=np.int64),
+        }[kind]
+        write_labels(tmp_path / "new.csv", labels)
+        _oracles.rowwise_write_labels(tmp_path / "old.csv", labels)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestJsonOutputs:

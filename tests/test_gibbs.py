@@ -92,6 +92,25 @@ class TestPartitionState:
         with pytest.raises(ValueError):
             validate_partition(broken, data)
 
+    @pytest.mark.parametrize("num_labels", [1, 7, 300, 70_000])
+    def test_from_labels_matches_unique_and_masks(self, num_labels):
+        """Dense labels and statistics bit for bit those of np.unique plus one
+        boolean mask per cluster, the route from_labels took before."""
+        rng = np.random.default_rng(num_labels)
+        for d in (1, 2, 8):
+            data = 1e6 + 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((2_000, d))
+            labels = 3 * rng.integers(0, num_labels, 2_000)  # sparse ids, some absent
+            _, dense = np.unique(labels, return_inverse=True)
+            state = PartitionState.from_labels(data, labels, unit_hyper(d))
+            assert state.labels.dtype == dense.dtype
+            assert np.array_equal(state.labels, dense)
+            assert list(state.clusters) == list(range(int(dense.max()) + 1))
+            for k, stats in state.clusters.items():
+                expected = stats_from_points(data[dense == k])
+                assert stats.n == expected.n
+                assert stats.sum.tobytes() == expected.sum.tobytes()
+                assert stats.sum_outer.tobytes() == expected.sum_outer.tobytes()
+
 
 class TestSampleLogWeights:
     def test_degenerate_weight_vector_is_deterministic(self):
@@ -426,6 +445,23 @@ class TestLogJoint:
         gstate = GlobalState(assignments={}, clusters=state.clusters, hyper=hyper)
         assert math.isclose(log_joint(state), expected, rel_tol=1e-12)
         assert math.isclose(global_log_joint(gstate, labels.size), expected, rel_tol=1e-12)
+
+    def test_factor_only_table_reads_the_full_tables_log_dets(self):
+        """The log joint's table factors its rows only; its log joint is the
+        one a full table, built to score points, gives."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        rng = np.random.default_rng(12)
+        data = rng.standard_normal((400, 8)) + 4.0 * rng.integers(0, 5, (400, 1))
+        hyper = empirical_hyper(data, alpha=2.0)
+        state = PartitionState.from_labels(data, rng.integers(0, 26, 400), hyper)
+        full = _ClusterCache.from_partition(state)
+        assert log_joint(state) == full.log_joint(400)
+        bare = _ClusterCache(hyper.prior, hyper.alpha, state.clusters, factor_only=True)
+        k = len(state.clusters)
+        log_det = _ClusterCache._LOG_DET
+        assert np.array_equal(bare.terms[: k + 1, log_det], full.terms[: k + 1, log_det])
+        assert not bare.whitens.any()
 
 
 class TestLgammaPaths:
