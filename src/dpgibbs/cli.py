@@ -221,8 +221,8 @@ def cmd_generate(args):
 
 def cmd_fit(args):
     data, truth, hyper, prior_payload = _load_fit_inputs(args)
-    state, trace = run_cgs(data, hyper, args.iters, args.seed, ground_truth=truth)
-    _write_fit_outputs(args, state.labels, trace, truth, 1, prior_payload)
+    labels, trace = run_cgs(data, hyper, args.iters, args.seed, ground_truth=truth)
+    _write_fit_outputs(args, labels, trace, truth, 1, prior_payload)
 
 
 def cmd_fit_distributed(args):

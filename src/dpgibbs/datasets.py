@@ -312,25 +312,15 @@ def _write_table(path, header, row_format, table):
             handle.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-def write_dataset(path, data, labels=None):
+def write_dataset(path, data):
     """Write observations as header-ed CSV; floats use shortest round-trip text."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("data must be 2-dimensional, got shape %r" % (data.shape,))
     if not np.all(np.isfinite(data)):
         raise ValueError("refusing to write non-finite values")
-    n, d = data.shape
-    header = ["x%d" % j for j in range(d)]
-    row_format = ",".join(["%r"] * d)
-    table = data
-    if labels is not None:
-        if len(labels) != n:
-            raise ValueError("labels length %d does not match %d rows" % (len(labels), n))
-        header.append("label")
-        row_format += ",%d"
-        # Object cells keep every int64 label exact beside the floats.
-        table = np.column_stack([data.astype(object), np.asarray(labels).astype(object)])
-    _write_table(path, header, row_format + "\n", table)
+    d = data.shape[1]
+    _write_table(path, ["x%d" % j for j in range(d)], ",".join(["%r"] * d) + "\n", data)
 
 
 def read_labels(path):

@@ -69,26 +69,37 @@ def seed_to_u64(seed):
 
 @dataclass
 class PartitionState:
-    """Partition of points into clusters with per-cluster exact statistics.
+    """Labels of the points and the live table of their clusters' statistics.
 
-    ``clusters`` maps each label present in ``labels`` to the statistics of
-    exactly the points with that label.  Labels are non-negative cluster ids;
-    they are dense (0..K-1) only in the state ``run_cgs`` returns.
+    Row r of ``table`` holds the raw sums of the points labelled
+    ``table.labels[r]`` and the posterior factors cached from them;
+    ``cgs_sweep`` updates both in place.  Labels are non-negative cluster
+    ids; ``table.row_of[labels]`` makes them dense (0..K-1), in order.
     """
 
     labels: np.ndarray
-    clusters: dict[int, SufficientStats]
-    hyper: ModelHyperParams
+    table: _ClusterCache
 
     @property
     def num_clusters(self):
-        return len(self.clusters)
+        return len(self.table.labels)
+
+    @property
+    def clusters(self):
+        """{label: SufficientStats} in ascending label order, copied from the table."""
+        return self.table.stats()
+
+    @classmethod
+    def from_stats(cls, labels, clusters, hyper):
+        """State of ``labels`` (copied) and a table of ``clusters``, {label: SufficientStats}."""
+        table = _ClusterCache(hyper.prior, hyper.alpha, clusters)
+        return cls(labels=np.array(labels, dtype=np.int64), table=table)
 
     @classmethod
     def single_cluster(cls, data, hyper):
         data = np.asarray(data, dtype=np.float64)
         labels = np.zeros(data.shape[0], dtype=np.int64)
-        return cls(labels=labels, clusters={0: stats_from_points(data)}, hyper=hyper)
+        return cls.from_stats(labels, {0: stats_from_points(data)}, hyper)
 
     @classmethod
     def from_labels(cls, data, labels, hyper):
@@ -104,8 +115,7 @@ class PartitionState:
         # NumPy's stable sort of an integer type of at most 16 bits is a radix sort.
         order = np.argsort(labels.astype(np.min_scalar_type(dense[-1])), kind="stable")
         parts = np.split(data[order], np.cumsum(sizes[present])[:-1])
-        clusters = dict(enumerate(map(stats_from_points, parts)))
-        return cls(labels=labels, clusters=clusters, hyper=hyper)
+        return cls.from_stats(labels, dict(enumerate(map(stats_from_points, parts))), hyper)
 
 
 def center_on_prior(data, hyper):
@@ -158,39 +168,35 @@ class _ClusterCache:
     # its own row, with itself taken out, OWN_BASE + OWN_POWER log1p(OWN_SHRINK q).
     _LOG_DET, _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(7)
 
-    def __init__(self, prior, alpha, clusters, factor_only=False):
+    def __init__(self, prior, alpha, clusters):
         self.prior = prior
         self.alpha = alpha
         self.log_alpha = math.log(alpha)
         self.d = d = prior.d
-        self.labels = sorted(int(lab) for lab in clusters)
+        self._name_rows(sorted(int(lab) for lab in clusters))
         k = len(self.labels)
         shapes = {"sums": (d,), "shifts": (d,), "outers": (d, d), "whitens": (d, d), "terms": (7,)}
         for name in self._ROW_ARRAYS:
             setattr(self, name, np.zeros((max(16, k + 2),) + shapes.get(name, ())))
-        self.next_label = self.labels[-1] + 1 if k else 0
-        self.row_of = np.full(max(16, self.next_label), -1, dtype=np.int64)  # label -> row, -1 if none
         for r, lab in enumerate(self.labels):
             stats = clusters[lab]
             if stats.n < 1:
                 raise ValueError("cluster %d is empty" % lab)
-            self.row_of[lab] = r
             self.counts[r], self.sums[r], self.outers[r] = stats.n, stats.sum, stats.sum_outer
         # Psi_n = Psi0 + kappa0 mu0 mu0^T + sum x x^T - t t^T / kappa_n with
         # t = kappa0 mu0 + sum x; the first two terms are the same in every row.
         self._kappa_mu = prior.kappa * prior.mu
         self._psi_base = prior.psi + self._kappa_mu[:, None] * prior.mu
-        rows = np.arange(k + 1)
-        if factor_only:  # all that log_joint reads; such a table scores nothing
-            self.terms[rows, self._LOG_DET] = self._factor(rows)[3]
-        else:
-            self._refresh(rows)
-
-    @classmethod
-    def from_partition(cls, state):
-        return cls(state.hyper.prior, state.hyper.alpha, state.clusters)
+        self._refresh(np.arange(k + 1))
 
     # -- row maintenance ----------------------------------------------------
+
+    def _name_rows(self, labels):
+        """Name rows 0..K-1 by ``labels`` (ascending ints); new rows are numbered above them."""
+        self.labels = labels
+        self.next_label = labels[-1] + 1 if labels else 0
+        self.row_of = np.full(max(16, self.next_label), -1, dtype=np.int64)  # label -> row, -1 if none
+        self.row_of[labels] = np.arange(len(labels))
 
     def _count_const(self, m):
         """log m plus every point-weight term that depends only on the count m.
@@ -219,9 +225,9 @@ class _ClusterCache:
         outers -= t[:, :, None] * mus[:, None, :]
         return outers, mus
 
-    def _factor(self, rows):
-        """Counts, posterior means, stacked Cholesky factors and log dets of
-        the posterior scales of ``rows`` (an index array)."""
+    def _refresh(self, rows):
+        """Recompute the cached posteriors of ``rows`` (an index array) with
+        one stacked Cholesky and one stacked inverse."""
         counts = self.counts.take(rows)
         psi, mus = self._scales(counts, self.sums.take(rows, axis=0), self.outers.take(rows, axis=0))
         try:
@@ -236,12 +242,6 @@ class _ClusterCache:
                     cholesky_logdet(mat, "cluster posterior scale")
                 except NumericalDegeneracyError as err:
                     raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
-        return counts, mus, chol, log_dets
-
-    def _refresh(self, rows):
-        """Recompute the cached posteriors of ``rows`` (an index array) with
-        one stacked Cholesky and one stacked inverse."""
-        counts, mus, chol, log_dets = self._factor(rows)
         # L^-1 comes from NumPy's LAPACK (dgesv); for d x d blocks this small
         # OpenBLAS runs it on one thread, so workers sharing the cores do not
         # stall each other.
@@ -313,6 +313,28 @@ class _ClusterCache:
         changed.append(choice)
         self._refresh(np.array(changed))
         return target
+
+    def rename(self, targets):
+        """Give row r the label ``targets[r]`` (non-negative ints, one per row).
+
+        The first row given a label takes in the later ones, in row order,
+        which adds their sums in the order ``niw.stats_merge`` does; only
+        such merged rows are refreshed.  Rows end in ascending label order.
+        """
+        labels, first, inverse = np.unique(targets, return_index=True, return_inverse=True)
+        merged = set()
+        for r, j in enumerate(inverse.tolist()):
+            if r != first[j]:
+                for arr in (self.counts, self.sums, self.outers):
+                    arr[first[j]] += arr[r]
+                merged.add(j)
+        keep = np.append(first, len(self.labels))  # the base-measure row stays last
+        for name in self._ROW_ARRAYS:
+            arr = getattr(self, name)
+            arr[: keep.shape[0]] = arr[keep]
+        self._name_rows(labels.tolist())
+        if merged:
+            self._refresh(np.array(sorted(merged)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -434,16 +456,10 @@ class _ClusterCache:
         )
         return crp_log_prob(self.alpha, sizes.tolist(), n) + float(gains.sum())
 
-    def clusters_dict(self, relabel):
-        """Materialize {relabel[label]: SufficientStats}."""
-        out = {}
-        for r, lab in enumerate(self.labels):
-            out[relabel[lab]] = SufficientStats(
-                int(round(self.counts[r])),
-                self.sums[r].copy(),
-                self.outers[r].copy(),
-            )
-        return out
+    def stats(self):
+        """{label: SufficientStats} of the rows in ascending label order, copied out."""
+        rows = zip(self.labels, self.counts.tolist(), self.sums, self.outers)
+        return {lab: SufficientStats(int(n), s, o) for lab, n, s, o in rows}
 
 
 def cgs_sweep(state, data, rng, weight_log=None):
@@ -464,13 +480,15 @@ def cgs_sweep(state, data, rng, weight_log=None):
     numbered above the largest label the sweep started with.
     When ``weight_log`` is a list, the log-weight vector of each point
     reached is appended to it (a singleton's without its own cluster).
+    The state's labels and table are updated in place; returns the state.
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     if state.labels.shape[0] != n:
         raise ValueError("state covers %d points, data has %d" % (state.labels.shape[0], n))
-    cache = _ClusterCache.from_partition(state)
-    labels = np.array(state.labels, dtype=np.int64, copy=True)
+    cache = state.table
+    labels = state.labels
+    cache.next_label = cache.labels[-1] + 1 if cache.labels else 0
     uniforms = rng.random(n)
     cells = _BLOCK_CELLS // (cache.d * max(cache.d, 4))
     # Decayed counts of points reached and of table changes: the run length.
@@ -520,8 +538,7 @@ def cgs_sweep(state, data, rng, weight_log=None):
     except NumericalDegeneracyError as err:
         err.add_context(point_index=i)
         raise
-    same = {lab: lab for lab in cache.labels}
-    return PartitionState(labels=labels, clusters=cache.clusters_dict(same), hyper=state.hyper)
+    return state
 
 
 def crp_log_prob(alpha, sizes, n):
@@ -533,20 +550,19 @@ def crp_log_prob(alpha, sizes, n):
 
 
 def log_joint(state):
-    """log p(x, z): CRP partition prior plus per-cluster marginal likelihoods."""
-    table = _ClusterCache(state.hyper.prior, state.hyper.alpha, state.clusters, factor_only=True)
-    return table.log_joint(int(state.labels.shape[0]))
+    """log p(x, z): CRP partition prior plus per-cluster marginal likelihoods,
+    read from the state's table."""
+    return state.table.log_joint(int(state.labels.shape[0]))
 
 
 def run_cgs(data, hyper, iterations, seed, ground_truth=None):
     """Run the centralized sampler from a single-cluster initialization.
 
-    Returns (final PartitionState, RunTrace).  The trace records log p(x, z),
+    Returns (final labels, RunTrace), the labels made dense 0..K-1 in the
+    order the sweeps numbered the clusters.  The trace records log p(x, z),
     the cluster count, wall-clock seconds per iteration, and (when ground
     truth labels are supplied) the adjusted Rand index after each iteration.
-    Sweeps run on the data centered on the prior mean; the returned state
-    holds the statistics of ``data`` as given, with labels made dense 0..K-1
-    in the order the sweeps numbered the clusters.
+    Sweeps run on the data centered on the prior mean.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1, got %r" % (iterations,))
@@ -570,7 +586,7 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None):
     for t in range(1, iterations + 1):
         started = time.perf_counter()
         try:
-            state = cgs_sweep(state, centered, rng)
+            cgs_sweep(state, centered, rng)
         except NumericalDegeneracyError as err:
             err.add_context(iteration=t)
             raise
@@ -588,4 +604,4 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None):
                 ari=score,
             )
         )
-    return PartitionState.from_labels(data, state.labels, hyper), trace
+    return state.table.row_of[state.labels], trace

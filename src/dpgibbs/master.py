@@ -14,7 +14,9 @@ Global clusters live in the centralized sampler's cluster table: exact sums
 maintained by field-wise add/subtract of batch statistics, with every
 candidate scored against a batch in one vectorized evaluation.  A batch is
 scored in its own global cluster without leaving it (unless it is the whole
-cluster), so only a batch that moves changes the table.
+cluster), so only a batch that moves changes the table.  The sweep's result
+holds that table, its rows renamed to the dense global labels, and the
+trace's log joint reads it.
 """
 
 from __future__ import annotations
@@ -30,16 +32,15 @@ from .niw import stats_merge
 
 @dataclass
 class GlobalState:
-    """Batch assignments (worker_id, local_label) -> dense global label, plus
-    the statistics of each global cluster."""
+    """Batch assignments (worker_id, local_label) -> dense global label, and
+    the cluster table whose row g holds global cluster g."""
 
     assignments: dict
-    clusters: dict
-    hyper: object
+    table: _ClusterCache
 
     @property
     def num_clusters(self):
-        return len(self.clusters)
+        return len(self.table.labels)
 
 
 def _collect_batches(summaries):
@@ -62,7 +63,7 @@ def _collect_batches(summaries):
 
 
 def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
-    """One randomized pass reassigning every batch; returns a new GlobalState.
+    """One randomized pass reassigning every batch; returns a GlobalState.
 
     The sweep starts from the previous assignment the batches name: each
     global cluster is rebuilt from the current statistics of the batches
@@ -110,17 +111,13 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
         if choice != own:
             assignments[key] = table.move(previous, choice, stats.n, stats.sum, stats.sum_outer)
     dense = {g: i for i, g in enumerate(table.labels)}
-    return GlobalState(
-        assignments={key: dense[g] for key, g in assignments.items()},
-        clusters=table.clusters_dict(dense),
-        hyper=hyper,
-    )
+    table.rename(np.arange(len(dense)))
+    return GlobalState(assignments={key: dense[g] for key, g in assignments.items()}, table=table)
 
 
 def global_log_joint(state, n):
-    """log p(x, z) of the global partition, from cluster statistics alone."""
-    total = sum(s.n for s in state.clusters.values())
+    """log p(x, z) of the global partition, read from the master's table."""
+    total = int(state.table.counts[: state.num_clusters].sum())
     if total != n:
         raise ValueError("global cluster sizes sum to %d, expected %d" % (total, n))
-    table = _ClusterCache(state.hyper.prior, state.hyper.alpha, state.clusters, factor_only=True)
-    return table.log_joint(n)
+    return state.table.log_joint(n)

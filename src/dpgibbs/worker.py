@@ -5,17 +5,19 @@ Gibbs sweep as the centralized sampler, with the same concentration alpha and
 base measure.  After each sweep it ships per-cluster sufficient statistics to
 the master; the master's reply (this worker's label map) is applied by
 renaming and merging local clusters, never by splitting them, and keys the
-local clusters by their global ids from then on.
+local clusters by their global ids from then on.  A worker keeps one cluster
+table for its whole run: the sweep updates it in place, the summary reads its
+rows, and the apply renames them, summing the rows that share a global id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gibbs import PartitionState, cgs_sweep
-from .niw import SufficientStats, stats_merge
+from .niw import SufficientStats
 
 
 @dataclass
@@ -57,44 +59,38 @@ class WorkerSummary:
 
 
 def worker_sweep(w, rng):
-    """One local collapsed Gibbs sweep over the shard."""
-    return replace(w, local=cgs_sweep(w.local, w.data, rng))
+    """One local collapsed Gibbs sweep over the shard, in place; returns ``w``."""
+    cgs_sweep(w.local, w.data, rng)
+    return w
 
 
 def summarize(w):
     """WorkerSummary with one entry per non-empty local cluster."""
     entries = tuple(
-        ClusterSummary(lab, lab if lab < w.first_new else None, w.local.clusters[lab])
-        for lab in sorted(w.local.clusters)
+        ClusterSummary(lab, lab if lab < w.first_new else None, stats)
+        for lab, stats in w.local.clusters.items()
     )
     return WorkerSummary(worker_id=w.worker_id, clusters=entries)
 
 
 def apply_global_labels(w, label_map):
-    """Rename local clusters to their global ids and merge collisions.
+    """Rename local clusters to their global ids and merge collisions, in
+    place; returns ``w``.
 
     ``label_map`` maps each current local label to its global id; a missing
     or unknown local label is an error.  Afterwards the local labels are the
     global ids; merged cluster statistics are field-wise sums.
     """
-    if set(label_map) != set(w.local.clusters):
-        missing = sorted(set(w.local.clusters) - set(label_map))
-        unknown = sorted(set(label_map) - set(w.local.clusters))
+    table = w.local.table
+    if set(label_map) != set(table.labels):
+        missing = sorted(set(table.labels) - set(label_map))
+        unknown = sorted(set(label_map) - set(table.labels))
         raise ValueError(
             "label map does not match worker %d clusters: missing %r, unknown %r"
             % (w.worker_id, missing, unknown)
         )
-    lut = np.empty(max(label_map) + 1, dtype=np.int64)
-    members = {}
-    for h in sorted(label_map):
-        lut[h] = label_map[h]
-        members.setdefault(label_map[h], []).append(w.local.clusters[h])
-    clusters = {
-        g: parts[0] if len(parts) == 1 else stats_merge(parts)
-        for g, parts in sorted(members.items())
-    }
-    return replace(
-        w,
-        local=PartitionState(labels=lut[w.local.labels], clusters=clusters, hyper=w.local.hyper),
-        first_new=max(clusters) + 1,
-    )
+    targets = np.array([label_map[h] for h in table.labels], dtype=np.int64)
+    w.local.labels = targets[table.row_of[w.local.labels]]
+    table.rename(targets)
+    w.first_new = table.next_label
+    return w

@@ -4,9 +4,11 @@ Everything here is computed by routes that do not share code with the package:
 Monte Carlo integration over explicit Normal-Inverse-Wishart draws, Student-t
 predictive densities from scipy, and hand-rolled parameter updates.  The one
 exception is the point-by-point reference sweep, which scores points on its
-own but keeps its clusters in the package's cluster table, so that row order
-and label numbering match the sweep it checks.  The row-by-row CSV writers
-are the package's writers before they formatted blocks of rows at once.
+own but keeps its clusters in a cluster table of the package's, built afresh
+from the state's statistics, so that row order and label numbering match the
+sweep it checks.  The row-by-row CSV writers are the package's writers before
+they formatted blocks of rows at once; tests that need a data file with a
+label column write it with ``rowwise_write_dataset``.
 """
 
 from __future__ import annotations
@@ -237,13 +239,15 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
     cluster is deleted first.  Each draw takes its own ``rng.random()`` and
     inverts the CDF with ``searchsorted``.  Weights are computed from the
     table's raw sums with dense solves; the table itself (row order, label
-    numbering, moves) is the package's ``_ClusterCache``.
+    numbering, moves) is a new ``_ClusterCache`` of the state's statistics.
+    ``state`` is left as it is; the result is a new state with labels made
+    dense 0..K-1.
     """
     from dpgibbs.gibbs import PartitionState, _ClusterCache
 
     data = np.asarray(data, dtype=np.float64)
-    cache = _ClusterCache.from_partition(state)
-    prior = state.hyper.prior
+    prior = state.table.prior
+    cache = _ClusterCache(prior, state.table.alpha, state.clusters)
     labels = np.array(state.labels, dtype=np.int64, copy=True)
     for i in range(data.shape[0]):
         x = data[i]
@@ -274,13 +278,9 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
         if idx == own:
             continue
         labels[i] = cache.move(None if own is None else label, idx, 1, x, np.outer(x, x))
-    lut = np.full(cache.next_label, -1, dtype=np.int64)
-    lut[cache.labels] = np.arange(len(cache.labels))
-    return PartitionState(
-        labels=lut[labels],
-        clusters=cache.clusters_dict({lab: int(lut[lab]) for lab in cache.labels}),
-        hyper=state.hyper,
-    )
+    dense = cache.row_of[labels]
+    cache.rename(np.arange(len(cache.labels)))
+    return PartitionState(labels=dense, table=cache)
 
 
 def rowwise_write_dataset(path, data, labels=None):

@@ -1,6 +1,8 @@
 """Unit tests for the centralized collapsed Gibbs sampler."""
 
+import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from dpgibbs.niw import (
     log_prior_predictive,
     niw_posterior,
     stats_from_points,
+    stats_merge,
 )
 
 import _oracles
@@ -57,12 +60,13 @@ def separated_two_component(n=200, seed=0):
 
 
 def compacted(state):
-    """The state with its cluster ids renumbered 0..K-1 in ascending order."""
+    """The state's labels and statistics with its cluster ids renumbered
+    0..K-1 in ascending order; the state itself is left as it is."""
     ids = sorted(state.clusters)
     lut = np.full(max(ids) + 1, -1, dtype=np.int64)
     lut[ids] = np.arange(len(ids))
     clusters = {k: state.clusters[lab] for k, lab in enumerate(ids)}
-    return PartitionState(labels=lut[state.labels], clusters=clusters, hyper=state.hyper)
+    return SimpleNamespace(labels=lut[state.labels], clusters=clusters)
 
 
 def state_for_partition(data, labels, hyper):
@@ -70,7 +74,7 @@ def state_for_partition(data, labels, hyper):
     clusters = {
         int(lab): stats_from_points(data[labels == lab]) for lab in np.unique(labels)
     }
-    return PartitionState(labels=labels, clusters=clusters, hyper=hyper)
+    return PartitionState.from_stats(labels, clusters, hyper)
 
 
 class TestPartitionState:
@@ -84,10 +88,8 @@ class TestPartitionState:
     def test_validate_catches_bad_stats(self):
         data = np.zeros((3, 1))
         state = PartitionState.single_cluster(data, unit_hyper(1))
-        broken = PartitionState(
-            labels=state.labels,
-            clusters={0: stats_from_points(np.ones((3, 1)))},
-            hyper=state.hyper,
+        broken = PartitionState.from_stats(
+            state.labels, {0: stats_from_points(np.ones((3, 1)))}, unit_hyper(1)
         )
         with pytest.raises(ValueError):
             validate_partition(broken, data)
@@ -135,8 +137,8 @@ class TestSampleLogWeights:
 class TestCgsSweep:
     def test_single_point_always_one_cluster(self):
         data = np.array([[1.5]])
-        state = PartitionState.single_cluster(data, unit_hyper(1))
         for seed in range(5):
+            state = PartitionState.single_cluster(data, unit_hyper(1))
             out = cgs_sweep(state, data, np.random.default_rng(seed))
             assert out.num_clusters == 1
             validate_partition(compacted(out), data)
@@ -158,9 +160,9 @@ class TestCgsSweep:
     def test_fixed_seed_bit_identical_labels(self):
         rng_data = np.random.default_rng(5)
         data = rng_data.standard_normal((40, 2))
-        state = PartitionState.single_cluster(data, unit_hyper(2))
-        a = cgs_sweep(state, data, np.random.default_rng(17))
-        b = cgs_sweep(state, data, np.random.default_rng(17))
+        a, b = (PartitionState.single_cluster(data, unit_hyper(2)) for _ in range(2))
+        cgs_sweep(a, data, np.random.default_rng(17))
+        cgs_sweep(b, data, np.random.default_rng(17))
         assert np.array_equal(a.labels, b.labels)
 
     def test_invariants_over_many_sweeps(self):
@@ -172,17 +174,19 @@ class TestCgsSweep:
         sweep_rng = np.random.default_rng(7)
         for _ in range(10):
             before = set(state.clusters)
+            fresh = PartitionState.from_stats(state.labels, state.clusters, unit_hyper(2))
+            cgs_sweep(fresh, data, copy.deepcopy(sweep_rng))
             state = cgs_sweep(state, data, sweep_rng)
             validate_partition(compacted(state), data)
             assert sum(s.n for s in state.clusters.values()) == data.shape[0]
             # Surviving clusters keep their labels; new ones are numbered
-            # above every label the sweep started with.
+            # above every label the sweep started with, just as a table
+            # built afresh for the sweep numbers them.
             assert all(lab in before or lab > max(before) for lab in state.clusters)
+            assert np.array_equal(state.labels, fresh.labels)
 
     def test_cached_weights_equal_public_predictive_route(self):
         """The vectorized cluster cache and the public log_marginal route must agree."""
-        from dpgibbs.gibbs import _ClusterCache
-
         rng = np.random.default_rng(30)
         for _ in range(20):
             d = int(rng.integers(1, 4))
@@ -190,7 +194,7 @@ class TestCgsSweep:
             labels = rng.integers(0, 4, 15)
             hyper = unit_hyper(d, alpha=float(rng.uniform(0.2, 3.0)))
             state = state_for_partition(data, labels, hyper)
-            cache = _ClusterCache.from_partition(state)
+            cache = state.table
             x = rng.standard_normal(d)
             fast = cache.point_log_weights(x)
             xs = stats_from_points(x)
@@ -204,8 +208,6 @@ class TestCgsSweep:
 
     def test_own_row_weight_equals_remove_then_score(self):
         """Scoring a point inside its own cluster equals taking it out first."""
-        from dpgibbs.gibbs import _ClusterCache
-
         rng = np.random.default_rng(31)
         labels = np.array([0, 0, 1, 1, 1, 2, 3, 3])
         for d in range(1, 9):
@@ -213,7 +215,7 @@ class TestCgsSweep:
                 data = rng.standard_normal((8, d)) * rng.uniform(0.5, 5.0)
                 hyper = unit_hyper(d, alpha=float(rng.uniform(0.2, 3.0)))
                 state = state_for_partition(data, labels, hyper)
-                cache = _ClusterCache.from_partition(state)
+                cache = state.table
                 for i in (0, 1, 2, 6):
                     own = cache.row_of[int(labels[i])]
                     fast = cache.point_log_weights(data[i], own)
@@ -245,8 +247,7 @@ class TestCgsSweep:
         monkeypatch.setattr(_ClusterCache, "_refresh", inflated)
         data = np.random.default_rng(32).standard_normal((3, 2))
         state = state_for_partition(data, [0, 5, 5], unit_hyper(2))
-        cache = _ClusterCache.from_partition(state)
-        assert np.isnan(cache.point_log_weights(data[1], own=1)[1])
+        assert np.isnan(state.table.point_log_weights(data[1], own=1)[1])
         # Point 0 is a singleton and changes the table; point 1 is reached next.
         with pytest.raises(NumericalDegeneracyError) as info:
             cgs_sweep(state, data, np.random.default_rng(0))
@@ -319,16 +320,18 @@ def _compare_with_pointwise(data, state, seed, sweeps=3):
 
     The reference loop makes its labels dense after every sweep and the
     block sweep keeps them, so the block sweep's state is compacted before
-    the two are compared.  Returns how many labels changed over the sweeps.
+    the two are compared.  The reference returns a new state and the block
+    sweep updates ``state`` in place, so the reference runs first.  Returns
+    how many labels changed over the sweeps.
     """
     block_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     block = ref = state
     changed = 0
     for _ in range(sweeps):
         block_log, ref_log = [], []
-        before = block.labels
-        block = cgs_sweep(block, data, block_rng, weight_log=block_log)
         ref = _oracles.pointwise_cgs_sweep(ref, data, ref_rng, weight_log=ref_log)
+        before = block.labels.copy()
+        cgs_sweep(block, data, block_rng, weight_log=block_log)
         dense = compacted(block)
         assert np.array_equal(dense.labels, ref.labels)
         assert sorted(dense.clusters) == sorted(ref.clusters)
@@ -442,26 +445,111 @@ class TestLogJoint:
         expected = crp_log_prob(hyper.alpha, sizes, labels.size) + sum(
             log_marginal(s, prior) for s in state.clusters.values()
         )
-        gstate = GlobalState(assignments={}, clusters=state.clusters, hyper=hyper)
+        gstate = GlobalState(assignments={}, table=state.table)
         assert math.isclose(log_joint(state), expected, rel_tol=1e-12)
         assert math.isclose(global_log_joint(gstate, labels.size), expected, rel_tol=1e-12)
 
-    def test_factor_only_table_reads_the_full_tables_log_dets(self):
-        """The log joint's table factors its rows only; its log joint is the
-        one a full table, built to score points, gives."""
-        from dpgibbs.gibbs import _ClusterCache
 
+def assert_live_table(table, labels, data):
+    """Each row's count and sums are those of the points with its label, and
+    its cached factors are bit for bit those of a table built afresh from
+    its raw sums."""
+    from dpgibbs.gibbs import _ClusterCache
+
+    k = len(table.labels)
+    assert table.labels == sorted(set(labels.tolist()))
+    assert np.array_equal(table.row_of[table.labels], np.arange(k))
+    for r, lab in enumerate(table.labels):
+        members = data[labels == lab]
+        assert table.counts[r] == members.shape[0]
+        assert np.allclose(table.sums[r], members.sum(axis=0), rtol=1e-10, atol=1e-9)
+        assert np.allclose(table.outers[r], members.T @ members, rtol=1e-10, atol=1e-9)
+    fresh = _ClusterCache(table.prior, table.alpha, table.stats())
+    for name in ("whitens", "shifts", "terms"):
+        assert np.array_equal(getattr(table, name)[: k + 1], getattr(fresh, name)[: k + 1])
+
+
+class TestLiveClusterTable:
+    """Each sampler keeps one cluster table, updated in place."""
+
+    @staticmethod
+    def churning_shards():
         rng = np.random.default_rng(12)
-        data = rng.standard_normal((400, 8)) + 4.0 * rng.integers(0, 5, (400, 1))
-        hyper = empirical_hyper(data, alpha=2.0)
-        state = PartitionState.from_labels(data, rng.integers(0, 26, 400), hyper)
-        full = _ClusterCache.from_partition(state)
-        assert log_joint(state) == full.log_joint(400)
-        bare = _ClusterCache(hyper.prior, hyper.alpha, state.clusters, factor_only=True)
-        k = len(state.clusters)
-        log_det = _ClusterCache._LOG_DET
-        assert np.array_equal(bare.terms[: k + 1, log_det], full.terms[: k + 1, log_det])
-        assert not bare.whitens.any()
+        data = rng.standard_normal((240, 3)) + 4.0 * rng.integers(0, 5, (240, 1))
+        return data, ModelHyperParams(alpha=40.0, prior=default_prior(data))
+
+    def test_rows_stay_the_sums_of_their_points(self):
+        """Through sweeps with churn, applies that merge and reorder rows,
+        and the master's dense relabel."""
+        from dpgibbs.master import master_sweep
+        from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
+
+        data, hyper = self.churning_shards()
+        shards = (data[:120], data[120:])
+        workers = [WorkerState.single_cluster(j, shard, hyper) for j, shard in enumerate(shards)]
+        rng = np.random.default_rng(13)
+        deleted = added = 0
+        for _ in range(3):
+            for w in workers:
+                before = set(w.local.clusters)
+                worker_sweep(w, rng)
+                assert_live_table(w.local.table, w.local.labels, w.data)
+                deleted += len(before - set(w.local.clusters))
+                added += len(set(w.local.clusters) - before)
+            gstate = master_sweep([summarize(w) for w in workers], hyper, rng)
+            for w in workers:
+                label_map = {h: g for (j, h), g in gstate.assignments.items() if j == w.worker_id}
+                apply_global_labels(w, label_map)
+                assert_live_table(w.local.table, w.local.labels, w.data)
+            assert gstate.table.labels == list(range(gstate.num_clusters))
+            labels = np.concatenate([w.local.labels for w in workers])
+            assert_live_table(gstate.table, labels, data)
+        assert deleted > 0 and added > 0
+        assert all(w.local.table.counts.shape[0] > 16 for w in workers)  # rows outgrew 16
+        # Rows merged three at a time, in the reverse of their order; each
+        # merged row holds the bits stats_merge gives.
+        w = workers[0]
+        before = w.local.clusters
+        targets = {h: (len(before) - r) // 3 for r, h in enumerate(before)}
+        apply_global_labels(w, targets)
+        assert w.local.num_clusters == len(before) // 3 + 1
+        assert_live_table(w.local.table, w.local.labels, w.data)
+        for g, stats in w.local.clusters.items():
+            merged = stats_merge([before[h] for h in before if targets[h] == g])
+            assert stats.n == merged.n
+            assert np.array_equal(stats.sum, merged.sum)
+            assert np.array_equal(stats.sum_outer, merged.sum_outer)
+
+    def test_one_table_per_sampler(self, monkeypatch):
+        """run_cgs and a worker build one table for the run, a master sweep
+        one per sweep, and the log joints none."""
+        from dpgibbs.gibbs import _ClusterCache
+        from dpgibbs.master import global_log_joint, master_sweep
+        from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
+
+        built = []
+        init = _ClusterCache.__init__
+
+        def counted(table, *args, **kwargs):
+            built.append(table)
+            init(table, *args, **kwargs)
+
+        monkeypatch.setattr(_ClusterCache, "__init__", counted)
+        data, hyper = self.churning_shards()
+        run_cgs(data, hyper, 5, seed=1)
+        assert len(built) == 1
+        del built[:]
+        w = WorkerState.single_cluster(0, data, hyper)
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            worker_sweep(w, rng)
+            tables = len(built)
+            log_joint(w.local)
+            gstate = master_sweep([summarize(w)], hyper, rng)
+            global_log_joint(gstate, data.shape[0])
+            assert len(built) == tables + 1 and built[-1] is gstate.table
+            apply_global_labels(w, {h: g for (_, h), g in gstate.assignments.items()})
+        assert len(built) == 1 + 5 and built[0] is w.local.table
 
 
 class TestLgammaPaths:
@@ -569,9 +657,11 @@ class TestRunCgs:
 
     def test_separated_fixture_reaches_perfect_ari(self):
         data, truth = separated_two_component(200, seed=13)
-        state, trace = run_cgs(data, empirical_hyper(data), 50, seed=2, ground_truth=truth)
-        assert ari(state.labels, truth) == 1.0
-        validate_partition(state, data)
+        hyper = empirical_hyper(data)
+        labels, trace = run_cgs(data, hyper, 50, seed=2, ground_truth=truth)
+        assert ari(labels, truth) == 1.0
+        assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+        validate_partition(PartitionState.from_labels(data, labels, hyper), data)
 
     def test_log_joint_moving_average_rises(self):
         data, _ = separated_two_component(200, seed=14)
@@ -587,8 +677,7 @@ class TestRunCgs:
         data = means[rng.integers(0, 4, 2000)] + rng.standard_normal((2000, 2))
 
         def fit(x):
-            state, _ = run_cgs(x, empirical_hyper(x), 6, seed=5)
-            return state.labels
+            return run_cgs(x, empirical_hyper(x), 6, seed=5)[0]
 
         base = fit(data)
         assert np.unique(base).size > 1

@@ -50,7 +50,7 @@ class TestMasterSweep:
         out = master_sweep([summary_of(0, [pts])], make_hyper(), rng)
         assert out.assignments == {(0, 0): 0}
         assert out.num_clusters == 1
-        assert out.clusters[0].n == 5
+        assert out.table.stats()[0].n == 5
 
     def test_tight_identical_batches_co_cluster(self):
         rng = np.random.default_rng(1)
@@ -88,7 +88,7 @@ class TestMasterSweep:
         out = master_sweep(summaries, make_hyper(), np.random.default_rng(5))
         all_batches = [e.stats for s in summaries for e in s.clusters]
         merged_in = stats_merge(all_batches)
-        merged_out = stats_merge(list(out.clusters.values()))
+        merged_out = stats_merge(list(out.table.stats().values()))
         assert merged_in.n == merged_out.n
         assert np.allclose(merged_in.sum, merged_out.sum, rtol=1e-10)
         assert np.allclose(merged_in.sum_outer, merged_out.sum_outer, rtol=1e-10)
@@ -100,8 +100,8 @@ class TestMasterSweep:
                 by_cluster.setdefault(g, []).append(e.stats)
         for g, parts in by_cluster.items():
             ref = stats_merge(parts)
-            assert out.clusters[g].n == ref.n
-            assert np.allclose(out.clusters[g].sum_outer, ref.sum_outer, rtol=1e-10)
+            assert out.table.stats()[g].n == ref.n
+            assert np.allclose(out.table.stats()[g].sum_outer, ref.sum_outer, rtol=1e-10)
 
     def test_weights_match_marginal_ratio_identity(self):
         """Two-batch hand replay: recorded weights equal the ratio route."""
@@ -187,7 +187,7 @@ class TestMasterSweep:
             [summary_of(0, batches, previous)], hyper, np.random.default_rng(11)
         )
         assert set(again.assignments) == {(0, 0), (0, 1)}
-        sizes = sorted(s.n for s in again.clusters.values())
+        sizes = sorted(s.n for s in again.table.stats().values())
         assert sum(sizes) == 6
 
     def test_empty_or_mismatched_batches_rejected(self):
@@ -213,13 +213,13 @@ class TestMasterSweep:
             for j in range(2)
         ]
         out = master_sweep(summaries, make_hyper(), np.random.default_rng(15))
-        assert sorted(out.clusters) == list(range(out.num_clusters))
-        assert set(out.assignments.values()) == set(out.clusters)
+        assert sorted(out.table.stats()) == list(range(out.num_clusters))
+        assert set(out.assignments.values()) == set(out.table.stats())
 
 
 def collected_labels(label_maps, workers):
     """Per-point global labels as the runtime collects them: each worker
-    applies its own map, and the shards are joined in worker order."""
+    applies its own map, in place, and the shards are joined in worker order."""
     return np.concatenate([
         apply_global_labels(w, label_map).local.labels for w, label_map in zip(workers, label_maps)
     ])
@@ -247,11 +247,11 @@ class TestExpansion:
         data = rng.standard_normal((12, 2))
         hyper = make_hyper()
         w = WorkerState.single_cluster(0, data, hyper)
-        w.local.labels[:6] = 1
-        w.local.clusters = {
-            0: stats_from_points(data[6:]),
-            1: stats_from_points(data[:6]),
-        }
+        w.local = PartitionState.from_stats(
+            np.repeat([1, 0], 6),
+            {0: stats_from_points(data[6:]), 1: stats_from_points(data[:6])},
+            hyper,
+        )
         a = collected_labels([{0: 0, 1: 1}], [w])
         b = collected_labels([{0: 7, 1: 3}], [w])
         assert ari(a, b) == 1.0
@@ -263,11 +263,11 @@ class TestExpansion:
         for j in range(3):
             shard = data[4 * j : 4 * j + 4]
             w = WorkerState.single_cluster(j, shard, hyper)
-            w.local.labels = np.array([0, 0, 1, 1], dtype=np.int64)
-            w.local.clusters = {
-                0: stats_from_points(shard[:2]),
-                1: stats_from_points(shard[2:]),
-            }
+            w.local = PartitionState.from_stats(
+                [0, 0, 1, 1],
+                {0: stats_from_points(shard[:2]), 1: stats_from_points(shard[2:])},
+                hyper,
+            )
             workers.append(w)
         label_maps = [{0: 0, 1: 1}, {0: 1, 1: 2}, {0: 0, 1: 2}]
         out = collected_labels(label_maps, workers)
@@ -297,13 +297,10 @@ class TestGlobalLogJoint:
             summaries.append(summarize(w))
         gstate = master_sweep(summaries, hyper, np.random.default_rng(22))
         membership = collected_labels(label_maps_of(gstate, 2), workers)
-        central = PartitionState(
-            labels=membership,
-            clusters={
-                int(g): stats_from_points(data[membership == g])
-                for g in np.unique(membership)
-            },
-            hyper=hyper,
+        central = PartitionState.from_stats(
+            membership,
+            {int(g): stats_from_points(data[membership == g]) for g in np.unique(membership)},
+            hyper,
         )
         assert math.isclose(
             global_log_joint(gstate, 15), log_joint(central), rel_tol=1e-10

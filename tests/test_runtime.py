@@ -191,13 +191,13 @@ class TestRunDiscgs:
         from dpgibbs import runtime
 
         sweep, master = runtime.worker_sweep, runtime.master_sweep
-        before = {}  # (worker, iteration) -> the worker's state going into its sweep
+        before = {}  # (worker, iteration) -> the worker's cluster labels going into its sweep
         sweeps = {}
         rounds = []  # (summaries, result) of each master sweep
 
         def recording_sweep(w, rng):
             t = sweeps[w.worker_id] = sweeps.get(w.worker_id, 0) + 1
-            before[(w.worker_id, t)] = w
+            before[(w.worker_id, t)] = set(w.local.clusters)
             return sweep(w, rng)
 
         def recording_master(summaries, *args, **kwargs):
@@ -213,7 +213,7 @@ class TestRunDiscgs:
         for t, (summaries, _) in enumerate(rounds, start=1):
             for summary in summaries:
                 j = summary.worker_id
-                start = before[(j, t)].local.clusters
+                start = before[(j, t)]
                 labels = {e.local_label for e in summary.clusters}
                 retired += len(set(start) - labels)
                 applied = set()

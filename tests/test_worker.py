@@ -125,10 +125,10 @@ def _worker_with_k_clusters(seed=11, n=60):
 class TestApplyGlobalLabels:
     def test_identity_map_preserves_partition(self):
         w = _worker_with_k_clusters()
-        identity = {h: h for h in w.local.clusters}
-        out = apply_global_labels(w, identity)
-        assert np.array_equal(out.local.labels, w.local.labels)
-        assert set(out.local.clusters) == set(w.local.clusters)
+        labels, clusters = w.local.labels.copy(), set(w.local.clusters)
+        out = apply_global_labels(w, {h: h for h in clusters})
+        assert np.array_equal(out.local.labels, labels)
+        assert set(out.local.clusters) == clusters
 
     def test_merging_two_clusters(self):
         w = _worker_with_k_clusters()
@@ -137,26 +137,27 @@ class TestApplyGlobalLabels:
             pytest.skip("fixture did not split; adjust seed")
         # Map the first two local clusters to the same global id, the rest
         # to distinct ones.
-        first, second, *rest = sorted(w.local.clusters)
+        clusters = w.local.clusters
+        first, second, *rest = sorted(clusters)
         label_map = {first: 100, second: 100}
         label_map.update({h: i for i, h in enumerate(rest)})
         out = apply_global_labels(w, label_map)
         assert out.local.num_clusters == k - 1
-        merged = stats_merge([w.local.clusters[first], w.local.clusters[second]])
+        merged = stats_merge([clusters[first], clusters[second]])
         got = out.local.clusters[100]
         assert got.n == merged.n
-        assert np.allclose(got.sum, merged.sum, rtol=1e-12)
+        assert np.array_equal(got.sum, merged.sum)
+        assert np.array_equal(got.sum_outer, merged.sum_outer)
 
     def test_apply_is_a_coarsening(self):
         w = _worker_with_k_clusters(seed=13)
         k = w.local.num_clusters
         rng = np.random.default_rng(14)
         targets = rng.integers(0, max(1, k - 1), k)  # random merges
-        out = apply_global_labels(
-            w, {h: int(g) for h, g in zip(sorted(w.local.clusters), targets)}
-        )
-        for h in w.local.clusters:
-            downstream = out.local.labels[w.local.labels == h]
+        labels, clusters = w.local.labels.copy(), sorted(w.local.clusters)
+        out = apply_global_labels(w, {h: int(g) for h, g in zip(clusters, targets)})
+        for h in clusters:
+            downstream = out.local.labels[labels == h]
             assert np.unique(downstream).size == 1
 
     def test_missing_entry_rejected(self):
@@ -173,9 +174,10 @@ class TestApplyGlobalLabels:
     def test_global_label_vector_matches_map(self):
         """After an apply the local labels are the global ids of the map."""
         w = _worker_with_k_clusters(seed=15)
-        out = apply_global_labels(w, {h: h + 40 for h in w.local.clusters})
-        assert np.array_equal(out.local.labels, w.local.labels + 40)
-        assert sorted(out.local.clusters) == [h + 40 for h in sorted(w.local.clusters)]
+        labels, clusters = w.local.labels.copy(), sorted(w.local.clusters)
+        out = apply_global_labels(w, {h: h + 40 for h in clusters})
+        assert np.array_equal(out.local.labels, labels + 40)
+        assert sorted(out.local.clusters) == [h + 40 for h in clusters]
 
 
 class TestPreviousGlobalIds:
