@@ -22,12 +22,15 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+# What np.linalg.cholesky and .inv wrap, less their checks; a failed factor is NaN.
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky, inv as _inverse
 
 from .errors import NumericalDegeneracyError
 from .niw import (
     ModelHyperParams,
     NiwParams,
     SufficientStats,
+    _readonly,
     cholesky_logdet,
     log_multigamma,
     stats_from_points,
@@ -50,9 +53,10 @@ _BLOCK_CELLS = 1 << 18
 _FIRST_RUN = 16.0
 _RUN_DECAY = 0.75
 _U64 = (1 << 64) - 1
-# lgamma((b + i) / 2) for i = 0, 1, ..., keyed by b; filled on demand and
-# shared by every table, so master sweeps reuse the values of earlier ones.
+# lgamma((b + i) / 2) for i = 0, 1, ... by b, and row terms by model and count:
+# filled on demand and shared by every table, so master sweeps reuse them.
 _HALF_LGAMMA = {}
+_COUNT_ROWS = {}
 
 
 def _half_lgamma(b, size):
@@ -101,22 +105,6 @@ class PartitionState:
         labels = np.zeros(data.shape[0], dtype=np.int64)
         return cls.from_stats(labels, {0: stats_from_points(data)}, hyper)
 
-    @classmethod
-    def from_labels(cls, data, labels, hyper):
-        """State with statistics summed from the points, labels made dense 0..K-1 in order.
-
-        ``labels`` are non-negative.  One stable sort groups each cluster's
-        rows, still in index order, so the sums are those of ``data[labels == k]``.
-        """
-        sizes = np.bincount(labels)
-        present = sizes > 0
-        dense = np.cumsum(present) - 1
-        labels = dense[labels]
-        # NumPy's stable sort of an integer type of at most 16 bits is a radix sort.
-        order = np.argsort(labels.astype(np.min_scalar_type(dense[-1])), kind="stable")
-        parts = np.split(data[order], np.cumsum(sizes[present])[:-1])
-        return cls.from_stats(labels, dict(enumerate(map(stats_from_points, parts))), hyper)
-
 
 def center_on_prior(data, hyper):
     """Translate the data and the prior so that the prior mean is the origin.
@@ -139,12 +127,15 @@ def sample_log_weights(weights, u):
     uniform ``u``, a (K+1, B) block column by column with the B uniforms
     ``u``.  A column whose largest weight is not finite draws -1.
     """
-    m = weights.max(axis=0)
-    finite = np.isfinite(m)
-    cum = np.add.accumulate(np.exp(weights - np.where(finite, m, 0.0)), axis=0)
+    m = np.maximum.reduce(weights, axis=0)  # the ufunc's reduce, not the method's wrapper
+    finite = None  # every column's maximum is finite: no masks
+    if not math.isfinite(np.add.reduce(m, axis=None)):
+        finite = np.isfinite(m)
+        m = np.where(finite, m, 0.0)
+    cum = np.add.accumulate(np.exp(weights - m), axis=0)
     # Counting only the first K partial sums clamps the draw to the last row.
-    idx = (cum[:-1] <= u * cum[-1]).sum(axis=0)
-    return np.where(finite, idx, -1)
+    idx = np.add.reduce(cum[:-1] <= u * cum[-1], axis=0)
+    return idx if finite is None else np.where(finite, idx, -1)
 
 
 class _ClusterCache:
@@ -187,6 +178,7 @@ class _ClusterCache:
         # t = kappa0 mu0 + sum x; the first two terms are the same in every row.
         self._kappa_mu = prior.kappa * prior.mu
         self._psi_base = prior.psi + self._kappa_mu[:, None] * prior.mu
+        self._count_rows = _COUNT_ROWS.setdefault((prior.kappa, prior.nu, d, alpha), {})
         self._refresh(np.arange(k + 1))
 
     # -- row maintenance ----------------------------------------------------
@@ -213,16 +205,32 @@ class _ClusterCache:
             - math.lgamma(0.5 * (nu + 1.0 - self.d))
         )
 
+    def _count_row(self, m):
+        """Terms BASE..OWN_POWER of a row of m points before 0.5 log det Psi, memoized."""
+        terms = self._count_rows.get(m)
+        if terms is None:
+            kappa, nu = self.prior.kappa + m, self.prior.nu + m
+            # Taking x out of a cluster of m >= 2 gives
+            # Psi' = Psi - kappa / (kappa - 1) v v^T with v = x - mu, so
+            # log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).  A
+            # singleton's own entry is -inf: its only other home is "new".
+            own = (-math.inf, 0.0, 0.0)
+            if m > 1:
+                own = (self._count_const(m - 1), -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
+            row = (self._count_const(m), kappa / (kappa + 1.0), 0.5 * (nu + 1.0))
+            terms = self._count_rows[m] = row + own
+        return terms
+
     def _scales(self, counts, sums, outers):
         """Posterior scales Psi_n and means mu_n of rows with these raw sums.
 
-        ``outers`` is overwritten with the scales.  Only the lower triangle
-        of each Psi_n is exact, and only it is read.
+        ``sums`` and ``outers`` are overwritten, ``outers`` with the scales.
+        Only the lower triangle of each Psi_n is exact, and only it is read.
         """
-        t = sums + self._kappa_mu
-        mus = t / (counts + self.prior.kappa)[:, None]
+        sums += self._kappa_mu
+        mus = sums / (counts + self.prior.kappa)[:, None]
         outers += self._psi_base
-        outers -= t[:, :, None] * mus[:, None, :]
+        outers -= sums[:, :, None] * mus[:, None, :]
         return outers, mus
 
     def _refresh(self, rows):
@@ -230,40 +238,25 @@ class _ClusterCache:
         one stacked Cholesky and one stacked inverse."""
         counts = self.counts.take(rows)
         psi, mus = self._scales(counts, self.sums.take(rows, axis=0), self.outers.take(rows, axis=0))
-        try:
-            chol = np.linalg.cholesky(psi)
-            log_dets = [2.0 * sum(map(math.log, diag)) for diag in chol.diagonal(0, 1, 2).tolist()]
-            degenerate = not math.isfinite(sum(log_dets))
-        except np.linalg.LinAlgError:
-            degenerate = True
-        if degenerate:
+        # L^-1 comes from LAPACK (dgesv); for d x d blocks this small
+        # OpenBLAS runs it on one thread, so workers sharing the cores do not
+        # stall each other.
+        with np.errstate(all="ignore"):
+            chol = _cholesky(psi, signature="d->d")
+            whitens = _inverse(chol, signature="d->d")
+        log_dets = [2.0 * sum(map(math.log, diag)) for diag in chol.diagonal(0, 1, 2).tolist()]
+        if not math.isfinite(sum(log_dets)):
             for r, mat in zip(rows.tolist(), psi):  # find the row at fault
                 try:
                     cholesky_logdet(mat, "cluster posterior scale")
                 except NumericalDegeneracyError as err:
                     raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
-        # L^-1 comes from NumPy's LAPACK (dgesv); for d x d blocks this small
-        # OpenBLAS runs it on one thread, so workers sharing the cores do not
-        # stall each other.
-        whitens = np.linalg.inv(chol)
         self.whitens[rows] = whitens
         self.shifts[rows] = (whitens @ mus[:, :, None])[:, :, 0]
-        self.terms[rows] = [self._row_terms(m, ld) for m, ld in zip(counts.tolist(), log_dets)]
-
-    def _row_terms(self, m, log_det):
-        """log det Psi and the scalar weight terms of a row of m points."""
-        kappa = self.prior.kappa + m
-        nu = self.prior.nu + m
-        # Taking x out of a cluster of m >= 2 gives
-        # Psi' = Psi - kappa / (kappa - 1) v v^T with v = x - mu, so
-        # log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).  A
-        # singleton's own entry is -inf: its only other home is "new".
-        own = (-math.inf, 0.0, 0.0)
-        if m > 1:
-            own = (self._count_const(m - 1) - 0.5 * log_det, -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
-        return (
-            log_det, self._count_const(m) - 0.5 * log_det, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)
-        ) + own
+        for r, m, log_det in zip(rows.tolist(), counts.tolist(), log_dets):
+            base, gain, power, own_base, shrink, own_power = self._count_row(m)
+            half = 0.5 * log_det
+            self.terms[r] = (log_det, base - half, gain, power, own_base - half, shrink, own_power)
 
     # -- mutation -----------------------------------------------------------
 
@@ -286,13 +279,6 @@ class _ClusterCache:
         base-measure row opens a new cluster.  The source and target rows
         are refreshed together.  Returns the target's label.
         """
-        changed = []
-        if label is not None:
-            r = self.row_of[label]
-            self.counts[r] -= n
-            self.sums[r] -= sumv
-            self.outers[r] -= outer
-            changed.append(r)
         k = len(self.labels)
         if choice == k:  # a new row; the base-measure row moves down one
             for name in self._ROW_ARRAYS:
@@ -306,13 +292,18 @@ class _ClusterCache:
             self.row_of[self.next_label] = k
             self.labels.append(self.next_label)
             self.next_label += 1
-        target = self.labels[choice]
+        rows = [choice]
+        if label is not None:
+            r = self.row_of[label]
+            self.counts[r] -= n
+            self.sums[r] -= sumv
+            self.outers[r] -= outer
+            rows.insert(0, r)
         self.counts[choice] += n
         self.sums[choice] += sumv
         self.outers[choice] += outer
-        changed.append(choice)
-        self._refresh(np.array(changed))
-        return target
+        self._refresh(np.array(rows))
+        return self.labels[choice]
 
     def rename(self, targets):
         """Give row r the label ``targets[r]`` (non-negative ints, one per row).
@@ -358,22 +349,21 @@ class _ClusterCache:
         z = self.whitens[:rows].reshape(rows * d, d) @ xs.reshape(-1, d).T
         z -= self.shifts[:rows].reshape(-1, 1)
         z *= z
-        q = z.reshape(rows, d, -1).sum(axis=1) if d > 1 else z
+        q = np.add.reduce(z.reshape(rows, d, -1), axis=1) if d > 1 else z
         terms = self.terms[:rows, :, None]
         weights = terms[:, self._BASE] - terms[:, self._POWER] * np.log1p(terms[:, self._GAIN] * q)
         if own is not None:
-            r = np.reshape(own, -1)
-            cols = np.arange(r.shape[0])
-            base, shrink, power = self.terms[r, self._OWN_BASE :].T
-            shrink = shrink * q[r, cols]
-            valid = shrink > -1.0
-            degenerate = not valid.all()
-            if degenerate:
-                shrink[~valid] = 0.0
-            own_weights = base + power * np.log1p(shrink)
-            if degenerate:
+            r = own if xs.ndim == 2 else np.reshape(own, 1)
+            at = r * q.shape[1] + np.arange(r.shape[0])  # (r, column) in q and weights, flat
+            base, shrink, power = self.terms.take(r, axis=0)[:, self._OWN_BASE :].T
+            shrink = shrink * q.take(at)
+            if np.minimum.reduce(shrink) > -1.0:
+                own_weights = base + power * np.log1p(shrink)
+            else:  # NaN where the downdate is not positive definite
+                valid = shrink > -1.0
+                own_weights = base + power * np.log1p(np.where(valid, shrink, 0.0))
                 own_weights[~valid] = np.nan
-            weights[r, cols] = own_weights
+            weights.put(at, own_weights)
         return weights if xs.ndim == 2 else weights[:, 0]
 
     def batch_log_weights(self, stats, own=None):
@@ -398,14 +388,14 @@ class _ClusterCache:
             s[own] = self.sums[own] - stats.sum
             o[own] = self.outers[own] - stats.sum_outer
         psi, _ = self._scales(m, s, o)
-        try:
-            chol = np.linalg.cholesky(psi)
-        except np.linalg.LinAlgError:
+        with np.errstate(all="ignore"):
+            chol = _cholesky(psi, signature="d->d")
+        log_det = 2.0 * np.log(chol.diagonal(0, 1, 2)).sum(axis=1)
+        if math.isnan(log_det.sum()):
             raise NumericalDegeneracyError(
                 "candidate scale matrix is not positive definite",
                 min_eigenvalue=float(np.linalg.eigvalsh(psi).min()),
-            ) from None
-        log_det = 2.0 * np.log(chol.diagonal(0, 1, 2)).sum(axis=1)
+            )
         base_log_det = self.terms[:rows, self._LOG_DET]
         if own is not None:
             base_log_det = base_log_det.copy()
@@ -457,9 +447,11 @@ class _ClusterCache:
         return crp_log_prob(self.alpha, sizes.tolist(), n) + float(gains.sum())
 
     def stats(self):
-        """{label: SufficientStats} of the rows in ascending label order, copied out."""
-        rows = zip(self.labels, self.counts.tolist(), self.sums, self.outers)
-        return {lab: SufficientStats(int(n), s, o) for lab, n, s, o in rows}
+        """{label: SufficientStats} of the rows in ascending label order, copied
+        out in one block per field, unchecked: rows hold exact, symmetric sums."""
+        k = len(self.labels)
+        rows = zip(self.labels, self.counts.tolist(), _readonly(self.sums[:k]), _readonly(self.outers[:k]))
+        return {lab: SufficientStats._unchecked(int(n), s, o) for lab, n, s, o in rows}
 
 
 def cgs_sweep(state, data, rng, weight_log=None):
@@ -515,14 +507,14 @@ def cgs_sweep(state, data, rng, weight_log=None):
             if not changed:
                 continue
             r, idx = int(own[stay]), int(draws[stay])
-            column = weights[:, stay]
-            if np.isnan(column[r]):
+            if math.isnan(weights[r, stay]):
                 raise NumericalDegeneracyError(
                     "downdated scale matrix is not positive definite",
                     context={"cluster_label": cache.labels[r]},
                 )
             singleton = cache.counts[r] == 1.0
             if weight_log is not None:
+                column = weights[:, stay]
                 weight_log.append(np.delete(column, r) if singleton else column.copy())
             if idx < 0:
                 raise NumericalDegeneracyError("non-finite sampling weights")

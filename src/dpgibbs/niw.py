@@ -120,6 +120,13 @@ class SufficientStats:
         object.__setattr__(self, "sum", s)
         object.__setattr__(self, "sum_outer", _readonly(0.5 * (outer + outer.T)))
 
+    @classmethod
+    def _unchecked(cls, n, s, outer):
+        """Statistics of read-only values that pass the checks, ``outer`` symmetric, as they are."""
+        stats = object.__new__(cls)
+        stats.__dict__.update(n=n, sum=s, sum_outer=outer)
+        return stats
+
     @property
     def d(self):
         return self.sum.shape[0]

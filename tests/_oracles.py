@@ -6,7 +6,9 @@ predictive densities from scipy, and hand-rolled parameter updates.  The one
 exception is the point-by-point reference sweep, which scores points on its
 own but keeps its clusters in a cluster table of the package's, built afresh
 from the state's statistics, so that row order and label numbering match the
-sweep it checks.  The row-by-row CSV writers are the package's writers before
+sweep it checks; and ``reference_refresh``, which recomputes a table's cached
+factors through NumPy's public linalg routines but takes its count constant
+from the table.  The row-by-row CSV writers are the package's writers before
 they formatted blocks of rows at once; tests that need a data file with a
 label column write it with ``rowwise_write_dataset``.
 """
@@ -188,6 +190,70 @@ def validate_partition(state, data, rtol=1e-8):
         if not np.allclose(stats.sum_outer, ref.sum_outer, rtol=rtol, atol=1e-9):
             raise ValueError("cluster %d outer mismatch" % lab)
     return state
+
+
+def state_from_labels(data, labels, hyper):
+    """PartitionState with statistics summed from the points, labels made dense 0..K-1 in order.
+
+    ``labels`` are non-negative.  One stable sort groups each cluster's
+    rows, still in index order, so the sums are those of ``data[labels == k]``.
+    """
+    from dpgibbs.gibbs import PartitionState
+    from dpgibbs.niw import stats_from_points
+
+    sizes = np.bincount(labels)
+    present = sizes > 0
+    dense = np.cumsum(present) - 1
+    labels = dense[labels]
+    # NumPy's stable sort of an integer type of at most 16 bits is a radix sort.
+    order = np.argsort(labels.astype(np.min_scalar_type(dense[-1])), kind="stable")
+    parts = np.split(data[order], np.cumsum(sizes[present])[:-1])
+    return PartitionState.from_stats(labels, dict(enumerate(map(stats_from_points, parts))), hyper)
+
+
+def reference_refresh(table, rows):
+    """(whitens, shifts, terms) of a cluster table's ``rows`` through the public route.
+
+    Each row's posterior scale is formed from its raw sums in the order the
+    table forms it, factored with ``np.linalg.cholesky``, inverted with
+    ``np.linalg.inv``, and its scalar terms are computed from the table's
+    un-memoized count constant, so the result should equal the table's
+    cached factors bit for bit.
+    """
+    import math
+
+    prior = table.prior
+    rows = np.asarray(rows)
+    counts = table.counts[rows]
+    kappa_mu = prior.kappa * prior.mu
+    t = table.sums[rows] + kappa_mu
+    mus = t / (counts + prior.kappa)[:, None]
+    psi = table.outers[rows] + (prior.psi + kappa_mu[:, None] * prior.mu)
+    psi -= t[:, :, None] * mus[:, None, :]
+    chol = np.linalg.cholesky(psi)
+    whitens = np.linalg.inv(chol)
+    shifts = (whitens @ mus[:, :, None])[:, :, 0]
+    terms = []
+    for m, diag in zip(counts.tolist(), chol.diagonal(0, 1, 2).tolist()):
+        log_det = 2.0 * sum(map(math.log, diag))
+        kappa, nu = prior.kappa + m, prior.nu + m
+        own = (-math.inf, 0.0, 0.0)
+        if m > 1:
+            own_base = table._count_const(m - 1) - 0.5 * log_det
+            own = (own_base, -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
+        base = table._count_const(m) - 0.5 * log_det
+        terms.append((log_det, base, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)) + own)
+    return whitens, shifts, np.array(terms)
+
+
+def masked_sample_log_weights(weights, u):
+    """Inverse-CDF draws from log-weights with every column's maximum masked:
+    a column whose largest weight is not finite draws -1."""
+    m = weights.max(axis=0)
+    finite = np.isfinite(m)
+    cum = np.add.accumulate(np.exp(weights - np.where(finite, m, 0.0)), axis=0)
+    idx = (cum[:-1] <= u * cum[-1]).sum(axis=0)
+    return np.where(finite, idx, -1)
 
 
 def _pointwise_log_weight(prior, log_weight, n, sumv, outer, x, downdate):

@@ -338,6 +338,55 @@ class TestFitDistributed:
             assert field in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("where", ["worker move", "master batch"])
+    def test_non_positive_definite_scale_is_exit_4(
+        self, tmp_path, capsys, monkeypatch, backend, where
+    ):
+        """Raw sums whose outer sum is too small for their sum fail to factor,
+        in a worker's table or in the master's candidate scales."""
+        from dataclasses import replace
+
+        from dpgibbs import runtime
+        from dpgibbs.gibbs import _ClusterCache
+        from dpgibbs.niw import SufficientStats
+
+        if where == "worker move":
+            move = _ClusterCache.move
+
+            def bad_move(cache, label, choice, n, sumv, outer):
+                return move(cache, label, choice, n, 1e3 * sumv, 0.0 * outer)
+
+            monkeypatch.setattr(_ClusterCache, "move", bad_move)
+            fields = ("iteration=1", "worker_id=", "point_index=", "cluster_label=")
+        else:
+            master_sweep = runtime.master_sweep
+
+            def bad_batch(summaries, hyper, rng):
+                first = summaries[0].clusters[0]
+                stats = SufficientStats(first.stats.n, 1e3 + first.stats.sum, np.zeros((2, 2)))
+                clusters = (replace(first, stats=stats),) + summaries[0].clusters[1:]
+                summaries = [replace(summaries[0], clusters=clusters)] + summaries[1:]
+                return master_sweep(summaries, hyper, rng)
+
+            monkeypatch.setattr(runtime, "master_sweep", bad_batch)
+            fields = ("iteration=1", "worker_id=0", "local_label=", "min eigenvalue estimate -")
+        if backend == "thread":
+            monkeypatch.setattr(runtime, "process_channels", runtime.thread_channels)
+        data_path, _ = blob_files(tmp_path, n=20)
+        code, _, err = run_cli(
+            [
+                "fit-distributed", "--data", data_path, "--workers", "2",
+                "--iters", "2", "--out", out_dir(tmp_path, "fail"),
+            ],
+            capsys,
+        )
+        assert code == 4
+        assert err.startswith("numerical-error: ") and "not positive definite" in err
+        for field in fields:
+            assert field in err
+        assert len(err.splitlines()) == 1
 
     def test_worker_death_is_exit_3(self, tmp_path, capsys, monkeypatch):
         from dpgibbs import runtime

@@ -10,6 +10,7 @@ from scipy.special import gammaln, logsumexp
 
 from dpgibbs.gibbs import (
     PartitionState,
+    center_on_prior,
     cgs_sweep,
     crp_log_prob,
     log_joint,
@@ -32,7 +33,7 @@ from dpgibbs.niw import (
 )
 
 import _oracles
-from _oracles import validate_partition
+from _oracles import state_from_labels, validate_partition
 
 
 def unit_hyper(d, alpha=1.0):
@@ -97,13 +98,13 @@ class TestPartitionState:
     @pytest.mark.parametrize("num_labels", [1, 7, 300, 70_000])
     def test_from_labels_matches_unique_and_masks(self, num_labels):
         """Dense labels and statistics bit for bit those of np.unique plus one
-        boolean mask per cluster, the route from_labels took before."""
+        boolean mask per cluster, the route the sort replaced."""
         rng = np.random.default_rng(num_labels)
         for d in (1, 2, 8):
             data = 1e6 + 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((2_000, d))
             labels = 3 * rng.integers(0, num_labels, 2_000)  # sparse ids, some absent
             _, dense = np.unique(labels, return_inverse=True)
-            state = PartitionState.from_labels(data, labels, unit_hyper(d))
+            state = state_from_labels(data, labels, unit_hyper(d))
             assert state.labels.dtype == dense.dtype
             assert np.array_equal(state.labels, dense)
             assert list(state.clusters) == list(range(int(dense.max()) + 1))
@@ -132,6 +133,23 @@ class TestSampleLogWeights:
         a = sample_log_weights(w, np.random.default_rng(3).random())
         b = sample_log_weights(w + 123.0, np.random.default_rng(3).random())
         assert a == b
+
+    def test_unmasked_draws_equal_the_masked_route(self):
+        """Blocks whose columns all have a finite maximum skip the masks; the
+        draws are those of the masked route, and a column of -inf draws -1."""
+        rng = np.random.default_rng(4)
+        for rows, cols in ((1, 1), (2, 7), (9, 40), (30, 3)):
+            for _ in range(20):
+                w = 50.0 * rng.standard_normal((rows, cols))
+                w[rng.random(rows) < 0.3] = -np.inf  # whole rows out
+                w[rng.random((rows, cols)) < 0.2] = -np.inf
+                if rng.random() < 0.5:
+                    w[:, rng.random(cols) < 0.3] = -np.inf  # columns that draw -1
+                u = rng.random(cols)
+                expected = _oracles.masked_sample_log_weights(w, u)
+                assert np.array_equal(sample_log_weights(w, u), expected)
+                assert np.array_equal(sample_log_weights(w[:, 0], u[0]), expected[0])
+                assert np.all((expected == -1) == np.isneginf(w).all(axis=0))
 
 
 class TestCgsSweep:
@@ -358,12 +376,12 @@ class TestBlockSweepMatchesPointwiseLoop:
         data = rng.standard_normal((n, d)) + 6.0 * rng.integers(0, 3, (n, 1))
         prior = default_prior(data)
         # Every point starts alone: each one is a singleton when reached.
-        singletons = PartitionState.from_labels(
+        singletons = state_from_labels(
             data, np.arange(n), ModelHyperParams(alpha=1.0, prior=prior)
         )
         assert _compare_with_pointwise(data, singletons, seed=d) > 0
         # A large alpha over many small clusters keeps points moving.
-        churn = PartitionState.from_labels(
+        churn = state_from_labels(
             data,
             np.unique(rng.integers(0, 30, n), return_inverse=True)[1],
             ModelHyperParams(alpha=50.0, prior=prior),
@@ -439,7 +457,7 @@ class TestLogJoint:
         labels = np.concatenate([np.zeros(20_000, dtype=np.int64), rng.integers(1, 13, 300)])
         means = 5.0 * rng.standard_normal((13, d))
         data = means[labels] + rng.uniform(0.2, 2.0) * rng.standard_normal((labels.size, d))
-        state = PartitionState.from_labels(data, labels, hyper)
+        state = state_from_labels(data, labels, hyper)
         sizes = [s.n for s in state.clusters.values()]
         assert max(sizes) == 20_000
         expected = crp_log_prob(hyper.alpha, sizes, labels.size) + sum(
@@ -552,6 +570,116 @@ class TestLiveClusterTable:
         assert len(built) == 1 + 5 and built[0] is w.local.table
 
 
+class TestFactorRoute:
+    """The table's cached factors against NumPy's public linalg route."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_cached_factors_equal_the_public_numpy_route(self, d):
+        """After sweeps with churn, the master's table and worker applies,
+        every row's whitening factor, shift and terms equal bit for bit those
+        of np.linalg.cholesky, np.linalg.inv and the un-memoized count
+        constant."""
+        from dpgibbs.master import master_sweep
+        from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
+
+        rng = np.random.default_rng(60 + d)
+        data = rng.standard_normal((240, d)) + 4.0 * rng.integers(0, 5, (240, 1))
+        data, hyper = center_on_prior(data, ModelHyperParams(alpha=40.0, prior=default_prior(data)))
+        shards = (data[:120], data[120:])
+        workers = [WorkerState.single_cluster(j, shard, hyper) for j, shard in enumerate(shards)]
+        tables = 0
+        for _ in range(3):
+            for w in workers:
+                worker_sweep(w, rng)
+            gstate = master_sweep([summarize(w) for w in workers], hyper, rng)
+            for w in workers:
+                label_map = {h: g for (j, h), g in gstate.assignments.items() if j == w.worker_id}
+                apply_global_labels(w, label_map)
+            for table in [gstate.table] + [w.local.table for w in workers]:
+                rows = np.arange(len(table.labels) + 1)
+                whitens, shifts, terms = _oracles.reference_refresh(table, rows)
+                assert np.array_equal(table.whitens[rows], whitens)
+                assert np.array_equal(table.shifts[rows], shifts)
+                assert np.array_equal(table.terms[rows], terms)
+                tables += len(rows) > 3
+        assert tables > 3
+
+    def test_fast_path_skips_numpy_linalg_wrappers(self, monkeypatch):
+        """Once the states are built, sweeps, a worker round and a master
+        sweep factor their rows without np.linalg.cholesky or np.linalg.inv."""
+        from dpgibbs.master import global_log_joint, master_sweep
+        from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
+
+        rng = np.random.default_rng(15)
+        data = rng.standard_normal((240, 3)) + 4.0 * rng.integers(0, 5, (240, 1))
+        data, hyper = center_on_prior(data, ModelHyperParams(alpha=40.0, prior=default_prior(data)))
+        state = PartitionState.single_cluster(data, hyper)
+        w = WorkerState.single_cluster(0, data, hyper)
+
+        def wrapper_called(*args, **kwargs):
+            raise AssertionError("a NumPy linalg wrapper was called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", wrapper_called)
+        monkeypatch.setattr(np.linalg, "inv", wrapper_called)
+        for _ in range(3):
+            cgs_sweep(state, data, rng)
+            log_joint(state)
+            worker_sweep(w, rng)
+            gstate = master_sweep([summarize(w)], hyper, rng)
+            global_log_joint(gstate, data.shape[0])
+            apply_global_labels(w, {h: g for (_, h), g in gstate.assignments.items()})
+        assert state.num_clusters > 1 and gstate.num_clusters > 1
+
+
+@pytest.mark.filterwarnings("error")
+class TestDegenerateScales:
+    """A scale that is not positive definite raises NumericalDegeneracyError
+    with its coordinates, and no RuntimeWarning escapes the factorization.
+
+    Raw sums whose outer sum is too small for their sum (a negative scatter)
+    give such scales."""
+
+    @staticmethod
+    def table(d=2):
+        from dpgibbs.gibbs import _ClusterCache
+
+        rng = np.random.default_rng(70)
+        clusters = {
+            3: stats_from_points(rng.standard_normal((5, d))),
+            8: stats_from_points(rng.standard_normal((4, d))),
+        }
+        return _ClusterCache(unit_hyper(d).prior, 1.0, clusters)
+
+    def test_move_to_a_non_positive_definite_scale(self):
+        table = self.table()
+        with pytest.raises(NumericalDegeneracyError, match="cluster posterior scale") as info:
+            table.move(None, 1, 1, np.full(2, 100.0), np.zeros((2, 2)))
+        assert info.value.context == {"cluster_label": 8}
+        table = self.table()
+        with pytest.raises(NumericalDegeneracyError) as info:
+            table.move(3, 2, 1, np.full(2, -100.0), np.zeros((2, 2)))  # a new row
+        assert info.value.context == {"cluster_label": 3}
+
+    def test_table_with_a_non_positive_definite_scale(self):
+        from dpgibbs.gibbs import _ClusterCache
+
+        good = stats_from_points(np.eye(2))
+        bad = SufficientStats(2, np.full(2, 100.0), np.zeros((2, 2)))
+        with pytest.raises(NumericalDegeneracyError, match="not positive definite") as info:
+            _ClusterCache(unit_hyper(2).prior, 1.0, {0: good, 6: bad})
+        assert info.value.context == {"cluster_label": 6}
+        assert info.value.min_eigenvalue < 0.0
+
+    def test_batch_with_a_non_positive_definite_candidate_scale(self):
+        table = self.table()
+        batch = SufficientStats(3, np.full(2, 1e3), np.zeros((2, 2)))
+        for own in (None, 1):
+            with pytest.raises(NumericalDegeneracyError, match="candidate scale matrix") as info:
+                table.batch_log_weights(batch, own)
+            assert info.value.min_eigenvalue < 0.0
+        assert np.all(np.isfinite(table.batch_log_weights(stats_from_points(np.eye(2)))))
+
+
 class TestLgammaPaths:
     """math.lgamma paths against scipy.special.gammaln as the oracle.
 
@@ -661,7 +789,7 @@ class TestRunCgs:
         labels, trace = run_cgs(data, hyper, 50, seed=2, ground_truth=truth)
         assert ari(labels, truth) == 1.0
         assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
-        validate_partition(PartitionState.from_labels(data, labels, hyper), data)
+        validate_partition(state_from_labels(data, labels, hyper), data)
 
     def test_log_joint_moving_average_rises(self):
         data, _ = separated_two_component(200, seed=14)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dpgibbs.gibbs import PartitionState
 from dpgibbs.metrics import ari
 from dpgibbs.niw import (
     ModelHyperParams,
@@ -13,6 +12,8 @@ from dpgibbs.niw import (
     stats_merge,
 )
 from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
+
+from _oracles import state_from_labels
 
 
 def shard_hyper(data, alpha=1.0):
@@ -200,7 +201,7 @@ class TestPreviousGlobalIds:
         hyper = ModelHyperParams(
             alpha=1.0, prior=NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
         )
-        w = WorkerState(0, data, PartitionState.from_labels(data, local, hyper))
+        w = WorkerState(0, data, state_from_labels(data, local, hyper))
         w = apply_global_labels(w, {0: 3, 1: 5, 2: 9})
         assert [e.previous for e in summarize(w).clusters] == [3, 5, 9]
 
