@@ -53,18 +53,9 @@ _BLOCK_CELLS = 1 << 18
 _FIRST_RUN = 16.0
 _RUN_DECAY = 0.75
 _U64 = (1 << 64) - 1
-# lgamma((b + i) / 2) for i = 0, 1, ... by b, and row terms by model and count:
-# filled on demand and shared by every table, so master sweeps reuse them.
-_HALF_LGAMMA = {}
+# Row terms by model and count: filled on demand and shared by every table,
+# so master sweeps reuse them.
 _COUNT_ROWS = {}
-
-
-def _half_lgamma(b, size):
-    table = _HALF_LGAMMA.get(b)
-    if table is None or table.shape[0] < size:
-        size = max(size, 64, 0 if table is None else 2 * table.shape[0])
-        table = _HALF_LGAMMA[b] = np.array([math.lgamma(0.5 * (b + i)) for i in range(size)])
-    return table
 
 
 def seed_to_u64(seed):
@@ -148,16 +139,19 @@ class _ClusterCache:
 
     Exact raw sums (n, sum x, sum x x^T) are the source of truth.  Beside
     them each row caches the whitening factor L^-1 of Psi = L L^T, the
-    whitened posterior mean L^-1 mu, and log det Psi with the scalar terms
-    of a point's weight (``terms``, columns named by _LOG_DET.._OWN_POWER),
-    recomputed from the sums (never updated in place) whenever the row's
-    membership changes.
+    whitened posterior mean L^-1 mu, and scalar terms (``terms``, columns
+    named by _CRP.._OWN_POWER), recomputed from the sums (never updated in
+    place) whenever the row's membership changes.
     """
 
     _ROW_ARRAYS = ("counts", "sums", "outers", "whitens", "shifts", "terms")
-    # A point's weight against row k is BASE - POWER log1p(GAIN q); against
-    # its own row, with itself taken out, OWN_BASE + OWN_POWER log1p(OWN_SHRINK q).
-    _LOG_DET, _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(7)
+    # CRP is log m (log alpha on the base row).  MARGINAL is the row's log
+    # marginal plus a constant of the table, A(m) - nu_m / 2 log det Psi with
+    # A(m) = -d / 2 (m log pi + log kappa_m) + log Gamma_d(nu_m / 2), so a
+    # cluster's log marginal is its MARGINAL less the base row's.  A point's
+    # weight against row k is BASE - POWER log1p(GAIN q); against its own
+    # row, with itself taken out, OWN_BASE + OWN_POWER log1p(OWN_SHRINK q).
+    _CRP, _MARGINAL, _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(8)
 
     def __init__(self, prior, alpha, clusters):
         self.prior = prior
@@ -166,7 +160,7 @@ class _ClusterCache:
         self.d = d = prior.d
         self._name_rows(sorted(int(lab) for lab in clusters))
         k = len(self.labels)
-        shapes = {"sums": (d,), "shifts": (d,), "outers": (d, d), "whitens": (d, d), "terms": (7,)}
+        shapes = {"sums": (d,), "shifts": (d,), "outers": (d, d), "whitens": (d, d), "terms": (8,)}
         for name in self._ROW_ARRAYS:
             setattr(self, name, np.zeros((max(16, k + 2),) + shapes.get(name, ())))
         for r, lab in enumerate(self.labels):
@@ -206,10 +200,14 @@ class _ClusterCache:
         )
 
     def _count_row(self, m):
-        """Terms BASE..OWN_POWER of a row of m points before 0.5 log det Psi, memoized."""
+        """Terms CRP..OWN_POWER of a row of m points before its log det Psi
+        (A(m) in place of MARGINAL), memoized: the one place where terms that
+        depend only on the count are computed."""
         terms = self._count_rows.get(m)
         if terms is None:
             kappa, nu = self.prior.kappa + m, self.prior.nu + m
+            crp = math.log(m) if m else self.log_alpha
+            marginal = -0.5 * self.d * (m * _LOG_PI + math.log(kappa)) + log_multigamma(self.d, 0.5 * nu)
             # Taking x out of a cluster of m >= 2 gives
             # Psi' = Psi - kappa / (kappa - 1) v v^T with v = x - mu, so
             # log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).  A
@@ -218,7 +216,7 @@ class _ClusterCache:
             if m > 1:
                 own = (self._count_const(m - 1), -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
             row = (self._count_const(m), kappa / (kappa + 1.0), 0.5 * (nu + 1.0))
-            terms = self._count_rows[m] = row + own
+            terms = self._count_rows[m] = (crp, marginal) + row + own
         return terms
 
     def _scales(self, counts, sums, outers):
@@ -253,10 +251,12 @@ class _ClusterCache:
                     raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
         self.whitens[rows] = whitens
         self.shifts[rows] = (whitens @ mus[:, :, None])[:, :, 0]
+        nu0 = self.prior.nu
         for r, m, log_det in zip(rows.tolist(), counts.tolist(), log_dets):
-            base, gain, power, own_base, shrink, own_power = self._count_row(m)
+            crp, marginal, base, gain, power, own_base, shrink, own_power = self._count_row(m)
             half = 0.5 * log_det
-            self.terms[r] = (log_det, base - half, gain, power, own_base - half, shrink, own_power)
+            marginal -= (nu0 + m) * half
+            self.terms[r] = (crp, marginal, base - half, gain, power, own_base - half, shrink, own_power)
 
     # -- mutation -----------------------------------------------------------
 
@@ -371,23 +371,23 @@ class _ClusterCache:
 
         Each candidate's posterior scale after absorbing the batch is formed
         from the merged raw sums, and all of them are factored by one stacked
-        Cholesky.  ``own`` is the row of the cluster C that holds the batch
-        and other points.  That entry is the batch's weight with the batch
-        taken out, p(C) / p(C \\ batch), computed without changing the table:
-        its place in the stack factors the scale of C \\ batch.
+        Cholesky; a candidate C's weight is its CRP term plus
+        log p(B | C) = MARGINAL(C + B) - MARGINAL(C).  ``own`` is the row of
+        the cluster C that holds the batch and other points.  That entry is
+        the batch's weight with the batch taken out, p(C) / p(C \\ batch),
+        computed without changing the table: its place in the stack factors
+        the scale of C \\ batch, and its gain flips sign.
         """
-        k = len(self.labels)
-        rows = k + 1
+        rows = len(self.labels) + 1
         nb = stats.n
-        counts = self.counts[:rows]
-        m = counts + nb
+        counts = self.counts[:rows] + nb
         s = self.sums[:rows] + stats.sum
         o = self.outers[:rows] + stats.sum_outer
         if own is not None:
-            m[own] = counts[own] - nb
+            counts[own] = self.counts[own] - nb
             s[own] = self.sums[own] - stats.sum
             o[own] = self.outers[own] - stats.sum_outer
-        psi, _ = self._scales(m, s, o)
+        psi, _ = self._scales(counts, s, o)
         with np.errstate(all="ignore"):
             chol = _cholesky(psi, signature="d->d")
         log_det = 2.0 * np.log(chol.diagonal(0, 1, 2)).sum(axis=1)
@@ -396,55 +396,20 @@ class _ClusterCache:
                 "candidate scale matrix is not positive definite",
                 min_eigenvalue=float(np.linalg.eigvalsh(psi).min()),
             )
-        base_log_det = self.terms[:rows, self._LOG_DET]
+        marginals = np.array([self._count_row(m)[self._MARGINAL] for m in counts.tolist()])
+        marginals -= 0.5 * (self.prior.nu + counts) * log_det
+        gains = marginals - self.terms[:rows, self._MARGINAL]
+        weights = self.terms[:rows, self._CRP] + gains
         if own is not None:
-            base_log_det = base_log_det.copy()
-            base_log_det[own], log_det[own] = log_det[own], base_log_det[own]
-            counts = counts.copy()
-            counts[own] -= nb
-        # log Gamma_d((nu0 + c) / 2) is, up to a constant, the sum of
-        # lgamma((nu0 - d + 1 + c + j) / 2) over j < d.
-        d = self.d
-        at = counts[:, None].astype(np.intp) + np.arange(d)
-        half_lgamma = _half_lgamma(self.prior.nu - d + 1.0, int(at.max()) + nb + 1)
-        multigamma = half_lgamma[at + nb].sum(axis=1) - half_lgamma[at].sum(axis=1)
-        crp = np.append(np.log(counts[:k]), self.log_alpha)
-        return self._plus_gains(crp, counts, nb, multigamma, base_log_det, log_det)
-
-    def _plus_gains(self, start, counts, nb, multigamma, base_log_det, log_det):
-        """``start`` plus log p(B | C) = log p(C + B) - log p(C) for each row.
-
-        C holds ``counts`` points and has log det Psi ``base_log_det``; C + B
-        holds ``nb`` more points (one batch size, or one per row) and has log
-        det Psi ``log_det``.  ``multigamma`` is
-        log Gamma_d((nu0 + counts + nb) / 2) - log Gamma_d((nu0 + counts) / 2).
-        """
-        kap = self.prior.kappa + counts
-        nu = self.prior.nu + counts
-        return (
-            start
-            - 0.5 * nb * self.d * _LOG_PI
-            + 0.5 * self.d * (np.log(kap) - np.log(kap + nb))
-            + multigamma
-            + 0.5 * (nu * base_log_det - (nu + nb) * log_det)
-        )
+            weights[own] = self._count_row(float(counts[own]))[self._CRP] - gains[own]
+        return weights
 
     def log_joint(self, n):
         """log p(x, z) of the table's n points: the CRP partition prior plus
-        each cluster's log marginal, its gain over the empty base row."""
+        each cluster's log marginal, its MARGINAL less the base row's."""
         k = len(self.labels)
-        sizes = self.counts[:k]
-        # K * d lgamma calls; the batch lookup table would have to be filled
-        # up to the largest cluster (20,000 calls, 5.7 ms, for the first
-        # record of a fit on 20,000 points).
-        nu0 = self.prior.nu
-        base = log_multigamma(self.d, 0.5 * nu0)
-        multigamma = [log_multigamma(self.d, 0.5 * (nu0 + m)) - base for m in sizes.tolist()]
-        log_dets = self.terms[: k + 1, self._LOG_DET]
-        gains = self._plus_gains(
-            0.0, np.zeros(k), sizes, np.array(multigamma), log_dets[k], log_dets[:k]
-        )
-        return crp_log_prob(self.alpha, sizes.tolist(), n) + float(gains.sum())
+        marginals = self.terms[:k, self._MARGINAL] - self.terms[k, self._MARGINAL]
+        return crp_log_prob(self.alpha, self.counts[:k].tolist(), n) + float(marginals.sum())
 
     def stats(self):
         """{label: SufficientStats} of the rows in ascending label order, copied

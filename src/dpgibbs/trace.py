@@ -41,10 +41,6 @@ class RunTrace:
     def aris(self):
         return [r.ari for r in self.records]
 
-    @property
-    def seconds(self):
-        return np.array([r.seconds for r in self.records])
-
     def to_payload(self):
         """JSON-ready array of per-iteration records."""
         return [asdict(r) for r in self.records]

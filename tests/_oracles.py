@@ -212,17 +212,25 @@ def state_from_labels(data, labels, hyper):
 
 
 def reference_refresh(table, rows):
-    """(whitens, shifts, terms) of a cluster table's ``rows`` through the public route.
+    """(whitens, shifts, terms, log_marginals) of a cluster table's ``rows``
+    through the public route.
 
     Each row's posterior scale is formed from its raw sums in the order the
-    table forms it, factored with ``np.linalg.cholesky``, inverted with
-    ``np.linalg.inv``, and its scalar terms are computed from the table's
-    un-memoized count constant, so the result should equal the table's
-    cached factors bit for bit.
+    table forms it, factored with ``np.linalg.cholesky`` and inverted with
+    ``np.linalg.inv``.  Its CRP term is ``math.log`` of its count (of alpha
+    on the base row), its MARGINAL is A(m) - nu_m / 2 log det Psi with A(m)
+    from ``niw.log_multigamma``, and its point-weight terms come from the
+    table's un-memoized count constant, so ``terms`` should equal the
+    table's cached factors bit for bit.  ``log_marginals`` holds each row's
+    log marginal by ``niw.log_marginal`` (0 on the base row), which the
+    table's MARGINAL less its base row's should equal to rounding.
     """
     import math
 
+    from dpgibbs.niw import SufficientStats, log_marginal, log_multigamma
+
     prior = table.prior
+    d = prior.d
     rows = np.asarray(rows)
     counts = table.counts[rows]
     kappa_mu = prior.kappa * prior.mu
@@ -234,7 +242,9 @@ def reference_refresh(table, rows):
     whitens = np.linalg.inv(chol)
     shifts = (whitens @ mus[:, :, None])[:, :, 0]
     terms = []
-    for m, diag in zip(counts.tolist(), chol.diagonal(0, 1, 2).tolist()):
+    log_marginals = []
+    raw = zip(counts.tolist(), table.sums[rows], table.outers[rows], chol.diagonal(0, 1, 2).tolist())
+    for m, sumv, outer, diag in raw:
         log_det = 2.0 * sum(map(math.log, diag))
         kappa, nu = prior.kappa + m, prior.nu + m
         own = (-math.inf, 0.0, 0.0)
@@ -242,8 +252,12 @@ def reference_refresh(table, rows):
             own_base = table._count_const(m - 1) - 0.5 * log_det
             own = (own_base, -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
         base = table._count_const(m) - 0.5 * log_det
-        terms.append((log_det, base, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)) + own)
-    return whitens, shifts, np.array(terms)
+        crp = math.log(m) if m else math.log(table.alpha)
+        marginal = -0.5 * d * (m * math.log(math.pi) + math.log(kappa)) + log_multigamma(d, 0.5 * nu)
+        marginal -= nu * (0.5 * log_det)
+        terms.append((crp, marginal, base, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)) + own)
+        log_marginals.append(log_marginal(SufficientStats(int(m), sumv, outer), prior))
+    return whitens, shifts, np.array(terms), np.array(log_marginals)
 
 
 def masked_sample_log_weights(weights, u):

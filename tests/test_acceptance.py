@@ -293,7 +293,7 @@ def test_criterion_05_central_ari(central20k, synth20k):
 
 
 @pytest.mark.xfail(
-    reason="distributed W=8 ARI is 0.7435 (ROADMAP item 2): no move in either "
+    reason="distributed W=8 ARI is 0.7435 (ROADMAP item 1): no move in either "
     "sampler splits a cluster that holds two components once it has formed, "
     "and in the final partition 6 of 8 shards hold a local cluster that "
     "spans two or three true components",

@@ -467,6 +467,27 @@ class TestLogJoint:
         assert math.isclose(log_joint(state), expected, rel_tol=1e-12)
         assert math.isclose(global_log_joint(gstate, labels.size), expected, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_large_counts_of_offset_data_cancel(self, d):
+        """20,000 points offset by +50 and centered, in 7 clusters of up to
+        5,000: both log joints, whose count terms are about 1e5 per cluster,
+        against the CRP term plus the fsum of niw.log_marginal."""
+        from dpgibbs.master import GlobalState, global_log_joint
+        from dpgibbs.niw import log_marginal
+
+        rng = np.random.default_rng(70 + d)
+        sizes = [5000, 4000, 3500, 3000, 2000, 1500, 1000]
+        labels = np.repeat(np.arange(7), sizes)
+        data = 50.0 + 6.0 * rng.standard_normal((7, d))[labels] + rng.standard_normal((labels.size, d))
+        data, hyper = center_on_prior(data, ModelHyperParams(alpha=2.0, prior=default_prior(data)))
+        state = state_from_labels(data, labels, hyper)
+        expected = crp_log_prob(hyper.alpha, sizes, labels.size) + math.fsum(
+            log_marginal(s, hyper.prior) for s in state.clusters.values()
+        )
+        gstate = GlobalState(assignments={}, table=state.table)
+        assert math.isclose(log_joint(state), expected, rel_tol=1e-12)
+        assert math.isclose(global_log_joint(gstate, labels.size), expected, rel_tol=1e-12)
+
 
 def assert_live_table(table, labels, data):
     """Each row's count and sums are those of the points with its label, and
@@ -577,8 +598,9 @@ class TestFactorRoute:
     def test_cached_factors_equal_the_public_numpy_route(self, d):
         """After sweeps with churn, the master's table and worker applies,
         every row's whitening factor, shift and terms equal bit for bit those
-        of np.linalg.cholesky, np.linalg.inv and the un-memoized count
-        constant."""
+        of np.linalg.cholesky, np.linalg.inv, math.log, niw.log_multigamma
+        and the un-memoized count constant, and each row's MARGINAL less the
+        base row's equals niw.log_marginal within 1e-12 relative."""
         from dpgibbs.master import master_sweep
         from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
 
@@ -597,10 +619,13 @@ class TestFactorRoute:
                 apply_global_labels(w, label_map)
             for table in [gstate.table] + [w.local.table for w in workers]:
                 rows = np.arange(len(table.labels) + 1)
-                whitens, shifts, terms = _oracles.reference_refresh(table, rows)
+                whitens, shifts, terms, log_marginals = _oracles.reference_refresh(table, rows)
                 assert np.array_equal(table.whitens[rows], whitens)
                 assert np.array_equal(table.shifts[rows], shifts)
                 assert np.array_equal(table.terms[rows], terms)
+                marginals = table.terms[rows, table._MARGINAL] - table.terms[rows[-1], table._MARGINAL]
+                for got, want in zip(marginals.tolist(), log_marginals.tolist()):
+                    assert math.isclose(got, want, rel_tol=1e-12)
                 tables += len(rows) > 3
         assert tables > 3
 

@@ -246,7 +246,7 @@ class TestRunDiscgs:
         assert ari(base, fit(transform(data))) >= 0.999
 
     @pytest.mark.xfail(
-        reason="known defect (ROADMAP item 2): no move in either sampler splits a "
+        reason="known defect (ROADMAP item 1): no move in either sampler splits a "
         "cluster that holds two components; each worker keeps one cluster across its "
         "shard, and run_cgs on the same data also sticks at alpha 1",
         strict=True,
