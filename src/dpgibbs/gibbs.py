@@ -30,7 +30,6 @@ from .niw import (
     ModelHyperParams,
     NiwParams,
     SufficientStats,
-    _readonly,
     cholesky_logdet,
     log_multigamma,
     stats_from_points,
@@ -56,6 +55,11 @@ _U64 = (1 << 64) - 1
 # Row terms by model and count: filled on demand and shared by every table,
 # so master sweeps reuse them.
 _COUNT_ROWS = {}
+
+
+def forget_count_rows(hyper):
+    """Free the count terms memoized for a model, at the end of its run."""
+    _COUNT_ROWS.pop((hyper.prior.kappa, hyper.prior.nu, hyper.prior.d, hyper.alpha), None)
 
 
 def seed_to_u64(seed):
@@ -87,7 +91,9 @@ class PartitionState:
     @classmethod
     def from_stats(cls, labels, clusters, hyper):
         """State of ``labels`` (copied) and a table of ``clusters``, {label: SufficientStats}."""
-        table = _ClusterCache(hyper.prior, hyper.alpha, clusters)
+        stats = [clusters[lab] for lab in sorted(clusters)]
+        rows = ([s.n for s in stats], [s.sum for s in stats], [s.sum_outer for s in stats])
+        table = _ClusterCache(hyper.prior, hyper.alpha, sorted(clusters), *rows)
         return cls(labels=np.array(labels, dtype=np.int64), table=table)
 
     @classmethod
@@ -153,21 +159,21 @@ class _ClusterCache:
     # row, with itself taken out, OWN_BASE + OWN_POWER log1p(OWN_SHRINK q).
     _CRP, _MARGINAL, _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(8)
 
-    def __init__(self, prior, alpha, clusters):
+    def __init__(self, prior, alpha, labels, counts, sums, outers):
+        """Rows of clusters ``labels`` (ascending) copied from raw sums (K,), (K, d), (K, d, d)."""
         self.prior = prior
         self.alpha = alpha
         self.log_alpha = math.log(alpha)
         self.d = d = prior.d
-        self._name_rows(sorted(int(lab) for lab in clusters))
+        self._name_rows([int(lab) for lab in labels])
         k = len(self.labels)
         shapes = {"sums": (d,), "shifts": (d,), "outers": (d, d), "whitens": (d, d), "terms": (8,)}
         for name in self._ROW_ARRAYS:
             setattr(self, name, np.zeros((max(16, k + 2),) + shapes.get(name, ())))
-        for r, lab in enumerate(self.labels):
-            stats = clusters[lab]
-            if stats.n < 1:
-                raise ValueError("cluster %d is empty" % lab)
-            self.counts[r], self.sums[r], self.outers[r] = stats.n, stats.sum, stats.sum_outer
+        if k:
+            self.counts[:k], self.sums[:k], self.outers[:k] = counts, sums, outers
+            if self.counts[:k].min() < 1:
+                raise ValueError("cluster %d is empty" % self.labels[self.counts[:k].argmin()])
         # Psi_n = Psi0 + kappa0 mu0 mu0^T + sum x x^T - t t^T / kappa_n with
         # t = kappa0 mu0 + sum x; the first two terms are the same in every row.
         self._kappa_mu = prior.kappa * prior.mu
@@ -366,8 +372,9 @@ class _ClusterCache:
             weights.put(at, own_weights)
         return weights if xs.ndim == 2 else weights[:, 0]
 
-    def batch_log_weights(self, stats, own=None):
-        """Log-weights of a point batch over (clusters by ascending label, new).
+    def batch_log_weights(self, n, sumv, outer, own=None):
+        """Log-weights of a batch of n points with raw sums (sumv, outer) over
+        (clusters by ascending label, new).
 
         Each candidate's posterior scale after absorbing the batch is formed
         from the merged raw sums, and all of them are factored by one stacked
@@ -379,14 +386,13 @@ class _ClusterCache:
         the scale of C \\ batch, and its gain flips sign.
         """
         rows = len(self.labels) + 1
-        nb = stats.n
-        counts = self.counts[:rows] + nb
-        s = self.sums[:rows] + stats.sum
-        o = self.outers[:rows] + stats.sum_outer
+        counts = self.counts[:rows] + n
+        s = self.sums[:rows] + sumv
+        o = self.outers[:rows] + outer
         if own is not None:
-            counts[own] = self.counts[own] - nb
-            s[own] = self.sums[own] - stats.sum
-            o[own] = self.outers[own] - stats.sum_outer
+            counts[own] = self.counts[own] - n
+            s[own] = self.sums[own] - sumv
+            o[own] = self.outers[own] - outer
         psi, _ = self._scales(counts, s, o)
         with np.errstate(all="ignore"):
             chol = _cholesky(psi, signature="d->d")
@@ -412,11 +418,9 @@ class _ClusterCache:
         return crp_log_prob(self.alpha, self.counts[:k].tolist(), n) + float(marginals.sum())
 
     def stats(self):
-        """{label: SufficientStats} of the rows in ascending label order, copied
-        out in one block per field, unchecked: rows hold exact, symmetric sums."""
-        k = len(self.labels)
-        rows = zip(self.labels, self.counts.tolist(), _readonly(self.sums[:k]), _readonly(self.outers[:k]))
-        return {lab: SufficientStats._unchecked(int(n), s, o) for lab, n, s, o in rows}
+        """{label: SufficientStats} of the rows in ascending label order, copied."""
+        rows = zip(self.labels, self.counts.tolist(), self.sums, self.outers)
+        return {lab: SufficientStats(int(n), s, o) for lab, n, s, o in rows}
 
 
 def cgs_sweep(state, data, rng, weight_log=None):
@@ -540,25 +544,28 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None):
         }
     )
     truth = None if ground_truth is None else np.asarray(ground_truth)
-    for t in range(1, iterations + 1):
-        started = time.perf_counter()
-        try:
-            cgs_sweep(state, centered, rng)
-        except NumericalDegeneracyError as err:
-            err.add_context(iteration=t)
-            raise
-        score = None
-        if truth is not None:
-            from .metrics import ari
+    try:
+        for t in range(1, iterations + 1):
+            started = time.perf_counter()
+            try:
+                cgs_sweep(state, centered, rng)
+            except NumericalDegeneracyError as err:
+                err.add_context(iteration=t)
+                raise
+            score = None
+            if truth is not None:
+                from .metrics import ari
 
-            score = ari(state.labels, truth)
-        trace.append(
-            IterationRecord(
-                iteration=t,
-                log_joint=log_joint(state),
-                num_clusters=state.num_clusters,
-                seconds=time.perf_counter() - started,
-                ari=score,
+                score = ari(state.labels, truth)
+            trace.append(
+                IterationRecord(
+                    iteration=t,
+                    log_joint=log_joint(state),
+                    num_clusters=state.num_clusters,
+                    seconds=time.perf_counter() - started,
+                    ari=score,
+                )
             )
-        )
+    finally:
+        forget_count_rows(centered_hyper)
     return state.table.row_of[state.labels], trace

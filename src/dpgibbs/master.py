@@ -1,10 +1,10 @@
 """Master-level batch reassignment over worker cluster statistics.
 
-The master never sees raw points.  Each worker-local cluster is a batch
-(worker_id, local_label, previous global id, stats); one master sweep starts
-from the previous assignment, visits the batches in a randomized order and
-reassigns each whole batch among the current global clusters with
-log-weights
+The master never sees raw points.  Each worker-local cluster is a batch,
+one row of a worker's summary: (worker_id, local_label, previous global id,
+n, sum x, sum x x^T).  One master sweep starts from the previous
+assignment, visits the batches in a randomized order and reassigns each
+whole batch among the current global clusters with log-weights
 
     existing k: log n_k    + log p(batch stats | global cluster k's posterior)
     new:        log alpha  + log p(batch stats | base measure)
@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import NumericalDegeneracyError
 from .gibbs import _ClusterCache, sample_log_weights
-from .niw import stats_merge
 
 
 @dataclass
@@ -44,72 +43,66 @@ class GlobalState:
 
 
 def _collect_batches(summaries):
-    seen = set()
-    batches = []
-    for summary in sorted(summaries, key=lambda s: s.worker_id):
-        if summary.worker_id in seen:
-            raise ValueError("duplicate summary for worker %d" % summary.worker_id)
-        seen.add(summary.worker_id)
-        for entry in summary.clusters:
-            if entry.stats.n < 1:
-                raise ValueError("batch (%d, %d) is empty" % (summary.worker_id, entry.local_label))
-            batches.append((summary.worker_id, entry.local_label, entry.previous, entry.stats))
-    if not batches:
+    """Every summary's rows, joined in worker order: (worker ids, local
+    labels, previous global ids, counts, sums, outers)."""
+    summaries = sorted(summaries, key=lambda s: s.worker_id)
+    ids = [s.worker_id for s in summaries]
+    sizes = [len(s.clusters) for s in summaries]
+    if not sum(sizes):
         raise ValueError("no batches to assign")
-    d = batches[0][3].d
-    if any(b[3].d != d for b in batches):
-        raise ValueError("batch dimension mismatch")
-    return batches
+    d = np.shape(summaries[0].sums)[-1]
+    for s, k, before in zip(summaries, sizes, [None] + ids):
+        if s.worker_id == before:
+            raise ValueError("duplicate summary for worker %d" % s.worker_id)
+        shapes = [np.shape(a) for a in (s.clusters, s.previous, s.counts, s.sums, s.outers)]
+        if shapes != [(k,), (k,), (k,), (k, d), (k, d, d)]:
+            message = "worker %d sent shapes %r, not those of %d batches of dimension %d"
+            raise ValueError(message % (s.worker_id, shapes, k, d))
+        if k and np.min(s.counts) < 1:
+            h = s.clusters[np.argmin(s.counts)]
+            raise ValueError("batch (%d, %d) is empty" % (s.worker_id, h))
+    fields = zip(*((s.clusters, s.previous, s.counts, s.sums, s.outers) for s in summaries))
+    return (np.repeat(ids, sizes),) + tuple(map(np.concatenate, fields))
 
 
 def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
     """One randomized pass reassigning every batch; returns a GlobalState.
 
-    The sweep starts from the previous assignment the batches name: each
-    global cluster is rebuilt from the current statistics of the batches
-    whose ``previous`` names it, and a batch without one starts unassigned.
+    The sweep starts from the previous assignment the batches name: the
+    rows of the batches that name a global id are renamed to it, which sums
+    those that share one, and a batch without one starts unassigned.
     ``order`` overrides the random visitation order (a permutation of batch
-    indices); ``weight_log`` collects the per-step candidate log-weight
-    vectors.
+    indices); ``weight_log`` collects the per-step candidate log-weight vectors.
     """
-    batches = _collect_batches(summaries)
-    assignments = {}
-    members = {}
-    for worker_id, local_label, previous, stats in batches:
-        if previous is not None:
-            assignments[(worker_id, local_label)] = previous
-            members.setdefault(previous, []).append(stats)
-    table = _ClusterCache(
-        hyper.prior, hyper.alpha, {g: stats_merge(parts) for g, parts in members.items()}
-    )
-    if order is None:
-        order = rng.permutation(len(batches))
-    else:
-        order = np.asarray(order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(len(batches))):
-            raise ValueError("order must be a permutation of batch indices")
+    workers, local_labels, previous, counts, sums, outers = _collect_batches(summaries)
+    seeded = np.flatnonzero(previous >= 0)
+    rows = (counts[seeded], sums[seeded], outers[seeded])
+    table = _ClusterCache(hyper.prior, hyper.alpha, range(seeded.shape[0]), *rows)
+    table.rename(previous[seeded])
+    keys = list(zip(workers.tolist(), local_labels.tolist()))
+    assignments = {keys[i]: int(previous[i]) for i in seeded.tolist()}
+    order = rng.permutation(len(keys)) if order is None else np.asarray(order, dtype=np.int64)
+    if sorted(order.tolist()) != list(range(len(keys))):
+        raise ValueError("order must be a permutation of batch indices")
     for i in order:
-        worker_id, local_label, _, stats = batches[i]
-        key = (worker_id, local_label)
-        previous = assignments.get(key)
-        own = None
-        if previous is not None:
-            own = int(table.row_of[previous])
-            if table.counts[own] == stats.n:  # the batch is the whole cluster
-                table.delete(previous)
-                previous = own = None
+        n, sumv, outer = counts[i], sums[i], outers[i]
+        label = assignments.get(keys[i])
+        own = None if label is None else int(table.row_of[label])
+        if own is not None and table.counts[own] == n:  # the batch is the whole cluster
+            table.delete(label)
+            label = own = None
         try:
-            weights = table.batch_log_weights(stats, own)
+            weights = table.batch_log_weights(n, sumv, outer, own)
             if weight_log is not None:
                 weight_log.append(weights.copy())
             choice = int(sample_log_weights(weights, rng.random()))
             if choice < 0:
                 raise NumericalDegeneracyError("non-finite sampling weights")
         except NumericalDegeneracyError as err:
-            err.add_context(worker_id=worker_id, local_label=local_label)
+            err.add_context(worker_id=keys[i][0], local_label=keys[i][1])
             raise
         if choice != own:
-            assignments[key] = table.move(previous, choice, stats.n, stats.sum, stats.sum_outer)
+            assignments[keys[i]] = table.move(label, choice, n, sumv, outer)
     dense = {g: i for i, g in enumerate(table.labels)}
     table.rename(np.arange(len(dense)))
     return GlobalState(assignments={key: dense[g] for key, g in assignments.items()}, table=table)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError, WorkerLostError
-from .gibbs import center_on_prior, seed_to_u64
+from .gibbs import center_on_prior, forget_count_rows, seed_to_u64
 from .master import global_log_joint, master_sweep
 from .niw import ModelHyperParams
 from .trace import IterationRecord, RunTrace
@@ -322,5 +322,6 @@ def run_discgs(data, config, ground_truth=None, channel_factory=None):
             channel.send(StopCmd())
     finally:
         shutdown()
+        forget_count_rows(hyper)
     trace.meta["d"] = int(data.shape[1])
     return final_labels, trace

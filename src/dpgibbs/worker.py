@@ -2,12 +2,13 @@
 
 A worker owns a contiguous shard of the data and runs the same collapsed
 Gibbs sweep as the centralized sampler, with the same concentration alpha and
-base measure.  After each sweep it ships per-cluster sufficient statistics to
-the master; the master's reply (this worker's label map) is applied by
-renaming and merging local clusters, never by splitting them, and keys the
-local clusters by their global ids from then on.  A worker keeps one cluster
-table for its whole run: the sweep updates it in place, the summary reads its
-rows, and the apply renames them, summing the rows that share a global id.
+base measure.  After each sweep it ships its table's rows, each cluster's
+sufficient statistics, to the master; the master's reply (this worker's
+label map) is applied by renaming and merging local clusters, never by
+splitting them, and keys the local clusters by their global ids from then
+on.  A worker keeps one cluster table for its whole run: the sweep updates
+it in place, the summary copies its rows, and the apply renames them,
+summing the rows that share a global id.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gibbs import PartitionState, cgs_sweep
-from .niw import SufficientStats
 
 
 @dataclass
@@ -41,21 +41,17 @@ class WorkerState:
 
 
 @dataclass(frozen=True)
-class ClusterSummary:
-    """One local cluster: its label, its global id from the last apply (None
-    for a cluster born since), and its statistics."""
-
-    local_label: int
-    previous: int | None
-    stats: SufficientStats
-
-
-@dataclass(frozen=True)
 class WorkerSummary:
-    """Per-cluster sufficient statistics of one worker, ordered by local label."""
+    """The first K rows of one worker's table, by ascending local label: int64
+    local labels, global ids from the last apply (-1 for a cluster born since)
+    and raw sums, (K,), (K,), (K,), (K, d) and (K, d, d)."""
 
     worker_id: int
-    clusters: tuple[ClusterSummary, ...]
+    clusters: np.ndarray
+    previous: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
+    outers: np.ndarray
 
 
 def worker_sweep(w, rng):
@@ -65,12 +61,12 @@ def worker_sweep(w, rng):
 
 
 def summarize(w):
-    """WorkerSummary with one entry per non-empty local cluster."""
-    entries = tuple(
-        ClusterSummary(lab, lab if lab < w.first_new else None, stats)
-        for lab, stats in w.local.clusters.items()
-    )
-    return WorkerSummary(worker_id=w.worker_id, clusters=entries)
+    """WorkerSummary of the non-empty local clusters, copied from the table."""
+    t = w.local.table
+    clusters = np.array(t.labels, dtype=np.int64)
+    previous = np.where(clusters < w.first_new, clusters, -1)
+    rows = (a[: len(clusters)].copy() for a in (t.counts, t.sums, t.outers))
+    return WorkerSummary(w.worker_id, clusters, previous, *rows)
 
 
 def apply_global_labels(w, label_map):

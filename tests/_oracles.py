@@ -211,6 +211,14 @@ def state_from_labels(data, labels, hyper):
     return PartitionState.from_stats(labels, dict(enumerate(map(stats_from_points, parts))), hyper)
 
 
+def table_of(prior, alpha, clusters):
+    """Cluster table of {label: SufficientStats}, one row per label in ascending order."""
+    from dpgibbs.gibbs import PartitionState
+    from dpgibbs.niw import ModelHyperParams
+
+    return PartitionState.from_stats([], clusters, ModelHyperParams(alpha, prior)).table
+
+
 def reference_refresh(table, rows):
     """(whitens, shifts, terms, log_marginals) of a cluster table's ``rows``
     through the public route.
@@ -323,11 +331,11 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
     ``state`` is left as it is; the result is a new state with labels made
     dense 0..K-1.
     """
-    from dpgibbs.gibbs import PartitionState, _ClusterCache
+    from dpgibbs.gibbs import PartitionState
 
     data = np.asarray(data, dtype=np.float64)
     prior = state.table.prior
-    cache = _ClusterCache(prior, state.table.alpha, state.clusters)
+    cache = table_of(prior, state.table.alpha, state.clusters)
     labels = np.array(state.labels, dtype=np.int64, copy=True)
     for i in range(data.shape[0]):
         x = data[i]

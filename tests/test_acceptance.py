@@ -34,7 +34,7 @@ from dpgibbs.niw import (
     stats_merge,
 )
 from dpgibbs.runtime import RunConfig, run_discgs
-from dpgibbs.worker import ClusterSummary, WorkerSummary
+from dpgibbs.worker import WorkerSummary
 
 CPU_COUNT = os.cpu_count() or 1
 NEEDS_THREADS = pytest.mark.skipif(
@@ -252,10 +252,11 @@ def test_criterion_04_master_matches_central_on_singletons():
         # cluster in the central partition.
         summary = WorkerSummary(
             worker_id=0,
-            clusters=tuple(
-                ClusterSummary(i, int(init[i]), stats_from_points(data[i : i + 1]))
-                for i in range(n)
-            ),
+            clusters=np.arange(n, dtype=np.int64),
+            previous=init.astype(np.int64),
+            counts=np.ones(n),
+            sums=data.copy(),
+            outers=data[:, :, None] * data[:, None, :],
         )
         master_log = []
         out = master_sweep(

@@ -350,7 +350,6 @@ class TestFitDistributed:
 
         from dpgibbs import runtime
         from dpgibbs.gibbs import _ClusterCache
-        from dpgibbs.niw import SufficientStats
 
         if where == "worker move":
             move = _ClusterCache.move
@@ -364,10 +363,11 @@ class TestFitDistributed:
             master_sweep = runtime.master_sweep
 
             def bad_batch(summaries, hyper, rng):
-                first = summaries[0].clusters[0]
-                stats = SufficientStats(first.stats.n, 1e3 + first.stats.sum, np.zeros((2, 2)))
-                clusters = (replace(first, stats=stats),) + summaries[0].clusters[1:]
-                summaries = [replace(summaries[0], clusters=clusters)] + summaries[1:]
+                first = summaries[0]
+                sums, outers = first.sums.copy(), first.outers.copy()
+                sums[0] += 1e3
+                outers[0] = 0.0
+                summaries = [replace(first, sums=sums, outers=outers)] + summaries[1:]
                 return master_sweep(summaries, hyper, rng)
 
             monkeypatch.setattr(runtime, "master_sweep", bad_batch)

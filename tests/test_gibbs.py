@@ -33,7 +33,7 @@ from dpgibbs.niw import (
 )
 
 import _oracles
-from _oracles import state_from_labels, validate_partition
+from _oracles import state_from_labels, table_of, validate_partition
 
 
 def unit_hyper(d, alpha=1.0):
@@ -493,8 +493,6 @@ def assert_live_table(table, labels, data):
     """Each row's count and sums are those of the points with its label, and
     its cached factors are bit for bit those of a table built afresh from
     its raw sums."""
-    from dpgibbs.gibbs import _ClusterCache
-
     k = len(table.labels)
     assert table.labels == sorted(set(labels.tolist()))
     assert np.array_equal(table.row_of[table.labels], np.arange(k))
@@ -503,7 +501,7 @@ def assert_live_table(table, labels, data):
         assert table.counts[r] == members.shape[0]
         assert np.allclose(table.sums[r], members.sum(axis=0), rtol=1e-10, atol=1e-9)
         assert np.allclose(table.outers[r], members.T @ members, rtol=1e-10, atol=1e-9)
-    fresh = _ClusterCache(table.prior, table.alpha, table.stats())
+    fresh = table_of(table.prior, table.alpha, table.stats())
     for name in ("whitens", "shifts", "terms"):
         assert np.array_equal(getattr(table, name)[: k + 1], getattr(fresh, name)[: k + 1])
 
@@ -666,14 +664,12 @@ class TestDegenerateScales:
 
     @staticmethod
     def table(d=2):
-        from dpgibbs.gibbs import _ClusterCache
-
         rng = np.random.default_rng(70)
         clusters = {
             3: stats_from_points(rng.standard_normal((5, d))),
             8: stats_from_points(rng.standard_normal((4, d))),
         }
-        return _ClusterCache(unit_hyper(d).prior, 1.0, clusters)
+        return table_of(unit_hyper(d).prior, 1.0, clusters)
 
     def test_move_to_a_non_positive_definite_scale(self):
         table = self.table()
@@ -686,23 +682,21 @@ class TestDegenerateScales:
         assert info.value.context == {"cluster_label": 3}
 
     def test_table_with_a_non_positive_definite_scale(self):
-        from dpgibbs.gibbs import _ClusterCache
-
         good = stats_from_points(np.eye(2))
         bad = SufficientStats(2, np.full(2, 100.0), np.zeros((2, 2)))
         with pytest.raises(NumericalDegeneracyError, match="not positive definite") as info:
-            _ClusterCache(unit_hyper(2).prior, 1.0, {0: good, 6: bad})
+            table_of(unit_hyper(2).prior, 1.0, {0: good, 6: bad})
         assert info.value.context == {"cluster_label": 6}
         assert info.value.min_eigenvalue < 0.0
 
     def test_batch_with_a_non_positive_definite_candidate_scale(self):
         table = self.table()
-        batch = SufficientStats(3, np.full(2, 1e3), np.zeros((2, 2)))
         for own in (None, 1):
             with pytest.raises(NumericalDegeneracyError, match="candidate scale matrix") as info:
-                table.batch_log_weights(batch, own)
+                table.batch_log_weights(3, np.full(2, 1e3), np.zeros((2, 2)), own)
             assert info.value.min_eigenvalue < 0.0
-        assert np.all(np.isfinite(table.batch_log_weights(stats_from_points(np.eye(2)))))
+        batch = stats_from_points(np.eye(2))
+        assert np.all(np.isfinite(table.batch_log_weights(batch.n, batch.sum, batch.sum_outer)))
 
 
 class TestLgammaPaths:
@@ -736,11 +730,9 @@ class TestLgammaPaths:
         return math.fsum(self.multigamma_terms(d, a))
 
     def test_count_constants(self):
-        from dpgibbs.gibbs import _ClusterCache
-
         for d in range(1, 9):
             for prior in self.priors(d):
-                cache = _ClusterCache(prior, 2.5, {})
+                cache = table_of(prior, 2.5, {})
                 for m in self.COUNTS:
                     kappa, nu = prior.kappa + m, prior.nu + m
                     terms = [
@@ -761,8 +753,6 @@ class TestLgammaPaths:
 
     def test_batch_weights_with_the_multigamma_gap(self):
         """Batch weights, own row included, against gammaln and dense log dets."""
-        from dpgibbs.gibbs import _ClusterCache
-
         rng = np.random.default_rng(40)
         for d in range(1, 9):
             big = stats_from_points(rng.standard_normal((20_000, d)))
@@ -772,8 +762,8 @@ class TestLgammaPaths:
                 big.n + batch.n, big.sum + batch.sum, big.sum_outer + batch.sum_outer
             )
             for prior in self.priors(d):
-                cache = _ClusterCache(prior, 2.5, {0: small, 1: holder})
-                weights = cache.batch_log_weights(batch, own=1)
+                cache = table_of(prior, 2.5, {0: small, 1: holder})
+                weights = cache.batch_log_weights(batch.n, batch.sum, batch.sum_outer, own=1)
                 expected = []
                 for rest, log_count in ((small, math.log(7)), (big, math.log(big.n)), (None, math.log(2.5))):
                     base = prior if rest is None else niw_posterior(prior, rest)
@@ -835,6 +825,22 @@ class TestRunCgs:
         base = fit(data)
         assert np.unique(base).size > 1
         assert ari(base, fit(transform(data))) >= 0.999
+
+    def test_run_frees_its_models_count_terms(self):
+        """The memoized count terms of the run's model are dropped when the
+        run ends, and a second identical run gives the same labels."""
+        from dpgibbs.gibbs import _COUNT_ROWS
+
+        data, _ = separated_two_component(60, seed=31)
+        hyper = empirical_hyper(data, alpha=2.0)
+        key = (hyper.prior.kappa, hyper.prior.nu, hyper.prior.d, hyper.alpha)
+        PartitionState.single_cluster(data, hyper)
+        assert key in _COUNT_ROWS  # the key a table of this model fills
+        first, _ = run_cgs(data, hyper, 4, seed=5)
+        assert key not in _COUNT_ROWS
+        second, _ = run_cgs(data, hyper, 4, seed=5)
+        assert key not in _COUNT_ROWS
+        assert np.array_equal(first, second)
 
 
 @pytest.mark.slow

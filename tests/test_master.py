@@ -1,6 +1,7 @@
 """Unit tests for master-level batch reassignment."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,13 @@ from dpgibbs.niw import (
     log_posterior_predictive,
     log_prior_predictive,
     stats_from_points,
+    SufficientStats,
     stats_merge,
     zero_stats,
 )
-from dpgibbs.worker import ClusterSummary, WorkerState, WorkerSummary, apply_global_labels
+from dpgibbs.worker import WorkerState, WorkerSummary, apply_global_labels, summarize
+
+from _oracles import table_of
 
 
 def make_hyper(d=2, alpha=1.0, scale=1.0):
@@ -30,17 +34,33 @@ def make_hyper(d=2, alpha=1.0, scale=1.0):
 
 
 def summary_of(worker_id, batches, previous=None):
-    """batches: list of (n, d) arrays, one per local cluster; ``previous``
-    lists each batch's previous global id (default: all unassigned)."""
+    """batches: list of (n, d) arrays, one per local cluster, labelled 0, 1, ...;
+    ``previous`` lists each batch's previous global id (default: all unassigned)."""
+    return summary_of_stats(worker_id, [stats_from_points(pts) for pts in batches], previous)
+
+
+def summary_of_stats(worker_id, stats, previous=None):
+    """WorkerSummary of a list of SufficientStats, as ``summary_of``; None in
+    ``previous`` is an unassigned batch."""
     if previous is None:
-        previous = [None] * len(batches)
+        previous = [None] * len(stats)
     return WorkerSummary(
         worker_id=worker_id,
-        clusters=tuple(
-            ClusterSummary(h, g, stats_from_points(pts))
-            for h, (pts, g) in enumerate(zip(batches, previous))
-        ),
+        clusters=np.arange(len(stats), dtype=np.int64),
+        previous=np.array([-1 if g is None else g for g in previous], dtype=np.int64),
+        counts=np.array([s.n for s in stats], dtype=np.float64),
+        sums=np.array([s.sum for s in stats]),
+        outers=np.array([s.sum_outer for s in stats]),
     )
+
+
+def batches_of(summaries):
+    """{(worker_id, local_label): SufficientStats} of every batch."""
+    return {
+        (s.worker_id, int(h)): SufficientStats(int(n), sumv, outer)
+        for s in summaries
+        for h, n, sumv, outer in zip(s.clusters, s.counts, s.sums, s.outers)
+    }
 
 
 class TestMasterSweep:
@@ -86,18 +106,16 @@ class TestMasterSweep:
             for j in range(3)
         ]
         out = master_sweep(summaries, make_hyper(), np.random.default_rng(5))
-        all_batches = [e.stats for s in summaries for e in s.clusters]
-        merged_in = stats_merge(all_batches)
+        batches = batches_of(summaries)
+        merged_in = stats_merge(list(batches.values()))
         merged_out = stats_merge(list(out.table.stats().values()))
         assert merged_in.n == merged_out.n
         assert np.allclose(merged_in.sum, merged_out.sum, rtol=1e-10)
         assert np.allclose(merged_in.sum_outer, merged_out.sum_outer, rtol=1e-10)
         # Per-cluster stats equal the merge of their assigned batches.
         by_cluster = {}
-        for s in summaries:
-            for e in s.clusters:
-                g = out.assignments[(s.worker_id, e.local_label)]
-                by_cluster.setdefault(g, []).append(e.stats)
+        for key, stats in batches.items():
+            by_cluster.setdefault(out.assignments[key], []).append(stats)
         for g, parts in by_cluster.items():
             ref = stats_merge(parts)
             assert out.table.stats()[g].n == ref.n
@@ -148,9 +166,7 @@ class TestMasterSweep:
                 ])
             previous = [[int(rng.integers(0, 3)) for _ in shard] for shard in shards]
             summaries = [summary_of(j, shards[j], previous[j]) for j in range(3)]
-            batches = {
-                (s.worker_id, e.local_label): e.stats for s in summaries for e in s.clusters
-            }
+            batches = batches_of(summaries)
             keys = sorted(batches)
             seeded = {(j, h): g for j in range(3) for h, g in enumerate(previous[j])}
             order = rng.permutation(len(keys))
@@ -193,12 +209,60 @@ class TestMasterSweep:
     def test_empty_or_mismatched_batches_rejected(self):
         rng = np.random.default_rng(12)
         summary = summary_of(0, [rng.standard_normal((3, 2))])
-        empty = WorkerSummary(1, (ClusterSummary(0, None, zero_stats(2)),))
+        empty = summary_of_stats(1, [zero_stats(2)])
         with pytest.raises(ValueError, match="empty"):
             master_sweep([summary, empty], make_hyper(), np.random.default_rng(0))
         wide = summary_of(1, [rng.standard_normal((3, 3))])
         with pytest.raises(ValueError, match="dimension"):
             master_sweep([summary, wide], make_hyper(), np.random.default_rng(0))
+
+    def test_fields_of_different_lengths_rejected(self):
+        rng = np.random.default_rng(24)
+        summary = summary_of(0, [rng.standard_normal((3, 2)), rng.standard_normal((4, 2))])
+        for field in ("clusters", "previous", "counts", "sums", "outers"):
+            short = replace(summary, **{field: getattr(summary, field)[:1]})
+            with pytest.raises(ValueError, match="shapes"):
+                master_sweep([short], make_hyper(), np.random.default_rng(0))
+
+    def test_initial_table_is_the_merge_of_each_ids_members(self, monkeypatch):
+        """Seeded batches, 1, 2 and 3 to a global id over two workers, give
+        the table built from stats_merge of each id's members, bit for bit:
+        its rows, and the weights of an unseeded batch visited first."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        initial = []
+        score = _ClusterCache.batch_log_weights
+
+        def spy(table, *args):
+            if not initial:
+                rows = len(table.labels) + 1
+                initial.append({name: getattr(table, name)[:rows].copy() for name in table._ROW_ARRAYS})
+            return score(table, *args)
+
+        monkeypatch.setattr(_ClusterCache, "batch_log_weights", spy)
+        rng = np.random.default_rng(25)
+        hyper = make_hyper(d=3, alpha=0.7)
+        sizes = ([4, 2, 5, 3], [6, 1, 2])
+        shards = [[rng.standard_normal((m, 3)) + 3.0 * j for m in row] for j, row in enumerate(sizes)]
+        previous = [[7, 2, None, 2], [4, 4, 2]]
+        summaries = [summary_of(j, shards[j], previous[j]) for j in range(2)]
+        batches = batches_of(summaries)
+        members = {}
+        for j, ids in enumerate(previous):
+            for h, g in enumerate(ids):
+                if g is not None:
+                    members.setdefault(g, []).append(batches[(j, h)])
+        assert sorted(len(parts) for parts in members.values()) == [1, 2, 3]
+        merged = {g: stats_merge(parts) for g, parts in members.items()}
+        reference = table_of(hyper.prior, hyper.alpha, merged)
+        first = sorted(batches).index((0, 2))
+        order = [first] + [i for i in range(len(batches)) if i != first]
+        log = []
+        master_sweep(summaries, hyper, np.random.default_rng(26), order=order, weight_log=log)
+        for name, rows in initial[0].items():
+            assert np.array_equal(rows, getattr(reference, name)[: len(merged) + 1]), name
+        batch = batches[(0, 2)]
+        assert np.array_equal(log[0], reference.batch_log_weights(batch.n, batch.sum, batch.sum_outer))
 
     def test_duplicate_worker_rejected(self):
         rng = np.random.default_rng(13)
@@ -292,8 +356,6 @@ class TestGlobalLogJoint:
             w = WorkerState.single_cluster(j, data[sl], hyper)
             w = replace_with_sweeps(w, seed=20 + j)
             workers.append(w)
-            from dpgibbs.worker import summarize
-
             summaries.append(summarize(w))
         gstate = master_sweep(summaries, hyper, np.random.default_rng(22))
         membership = collected_labels(label_maps_of(gstate, 2), workers)

@@ -214,21 +214,21 @@ class TestRunDiscgs:
             for summary in summaries:
                 j = summary.worker_id
                 start = before[(j, t)]
-                labels = {e.local_label for e in summary.clusters}
+                labels = set(summary.clusters.tolist())
                 retired += len(set(start) - labels)
                 applied = set()
                 if t > 1:
                     applied = {g for (i, _), g in rounds[t - 2][1].assignments.items() if i == j}
                     assert set(start) == applied
-                previous = [e.previous for e in summary.clusters if e.previous is not None]
+                previous = [g for g in summary.previous.tolist() if g >= 0]
                 assert len(previous) == len(set(previous))
-                for entry in summary.clusters:
-                    if entry.local_label in applied:
+                for h, g in zip(summary.clusters.tolist(), summary.previous.tolist()):
+                    if h in applied:
                         seeded += 1
-                        assert entry.previous == entry.local_label
+                        assert g == h
                     else:
                         born += t > 1
-                        assert entry.previous is None
+                        assert g == -1
         assert retired > 0 and born > 0 and seeded > 0
 
     @pytest.mark.parametrize("transform", [lambda x: x + 1e8, lambda x: 3.0 * x])
@@ -350,7 +350,7 @@ class TestMessageTraffic:
             # Each worker receives a map of exactly its own local clusters.
             summaries = [m for m in received if isinstance(m, WorkerSummary)]
             assert [set(m.label_map) for m in apply_cmds] == [
-                {e.local_label for e in s.clusters} for s in summaries
+                set(s.clusters.tolist()) for s in summaries
             ]
             assert len(report_cmds) == 1
             assert len(stop_cmds) == 1
@@ -384,7 +384,7 @@ class TestMessageTraffic:
             summaries = [m for m in received if isinstance(m, WorkerSummary)]
             assert len(arrays) == iters
             assert all(a.shape == (size,) for a in arrays)
-            assert [sum(e.stats.n for e in s.clusters) for s in summaries] == [size] * iters
+            assert [s.counts.sum() for s in summaries] == [size] * iters
             per_channel_arrays.append(arrays)
         for t in range(iters):
             labels = np.concatenate([arrays[t] for arrays in per_channel_arrays])
@@ -416,6 +416,22 @@ class TestFitPathUsesTheClusterTable:
         )
         assert labels.shape == (40,)
         assert len(trace) == 3 and np.all(np.isfinite(trace.log_joints))
+
+    def test_run_frees_its_models_count_terms(self):
+        """On the thread backend the workers fill the coordinator's memo of
+        count terms; the run drops its model's entry after the workers stop,
+        and a second identical run gives the same labels."""
+        from dpgibbs.gibbs import _COUNT_ROWS
+
+        data, _ = two_blob_data(40, seed=17)
+        cfg = config(data, alpha=2.0, iterations=3, workers=2, seed=4)
+        prior = cfg.hyper.prior
+        key = (prior.kappa, prior.nu, prior.d, cfg.hyper.alpha)
+        first, _ = run_discgs(data, cfg, channel_factory=thread_channels)
+        assert key not in _COUNT_ROWS
+        second, _ = run_discgs(data, cfg, channel_factory=thread_channels)
+        assert key not in _COUNT_ROWS
+        assert np.array_equal(first, second)
 
 
 class TestWorkerLoopFailure:

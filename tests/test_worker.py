@@ -61,12 +61,8 @@ class TestWorkerSweep:
         a = worker_sweep(a, np.random.default_rng(9))
         b = worker_sweep(b, np.random.default_rng(9))
         sa, sb = summarize(a), summarize(b)
-        assert len(sa.clusters) == len(sb.clusters)
-        for ea, eb in zip(sa.clusters, sb.clusters):
-            assert ea.local_label == eb.local_label
-            assert ea.previous == eb.previous
-            assert ea.stats.n == eb.stats.n
-            assert np.array_equal(ea.stats.sum, eb.stats.sum)
+        for field in ("clusters", "previous", "counts", "sums", "outers"):
+            assert np.array_equal(getattr(sa, field), getattr(sb, field))
 
     def test_conservation_across_sweeps(self):
         data, _ = separated_shard(50, seed=4)
@@ -74,7 +70,7 @@ class TestWorkerSweep:
         rng = np.random.default_rng(5)
         for _ in range(5):
             w = worker_sweep(w, rng)
-            assert sum(e.stats.n for e in summarize(w).clusters) == 50
+            assert summarize(w).counts.sum() == 50
 
 
 class TestSummarize:
@@ -82,9 +78,9 @@ class TestSummarize:
         data, _ = separated_shard(30, seed=6)
         w = WorkerState.single_cluster(2, data, shard_hyper(data))
         summary = summarize(w)
-        assert len(summary.clusters) == 1
-        assert summary.clusters[0].stats.n == 30
-        assert summary.clusters[0].previous is None
+        assert summary.clusters.tolist() == [0]
+        assert summary.counts.tolist() == [30]
+        assert summary.previous.tolist() == [-1]
         assert summary.worker_id == 2
 
     def test_entry_stats_match_direct_recomputation(self):
@@ -94,12 +90,11 @@ class TestSummarize:
         for _ in range(10):
             w = worker_sweep(w, rng)
         summary = summarize(w)
-        for entry in summary.clusters:
-            members = data[w.local.labels == entry.local_label]
-            ref = stats_from_points(members)
-            assert entry.stats.n == ref.n
-            assert np.allclose(entry.stats.sum, ref.sum, rtol=1e-10)
-            assert np.allclose(entry.stats.sum_outer, ref.sum_outer, rtol=1e-10)
+        for h, n, sumv, outer in zip(summary.clusters, summary.counts, summary.sums, summary.outers):
+            ref = stats_from_points(data[w.local.labels == h])
+            assert n == ref.n
+            assert np.allclose(sumv, ref.sum, rtol=1e-10)
+            assert np.allclose(outer, ref.sum_outer, rtol=1e-10)
 
     def test_summary_round_trip_merges_to_whole_shard(self):
         data, _ = separated_shard(60, seed=9)
@@ -107,11 +102,28 @@ class TestSummarize:
         rng = np.random.default_rng(10)
         for _ in range(5):
             w = worker_sweep(w, rng)
-        merged = stats_merge([e.stats for e in summarize(w).clusters])
+        summary = summarize(w)
         whole = stats_from_points(data)
-        assert merged.n == whole.n
-        assert np.allclose(merged.sum, whole.sum, rtol=1e-10)
-        assert np.allclose(merged.sum_outer, whole.sum_outer, rtol=1e-10)
+        assert summary.counts.sum() == whole.n
+        assert np.allclose(summary.sums.sum(axis=0), whole.sum, rtol=1e-10)
+        assert np.allclose(summary.outers.sum(axis=0), whole.sum_outer, rtol=1e-10)
+
+    def test_summary_is_a_copy_of_the_live_rows(self):
+        w = _worker_with_k_clusters(seed=16)
+        table = w.local.table
+        k = len(table.labels)
+        summary = summarize(w)
+        assert summary.clusters.dtype == summary.previous.dtype == np.int64
+        assert summary.clusters.tolist() == table.labels
+        for field in ("counts", "sums", "outers"):
+            assert np.array_equal(getattr(summary, field), getattr(table, field)[:k])
+        labels = list(table.labels)
+        rows = {name: getattr(table, name).copy() for name in table._ROW_ARRAYS}
+        for field in ("clusters", "previous", "counts", "sums", "outers"):
+            getattr(summary, field)[...] = -7
+        assert table.labels == labels
+        for name, before in rows.items():
+            assert np.array_equal(getattr(table, name), before)
 
 
 def _worker_with_k_clusters(seed=11, n=60):
@@ -203,14 +215,15 @@ class TestPreviousGlobalIds:
         )
         w = WorkerState(0, data, state_from_labels(data, local, hyper))
         w = apply_global_labels(w, {0: 3, 1: 5, 2: 9})
-        assert [e.previous for e in summarize(w).clusters] == [3, 5, 9]
+        assert summarize(w).previous.tolist() == [3, 5, 9]
 
         w = worker_sweep(w, np.random.default_rng(41))
         assert w.local.labels[20] not in (3, 5, 9)  # the outlier left for a new cluster
         assert w.local.labels[21] == 9  # global cluster 5 emptied into 9
-        entries = {e.local_label: e.previous for e in summarize(w).clusters}
-        assert entries == {3: 3, 9: 9, int(w.local.labels[20]): None}
-        for entry in summarize(w).clusters:
-            ref = stats_from_points(data[w.local.labels == entry.local_label])
-            assert entry.stats.n == ref.n
-            assert np.allclose(entry.stats.sum, ref.sum, rtol=1e-12)
+        summary = summarize(w)
+        entries = dict(zip(summary.clusters.tolist(), summary.previous.tolist()))
+        assert entries == {3: 3, 9: 9, int(w.local.labels[20]): -1}
+        for h, n, sumv in zip(summary.clusters, summary.counts, summary.sums):
+            ref = stats_from_points(data[w.local.labels == h])
+            assert n == ref.n
+            assert np.allclose(sumv, ref.sum, rtol=1e-12)
