@@ -53,8 +53,10 @@ _FIRST_RUN = 16.0
 _RUN_DECAY = 0.75
 _U64 = (1 << 64) - 1
 # Row terms by model and count: filled on demand and shared by every table,
-# so master sweeps reuse them.
+# so master sweeps reuse them.  Only counts below _COUNT_CAP are kept, which
+# bounds a run's memo; a large cluster's count rarely recurs.
 _COUNT_ROWS = {}
+_COUNT_CAP = 4096
 
 
 def forget_count_rows(hyper):
@@ -207,8 +209,8 @@ class _ClusterCache:
 
     def _count_row(self, m):
         """Terms CRP..OWN_POWER of a row of m points before its log det Psi
-        (A(m) in place of MARGINAL), memoized: the one place where terms that
-        depend only on the count are computed."""
+        (A(m) in place of MARGINAL), memoized below _COUNT_CAP: the one place
+        where terms that depend only on the count are computed."""
         terms = self._count_rows.get(m)
         if terms is None:
             kappa, nu = self.prior.kappa + m, self.prior.nu + m
@@ -222,7 +224,9 @@ class _ClusterCache:
             if m > 1:
                 own = (self._count_const(m - 1), -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
             row = (self._count_const(m), kappa / (kappa + 1.0), 0.5 * (nu + 1.0))
-            terms = self._count_rows[m] = (crp, marginal) + row + own
+            terms = (crp, marginal) + row + own
+            if m < _COUNT_CAP:
+                self._count_rows[m] = terms
         return terms
 
     def _scales(self, counts, sums, outers):

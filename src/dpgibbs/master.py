@@ -15,8 +15,8 @@ maintained by field-wise add/subtract of batch statistics, with every
 candidate scored against a batch in one vectorized evaluation.  A batch is
 scored in its own global cluster without leaving it (unless it is the whole
 cluster), so only a batch that moves changes the table.  The sweep's result
-holds that table, its rows renamed to the dense global labels, and the
-trace's log joint reads it.
+holds that table, its rows renamed to the dense global labels, which the
+trace's log joint reads, and each worker's reply: its rows' global labels.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .gibbs import _ClusterCache, sample_log_weights
 
 @dataclass
 class GlobalState:
-    """Batch assignments (worker_id, local_label) -> dense global label, and
-    the cluster table whose row g holds global cluster g."""
+    """``targets[worker_id][r]``, the global label of row r of that worker's
+    summary, and the cluster table whose row g holds global cluster g."""
 
-    assignments: dict
+    targets: dict
     table: _ClusterCache
 
     @property
@@ -79,14 +79,13 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
     rows = (counts[seeded], sums[seeded], outers[seeded])
     table = _ClusterCache(hyper.prior, hyper.alpha, range(seeded.shape[0]), *rows)
     table.rename(previous[seeded])
-    keys = list(zip(workers.tolist(), local_labels.tolist()))
-    assignments = {keys[i]: int(previous[i]) for i in seeded.tolist()}
-    order = rng.permutation(len(keys)) if order is None else np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(len(keys))):
+    assigned = previous  # each batch's global id, -1 while it has none
+    order = rng.permutation(len(assigned)) if order is None else np.asarray(order, dtype=np.int64)
+    if sorted(order.tolist()) != list(range(len(assigned))):
         raise ValueError("order must be a permutation of batch indices")
     for i in order:
         n, sumv, outer = counts[i], sums[i], outers[i]
-        label = assignments.get(keys[i])
+        label = int(assigned[i]) if assigned[i] >= 0 else None
         own = None if label is None else int(table.row_of[label])
         if own is not None and table.counts[own] == n:  # the batch is the whole cluster
             table.delete(label)
@@ -99,13 +98,13 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
             if choice < 0:
                 raise NumericalDegeneracyError("non-finite sampling weights")
         except NumericalDegeneracyError as err:
-            err.add_context(worker_id=keys[i][0], local_label=keys[i][1])
+            err.add_context(worker_id=int(workers[i]), local_label=int(local_labels[i]))
             raise
         if choice != own:
-            assignments[keys[i]] = table.move(label, choice, n, sumv, outer)
-    dense = {g: i for i, g in enumerate(table.labels)}
-    table.rename(np.arange(len(dense)))
-    return GlobalState(assignments={key: dense[g] for key, g in assignments.items()}, table=table)
+            assigned[i] = table.move(label, choice, n, sumv, outer)
+    dense = table.row_of[assigned]
+    table.rename(np.arange(len(table.labels)))
+    return GlobalState({s.worker_id: dense[workers == s.worker_id].tolist() for s in summaries}, table)
 
 
 def global_log_joint(state, n):

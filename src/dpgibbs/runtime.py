@@ -3,12 +3,12 @@
 Workers are actors owning disjoint contiguous shards.  Per global iteration:
 every worker runs one local sweep in parallel and sends its WorkerSummary; the
 master reassigns all batches in one sweep, starting from the global ids the
-batches name, and sends each worker its own {local label: global id} map;
-workers apply it, after which their local labels are global ids.  The only
-payloads crossing the worker boundary are summaries, label maps, the small
-command values below, per-point label vectors when explicitly requested
-(trace ARI with ground truth, and the final collection), and a failed worker's
-exception with its traceback text.
+batches name, and sends each worker the global ids of its summary's rows, a
+list of ints in the order of the rows; workers apply it, after which their
+local labels are global ids.  The only payloads crossing the worker boundary
+are summaries, those lists, the small command values below, per-point label
+vectors when explicitly requested (trace ARI with ground truth, and the final
+collection), and a failed worker's exception with its traceback text.
 
 Worker RNG streams are derived as SeedSequence([seed, worker_id, iteration])
 and the master stream as SeedSequence([seed]), so results are reproducible
@@ -84,7 +84,7 @@ class SweepCmd:
 
 @dataclass(frozen=True)
 class ApplyCmd:
-    label_map: dict
+    targets: list
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def worker_loop(channel, worker_id, shard_data, seed, hyper):
                 state = worker_sweep(state, rng)
                 channel.send(summarize(state))
             elif isinstance(msg, ApplyCmd):
-                state = apply_global_labels(state, msg.label_map)
+                state = apply_global_labels(state, msg.targets)
             elif isinstance(msg, ReportLabelsCmd):
                 channel.send(state.local.labels)
             elif isinstance(msg, StopCmd):
@@ -272,11 +272,8 @@ def _coordinate(channels, hyper, config, n, ground_truth):
         except NumericalDegeneracyError as err:
             err.add_context(iteration=t)
             raise
-        label_maps = [{} for _ in channels]
-        for (j, h), g in gstate.assignments.items():
-            label_maps[j][h] = g
-        for channel, label_map in zip(channels, label_maps):
-            channel.send(ApplyCmd(label_map))
+        for j, channel in enumerate(channels):
+            channel.send(ApplyCmd(gstate.targets[j]))
         labels = None
         if want_ari or t == config.iterations:
             for channel in channels:

@@ -3,12 +3,12 @@
 A worker owns a contiguous shard of the data and runs the same collapsed
 Gibbs sweep as the centralized sampler, with the same concentration alpha and
 base measure.  After each sweep it ships its table's rows, each cluster's
-sufficient statistics, to the master; the master's reply (this worker's
-label map) is applied by renaming and merging local clusters, never by
-splitting them, and keys the local clusters by their global ids from then
-on.  A worker keeps one cluster table for its whole run: the sweep updates
-it in place, the summary copies its rows, and the apply renames them,
-summing the rows that share a global id.
+sufficient statistics, to the master; the master's reply, the global id of
+each row in the order sent, is applied by renaming and merging local
+clusters, never by splitting them, and keys the local clusters by their
+global ids from then on.  A worker keeps one cluster table for its whole
+run: the sweep updates it in place, the summary copies its rows, and the
+apply renames them, summing the rows that share a global id.
 """
 
 from __future__ import annotations
@@ -69,23 +69,20 @@ def summarize(w):
     return WorkerSummary(w.worker_id, clusters, previous, *rows)
 
 
-def apply_global_labels(w, label_map):
+def apply_global_labels(w, targets):
     """Rename local clusters to their global ids and merge collisions, in
     place; returns ``w``.
 
-    ``label_map`` maps each current local label to its global id; a missing
-    or unknown local label is an error.  Afterwards the local labels are the
-    global ids; merged cluster statistics are field-wise sums.
+    ``targets[r]`` is the global id of row r of the last summary, which is
+    row r of the table; a list of another length is an error.  Afterwards
+    the local labels are the global ids; merged cluster statistics are
+    field-wise sums.
     """
     table = w.local.table
-    if set(label_map) != set(table.labels):
-        missing = sorted(set(table.labels) - set(label_map))
-        unknown = sorted(set(label_map) - set(table.labels))
-        raise ValueError(
-            "label map does not match worker %d clusters: missing %r, unknown %r"
-            % (w.worker_id, missing, unknown)
-        )
-    targets = np.array([label_map[h] for h in table.labels], dtype=np.int64)
+    if len(targets) != len(table.labels):
+        message = "worker %d has %d clusters but received %d global ids"
+        raise ValueError(message % (w.worker_id, len(table.labels), len(targets)))
+    targets = np.array(targets, dtype=np.int64)
     w.local.labels = targets[table.row_of[w.local.labels]]
     table.rename(targets)
     w.first_new = table.next_label

@@ -271,7 +271,7 @@ def test_criterion_04_master_matches_central_on_singletons():
         for wc, wm in zip(central_log, master_log):
             assert wc.shape == wm.shape
             worst = max(worst, float(np.max(np.abs(wc - wm))))
-        master_labels = np.array([out.assignments[(0, i)] for i in range(n)])
+        master_labels = np.array(out.targets[0])
         assert ari(swept.labels, master_labels) == 1.0
     elapsed = time.perf_counter() - started
     _report(

@@ -463,7 +463,7 @@ class TestLogJoint:
         expected = crp_log_prob(hyper.alpha, sizes, labels.size) + sum(
             log_marginal(s, prior) for s in state.clusters.values()
         )
-        gstate = GlobalState(assignments={}, table=state.table)
+        gstate = GlobalState(targets={}, table=state.table)
         assert math.isclose(log_joint(state), expected, rel_tol=1e-12)
         assert math.isclose(global_log_joint(gstate, labels.size), expected, rel_tol=1e-12)
 
@@ -484,7 +484,7 @@ class TestLogJoint:
         expected = crp_log_prob(hyper.alpha, sizes, labels.size) + math.fsum(
             log_marginal(s, hyper.prior) for s in state.clusters.values()
         )
-        gstate = GlobalState(assignments={}, table=state.table)
+        gstate = GlobalState(targets={}, table=state.table)
         assert math.isclose(log_joint(state), expected, rel_tol=1e-12)
         assert math.isclose(global_log_joint(gstate, labels.size), expected, rel_tol=1e-12)
 
@@ -535,8 +535,7 @@ class TestLiveClusterTable:
                 added += len(set(w.local.clusters) - before)
             gstate = master_sweep([summarize(w) for w in workers], hyper, rng)
             for w in workers:
-                label_map = {h: g for (j, h), g in gstate.assignments.items() if j == w.worker_id}
-                apply_global_labels(w, label_map)
+                apply_global_labels(w, gstate.targets[w.worker_id])
                 assert_live_table(w.local.table, w.local.labels, w.data)
             assert gstate.table.labels == list(range(gstate.num_clusters))
             labels = np.concatenate([w.local.labels for w in workers])
@@ -547,12 +546,12 @@ class TestLiveClusterTable:
         # merged row holds the bits stats_merge gives.
         w = workers[0]
         before = w.local.clusters
-        targets = {h: (len(before) - r) // 3 for r, h in enumerate(before)}
+        targets = [(len(before) - r) // 3 for r in range(len(before))]
         apply_global_labels(w, targets)
         assert w.local.num_clusters == len(before) // 3 + 1
         assert_live_table(w.local.table, w.local.labels, w.data)
         for g, stats in w.local.clusters.items():
-            merged = stats_merge([before[h] for h in before if targets[h] == g])
+            merged = stats_merge([before[h] for h, t in zip(before, targets) if t == g])
             assert stats.n == merged.n
             assert np.array_equal(stats.sum, merged.sum)
             assert np.array_equal(stats.sum_outer, merged.sum_outer)
@@ -585,7 +584,7 @@ class TestLiveClusterTable:
             gstate = master_sweep([summarize(w)], hyper, rng)
             global_log_joint(gstate, data.shape[0])
             assert len(built) == tables + 1 and built[-1] is gstate.table
-            apply_global_labels(w, {h: g for (_, h), g in gstate.assignments.items()})
+            apply_global_labels(w, gstate.targets[0])
         assert len(built) == 1 + 5 and built[0] is w.local.table
 
 
@@ -613,8 +612,7 @@ class TestFactorRoute:
                 worker_sweep(w, rng)
             gstate = master_sweep([summarize(w) for w in workers], hyper, rng)
             for w in workers:
-                label_map = {h: g for (j, h), g in gstate.assignments.items() if j == w.worker_id}
-                apply_global_labels(w, label_map)
+                apply_global_labels(w, gstate.targets[w.worker_id])
             for table in [gstate.table] + [w.local.table for w in workers]:
                 rows = np.arange(len(table.labels) + 1)
                 whitens, shifts, terms, log_marginals = _oracles.reference_refresh(table, rows)
@@ -650,7 +648,7 @@ class TestFactorRoute:
             worker_sweep(w, rng)
             gstate = master_sweep([summarize(w)], hyper, rng)
             global_log_joint(gstate, data.shape[0])
-            apply_global_labels(w, {h: g for (_, h), g in gstate.assignments.items()})
+            apply_global_labels(w, gstate.targets[0])
         assert state.num_clusters > 1 and gstate.num_clusters > 1
 
 
@@ -841,6 +839,35 @@ class TestRunCgs:
         second, _ = run_cgs(data, hyper, 4, seed=5)
         assert key not in _COUNT_ROWS
         assert np.array_equal(first, second)
+
+    def test_count_memo_keeps_only_counts_below_its_cap(self, monkeypatch):
+        """With the cap at 8, sweeps over clusters of up to 60 points keep at
+        most 8 count entries and give the labels of an uncapped run."""
+        from dpgibbs import gibbs
+
+        data, _ = separated_two_component(60, seed=31)
+        data, hyper = center_on_prior(data, empirical_hyper(data, alpha=2.0))
+        key = (hyper.prior.kappa, hyper.prior.nu, hyper.prior.d, hyper.alpha)
+
+        def sweeps(cap):
+            monkeypatch.setattr(gibbs, "_COUNT_CAP", cap)
+            gibbs.forget_count_rows(hyper)
+            state = PartitionState.single_cluster(data, hyper)
+            rng = np.random.default_rng(5)
+            for _ in range(4):
+                cgs_sweep(state, data, rng)
+                assert len(gibbs._COUNT_ROWS[key]) <= cap
+                assert all(m < cap for m in gibbs._COUNT_ROWS[key])
+            memo = len(gibbs._COUNT_ROWS[key])
+            gibbs.forget_count_rows(hyper)
+            return state.labels, log_joint(state), memo
+
+        capped, capped_joint, _ = sweeps(8)
+        uncapped, uncapped_joint, memo = sweeps(1 << 30)
+        assert memo > 8  # the run's counts passed the cap
+        assert np.unique(capped).size > 1
+        assert np.array_equal(capped, uncapped)
+        assert capped_joint == uncapped_joint
 
 
 @pytest.mark.slow

@@ -68,7 +68,7 @@ class TestMasterSweep:
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((5, 2))
         out = master_sweep([summary_of(0, [pts])], make_hyper(), rng)
-        assert out.assignments == {(0, 0): 0}
+        assert out.targets == {0: [0]}
         assert out.num_clusters == 1
         assert out.table.stats()[0].n == 5
 
@@ -86,7 +86,7 @@ class TestMasterSweep:
         out = master_sweep(
             [summary_of(0, [a, b])], hyper, np.random.default_rng(2), order=[0, 1]
         )
-        assert out.assignments[(0, 0)] == out.assignments[(0, 1)]
+        assert out.targets[0][0] == out.targets[0][1]
         assert out.num_clusters == 1
 
     def test_fixed_seed_deterministic(self):
@@ -97,7 +97,7 @@ class TestMasterSweep:
         ]
         a = master_sweep(summaries, make_hyper(), np.random.default_rng(7))
         b = master_sweep(summaries, make_hyper(), np.random.default_rng(7))
-        assert a.assignments == b.assignments
+        assert a.targets == b.targets
 
     def test_stats_conservation(self):
         rng = np.random.default_rng(4)
@@ -112,12 +112,18 @@ class TestMasterSweep:
         assert merged_in.n == merged_out.n
         assert np.allclose(merged_in.sum, merged_out.sum, rtol=1e-10)
         assert np.allclose(merged_in.sum_outer, merged_out.sum_outer, rtol=1e-10)
-        # Per-cluster stats equal the merge of their assigned batches.
+        # Each global row holds the batches whose reply entry names it: its
+        # count is the sum of their counts, its stats their merge.
         by_cluster = {}
-        for key, stats in batches.items():
-            by_cluster.setdefault(out.assignments[key], []).append(stats)
+        for s in summaries:
+            targets = out.targets[s.worker_id]
+            assert len(targets) == len(s.clusters)
+            for g, h in zip(targets, s.clusters.tolist()):
+                by_cluster.setdefault(g, []).append(batches[(s.worker_id, h)])
+        assert sorted(by_cluster) == list(range(out.num_clusters))
         for g, parts in by_cluster.items():
             ref = stats_merge(parts)
+            assert out.table.counts[g] == sum(p.n for p in parts)
             assert out.table.stats()[g].n == ref.n
             assert np.allclose(out.table.stats()[g].sum_outer, ref.sum_outer, rtol=1e-10)
 
@@ -198,11 +204,10 @@ class TestMasterSweep:
         batches = [rng.standard_normal((3, 2)), rng.standard_normal((3, 2)) + 12.0]
         hyper = make_hyper()
         first = master_sweep([summary_of(0, batches)], hyper, np.random.default_rng(10))
-        previous = [first.assignments[(0, 0)], first.assignments[(0, 1)]]
         again = master_sweep(
-            [summary_of(0, batches, previous)], hyper, np.random.default_rng(11)
+            [summary_of(0, batches, first.targets[0])], hyper, np.random.default_rng(11)
         )
-        assert set(again.assignments) == {(0, 0), (0, 1)}
+        assert [len(t) for t in again.targets.values()] == [2]
         sizes = sorted(s.n for s in again.table.stats().values())
         assert sum(sizes) == 6
 
@@ -278,23 +283,15 @@ class TestMasterSweep:
         ]
         out = master_sweep(summaries, make_hyper(), np.random.default_rng(15))
         assert sorted(out.table.stats()) == list(range(out.num_clusters))
-        assert set(out.assignments.values()) == set(out.table.stats())
+        assert {g for t in out.targets.values() for g in t} == set(out.table.stats())
 
 
-def collected_labels(label_maps, workers):
+def collected_labels(replies, workers):
     """Per-point global labels as the runtime collects them: each worker
-    applies its own map, in place, and the shards are joined in worker order."""
+    applies its own reply, in place, and the shards are joined in worker order."""
     return np.concatenate([
-        apply_global_labels(w, label_map).local.labels for w, label_map in zip(workers, label_maps)
+        apply_global_labels(w, targets).local.labels for w, targets in zip(workers, replies)
     ])
-
-
-def label_maps_of(gstate, workers):
-    """Each worker's {local label: global id} map from a master sweep."""
-    maps = [{} for _ in range(workers)]
-    for (j, h), g in gstate.assignments.items():
-        maps[j][h] = g
-    return maps
 
 
 class TestExpansion:
@@ -303,7 +300,7 @@ class TestExpansion:
         data = rng.standard_normal((10, 2))
         hyper = make_hyper()
         w = WorkerState.single_cluster(0, data, hyper)
-        out = collected_labels([{0: 0}], [w])
+        out = collected_labels([[0]], [w])
         assert np.array_equal(out, np.zeros(10, dtype=np.int64))
 
     def test_permuted_names_same_partition(self):
@@ -316,8 +313,8 @@ class TestExpansion:
             {0: stats_from_points(data[6:]), 1: stats_from_points(data[:6])},
             hyper,
         )
-        a = collected_labels([{0: 0, 1: 1}], [w])
-        b = collected_labels([{0: 7, 1: 3}], [w])
+        a = collected_labels([[0, 1]], [w])
+        b = collected_labels([[7, 3]], [w])
         assert ari(a, b) == 1.0
 
     def test_three_workers_hand_checked(self):
@@ -333,16 +330,15 @@ class TestExpansion:
                 hyper,
             )
             workers.append(w)
-        label_maps = [{0: 0, 1: 1}, {0: 1, 1: 2}, {0: 0, 1: 2}]
-        out = collected_labels(label_maps, workers)
+        out = collected_labels([[0, 1], [1, 2], [0, 2]], workers)
         assert np.array_equal(out, np.array([0, 0, 1, 1, 1, 1, 2, 2, 0, 0, 2, 2]))
 
     def test_coverage_gap_rejected(self):
         rng = np.random.default_rng(18)
         data = rng.standard_normal((6, 2))
         w = WorkerState.single_cluster(0, data, make_hyper())
-        with pytest.raises(ValueError):
-            collected_labels([{}], [w])
+        with pytest.raises(ValueError, match="worker 0 has 1 clusters but received 0"):
+            collected_labels([[]], [w])
 
 
 class TestGlobalLogJoint:
@@ -358,7 +354,7 @@ class TestGlobalLogJoint:
             workers.append(w)
             summaries.append(summarize(w))
         gstate = master_sweep(summaries, hyper, np.random.default_rng(22))
-        membership = collected_labels(label_maps_of(gstate, 2), workers)
+        membership = collected_labels([gstate.targets[0], gstate.targets[1]], workers)
         central = PartitionState.from_stats(
             membership,
             {int(g): stats_from_points(data[membership == g]) for g in np.unique(membership)},

@@ -218,7 +218,7 @@ class TestRunDiscgs:
                 retired += len(set(start) - labels)
                 applied = set()
                 if t > 1:
-                    applied = {g for (i, _), g in rounds[t - 2][1].assignments.items() if i == j}
+                    applied = set(rounds[t - 2][1].targets[j])
                     assert set(start) == applied
                 previous = [g for g in summary.previous.tolist() if g >= 0]
                 assert len(previous) == len(set(previous))
@@ -347,11 +347,13 @@ class TestMessageTraffic:
             assert len(sweep_cmds) == iters
             assert [m.iteration for m in sweep_cmds] == list(range(1, iters + 1))
             assert len(apply_cmds) == iters
-            # Each worker receives a map of exactly its own local clusters.
+            # Each worker receives a plain list of ints, one global id per
+            # row of the summary it sent in the same iteration.
             summaries = [m for m in received if isinstance(m, WorkerSummary)]
-            assert [set(m.label_map) for m in apply_cmds] == [
-                set(s.clusters.tolist()) for s in summaries
-            ]
+            for cmd, summary in zip(apply_cmds, summaries):
+                assert type(cmd.targets) is list
+                assert all(type(g) is int for g in cmd.targets)
+                assert len(cmd.targets) == len(summary.clusters)
             assert len(report_cmds) == 1
             assert len(stop_cmds) == 1
             assert len(sent) == 2 * iters + 2

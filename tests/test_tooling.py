@@ -1,0 +1,81 @@
+"""Smoke test of the benchmark's timing hooks against the program.
+
+perfbench/fitproc.py wraps functions and tells messages apart by names it
+looks up in the package (runtime.master_sweep, runtime.apply_global_labels,
+runtime.ApplyCmd, worker.WorkerSummary, ...).  Running it here, as the
+benchmark runs it, makes a rename in the program fail a test rather than a
+benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from dpgibbs.datasets import write_dataset
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FITPROC = os.path.join(ROOT, "perfbench", "fitproc.py")
+ITERS = 3
+EXTRA_ARGS = {"fit": [], "fit-distributed": ["--workers", "2"]}
+
+
+@pytest.fixture(scope="module")
+def data_path(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    data = np.vstack([
+        rng.standard_normal((60, 2)) - [6.0, 0.0],
+        rng.standard_normal((60, 2)) + [6.0, 0.0],
+    ])
+    path = tmp_path_factory.mktemp("tooling") / "data.csv"
+    write_dataset(path, data)
+    return str(path)
+
+
+def run_fitproc(tmp_path, data_path, command, mode):
+    """One fitproc.py run of ``command``; returns its report and spans dir."""
+    report = tmp_path / ("%s-report.json" % mode)
+    spans = tmp_path / ("%s-spans" % mode)
+    cmd = [sys.executable, FITPROC, "--mode", mode, "--report", str(report)]
+    if mode == "trace":
+        spans.mkdir()
+        cmd += ["--spans", str(spans), "--fit-id", command]
+    cmd += ["--", command, "--data", data_path, "--iters", str(ITERS), "--seed", "1"]
+    cmd += ["--out", str(tmp_path / mode)] + EXTRA_ARGS[command]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(report.read_text()), spans
+
+
+def spans_named(path, name):
+    return [s for s in json.loads(path.read_text()) if s["name"] == name]
+
+
+@pytest.mark.parametrize("command", sorted(EXTRA_ARGS))
+def test_trace_then_plain_run(tmp_path, data_path, command):
+    report, spans = run_fitproc(tmp_path, data_path, command, "trace")
+    assert report["first_sweep"] is not None and report["sampling_end"] is not None
+    coordinator = spans / "coordinator.json"
+    if command == "fit":
+        assert len(spans_named(coordinator, "gibbs.sweep")) == ITERS
+        assert sorted(os.listdir(spans)) == ["coordinator.json"]
+    else:
+        iterations = spans_named(coordinator, "runtime.iteration")
+        assert [s["attrs"]["iteration"] for s in iterations] == list(range(1, ITERS + 1))
+        for span in iterations:
+            assert span["attrs"]["label_map_bytes"] > 0
+            assert span["attrs"]["summary_bytes"] > 0
+        masters = spans_named(coordinator, "master.sweep")
+        assert len(masters) == ITERS
+        assert all(s["attrs"]["batches"] >= s["attrs"]["clusters"] >= 1 for s in masters)
+        for j in range(2):
+            worker = spans / ("worker-%d.json" % j)
+            assert len(spans_named(worker, "worker.apply")) == ITERS
+            assert all(s["attrs"]["clusters"] >= 1 for s in spans_named(worker, "worker.summarize"))
+
+    report, _ = run_fitproc(tmp_path, data_path, command, "plain")
+    assert report["first_sweep"] is not None and report["sampling_end"] is not None
+    assert (tmp_path / "plain" / "labels.csv").exists()

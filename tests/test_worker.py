@@ -138,23 +138,21 @@ def _worker_with_k_clusters(seed=11, n=60):
 class TestApplyGlobalLabels:
     def test_identity_map_preserves_partition(self):
         w = _worker_with_k_clusters()
-        labels, clusters = w.local.labels.copy(), set(w.local.clusters)
-        out = apply_global_labels(w, {h: h for h in clusters})
+        labels, clusters = w.local.labels.copy(), list(w.local.clusters)
+        out = apply_global_labels(w, clusters)
         assert np.array_equal(out.local.labels, labels)
-        assert set(out.local.clusters) == clusters
+        assert list(out.local.clusters) == clusters
 
     def test_merging_two_clusters(self):
         w = _worker_with_k_clusters()
         k = w.local.num_clusters
         if k < 2:
             pytest.skip("fixture did not split; adjust seed")
-        # Map the first two local clusters to the same global id, the rest
+        # Send the first two local clusters to the same global id, the rest
         # to distinct ones.
         clusters = w.local.clusters
-        first, second, *rest = sorted(clusters)
-        label_map = {first: 100, second: 100}
-        label_map.update({h: i for i, h in enumerate(rest)})
-        out = apply_global_labels(w, label_map)
+        first, second = list(clusters)[:2]
+        out = apply_global_labels(w, [100, 100] + list(range(k - 2)))
         assert out.local.num_clusters == k - 1
         merged = stats_merge([clusters[first], clusters[second]])
         got = out.local.clusters[100]
@@ -167,30 +165,31 @@ class TestApplyGlobalLabels:
         k = w.local.num_clusters
         rng = np.random.default_rng(14)
         targets = rng.integers(0, max(1, k - 1), k)  # random merges
-        labels, clusters = w.local.labels.copy(), sorted(w.local.clusters)
-        out = apply_global_labels(w, {h: int(g) for h, g in zip(clusters, targets)})
+        labels, clusters = w.local.labels.copy(), list(w.local.clusters)
+        out = apply_global_labels(w, targets.tolist())
         for h in clusters:
             downstream = out.local.labels[labels == h]
             assert np.unique(downstream).size == 1
 
-    def test_missing_entry_rejected(self):
+    def test_reply_of_another_length_rejected(self):
+        """A reply needs one global id per row of the worker's last summary."""
         w = _worker_with_k_clusters()
-        labels = sorted(w.local.clusters)
-        with pytest.raises(ValueError):
-            apply_global_labels(w, {labels[0]: 0} if len(labels) > 1 else {})
-        # Unknown local label in the map is also an error.
-        label_map = {h: h for h in labels}
-        label_map[max(labels) + 5] = 1
-        with pytest.raises(ValueError):
-            apply_global_labels(w, label_map)
+        w.worker_id = 3
+        k = w.local.num_clusters
+        labels = w.local.labels.copy()
+        for targets in (list(range(k - 1)), list(range(k + 1))):
+            message = "worker 3 has %d clusters but received %d global ids" % (k, len(targets))
+            with pytest.raises(ValueError, match=message):
+                apply_global_labels(w, targets)
+        assert np.array_equal(w.local.labels, labels)
 
     def test_global_label_vector_matches_map(self):
-        """After an apply the local labels are the global ids of the map."""
+        """After an apply the local labels are the global ids of the reply."""
         w = _worker_with_k_clusters(seed=15)
-        labels, clusters = w.local.labels.copy(), sorted(w.local.clusters)
-        out = apply_global_labels(w, {h: h + 40 for h in clusters})
+        labels, clusters = w.local.labels.copy(), list(w.local.clusters)
+        out = apply_global_labels(w, [h + 40 for h in clusters])
         assert np.array_equal(out.local.labels, labels + 40)
-        assert sorted(out.local.clusters) == [h + 40 for h in clusters]
+        assert list(out.local.clusters) == [h + 40 for h in clusters]
 
 
 class TestPreviousGlobalIds:
@@ -214,7 +213,7 @@ class TestPreviousGlobalIds:
             alpha=1.0, prior=NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
         )
         w = WorkerState(0, data, state_from_labels(data, local, hyper))
-        w = apply_global_labels(w, {0: 3, 1: 5, 2: 9})
+        w = apply_global_labels(w, [3, 5, 9])
         assert summarize(w).previous.tolist() == [3, 5, 9]
 
         w = worker_sweep(w, np.random.default_rng(41))
