@@ -22,9 +22,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import (
-    PRESET_SIZES,
     generate_gmm,
-    preset_names,
     preset_spec,
     read_dataset,
     read_labels,
@@ -193,11 +191,6 @@ def _write_fit_outputs(args, labels, trace, truth, workers, prior_payload):
 
 def cmd_generate(args):
     if args.preset is not None:
-        if args.preset not in PRESET_SIZES:
-            raise UsageError(
-                "unknown preset %r; available presets: %s"
-                % (args.preset, ", ".join(preset_names()))
-            )
         spec = preset_spec(args.preset, seed=args.seed)
         source = {"preset": args.preset}
     else:

@@ -12,11 +12,13 @@ draw per point per sweep.  Points are scored in blocks.  A point is scored in
 its own cluster without leaving it, so the cluster table changes only when a
 point moves or a singleton is reached; a run of consecutive points is scored
 against the unchanged table at once, and the block is committed up to and
-including its first point that changes the table.
+including its first point that changes the table.  Row terms that depend
+only on the count are memoized for the last model a table was built for.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -29,7 +31,6 @@ from .errors import NumericalDegeneracyError
 from .niw import (
     ModelHyperParams,
     NiwParams,
-    SufficientStats,
     cholesky_logdet,
     log_multigamma,
     stats_from_points,
@@ -52,16 +53,17 @@ _BLOCK_CELLS = 1 << 18
 _FIRST_RUN = 16.0
 _RUN_DECAY = 0.75
 _U64 = (1 << 64) - 1
-# Row terms by model and count: filled on demand and shared by every table,
-# so master sweeps reuse them.  Only counts below _COUNT_CAP are kept, which
-# bounds a run's memo; a large cluster's count rarely recurs.
-_COUNT_ROWS = {}
+# Only counts below _COUNT_CAP are memoized, which bounds a run's memo; a
+# large cluster's count rarely recurs.
 _COUNT_CAP = 4096
 
 
-def forget_count_rows(hyper):
-    """Free the count terms memoized for a model, at the end of its run."""
-    _COUNT_ROWS.pop((hyper.prior.kappa, hyper.prior.nu, hyper.prior.d, hyper.alpha), None)
+@functools.lru_cache(maxsize=1)
+def _count_rows(kappa, nu, d, alpha):
+    """The memo of a model's row terms by count, filled on demand and shared
+    by every table of the model, so master sweeps reuse them.  Only the last
+    model's memo is kept."""
+    return {}
 
 
 def seed_to_u64(seed):
@@ -85,24 +87,12 @@ class PartitionState:
     def num_clusters(self):
         return len(self.table.labels)
 
-    @property
-    def clusters(self):
-        """{label: SufficientStats} in ascending label order, copied from the table."""
-        return self.table.stats()
-
-    @classmethod
-    def from_stats(cls, labels, clusters, hyper):
-        """State of ``labels`` (copied) and a table of ``clusters``, {label: SufficientStats}."""
-        stats = [clusters[lab] for lab in sorted(clusters)]
-        rows = ([s.n for s in stats], [s.sum for s in stats], [s.sum_outer for s in stats])
-        table = _ClusterCache(hyper.prior, hyper.alpha, sorted(clusters), *rows)
-        return cls(labels=np.array(labels, dtype=np.int64), table=table)
-
     @classmethod
     def single_cluster(cls, data, hyper):
         data = np.asarray(data, dtype=np.float64)
-        labels = np.zeros(data.shape[0], dtype=np.int64)
-        return cls.from_stats(labels, {0: stats_from_points(data)}, hyper)
+        s = stats_from_points(data)
+        table = _ClusterCache(hyper.prior, hyper.alpha, [0], [s.n], [s.sum], [s.sum_outer])
+        return cls(labels=np.zeros(data.shape[0], dtype=np.int64), table=table)
 
 
 def center_on_prior(data, hyper):
@@ -180,7 +170,7 @@ class _ClusterCache:
         # t = kappa0 mu0 + sum x; the first two terms are the same in every row.
         self._kappa_mu = prior.kappa * prior.mu
         self._psi_base = prior.psi + self._kappa_mu[:, None] * prior.mu
-        self._count_rows = _COUNT_ROWS.setdefault((prior.kappa, prior.nu, d, alpha), {})
+        self._count_rows = _count_rows(prior.kappa, prior.nu, d, alpha)
         self._refresh(np.arange(k + 1))
 
     # -- row maintenance ----------------------------------------------------
@@ -342,11 +332,11 @@ class _ClusterCache:
     def point_log_weights(self, xs, own=None):
         """Log-weights of points over (clusters by ascending label, new).
 
-        ``xs`` is one point (d,) or a block of points (B, d); candidates run
-        along the first axis of the result, (K+1,) or (K+1, B).  By the
-        matrix-determinant lemma, absorbing x changes log det Psi by
-        log1p(kappa / (kappa + 1) q) with q = |L^-1 x - L^-1 mu|^2, so one
-        matrix product scores every point against every row.
+        ``xs`` is a block of points (B, d); candidates run along the first
+        axis of the result, (K+1, B).  By the matrix-determinant lemma,
+        absorbing x changes log det Psi by log1p(kappa / (kappa + 1) q) with
+        q = |L^-1 x - L^-1 mu|^2, so one matrix product scores every point
+        against every row.
 
         ``own`` holds, per point, the row of the cluster that already holds
         it.  That entry is the point's weight with it taken out,
@@ -356,16 +346,15 @@ class _ClusterCache:
         """
         rows = len(self.labels) + 1
         d = self.d
-        z = self.whitens[:rows].reshape(rows * d, d) @ xs.reshape(-1, d).T
+        z = self.whitens[:rows].reshape(rows * d, d) @ xs.T
         z -= self.shifts[:rows].reshape(-1, 1)
         z *= z
         q = np.add.reduce(z.reshape(rows, d, -1), axis=1) if d > 1 else z
         terms = self.terms[:rows, :, None]
         weights = terms[:, self._BASE] - terms[:, self._POWER] * np.log1p(terms[:, self._GAIN] * q)
         if own is not None:
-            r = own if xs.ndim == 2 else np.reshape(own, 1)
-            at = r * q.shape[1] + np.arange(r.shape[0])  # (r, column) in q and weights, flat
-            base, shrink, power = self.terms.take(r, axis=0)[:, self._OWN_BASE :].T
+            at = own * q.shape[1] + np.arange(own.shape[0])  # (own, column) in q and weights, flat
+            base, shrink, power = self.terms.take(own, axis=0)[:, self._OWN_BASE :].T
             shrink = shrink * q.take(at)
             if np.minimum.reduce(shrink) > -1.0:
                 own_weights = base + power * np.log1p(shrink)
@@ -374,7 +363,7 @@ class _ClusterCache:
                 own_weights = base + power * np.log1p(np.where(valid, shrink, 0.0))
                 own_weights[~valid] = np.nan
             weights.put(at, own_weights)
-        return weights if xs.ndim == 2 else weights[:, 0]
+        return weights
 
     def batch_log_weights(self, n, sumv, outer, own=None):
         """Log-weights of a batch of n points with raw sums (sumv, outer) over
@@ -420,11 +409,6 @@ class _ClusterCache:
         k = len(self.labels)
         marginals = self.terms[:k, self._MARGINAL] - self.terms[k, self._MARGINAL]
         return crp_log_prob(self.alpha, self.counts[:k].tolist(), n) + float(marginals.sum())
-
-    def stats(self):
-        """{label: SufficientStats} of the rows in ascending label order, copied."""
-        rows = zip(self.labels, self.counts.tolist(), self.sums, self.outers)
-        return {lab: SufficientStats(int(n), s, o) for lab, n, s, o in rows}
 
 
 def cgs_sweep(state, data, rng, weight_log=None):
@@ -526,50 +510,40 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None):
     Returns (final labels, RunTrace), the labels made dense 0..K-1 in the
     order the sweeps numbered the clusters.  The trace records log p(x, z),
     the cluster count, wall-clock seconds per iteration, and (when ground
-    truth labels are supplied) the adjusted Rand index after each iteration.
-    Sweeps run on the data centered on the prior mean.
+    truth labels are supplied, one per point) the adjusted Rand index after
+    each iteration, scored after its seconds are taken.  Sweeps run on the
+    data centered on the prior mean.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1, got %r" % (iterations,))
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("data must be a non-empty (n, d) array")
+    truth = None
+    if ground_truth is not None:
+        from .metrics import ari
+
+        truth = np.asarray(ground_truth).reshape(-1)
+        if truth.shape[0] != data.shape[0]:
+            raise ValueError("ground truth length does not match data")
     rng = np.random.default_rng(np.random.SeedSequence(seed_to_u64(seed)))
     centered, centered_hyper = center_on_prior(data, hyper)
     state = PartitionState.single_cluster(centered, centered_hyper)
-    trace = RunTrace(
-        meta={
-            "algorithm": "cgs",
-            "iterations": int(iterations),
-            "seed": int(seed),
-            "alpha": hyper.alpha,
-            "n": int(data.shape[0]),
-            "d": int(data.shape[1]),
-        }
-    )
-    truth = None if ground_truth is None else np.asarray(ground_truth)
-    try:
-        for t in range(1, iterations + 1):
-            started = time.perf_counter()
-            try:
-                cgs_sweep(state, centered, rng)
-            except NumericalDegeneracyError as err:
-                err.add_context(iteration=t)
-                raise
-            score = None
-            if truth is not None:
-                from .metrics import ari
-
-                score = ari(state.labels, truth)
-            trace.append(
-                IterationRecord(
-                    iteration=t,
-                    log_joint=log_joint(state),
-                    num_clusters=state.num_clusters,
-                    seconds=time.perf_counter() - started,
-                    ari=score,
-                )
+    trace = RunTrace()
+    for t in range(1, iterations + 1):
+        started = time.perf_counter()
+        try:
+            cgs_sweep(state, centered, rng)
+        except NumericalDegeneracyError as err:
+            err.add_context(iteration=t)
+            raise
+        trace.append(
+            IterationRecord(
+                iteration=t,
+                log_joint=log_joint(state),
+                num_clusters=state.num_clusters,
+                seconds=time.perf_counter() - started,
+                ari=None if truth is None else ari(state.labels, truth),
             )
-    finally:
-        forget_count_rows(centered_hyper)
+        )
     return state.table.row_of[state.labels], trace

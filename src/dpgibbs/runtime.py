@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError, WorkerLostError
-from .gibbs import center_on_prior, forget_count_rows, seed_to_u64
+from .gibbs import center_on_prior, seed_to_u64
 from .master import global_log_joint, master_sweep
 from .niw import ModelHyperParams
 from .trace import IterationRecord, RunTrace
@@ -250,16 +250,7 @@ def _coordinate(channels, hyper, config, n, ground_truth):
     from .metrics import ari
 
     master_rng = np.random.default_rng(np.random.SeedSequence(seed_to_u64(config.seed)))
-    trace = RunTrace(
-        meta={
-            "algorithm": "discgs",
-            "iterations": config.iterations,
-            "workers": config.workers,
-            "seed": config.seed,
-            "alpha": config.hyper.alpha,
-            "n": n,
-        }
-    )
+    trace = RunTrace()
     want_ari = ground_truth is not None
     final_labels = None
     for t in range(1, config.iterations + 1):
@@ -319,6 +310,4 @@ def run_discgs(data, config, ground_truth=None, channel_factory=None):
             channel.send(StopCmd())
     finally:
         shutdown()
-        forget_count_rows(hyper)
-    trace.meta["d"] = int(data.shape[1])
     return final_labels, trace

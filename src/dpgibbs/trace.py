@@ -1,4 +1,8 @@
-"""Per-iteration trace records shared by the centralized and distributed runs."""
+"""Per-iteration trace records shared by the centralized and distributed runs.
+
+A trace holds the records alone; the CLI writes a run's settings to its
+manifest.
+"""
 
 from __future__ import annotations
 
@@ -18,10 +22,9 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    """Sequence of per-iteration records plus run-level metadata."""
+    """The sequence of a run's per-iteration records."""
 
     records: list[IterationRecord] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def append(self, record):
         self.records.append(record)

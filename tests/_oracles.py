@@ -10,7 +10,9 @@ sweep it checks; and ``reference_refresh``, which recomputes a table's cached
 factors through NumPy's public linalg routines but takes its count constant
 from the table.  The row-by-row CSV writers are the package's writers before
 they formatted blocks of rows at once; tests that need a data file with a
-label column write it with ``rowwise_write_dataset``.
+label column write it with ``rowwise_write_dataset``.  ``state_from_stats``,
+``table_of`` and ``stats_of`` build a state or a cluster table of the
+package's from {label: SufficientStats} and read a table's rows back.
 """
 
 from __future__ import annotations
@@ -176,11 +178,12 @@ def validate_partition(state, data, rtol=1e-8):
     if n != np.asarray(data).shape[0]:
         raise ValueError("labels length does not match data")
     present = set(int(v) for v in np.unique(labels))
-    if present != set(state.clusters):
-        raise ValueError("cluster keys %r do not match labels %r" % (set(state.clusters), present))
+    clusters = stats_of(state.table)
+    if present != set(clusters):
+        raise ValueError("cluster keys %r do not match labels %r" % (set(clusters), present))
     if present and present != set(range(len(present))):
         raise ValueError("labels are not dense 0..K-1: %r" % present)
-    for lab, stats in state.clusters.items():
+    for lab, stats in clusters.items():
         member = np.asarray(data)[labels == lab]
         ref = stats_from_points(member)
         if stats.n != ref.n:
@@ -198,7 +201,6 @@ def state_from_labels(data, labels, hyper):
     ``labels`` are non-negative.  One stable sort groups each cluster's
     rows, still in index order, so the sums are those of ``data[labels == k]``.
     """
-    from dpgibbs.gibbs import PartitionState
     from dpgibbs.niw import stats_from_points
 
     sizes = np.bincount(labels)
@@ -208,15 +210,32 @@ def state_from_labels(data, labels, hyper):
     # NumPy's stable sort of an integer type of at most 16 bits is a radix sort.
     order = np.argsort(labels.astype(np.min_scalar_type(dense[-1])), kind="stable")
     parts = np.split(data[order], np.cumsum(sizes[present])[:-1])
-    return PartitionState.from_stats(labels, dict(enumerate(map(stats_from_points, parts))), hyper)
+    return state_from_stats(labels, dict(enumerate(map(stats_from_points, parts))), hyper)
+
+
+def state_from_stats(labels, clusters, hyper):
+    """PartitionState of ``labels`` (copied) and a table of ``clusters``, {label: SufficientStats}."""
+    from dpgibbs.gibbs import PartitionState
+
+    table = table_of(hyper.prior, hyper.alpha, clusters)
+    return PartitionState(labels=np.array(labels, dtype=np.int64), table=table)
 
 
 def table_of(prior, alpha, clusters):
     """Cluster table of {label: SufficientStats}, one row per label in ascending order."""
-    from dpgibbs.gibbs import PartitionState
-    from dpgibbs.niw import ModelHyperParams
+    from dpgibbs.gibbs import _ClusterCache
 
-    return PartitionState.from_stats([], clusters, ModelHyperParams(alpha, prior)).table
+    stats = [clusters[lab] for lab in sorted(clusters)]
+    rows = ([s.n for s in stats], [s.sum for s in stats], [s.sum_outer for s in stats])
+    return _ClusterCache(prior, alpha, sorted(clusters), *rows)
+
+
+def stats_of(table):
+    """{label: SufficientStats} of a cluster table's rows in ascending label order, copied."""
+    from dpgibbs.niw import SufficientStats
+
+    rows = zip(table.labels, table.counts.tolist(), table.sums, table.outers)
+    return {lab: SufficientStats(int(n), s, o) for lab, n, s, o in rows}
 
 
 def reference_refresh(table, rows):
@@ -335,7 +354,7 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
 
     data = np.asarray(data, dtype=np.float64)
     prior = state.table.prior
-    cache = table_of(prior, state.table.alpha, state.clusters)
+    cache = table_of(prior, state.table.alpha, stats_of(state.table))
     labels = np.array(state.labels, dtype=np.int64, copy=True)
     for i in range(data.shape[0]):
         x = data[i]

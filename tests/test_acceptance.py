@@ -191,7 +191,7 @@ def test_criterion_03_enumeration_normalization():
             k: stats_from_points(data[np.asarray(block)])
             for k, block in enumerate(partition)
         }
-        state = PartitionState.from_stats(labels, clusters, hyper)
+        state = _oracles.state_from_stats(labels, clusters, hyper)
         worst = max(worst, abs(log_joint(state) - oracle) / abs(oracle))
     total = logsumexp(log_posterior)
     _report(
@@ -243,7 +243,7 @@ def test_criterion_04_master_matches_central_on_singletons():
         clusters = {
             int(g): stats_from_points(data[init == g]) for g in np.unique(init)
         }
-        central = PartitionState.from_stats(init, clusters, hyper)
+        central = _oracles.state_from_stats(init, clusters, hyper)
         central_log = []
         seed = 10_000 + trial
         swept = cgs_sweep(central, data, np.random.default_rng(seed), weight_log=central_log)

@@ -426,7 +426,7 @@ class TestJsonOutputs:
         assert payload == {"ari": 1.0, "num_clusters_pred": 3}
 
     def test_trace_is_an_array_of_records(self, tmp_path):
-        trace = RunTrace(meta={"seed": 1})
+        trace = RunTrace()
         trace.append(IterationRecord(iteration=1, log_joint=-10.0, num_clusters=2, seconds=0.5))
         trace.append(
             IterationRecord(iteration=2, log_joint=-9.0, num_clusters=2, seconds=0.4, ari=1.0)

@@ -2,7 +2,6 @@
 
 import copy
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from dpgibbs.niw import (
 )
 
 import _oracles
-from _oracles import state_from_labels, table_of, validate_partition
+from _oracles import state_from_labels, state_from_stats, stats_of, table_of, validate_partition
 
 
 def unit_hyper(d, alpha=1.0):
@@ -61,13 +60,12 @@ def separated_two_component(n=200, seed=0):
 
 
 def compacted(state):
-    """The state's labels and statistics with its cluster ids renumbered
-    0..K-1 in ascending order; the state itself is left as it is."""
-    ids = sorted(state.clusters)
-    lut = np.full(max(ids) + 1, -1, dtype=np.int64)
-    lut[ids] = np.arange(len(ids))
-    clusters = {k: state.clusters[lab] for k, lab in enumerate(ids)}
-    return SimpleNamespace(labels=lut[state.labels], clusters=clusters)
+    """A copy of the state with its cluster ids renumbered 0..K-1 in
+    ascending order; the state itself is left as it is."""
+    state = copy.deepcopy(state)
+    state.labels = state.table.row_of[state.labels]
+    state.table.rename(np.arange(state.num_clusters))
+    return state
 
 
 def state_for_partition(data, labels, hyper):
@@ -75,7 +73,7 @@ def state_for_partition(data, labels, hyper):
     clusters = {
         int(lab): stats_from_points(data[labels == lab]) for lab in np.unique(labels)
     }
-    return PartitionState.from_stats(labels, clusters, hyper)
+    return state_from_stats(labels, clusters, hyper)
 
 
 class TestPartitionState:
@@ -89,7 +87,7 @@ class TestPartitionState:
     def test_validate_catches_bad_stats(self):
         data = np.zeros((3, 1))
         state = PartitionState.single_cluster(data, unit_hyper(1))
-        broken = PartitionState.from_stats(
+        broken = state_from_stats(
             state.labels, {0: stats_from_points(np.ones((3, 1)))}, unit_hyper(1)
         )
         with pytest.raises(ValueError):
@@ -107,8 +105,8 @@ class TestPartitionState:
             state = state_from_labels(data, labels, unit_hyper(d))
             assert state.labels.dtype == dense.dtype
             assert np.array_equal(state.labels, dense)
-            assert list(state.clusters) == list(range(int(dense.max()) + 1))
-            for k, stats in state.clusters.items():
+            assert state.table.labels == list(range(int(dense.max()) + 1))
+            for k, stats in stats_of(state.table).items():
                 expected = stats_from_points(data[dense == k])
                 assert stats.n == expected.n
                 assert stats.sum.tobytes() == expected.sum.tobytes()
@@ -191,16 +189,16 @@ class TestCgsSweep:
         state = PartitionState.single_cluster(data, unit_hyper(2))
         sweep_rng = np.random.default_rng(7)
         for _ in range(10):
-            before = set(state.clusters)
-            fresh = PartitionState.from_stats(state.labels, state.clusters, unit_hyper(2))
+            before = set(state.table.labels)
+            fresh = state_from_stats(state.labels, stats_of(state.table), unit_hyper(2))
             cgs_sweep(fresh, data, copy.deepcopy(sweep_rng))
             state = cgs_sweep(state, data, sweep_rng)
             validate_partition(compacted(state), data)
-            assert sum(s.n for s in state.clusters.values()) == data.shape[0]
+            assert sum(s.n for s in stats_of(state.table).values()) == data.shape[0]
             # Surviving clusters keep their labels; new ones are numbered
             # above every label the sweep started with, just as a table
             # built afresh for the sweep numbers them.
-            assert all(lab in before or lab > max(before) for lab in state.clusters)
+            assert all(lab in before or lab > max(before) for lab in state.table.labels)
             assert np.array_equal(state.labels, fresh.labels)
 
     def test_cached_weights_equal_public_predictive_route(self):
@@ -212,14 +210,12 @@ class TestCgsSweep:
             labels = rng.integers(0, 4, 15)
             hyper = unit_hyper(d, alpha=float(rng.uniform(0.2, 3.0)))
             state = state_for_partition(data, labels, hyper)
-            cache = state.table
             x = rng.standard_normal(d)
-            fast = cache.point_log_weights(x)
+            fast = state.table.point_log_weights(x[None])[:, 0]
             xs = stats_from_points(x)
             slow = [
-                math.log(state.clusters[lab].n)
-                + log_posterior_predictive(xs, state.clusters[lab], hyper.prior)
-                for lab in sorted(state.clusters)
+                math.log(stats.n) + log_posterior_predictive(xs, stats, hyper.prior)
+                for stats in stats_of(state.table).values()
             ]
             slow.append(math.log(hyper.alpha) + log_prior_predictive(xs, hyper.prior))
             assert np.allclose(fast, np.array(slow), rtol=1e-12, atol=1e-12)
@@ -235,12 +231,11 @@ class TestCgsSweep:
                 state = state_for_partition(data, labels, hyper)
                 cache = state.table
                 for i in (0, 1, 2, 6):
-                    own = cache.row_of[int(labels[i])]
-                    fast = cache.point_log_weights(data[i], own)
+                    own = cache.row_of[labels[i : i + 1]]
+                    fast = cache.point_log_weights(data[i : i + 1], own)[:, 0]
                     xs = stats_from_points(data[i])
                     slow = []
-                    for lab in sorted(state.clusters):
-                        stats = state.clusters[lab]
+                    for lab, stats in stats_of(cache).items():
                         if lab == labels[i]:
                             rest = np.delete(np.arange(8), i)
                             stats = stats_from_points(data[rest][labels[rest] == lab])
@@ -265,7 +260,7 @@ class TestCgsSweep:
         monkeypatch.setattr(_ClusterCache, "_refresh", inflated)
         data = np.random.default_rng(32).standard_normal((3, 2))
         state = state_for_partition(data, [0, 5, 5], unit_hyper(2))
-        assert np.isnan(state.table.point_log_weights(data[1], own=1)[1])
+        assert np.isnan(state.table.point_log_weights(data[1:2], own=np.array([1]))[1, 0])
         # Point 0 is a singleton and changes the table; point 1 is reached next.
         with pytest.raises(NumericalDegeneracyError) as info:
             cgs_sweep(state, data, np.random.default_rng(0))
@@ -352,11 +347,12 @@ def _compare_with_pointwise(data, state, seed, sweeps=3):
         cgs_sweep(block, data, block_rng, weight_log=block_log)
         dense = compacted(block)
         assert np.array_equal(dense.labels, ref.labels)
-        assert sorted(dense.clusters) == sorted(ref.clusters)
-        for lab, stats in dense.clusters.items():
-            assert stats.n == ref.clusters[lab].n
-            assert np.array_equal(stats.sum, ref.clusters[lab].sum)
-            assert np.array_equal(stats.sum_outer, ref.clusters[lab].sum_outer)
+        expected = stats_of(ref.table)
+        assert dense.table.labels == list(expected)
+        for lab, stats in stats_of(dense.table).items():
+            assert stats.n == expected[lab].n
+            assert np.array_equal(stats.sum, expected[lab].sum)
+            assert np.array_equal(stats.sum_outer, expected[lab].sum_outer)
         assert len(block_log) == len(ref_log) == data.shape[0]
         for b, r in zip(block_log, ref_log):
             assert b.shape == r.shape
@@ -458,10 +454,11 @@ class TestLogJoint:
         means = 5.0 * rng.standard_normal((13, d))
         data = means[labels] + rng.uniform(0.2, 2.0) * rng.standard_normal((labels.size, d))
         state = state_from_labels(data, labels, hyper)
-        sizes = [s.n for s in state.clusters.values()]
+        clusters = stats_of(state.table).values()
+        sizes = [s.n for s in clusters]
         assert max(sizes) == 20_000
         expected = crp_log_prob(hyper.alpha, sizes, labels.size) + sum(
-            log_marginal(s, prior) for s in state.clusters.values()
+            log_marginal(s, prior) for s in clusters
         )
         gstate = GlobalState(targets={}, table=state.table)
         assert math.isclose(log_joint(state), expected, rel_tol=1e-12)
@@ -482,7 +479,7 @@ class TestLogJoint:
         data, hyper = center_on_prior(data, ModelHyperParams(alpha=2.0, prior=default_prior(data)))
         state = state_from_labels(data, labels, hyper)
         expected = crp_log_prob(hyper.alpha, sizes, labels.size) + math.fsum(
-            log_marginal(s, hyper.prior) for s in state.clusters.values()
+            log_marginal(s, hyper.prior) for s in stats_of(state.table).values()
         )
         gstate = GlobalState(targets={}, table=state.table)
         assert math.isclose(log_joint(state), expected, rel_tol=1e-12)
@@ -501,7 +498,7 @@ def assert_live_table(table, labels, data):
         assert table.counts[r] == members.shape[0]
         assert np.allclose(table.sums[r], members.sum(axis=0), rtol=1e-10, atol=1e-9)
         assert np.allclose(table.outers[r], members.T @ members, rtol=1e-10, atol=1e-9)
-    fresh = table_of(table.prior, table.alpha, table.stats())
+    fresh = table_of(table.prior, table.alpha, stats_of(table))
     for name in ("whitens", "shifts", "terms"):
         assert np.array_equal(getattr(table, name)[: k + 1], getattr(fresh, name)[: k + 1])
 
@@ -528,11 +525,11 @@ class TestLiveClusterTable:
         deleted = added = 0
         for _ in range(3):
             for w in workers:
-                before = set(w.local.clusters)
+                before = set(w.local.table.labels)
                 worker_sweep(w, rng)
                 assert_live_table(w.local.table, w.local.labels, w.data)
-                deleted += len(before - set(w.local.clusters))
-                added += len(set(w.local.clusters) - before)
+                deleted += len(before - set(w.local.table.labels))
+                added += len(set(w.local.table.labels) - before)
             gstate = master_sweep([summarize(w) for w in workers], hyper, rng)
             for w in workers:
                 apply_global_labels(w, gstate.targets[w.worker_id])
@@ -545,12 +542,12 @@ class TestLiveClusterTable:
         # Rows merged three at a time, in the reverse of their order; each
         # merged row holds the bits stats_merge gives.
         w = workers[0]
-        before = w.local.clusters
+        before = stats_of(w.local.table)
         targets = [(len(before) - r) // 3 for r in range(len(before))]
         apply_global_labels(w, targets)
         assert w.local.num_clusters == len(before) // 3 + 1
         assert_live_table(w.local.table, w.local.labels, w.data)
-        for g, stats in w.local.clusters.items():
+        for g, stats in stats_of(w.local.table).items():
             merged = stats_merge([before[h] for h, t in zip(before, targets) if t == g])
             assert stats.n == merged.n
             assert np.array_equal(stats.sum, merged.sum)
@@ -824,21 +821,34 @@ class TestRunCgs:
         assert np.unique(base).size > 1
         assert ari(base, fit(transform(data))) >= 0.999
 
-    def test_run_frees_its_models_count_terms(self):
-        """The memoized count terms of the run's model are dropped when the
-        run ends, and a second identical run gives the same labels."""
-        from dpgibbs.gibbs import _COUNT_ROWS
+    def test_tables_of_one_model_share_one_memo(self):
+        """Tables of one model share one memo of count terms; a table of
+        another model gets a fresh memo while the first keeps its own; and
+        runs of one model on either side of another model's run give the
+        same labels, on both samplers."""
+        from dpgibbs.runtime import RunConfig, run_discgs, thread_channels
 
         data, _ = separated_two_component(60, seed=31)
-        hyper = empirical_hyper(data, alpha=2.0)
-        key = (hyper.prior.kappa, hyper.prior.nu, hyper.prior.d, hyper.alpha)
-        PartitionState.single_cluster(data, hyper)
-        assert key in _COUNT_ROWS  # the key a table of this model fills
-        first, _ = run_cgs(data, hyper, 4, seed=5)
-        assert key not in _COUNT_ROWS
-        second, _ = run_cgs(data, hyper, 4, seed=5)
-        assert key not in _COUNT_ROWS
-        assert np.array_equal(first, second)
+        hyper, other = empirical_hyper(data, alpha=2.0), empirical_hyper(data, alpha=3.0)
+        a, b = (PartitionState.single_cluster(data, hyper).table for _ in range(2))
+        assert a._count_rows is b._count_rows
+        terms = dict(a._count_rows)
+        assert {0, 60} <= set(terms)  # the counts of the two rows
+        c = PartitionState.single_cluster(data, other).table
+        assert c._count_rows is not a._count_rows
+        assert c._count_rows[0] != terms[0]  # log alpha differs
+        assert a._count_rows == terms
+
+        def fits(hyper):
+            central, _ = run_cgs(data, hyper, 4, seed=5)
+            config = RunConfig(hyper, iterations=3, workers=2, seed=4)
+            distributed, _ = run_discgs(data, config, channel_factory=thread_channels)
+            return central, distributed
+
+        first = fits(hyper)
+        fits(other)
+        second = fits(hyper)
+        assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
     def test_count_memo_keeps_only_counts_below_its_cap(self, monkeypatch):
         """With the cap at 8, sweeps over clusters of up to 60 points keep at
@@ -847,20 +857,18 @@ class TestRunCgs:
 
         data, _ = separated_two_component(60, seed=31)
         data, hyper = center_on_prior(data, empirical_hyper(data, alpha=2.0))
-        key = (hyper.prior.kappa, hyper.prior.nu, hyper.prior.d, hyper.alpha)
 
         def sweeps(cap):
             monkeypatch.setattr(gibbs, "_COUNT_CAP", cap)
-            gibbs.forget_count_rows(hyper)
+            gibbs._count_rows.cache_clear()
             state = PartitionState.single_cluster(data, hyper)
+            memo = state.table._count_rows
             rng = np.random.default_rng(5)
             for _ in range(4):
                 cgs_sweep(state, data, rng)
-                assert len(gibbs._COUNT_ROWS[key]) <= cap
-                assert all(m < cap for m in gibbs._COUNT_ROWS[key])
-            memo = len(gibbs._COUNT_ROWS[key])
-            gibbs.forget_count_rows(hyper)
-            return state.labels, log_joint(state), memo
+                assert len(memo) <= cap
+                assert all(m < cap for m in memo)
+            return state.labels, log_joint(state), len(memo)
 
         capped, capped_joint, _ = sweeps(8)
         uncapped, uncapped_joint, memo = sweeps(1 << 30)

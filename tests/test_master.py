@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from dpgibbs.gibbs import PartitionState, log_joint, sample_log_weights
+from dpgibbs.gibbs import log_joint, sample_log_weights
 from dpgibbs.master import global_log_joint, master_sweep
 from dpgibbs.metrics import ari
 from dpgibbs.niw import (
@@ -23,7 +23,7 @@ from dpgibbs.niw import (
 )
 from dpgibbs.worker import WorkerState, WorkerSummary, apply_global_labels, summarize
 
-from _oracles import table_of
+from _oracles import state_from_stats, stats_of, table_of
 
 
 def make_hyper(d=2, alpha=1.0, scale=1.0):
@@ -70,7 +70,7 @@ class TestMasterSweep:
         out = master_sweep([summary_of(0, [pts])], make_hyper(), rng)
         assert out.targets == {0: [0]}
         assert out.num_clusters == 1
-        assert out.table.stats()[0].n == 5
+        assert stats_of(out.table)[0].n == 5
 
     def test_tight_identical_batches_co_cluster(self):
         rng = np.random.default_rng(1)
@@ -108,7 +108,7 @@ class TestMasterSweep:
         out = master_sweep(summaries, make_hyper(), np.random.default_rng(5))
         batches = batches_of(summaries)
         merged_in = stats_merge(list(batches.values()))
-        merged_out = stats_merge(list(out.table.stats().values()))
+        merged_out = stats_merge(list(stats_of(out.table).values()))
         assert merged_in.n == merged_out.n
         assert np.allclose(merged_in.sum, merged_out.sum, rtol=1e-10)
         assert np.allclose(merged_in.sum_outer, merged_out.sum_outer, rtol=1e-10)
@@ -124,8 +124,8 @@ class TestMasterSweep:
         for g, parts in by_cluster.items():
             ref = stats_merge(parts)
             assert out.table.counts[g] == sum(p.n for p in parts)
-            assert out.table.stats()[g].n == ref.n
-            assert np.allclose(out.table.stats()[g].sum_outer, ref.sum_outer, rtol=1e-10)
+            assert stats_of(out.table)[g].n == ref.n
+            assert np.allclose(stats_of(out.table)[g].sum_outer, ref.sum_outer, rtol=1e-10)
 
     def test_weights_match_marginal_ratio_identity(self):
         """Two-batch hand replay: recorded weights equal the ratio route."""
@@ -208,7 +208,7 @@ class TestMasterSweep:
             [summary_of(0, batches, first.targets[0])], hyper, np.random.default_rng(11)
         )
         assert [len(t) for t in again.targets.values()] == [2]
-        sizes = sorted(s.n for s in again.table.stats().values())
+        sizes = sorted(s.n for s in stats_of(again.table).values())
         assert sum(sizes) == 6
 
     def test_empty_or_mismatched_batches_rejected(self):
@@ -282,8 +282,8 @@ class TestMasterSweep:
             for j in range(2)
         ]
         out = master_sweep(summaries, make_hyper(), np.random.default_rng(15))
-        assert sorted(out.table.stats()) == list(range(out.num_clusters))
-        assert {g for t in out.targets.values() for g in t} == set(out.table.stats())
+        assert out.table.labels == list(range(out.num_clusters))
+        assert {g for t in out.targets.values() for g in t} == set(out.table.labels)
 
 
 def collected_labels(replies, workers):
@@ -308,7 +308,7 @@ class TestExpansion:
         data = rng.standard_normal((12, 2))
         hyper = make_hyper()
         w = WorkerState.single_cluster(0, data, hyper)
-        w.local = PartitionState.from_stats(
+        w.local = state_from_stats(
             np.repeat([1, 0], 6),
             {0: stats_from_points(data[6:]), 1: stats_from_points(data[:6])},
             hyper,
@@ -324,7 +324,7 @@ class TestExpansion:
         for j in range(3):
             shard = data[4 * j : 4 * j + 4]
             w = WorkerState.single_cluster(j, shard, hyper)
-            w.local = PartitionState.from_stats(
+            w.local = state_from_stats(
                 [0, 0, 1, 1],
                 {0: stats_from_points(shard[:2]), 1: stats_from_points(shard[2:])},
                 hyper,
@@ -355,7 +355,7 @@ class TestGlobalLogJoint:
             summaries.append(summarize(w))
         gstate = master_sweep(summaries, hyper, np.random.default_rng(22))
         membership = collected_labels([gstate.targets[0], gstate.targets[1]], workers)
-        central = PartitionState.from_stats(
+        central = state_from_stats(
             membership,
             {int(g): stats_from_points(data[membership == g]) for g in np.unique(membership)},
             hyper,

@@ -130,6 +130,22 @@ def recording_factory(log):
     return factory
 
 
+# Two iterations of either sampler, scored against ``truth`` when it is given.
+BOTH_SAMPLERS = pytest.mark.parametrize(
+    "fit",
+    [
+        lambda data, hyper, truth=None: run_cgs(data, hyper, 2, seed=0, ground_truth=truth),
+        lambda data, hyper, truth=None: run_discgs(
+            data,
+            RunConfig(hyper, iterations=2, workers=2),
+            ground_truth=truth,
+            channel_factory=thread_channels,
+        ),
+    ],
+    ids=["cgs", "discgs"],
+)
+
+
 class TestRunDiscgs:
     def test_single_worker_smoke(self):
         data, truth = two_blob_data(30, seed=2)
@@ -197,7 +213,7 @@ class TestRunDiscgs:
 
         def recording_sweep(w, rng):
             t = sweeps[w.worker_id] = sweeps.get(w.worker_id, 0) + 1
-            before[(w.worker_id, t)] = set(w.local.clusters)
+            before[(w.worker_id, t)] = set(w.local.table.labels)
             return sweep(w, rng)
 
         def recording_master(summaries, *args, **kwargs):
@@ -283,9 +299,6 @@ class TestRunDiscgs:
         assert [r.iteration for r in trace.records] == [1, 2, 3, 4]
         assert all(r.ari is not None for r in trace.records)
         assert all(r.seconds >= 0 for r in trace.records)
-        assert trace.meta["workers"] == 2
-        assert trace.meta["n"] == 24
-        assert trace.meta["d"] == 2
 
     def test_truth_free_run_has_no_aris(self):
         data, _ = two_blob_data(20, seed=10)
@@ -301,30 +314,44 @@ class TestRunDiscgs:
         with pytest.raises(ValueError, match="more workers"):
             run_discgs(data, config(data, iterations=1, workers=5), channel_factory=thread_channels)
 
-    @pytest.mark.parametrize(
-        "fit",
-        [
-            lambda data, hyper: run_cgs(data, hyper, 1, 0),
-            lambda data, hyper: run_discgs(
-                data, RunConfig(hyper, iterations=1, workers=2), channel_factory=thread_channels
-            ),
-        ],
-        ids=["cgs", "discgs"],
-    )
+    @BOTH_SAMPLERS
     def test_prior_of_another_dimension_rejected(self, fit):
         """Both samplers refuse a prior that does not match the data's columns."""
         with pytest.raises(ValueError, match="data has 1 columns but the prior has 2"):
             fit(np.arange(4.0).reshape(4, 1), TestRunConfig.HYPER)
 
-    def test_truth_length_mismatch_rejected(self):
+    @BOTH_SAMPLERS
+    def test_truth_length_mismatch_rejected(self, fit, monkeypatch):
+        """Both samplers check the ground truth's length before any sweep."""
+        from dpgibbs import gibbs, worker
+
+        sweeps = []
+        for module in (gibbs, worker):
+            monkeypatch.setattr(module, "cgs_sweep", lambda *args: sweeps.append(args))
         data, _ = two_blob_data(20, seed=11)
-        with pytest.raises(ValueError):
-            run_discgs(
-                data,
-                config(data, iterations=1, workers=2),
-                ground_truth=np.zeros(7, dtype=np.int64),
-                channel_factory=thread_channels,
-            )
+        hyper = ModelHyperParams(1.0, default_prior(data))
+        with pytest.raises(ValueError, match="ground truth length does not match data"):
+            fit(data, hyper, np.zeros(7, dtype=np.int64))
+        assert sweeps == []
+
+    @BOTH_SAMPLERS
+    def test_seconds_exclude_ari(self, fit, monkeypatch):
+        """An iteration's seconds are taken before its ARI is scored."""
+        import time
+
+        from dpgibbs import metrics
+
+        score = metrics.ari
+
+        def slow_ari(a, b):
+            time.sleep(0.5)
+            return score(a, b)
+
+        monkeypatch.setattr(metrics, "ari", slow_ari)
+        data, truth = two_blob_data(20, seed=11)
+        _, trace = fit(data, ModelHyperParams(1.0, default_prior(data)), truth)
+        assert all(r.ari is not None for r in trace.records)
+        assert all(r.seconds < 0.5 for r in trace.records)
 
 
 class TestMessageTraffic:
@@ -418,22 +445,6 @@ class TestFitPathUsesTheClusterTable:
         )
         assert labels.shape == (40,)
         assert len(trace) == 3 and np.all(np.isfinite(trace.log_joints))
-
-    def test_run_frees_its_models_count_terms(self):
-        """On the thread backend the workers fill the coordinator's memo of
-        count terms; the run drops its model's entry after the workers stop,
-        and a second identical run gives the same labels."""
-        from dpgibbs.gibbs import _COUNT_ROWS
-
-        data, _ = two_blob_data(40, seed=17)
-        cfg = config(data, alpha=2.0, iterations=3, workers=2, seed=4)
-        prior = cfg.hyper.prior
-        key = (prior.kappa, prior.nu, prior.d, cfg.hyper.alpha)
-        first, _ = run_discgs(data, cfg, channel_factory=thread_channels)
-        assert key not in _COUNT_ROWS
-        second, _ = run_discgs(data, cfg, channel_factory=thread_channels)
-        assert key not in _COUNT_ROWS
-        assert np.array_equal(first, second)
 
 
 class TestWorkerLoopFailure:

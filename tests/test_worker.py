@@ -13,7 +13,7 @@ from dpgibbs.niw import (
 )
 from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
 
-from _oracles import state_from_labels
+from _oracles import state_from_labels, stats_of
 
 
 def shard_hyper(data, alpha=1.0):
@@ -138,10 +138,10 @@ def _worker_with_k_clusters(seed=11, n=60):
 class TestApplyGlobalLabels:
     def test_identity_map_preserves_partition(self):
         w = _worker_with_k_clusters()
-        labels, clusters = w.local.labels.copy(), list(w.local.clusters)
+        labels, clusters = w.local.labels.copy(), list(w.local.table.labels)
         out = apply_global_labels(w, clusters)
         assert np.array_equal(out.local.labels, labels)
-        assert list(out.local.clusters) == clusters
+        assert out.local.table.labels == clusters
 
     def test_merging_two_clusters(self):
         w = _worker_with_k_clusters()
@@ -150,12 +150,12 @@ class TestApplyGlobalLabels:
             pytest.skip("fixture did not split; adjust seed")
         # Send the first two local clusters to the same global id, the rest
         # to distinct ones.
-        clusters = w.local.clusters
+        clusters = stats_of(w.local.table)
         first, second = list(clusters)[:2]
         out = apply_global_labels(w, [100, 100] + list(range(k - 2)))
         assert out.local.num_clusters == k - 1
         merged = stats_merge([clusters[first], clusters[second]])
-        got = out.local.clusters[100]
+        got = stats_of(out.local.table)[100]
         assert got.n == merged.n
         assert np.array_equal(got.sum, merged.sum)
         assert np.array_equal(got.sum_outer, merged.sum_outer)
@@ -165,7 +165,7 @@ class TestApplyGlobalLabels:
         k = w.local.num_clusters
         rng = np.random.default_rng(14)
         targets = rng.integers(0, max(1, k - 1), k)  # random merges
-        labels, clusters = w.local.labels.copy(), list(w.local.clusters)
+        labels, clusters = w.local.labels.copy(), list(w.local.table.labels)
         out = apply_global_labels(w, targets.tolist())
         for h in clusters:
             downstream = out.local.labels[labels == h]
@@ -186,10 +186,10 @@ class TestApplyGlobalLabels:
     def test_global_label_vector_matches_map(self):
         """After an apply the local labels are the global ids of the reply."""
         w = _worker_with_k_clusters(seed=15)
-        labels, clusters = w.local.labels.copy(), list(w.local.clusters)
+        labels, clusters = w.local.labels.copy(), list(w.local.table.labels)
         out = apply_global_labels(w, [h + 40 for h in clusters])
         assert np.array_equal(out.local.labels, labels + 40)
-        assert list(out.local.clusters) == [h + 40 for h in clusters]
+        assert out.local.table.labels == [h + 40 for h in clusters]
 
 
 class TestPreviousGlobalIds:
