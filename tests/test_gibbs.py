@@ -822,12 +822,8 @@ class TestRunCgs:
         assert ari(base, fit(transform(data))) >= 0.999
 
     def test_tables_of_one_model_share_one_memo(self):
-        """Tables of one model share one memo of count terms; a table of
-        another model gets a fresh memo while the first keeps its own; and
-        runs of one model on either side of another model's run give the
-        same labels, on both samplers."""
-        from dpgibbs.runtime import RunConfig, run_discgs, thread_channels
-
+        """Tables of one model share one memo of count terms, and a table of
+        another model gets a fresh memo while the first keeps its own."""
         data, _ = separated_two_component(60, seed=31)
         hyper, other = empirical_hyper(data, alpha=2.0), empirical_hyper(data, alpha=3.0)
         a, b = (PartitionState.single_cluster(data, hyper).table for _ in range(2))
@@ -839,16 +835,22 @@ class TestRunCgs:
         assert c._count_rows[0] != terms[0]  # log alpha differs
         assert a._count_rows == terms
 
-        def fits(hyper):
-            central, _ = run_cgs(data, hyper, 4, seed=5)
-            config = RunConfig(hyper, iterations=3, workers=2, seed=4)
-            distributed, _ = run_discgs(data, config, channel_factory=thread_channels)
-            return central, distributed
+    def test_run_frees_its_models_count_terms(self):
+        """Once a table of another model is built, the module keeps only that
+        model's count terms, and a later run of the first model refills a
+        fresh memo and gives the labels of its first run."""
+        from dpgibbs import gibbs
 
-        first = fits(hyper)
-        fits(other)
-        second = fits(hyper)
-        assert all(np.array_equal(x, y) for x, y in zip(first, second))
+        data, _ = separated_two_component(60, seed=31)
+        hyper, other = empirical_hyper(data, alpha=2.0), empirical_hyper(data, alpha=3.0)
+        first, _ = run_cgs(data, hyper, 4, seed=5)
+        held = PartitionState.single_cluster(data, hyper).table._count_rows
+        assert held  # the run filled its model's memo
+        run_cgs(data, other, 4, seed=5)
+        assert gibbs._count_rows.cache_info().currsize == 1
+        second, _ = run_cgs(data, hyper, 4, seed=5)
+        assert PartitionState.single_cluster(data, hyper).table._count_rows is not held
+        assert np.array_equal(first, second)
 
     def test_count_memo_keeps_only_counts_below_its_cap(self, monkeypatch):
         """With the cap at 8, sweeps over clusters of up to 60 points keep at

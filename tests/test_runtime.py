@@ -446,6 +446,25 @@ class TestFitPathUsesTheClusterTable:
         assert labels.shape == (40,)
         assert len(trace) == 3 and np.all(np.isfinite(trace.log_joints))
 
+    def test_run_frees_its_models_count_terms(self):
+        """On the thread backend the workers fill the coordinator's memo of
+        count terms; a run of another model replaces it, and a later run of
+        the first model gives the labels of its first run."""
+        from dpgibbs import gibbs
+        from dpgibbs.gibbs import PartitionState
+
+        data, _ = two_blob_data(40, seed=17)
+        cfg = config(data, alpha=2.0, iterations=3, workers=2, seed=4)
+        other = config(data, alpha=3.0, iterations=3, workers=2, seed=4)
+        first, _ = run_discgs(data, cfg, channel_factory=thread_channels)
+        held = PartitionState.single_cluster(data, cfg.hyper).table._count_rows
+        assert held  # the run filled its model's memo
+        run_discgs(data, other, channel_factory=thread_channels)
+        assert gibbs._count_rows.cache_info().currsize == 1
+        second, _ = run_discgs(data, cfg, channel_factory=thread_channels)
+        assert PartitionState.single_cluster(data, cfg.hyper).table._count_rows is not held
+        assert np.array_equal(first, second)
+
 
 class TestWorkerLoopFailure:
     def test_failure_that_cannot_be_pickled_still_reaches_the_coordinator(self, monkeypatch):
