@@ -151,14 +151,7 @@ def _write_manifest(out_dir, payload):
 def _load_fit_inputs(args):
     """Data, truth labels or None, the model both samplers take, manifest prior."""
     loaded = read_dataset(args.data)
-    truth = None
-    if args.truth is not None:
-        truth = read_labels(args.truth)
-        if truth.shape[0] != loaded.data.shape[0]:
-            raise UsageError(
-                "truth has %d labels but data has %d rows"
-                % (truth.shape[0], loaded.data.shape[0])
-            )
+    truth = None if args.truth is None else read_labels(args.truth)
     prior_meta = {}
     prior = default_prior(loaded.data, metadata=prior_meta)
     hyper = ModelHyperParams(alpha=args.alpha, prior=prior)

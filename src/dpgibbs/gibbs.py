@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from .niw import (
     log_multigamma,
     stats_from_points,
 )
-from .trace import IterationRecord, RunTrace
+from .trace import run_iterations
 
 _LOG_PI = math.log(math.pi)
 # Block lengths in cgs_sweep.  Scoring a block costs a fixed overhead, about
@@ -107,6 +106,23 @@ def center_on_prior(data, hyper):
         raise ValueError("data has %d columns but the prior has %d" % (data.shape[1], p.d))
     prior = NiwParams(mu=np.zeros(p.d), kappa=p.kappa, nu=p.nu, psi=p.psi)
     return data - p.mu, ModelHyperParams(alpha=hyper.alpha, prior=prior)
+
+
+def run_inputs(data, hyper, ground_truth=None):
+    """Check a run's data and ground truth; returns (the data centered on
+    the prior, the centered model, the truth flattened or None)."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] < 1:
+        raise ValueError("data must be a non-empty (n, d) array")
+    if ground_truth is not None:
+        ground_truth = np.asarray(ground_truth).reshape(-1)
+        if ground_truth.shape[0] != data.shape[0]:
+            raise ValueError(
+                "ground truth length does not match data: %d labels for %d points"
+                % (ground_truth.shape[0], data.shape[0])
+            )
+    data, hyper = center_on_prior(data, hyper)
+    return data, hyper, ground_truth
 
 
 def sample_log_weights(weights, u):
@@ -508,42 +524,21 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None):
     """Run the centralized sampler from a single-cluster initialization.
 
     Returns (final labels, RunTrace), the labels made dense 0..K-1 in the
-    order the sweeps numbered the clusters.  The trace records log p(x, z),
-    the cluster count, wall-clock seconds per iteration, and (when ground
-    truth labels are supplied, one per point) the adjusted Rand index after
-    each iteration, scored after its seconds are taken.  Sweeps run on the
-    data centered on the prior mean.
+    order the sweeps numbered the clusters.  Each iteration is a sweep of
+    the data centered on the prior mean, run as a step of
+    ``trace.run_iterations``, the loop ``run_discgs`` shares; its record
+    holds log p(x, z), the cluster count, the seconds and, given ground
+    truth (one label per point), the adjusted Rand index.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1, got %r" % (iterations,))
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("data must be a non-empty (n, d) array")
-    truth = None
-    if ground_truth is not None:
-        from .metrics import ari
-
-        truth = np.asarray(ground_truth).reshape(-1)
-        if truth.shape[0] != data.shape[0]:
-            raise ValueError("ground truth length does not match data")
+    data, hyper, truth = run_inputs(data, hyper, ground_truth)
     rng = np.random.default_rng(np.random.SeedSequence(seed_to_u64(seed)))
-    centered, centered_hyper = center_on_prior(data, hyper)
-    state = PartitionState.single_cluster(centered, centered_hyper)
-    trace = RunTrace()
-    for t in range(1, iterations + 1):
-        started = time.perf_counter()
-        try:
-            cgs_sweep(state, centered, rng)
-        except NumericalDegeneracyError as err:
-            err.add_context(iteration=t)
-            raise
-        trace.append(
-            IterationRecord(
-                iteration=t,
-                log_joint=log_joint(state),
-                num_clusters=state.num_clusters,
-                seconds=time.perf_counter() - started,
-                ari=None if truth is None else ari(state.labels, truth),
-            )
-        )
-    return state.table.row_of[state.labels], trace
+    state = PartitionState.single_cluster(data, hyper)
+
+    def step(t):
+        cgs_sweep(state, data, rng)
+        return state.labels, log_joint(state), state.num_clusters
+
+    labels, trace = run_iterations(iterations, truth, step)
+    return state.table.row_of[labels], trace

@@ -22,17 +22,16 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import threading
-import time
 import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalDegeneracyError, WorkerLostError
-from .gibbs import center_on_prior, seed_to_u64
+from .gibbs import run_inputs, seed_to_u64
 from .master import global_log_joint, master_sweep
 from .niw import ModelHyperParams
-from .trace import IterationRecord, RunTrace
+from .trace import run_iterations
 from .worker import WorkerState, apply_global_labels, summarize, worker_sweep
 
 
@@ -240,49 +239,10 @@ def _checked(msg, iteration):
         return msg
     err = msg.error
     if isinstance(err, NumericalDegeneracyError):
-        err.add_context(worker_id=msg.worker_id, iteration=iteration)
+        err.add_context(worker_id=msg.worker_id)
     raise err from RuntimeError(
         "worker %d failed at iteration %d:\n%s" % (msg.worker_id, iteration, msg.details)
     )
-
-
-def _coordinate(channels, hyper, config, n, ground_truth):
-    from .metrics import ari
-
-    master_rng = np.random.default_rng(np.random.SeedSequence(seed_to_u64(config.seed)))
-    trace = RunTrace()
-    want_ari = ground_truth is not None
-    final_labels = None
-    for t in range(1, config.iterations + 1):
-        started = time.perf_counter()
-        for channel in channels:
-            channel.send(SweepCmd(t))
-        summaries = _receive(channels, t)
-        try:
-            gstate = master_sweep(summaries, hyper, master_rng)
-        except NumericalDegeneracyError as err:
-            err.add_context(iteration=t)
-            raise
-        for j, channel in enumerate(channels):
-            channel.send(ApplyCmd(gstate.targets[j]))
-        labels = None
-        if want_ari or t == config.iterations:
-            for channel in channels:
-                channel.send(ReportLabelsCmd())
-            shards = _receive(channels, t)
-            labels = np.concatenate(shards)
-            if t == config.iterations:
-                final_labels = labels
-        trace.append(
-            IterationRecord(
-                iteration=t,
-                log_joint=global_log_joint(gstate, n),
-                num_clusters=gstate.num_clusters,
-                seconds=time.perf_counter() - started,
-                ari=ari(labels, ground_truth) if want_ari else None,
-            )
-        )
-    return final_labels, trace
 
 
 def run_discgs(data, config, ground_truth=None, channel_factory=None):
@@ -291,23 +251,32 @@ def run_discgs(data, config, ground_truth=None, channel_factory=None):
     The model is ``config.hyper``, the same value ``run_cgs`` takes.
     Deterministic given (config, data); changing the worker count
     changes the sampled path by design.  ``channel_factory`` selects the
-    worker backend (default: one OS process per worker).
+    worker backend (default: one OS process per worker).  Each global
+    iteration is a step of ``trace.run_iterations``, as in ``run_cgs``.
     """
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("data must be a non-empty (n, d) array")
-    if ground_truth is not None:
-        ground_truth = np.asarray(ground_truth).reshape(-1)
-        if ground_truth.shape[0] != data.shape[0]:
-            raise ValueError("ground truth length does not match data")
+    data, hyper, truth = run_inputs(data, config.hyper, ground_truth)
     ranges = shard(data, config.workers)
-    data, hyper = center_on_prior(data, config.hyper)
+    master_rng = np.random.default_rng(np.random.SeedSequence(seed_to_u64(config.seed)))
     factory = process_channels if channel_factory is None else channel_factory
     channels, shutdown = factory(data, ranges, seed_to_u64(config.seed), hyper)
+
+    def step(t):
+        for channel in channels:
+            channel.send(SweepCmd(t))
+        gstate = master_sweep(_receive(channels, t), hyper, master_rng)
+        for j, channel in enumerate(channels):
+            channel.send(ApplyCmd(gstate.targets[j]))
+        labels = None
+        if truth is not None or t == config.iterations:
+            for channel in channels:
+                channel.send(ReportLabelsCmd())
+            labels = np.concatenate(_receive(channels, t))
+        return labels, global_log_joint(gstate, data.shape[0]), gstate.num_clusters
+
     try:
-        final_labels, trace = _coordinate(channels, hyper, config, data.shape[0], ground_truth)
+        labels, trace = run_iterations(config.iterations, truth, step)
         for channel in channels:
             channel.send(StopCmd())
     finally:
         shutdown()
-    return final_labels, trace
+    return labels, trace

@@ -181,19 +181,35 @@ class TestFit:
         assert err.startswith("io-error:")
         assert "line 3" in err
 
-    def test_truth_length_mismatch_is_usage_error(self, tmp_path, capsys):
+    def test_truth_length_mismatch_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        """Every command that fits against a truth file refuses a short one
+        before it sweeps or spawns a worker."""
+        from dpgibbs import gibbs, runtime
+
+        started = []
+        monkeypatch.setattr(gibbs, "cgs_sweep", lambda *args: started.append("sweep"))
+        monkeypatch.setattr(runtime, "process_channels", lambda *args: started.append("spawn"))
         data_path, _ = blob_files(tmp_path)
         short = tmp_path / "short.csv"
         write_labels(short, [0, 1, 0])
-        code, _, err = run_cli(
-            [
-                "fit", "--data", data_path, "--truth", str(short),
-                "--iters", "2", "--out", out_dir(tmp_path, "tm"),
-            ],
-            capsys,
+        commands = (
+            ["fit"],
+            ["fit-distributed", "--workers", "2"],
+            ["bench", "--force", "--workers-list", "2"],
         )
-        assert code == 2
-        assert err.startswith("usage-error:")
+        for command in commands:
+            code, _, err = run_cli(
+                command + [
+                    "--data", data_path, "--truth", str(short),
+                    "--iters", "2", "--out", str(tmp_path / command[0]),
+                ],
+                capsys,
+            )
+            assert code == 2
+            assert err.startswith(
+                "usage-error: ground truth length does not match data: 3 labels for 60 points"
+            )
+        assert started == []
 
 
 class TestFitDistributed:

@@ -321,6 +321,12 @@ class TestRunDiscgs:
             fit(np.arange(4.0).reshape(4, 1), TestRunConfig.HYPER)
 
     @BOTH_SAMPLERS
+    @pytest.mark.parametrize("data", [np.arange(4.0), np.zeros((0, 2))], ids=["1d", "empty"])
+    def test_data_not_a_nonempty_matrix_rejected(self, fit, data):
+        with pytest.raises(ValueError, match=r"data must be a non-empty \(n, d\) array"):
+            fit(data, TestRunConfig.HYPER)
+
+    @BOTH_SAMPLERS
     def test_truth_length_mismatch_rejected(self, fit, monkeypatch):
         """Both samplers check the ground truth's length before any sweep."""
         from dpgibbs import gibbs, worker
@@ -330,9 +336,36 @@ class TestRunDiscgs:
             monkeypatch.setattr(module, "cgs_sweep", lambda *args: sweeps.append(args))
         data, _ = two_blob_data(20, seed=11)
         hyper = ModelHyperParams(1.0, default_prior(data))
-        with pytest.raises(ValueError, match="ground truth length does not match data"):
+        with pytest.raises(
+            ValueError, match="ground truth length does not match data: 7 labels for 20 points"
+        ):
             fit(data, hyper, np.zeros(7, dtype=np.int64))
         assert sweeps == []
+
+    @BOTH_SAMPLERS
+    def test_degeneracy_names_its_iteration(self, fit, monkeypatch):
+        """A degeneracy in the second central or master sweep names iteration 2."""
+        from dpgibbs import gibbs, runtime
+        from dpgibbs.errors import NumericalDegeneracyError
+
+        def fail_second_call(module, name):
+            calls = []
+            inner = getattr(module, name)
+
+            def sweep(*args):
+                calls.append(None)
+                if len(calls) == 2:
+                    raise NumericalDegeneracyError("forced")
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, sweep)
+
+        fail_second_call(gibbs, "cgs_sweep")
+        fail_second_call(runtime, "master_sweep")
+        data, _ = two_blob_data(20, seed=11)
+        with pytest.raises(NumericalDegeneracyError) as info:
+            fit(data, ModelHyperParams(1.0, default_prior(data)))
+        assert info.value.context["iteration"] == 2
 
     @BOTH_SAMPLERS
     def test_seconds_exclude_ari(self, fit, monkeypatch):
