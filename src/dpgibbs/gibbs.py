@@ -12,7 +12,8 @@ draw per point per sweep.  Points are scored in blocks.  A point is scored in
 its own cluster without leaving it, so the cluster table changes only when a
 point moves or a singleton is reached; a run of consecutive points is scored
 against the unchanged table at once, and the block is committed up to and
-including its first point that changes the table.  Row terms that depend
+including its first point that changes the table, with one matrix product
+of the rows' augmented whitening maps and the points.  Row terms that depend
 only on the count are memoized for the last model a table was built for.
 """
 
@@ -43,10 +44,10 @@ _LOG_PI = math.log(math.pi)
 # table change are scored in vain.  With runs of mean length L between
 # changes, the cost per committed point is least near sqrt(2 L overhead / rows)
 # points.  L starts at 16; each block decays the earlier counts by 0.75.
-# Scoring also takes rows * d * d multiply-adds per point in one matrix
+# Scoring also takes rows * d * (d + 1) multiply-adds per point in one matrix
 # product, which OpenBLAS runs on every core above 2^18 of them (stalling
 # workers that share the cores), and rows * d doubles per point of
-# temporaries, so rows * d * max(d, 4) per point stays under 2^18.
+# temporaries, so rows * d * max(d + 1, 4) per point stays under 2^18.
 _BLOCK_OVERHEAD = 1500.0
 _BLOCK_CELLS = 1 << 18
 _FIRST_RUN = 16.0
@@ -67,6 +68,12 @@ def _count_rows(kappa, nu, d, alpha):
 
 def seed_to_u64(seed):
     return int(seed) & _U64
+
+
+def pack_stats(n, sums, outers):
+    """Raw sums (n, sum x, sum x x^T) packed along the last axis, 1 + d + d^2 wide."""
+    outers = np.reshape(outers, np.shape(outers)[:-2] + (-1,))
+    return np.concatenate((np.expand_dims(n, -1), sums, outers), axis=-1)
 
 
 @dataclass
@@ -90,7 +97,7 @@ class PartitionState:
     def single_cluster(cls, data, hyper):
         data = np.asarray(data, dtype=np.float64)
         s = stats_from_points(data)
-        table = _ClusterCache(hyper.prior, hyper.alpha, [0], [s.n], [s.sum], [s.sum_outer])
+        table = _ClusterCache(hyper.prior, hyper.alpha, [0], [pack_stats(s.n, s.sum, s.sum_outer)])
         return cls(labels=np.zeros(data.shape[0], dtype=np.int64), table=table)
 
 
@@ -151,14 +158,21 @@ class _ClusterCache:
     vectorized evaluation yields the whole candidate weight vector in the
     canonical order: existing clusters by ascending label, then "new".
 
-    Exact raw sums (n, sum x, sum x x^T) are the source of truth.  Beside
-    them each row caches the whitening factor L^-1 of Psi = L L^T, the
-    whitened posterior mean L^-1 mu, and scalar terms (``terms``, columns
-    named by _CRP.._OWN_POWER), recomputed from the sums (never updated in
-    place) whenever the row's membership changes.
+    Exact raw sums (n, sum x, sum x x^T) are the source of truth, packed in
+    one row of ``stats`` (1 + d + d^2 wide) so that a move or a merge is one
+    add; ``counts``, ``sums`` and ``outers`` view its fields.  Beside
+    them each row caches the augmented map [L^-1 | -L^-1 mu] (d x (d + 1),
+    ``maps``) of Psi = L L^T and the posterior mean mu, and scalar terms
+    (``terms``, columns named by _CRP.._OWN_POWER), recomputed from the sums
+    (never updated in place) whenever the row's membership changes.
     """
 
-    _ROW_ARRAYS = ("counts", "sums", "outers", "whitens", "shifts", "terms")
+    _ROW_ARRAYS = ("stats", "maps", "terms")
+    # Views of the packed fields, made on each access, so that they follow
+    # ``stats`` when the table grows and survive a copy or a pickle.
+    counts = property(lambda self: self.stats[:, 0])
+    sums = property(lambda self: self.stats[:, 1 : self.d + 1])
+    outers = property(lambda self: self.stats[:, self.d + 1 :].reshape(-1, self.d, self.d))
     # CRP is log m (log alpha on the base row).  MARGINAL is the row's log
     # marginal plus a constant of the table, A(m) - nu_m / 2 log det Psi with
     # A(m) = -d / 2 (m log pi + log kappa_m) + log Gamma_d(nu_m / 2), so a
@@ -167,27 +181,28 @@ class _ClusterCache:
     # row, with itself taken out, OWN_BASE + OWN_POWER log1p(OWN_SHRINK q).
     _CRP, _MARGINAL, _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(8)
 
-    def __init__(self, prior, alpha, labels, counts, sums, outers):
-        """Rows of clusters ``labels`` (ascending) copied from raw sums (K,), (K, d), (K, d, d)."""
+    def __init__(self, prior, alpha, labels, stats):
+        """Rows of clusters ``labels`` (ascending) copied from packed raw sums (K, 1 + d + d^2)."""
         self.prior = prior
         self.alpha = alpha
         self.log_alpha = math.log(alpha)
         self.d = d = prior.d
         self._name_rows([int(lab) for lab in labels])
         k = len(self.labels)
-        shapes = {"sums": (d,), "shifts": (d,), "outers": (d, d), "whitens": (d, d), "terms": (8,)}
+        shapes = {"stats": (1 + d + d * d,), "maps": (d, d + 1), "terms": (8,)}
         for name in self._ROW_ARRAYS:
-            setattr(self, name, np.zeros((max(16, k + 2),) + shapes.get(name, ())))
+            setattr(self, name, np.zeros((max(16, k + 2),) + shapes[name]))
         if k:
-            self.counts[:k], self.sums[:k], self.outers[:k] = counts, sums, outers
+            self.stats[:k] = stats
             if self.counts[:k].min() < 1:
                 raise ValueError("cluster %d is empty" % self.labels[self.counts[:k].argmin()])
-        # Psi_n = Psi0 + kappa0 mu0 mu0^T + sum x x^T - t t^T / kappa_n with
-        # t = kappa0 mu0 + sum x; the first two terms are the same in every row.
-        self._kappa_mu = prior.kappa * prior.mu
-        self._psi_base = prior.psi + self._kappa_mu[:, None] * prior.mu
+        # Adding this base row to raw sums gives (kappa_n, t, Psi_n + t t^T / kappa_n) with
+        # t = kappa0 mu0 + sum x, since Psi_n = Psi0 + kappa0 mu0 mu0^T + sum x x^T - t t^T / kappa_n.
+        kappa_mu = prior.kappa * prior.mu
+        self._base = pack_stats(prior.kappa, kappa_mu, prior.psi + kappa_mu[:, None] * prior.mu)
         self._count_rows = _count_rows(prior.kappa, prior.nu, d, alpha)
-        self._refresh(np.arange(k + 1))
+        with np.errstate(all="ignore"):
+            self._refresh(np.arange(k + 1))
 
     # -- row maintenance ----------------------------------------------------
 
@@ -235,29 +250,30 @@ class _ClusterCache:
                 self._count_rows[m] = terms
         return terms
 
-    def _scales(self, counts, sums, outers):
-        """Posterior scales Psi_n and means mu_n of rows with these raw sums.
-
-        ``sums`` and ``outers`` are overwritten, ``outers`` with the scales.
-        Only the lower triangle of each Psi_n is exact, and only it is read.
-        """
-        sums += self._kappa_mu
-        mus = sums / (counts + self.prior.kappa)[:, None]
-        outers += self._psi_base
-        outers -= sums[:, :, None] * mus[:, None, :]
-        return outers, mus
+    def _scales(self, stats):
+        """Posterior scales Psi_n and means mu_n of rows with these packed raw
+        sums, which are overwritten.  Only the lower triangle of each Psi_n is
+        exact, and only it is read."""
+        d = self.d
+        stats += self._base
+        sums = stats[:, 1 : d + 1]
+        mus = sums / stats[:, :1]
+        psi = stats[:, d + 1 :].reshape(-1, d, d)
+        psi -= sums[:, :, None] * mus[:, None, :]
+        return psi, mus
 
     def _refresh(self, rows):
-        """Recompute the cached posteriors of ``rows`` (an index array) with
-        one stacked Cholesky and one stacked inverse."""
-        counts = self.counts.take(rows)
-        psi, mus = self._scales(counts, self.sums.take(rows, axis=0), self.outers.take(rows, axis=0))
+        """Recompute the cached posteriors of ``rows`` (an index array) with one
+        stacked Cholesky and one stacked inverse; the caller ignores
+        floating-point errors (a failed factor is NaN, and raises here)."""
+        stats = self.stats.take(rows, axis=0)
+        counts = stats[:, 0].tolist()
+        psi, mus = self._scales(stats)
         # L^-1 comes from LAPACK (dgesv); for d x d blocks this small
         # OpenBLAS runs it on one thread, so workers sharing the cores do not
         # stall each other.
-        with np.errstate(all="ignore"):
-            chol = _cholesky(psi, signature="d->d")
-            whitens = _inverse(chol, signature="d->d")
+        chol = _cholesky(psi, signature="d->d")
+        whitens = _inverse(chol, signature="d->d")
         log_dets = [2.0 * sum(map(math.log, diag)) for diag in chol.diagonal(0, 1, 2).tolist()]
         if not math.isfinite(sum(log_dets)):
             for r, mat in zip(rows.tolist(), psi):  # find the row at fault
@@ -265,10 +281,9 @@ class _ClusterCache:
                     cholesky_logdet(mat, "cluster posterior scale")
                 except NumericalDegeneracyError as err:
                     raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
-        self.whitens[rows] = whitens
-        self.shifts[rows] = (whitens @ mus[:, :, None])[:, :, 0]
+        self.maps[rows] = np.concatenate((whitens, whitens @ -mus[:, :, None]), axis=2)
         nu0 = self.prior.nu
-        for r, m, log_det in zip(rows.tolist(), counts.tolist(), log_dets):
+        for r, m, log_det in zip(rows.tolist(), counts, log_dets):
             crp, marginal, base, gain, power, own_base, shrink, own_power = self._count_row(m)
             half = 0.5 * log_det
             marginal -= (nu0 + m) * half
@@ -287,8 +302,8 @@ class _ClusterCache:
         del self.labels[r]
         self.row_of[self.labels[r:]] -= 1
 
-    def move(self, label, choice, n, sumv, outer):
-        """Move n points with raw sums (sumv, outer) into candidate row ``choice``.
+    def move(self, label, choice, row):
+        """Move points with packed raw sums ``row`` into candidate row ``choice``.
 
         The points leave cluster ``label``, which keeps at least one other
         point, or enter from outside the table when ``label`` is None.  The
@@ -311,13 +326,9 @@ class _ClusterCache:
         rows = [choice]
         if label is not None:
             r = self.row_of[label]
-            self.counts[r] -= n
-            self.sums[r] -= sumv
-            self.outers[r] -= outer
+            self.stats[r] -= row
             rows.insert(0, r)
-        self.counts[choice] += n
-        self.sums[choice] += sumv
-        self.outers[choice] += outer
+        self.stats[choice] += row
         self._refresh(np.array(rows))
         return self.labels[choice]
 
@@ -332,8 +343,7 @@ class _ClusterCache:
         merged = set()
         for r, j in enumerate(inverse.tolist()):
             if r != first[j]:
-                for arr in (self.counts, self.sums, self.outers):
-                    arr[first[j]] += arr[r]
+                self.stats[first[j]] += self.stats[r]
                 merged.add(j)
         keep = np.append(first, len(self.labels))  # the base-measure row stays last
         for name in self._ROW_ARRAYS:
@@ -341,18 +351,21 @@ class _ClusterCache:
             arr[: keep.shape[0]] = arr[keep]
         self._name_rows(labels.tolist())
         if merged:
-            self._refresh(np.array(sorted(merged)))
+            with np.errstate(all="ignore"):
+                self._refresh(np.array(sorted(merged)))
 
     # -- evaluation ---------------------------------------------------------
 
     def point_log_weights(self, xs, own=None):
         """Log-weights of points over (clusters by ascending label, new).
 
-        ``xs`` is a block of points (B, d); candidates run along the first
-        axis of the result, (K+1, B).  By the matrix-determinant lemma,
-        absorbing x changes log det Psi by log1p(kappa / (kappa + 1) q) with
-        q = |L^-1 x - L^-1 mu|^2, so one matrix product scores every point
-        against every row.
+        ``xs`` is a block of B points as columns with a last row of ones,
+        (d + 1, B); candidates run along the first axis of the result,
+        (K+1, B).  By the matrix-determinant lemma, absorbing x changes
+        log det Psi by log1p(kappa / (kappa + 1) q) with
+        q = |L^-1 x - L^-1 mu|^2, so one matrix product with the augmented
+        maps scores every point against every row.  The caller ignores
+        floating-point errors.
 
         ``own`` holds, per point, the row of the cluster that already holds
         it.  That entry is the point's weight with it taken out,
@@ -362,28 +375,28 @@ class _ClusterCache:
         """
         rows = len(self.labels) + 1
         d = self.d
-        z = self.whitens[:rows].reshape(rows * d, d) @ xs.T
-        z -= self.shifts[:rows].reshape(-1, 1)
+        z = self.maps[:rows].reshape(rows * d, d + 1) @ xs
         z *= z
         q = np.add.reduce(z.reshape(rows, d, -1), axis=1) if d > 1 else z
-        terms = self.terms[:rows, :, None]
-        weights = terms[:, self._BASE] - terms[:, self._POWER] * np.log1p(terms[:, self._GAIN] * q)
         if own is not None:
             at = own * q.shape[1] + np.arange(own.shape[0])  # (own, column) in q and weights, flat
             base, shrink, power = self.terms.take(own, axis=0)[:, self._OWN_BASE :].T
             shrink = shrink * q.take(at)
-            if np.minimum.reduce(shrink) > -1.0:
-                own_weights = base + power * np.log1p(shrink)
-            else:  # NaN where the downdate is not positive definite
-                valid = shrink > -1.0
-                own_weights = base + power * np.log1p(np.where(valid, shrink, 0.0))
-                own_weights[~valid] = np.nan
+        terms = self.terms[:rows, :, None]
+        q *= terms[:, self._GAIN]  # BASE - POWER log1p(GAIN q), in place on q
+        np.log1p(q, out=q)
+        q *= terms[:, self._POWER]
+        weights = np.subtract(terms[:, self._BASE], q, out=q)
+        if own is not None:
+            own_weights = base + power * np.log1p(shrink)
+            if not np.minimum.reduce(shrink) > -1.0:  # NaN where the downdate is not positive definite
+                own_weights[shrink <= -1.0] = np.nan
             weights.put(at, own_weights)
         return weights
 
-    def batch_log_weights(self, n, sumv, outer, own=None):
-        """Log-weights of a batch of n points with raw sums (sumv, outer) over
-        (clusters by ascending label, new).
+    def batch_log_weights(self, row, own=None):
+        """Log-weights of a batch with packed raw sums ``row`` over (clusters
+        by ascending label, new).  The caller ignores floating-point errors.
 
         Each candidate's posterior scale after absorbing the batch is formed
         from the merged raw sums, and all of them are factored by one stacked
@@ -395,16 +408,12 @@ class _ClusterCache:
         the scale of C \\ batch, and its gain flips sign.
         """
         rows = len(self.labels) + 1
-        counts = self.counts[:rows] + n
-        s = self.sums[:rows] + sumv
-        o = self.outers[:rows] + outer
+        stats = self.stats[:rows] + row
         if own is not None:
-            counts[own] = self.counts[own] - n
-            s[own] = self.sums[own] - sumv
-            o[own] = self.outers[own] - outer
-        psi, _ = self._scales(counts, s, o)
-        with np.errstate(all="ignore"):
-            chol = _cholesky(psi, signature="d->d")
+            stats[own] = self.stats[own] - row
+        counts = stats[:, 0].copy()
+        psi, _ = self._scales(stats)
+        chol = _cholesky(psi, signature="d->d")
         log_det = 2.0 * np.log(chol.diagonal(0, 1, 2)).sum(axis=1)
         if math.isnan(log_det.sum()):
             raise NumericalDegeneracyError(
@@ -427,6 +436,7 @@ class _ClusterCache:
         return crp_log_prob(self.alpha, self.counts[:k].tolist(), n) + float(marginals.sum())
 
 
+@np.errstate(all="ignore")  # a failed factor or downdate is NaN, and raises
 def cgs_sweep(state, data, rng, weight_log=None):
     """One collapsed Gibbs pass over all points in ascending index order.
 
@@ -455,7 +465,8 @@ def cgs_sweep(state, data, rng, weight_log=None):
     labels = state.labels
     cache.next_label = cache.labels[-1] + 1 if cache.labels else 0
     uniforms = rng.random(n)
-    cells = _BLOCK_CELLS // (cache.d * max(cache.d, 4))
+    columns = np.vstack((data.T, np.ones(n)))  # points over a row of ones, for the augmented maps
+    cells = _BLOCK_CELLS // (cache.d * max(cache.d + 1, 4))
     # Decayed counts of points reached and of table changes: the run length.
     reached, changes = _FIRST_RUN, 1.0
     i = 0
@@ -465,7 +476,7 @@ def cgs_sweep(state, data, rng, weight_log=None):
             length = math.sqrt(2.0 * _BLOCK_OVERHEAD * reached / changes / rows)
             length = int(min(max(length, 1.0), max(cells // rows, 1)))
             own = cache.row_of[labels[i : i + length]]
-            weights = cache.point_log_weights(data[i : i + own.shape[0]], own)
+            weights = cache.point_log_weights(columns[:, i : i + own.shape[0]], own)
             draws = sample_log_weights(weights, uniforms[i : i + own.shape[0]])
             stops = draws != own
             stay = int(stops.argmax())
@@ -498,7 +509,7 @@ def cgs_sweep(state, data, rng, weight_log=None):
                 if idx > r:
                     idx -= 1  # deleting the singleton's row moved later rows up
             x = data[i]
-            labels[i] = cache.move(source, idx, 1, x, x[:, None] * x)
+            labels[i] = cache.move(source, idx, np.concatenate(((1.0,), x, (x[:, None] * x).ravel())))
             i += 1
     except NumericalDegeneracyError as err:
         err.add_context(point_index=i)

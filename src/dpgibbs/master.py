@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .gibbs import _ClusterCache, sample_log_weights
+from .gibbs import _ClusterCache, pack_stats, sample_log_weights
 
 
 @dataclass
@@ -65,6 +65,7 @@ def _collect_batches(summaries):
     return (np.repeat(ids, sizes),) + tuple(map(np.concatenate, fields))
 
 
+@np.errstate(all="ignore")  # a failed factor is NaN, and raises
 def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
     """One randomized pass reassigning every batch; returns a GlobalState.
 
@@ -75,23 +76,22 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
     indices); ``weight_log`` collects the per-step candidate log-weight vectors.
     """
     workers, local_labels, previous, counts, sums, outers = _collect_batches(summaries)
+    stats = pack_stats(counts, sums, outers)
     seeded = np.flatnonzero(previous >= 0)
-    rows = (counts[seeded], sums[seeded], outers[seeded])
-    table = _ClusterCache(hyper.prior, hyper.alpha, range(seeded.shape[0]), *rows)
+    table = _ClusterCache(hyper.prior, hyper.alpha, range(seeded.shape[0]), stats[seeded])
     table.rename(previous[seeded])
     assigned = previous  # each batch's global id, -1 while it has none
     order = rng.permutation(len(assigned)) if order is None else np.asarray(order, dtype=np.int64)
     if sorted(order.tolist()) != list(range(len(assigned))):
         raise ValueError("order must be a permutation of batch indices")
     for i in order:
-        n, sumv, outer = counts[i], sums[i], outers[i]
         label = int(assigned[i]) if assigned[i] >= 0 else None
         own = None if label is None else int(table.row_of[label])
-        if own is not None and table.counts[own] == n:  # the batch is the whole cluster
+        if own is not None and table.counts[own] == counts[i]:  # the batch is the whole cluster
             table.delete(label)
             label = own = None
         try:
-            weights = table.batch_log_weights(n, sumv, outer, own)
+            weights = table.batch_log_weights(stats[i], own)
             if weight_log is not None:
                 weight_log.append(weights.copy())
             choice = int(sample_log_weights(weights, rng.random()))
@@ -101,7 +101,7 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
             err.add_context(worker_id=int(workers[i]), local_label=int(local_labels[i]))
             raise
         if choice != own:
-            assigned[i] = table.move(label, choice, n, sumv, outer)
+            assigned[i] = table.move(label, choice, stats[i])
     dense = table.row_of[assigned]
     table.rename(np.arange(len(table.labels)))
     return GlobalState({s.worker_id: dense[workers == s.worker_id].tolist() for s in summaries}, table)

@@ -223,11 +223,10 @@ def state_from_stats(labels, clusters, hyper):
 
 def table_of(prior, alpha, clusters):
     """Cluster table of {label: SufficientStats}, one row per label in ascending order."""
-    from dpgibbs.gibbs import _ClusterCache
+    from dpgibbs.gibbs import _ClusterCache, pack_stats
 
-    stats = [clusters[lab] for lab in sorted(clusters)]
-    rows = ([s.n for s in stats], [s.sum for s in stats], [s.sum_outer for s in stats])
-    return _ClusterCache(prior, alpha, sorted(clusters), *rows)
+    rows = [pack_stats(s.n, s.sum, s.sum_outer) for s in (clusters[lab] for lab in sorted(clusters))]
+    return _ClusterCache(prior, alpha, sorted(clusters), rows)
 
 
 def stats_of(table):
@@ -244,7 +243,8 @@ def reference_refresh(table, rows):
 
     Each row's posterior scale is formed from its raw sums in the order the
     table forms it, factored with ``np.linalg.cholesky`` and inverted with
-    ``np.linalg.inv``.  Its CRP term is ``math.log`` of its count (of alpha
+    ``np.linalg.inv``; the table keeps [whitens | -shifts] as one augmented
+    map per row.  Its CRP term is ``math.log`` of its count (of alpha
     on the base row), its MARGINAL is A(m) - nu_m / 2 log det Psi with A(m)
     from ``niw.log_multigamma``, and its point-weight terms come from the
     table's un-memoized count constant, so ``terms`` should equal the
@@ -350,7 +350,7 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
     ``state`` is left as it is; the result is a new state with labels made
     dense 0..K-1.
     """
-    from dpgibbs.gibbs import PartitionState
+    from dpgibbs.gibbs import PartitionState, pack_stats
 
     data = np.asarray(data, dtype=np.float64)
     prior = state.table.prior
@@ -384,7 +384,7 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
         idx = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(weights) - 1)
         if idx == own:
             continue
-        labels[i] = cache.move(None if own is None else label, idx, 1, x, np.outer(x, x))
+        labels[i] = cache.move(None if own is None else label, idx, pack_stats(1, x, np.outer(x, x)))
     dense = cache.row_of[labels]
     cache.rename(np.arange(len(cache.labels)))
     return PartitionState(labels=dense, table=cache)

@@ -334,8 +334,7 @@ class TestFitDistributed:
         def inflated(cache, rows):
             refresh(cache, rows)
             # An inflated whitening map makes 1 - kappa / (kappa - 1) q negative.
-            cache.whitens[rows] *= 1e3
-            cache.shifts[rows] *= 1e3
+            cache.maps[rows] *= 1e3
 
         monkeypatch.setattr(_ClusterCache, "_refresh", inflated)
         if backend == "thread":
@@ -370,8 +369,10 @@ class TestFitDistributed:
         if where == "worker move":
             move = _ClusterCache.move
 
-            def bad_move(cache, label, choice, n, sumv, outer):
-                return move(cache, label, choice, n, 1e3 * sumv, 0.0 * outer)
+            def bad_move(cache, label, choice, row):
+                d = cache.d
+                row = np.concatenate((row[:1], 1e3 * row[1 : d + 1], 0.0 * row[d + 1 :]))
+                return move(cache, label, choice, row)
 
             monkeypatch.setattr(_ClusterCache, "move", bad_move)
             fields = ("iteration=1", "worker_id=", "point_index=", "cluster_label=")

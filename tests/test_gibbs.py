@@ -13,6 +13,7 @@ from dpgibbs.gibbs import (
     cgs_sweep,
     crp_log_prob,
     log_joint,
+    pack_stats,
     run_cgs,
     sample_log_weights,
 )
@@ -66,6 +67,16 @@ def compacted(state):
     state.labels = state.table.row_of[state.labels]
     state.table.rename(np.arange(state.num_clusters))
     return state
+
+
+def columns(xs):
+    """Points (B, d) as the columns over a row of ones that point_log_weights scores, (d + 1, B)."""
+    return np.vstack([xs.T, np.ones((1, xs.shape[0]))])
+
+
+def packed(stats):
+    """SufficientStats as the cluster table's packed row."""
+    return pack_stats(stats.n, stats.sum, stats.sum_outer)
 
 
 def state_for_partition(data, labels, hyper):
@@ -211,7 +222,7 @@ class TestCgsSweep:
             hyper = unit_hyper(d, alpha=float(rng.uniform(0.2, 3.0)))
             state = state_for_partition(data, labels, hyper)
             x = rng.standard_normal(d)
-            fast = state.table.point_log_weights(x[None])[:, 0]
+            fast = state.table.point_log_weights(columns(x[None]))[:, 0]
             xs = stats_from_points(x)
             slow = [
                 math.log(stats.n) + log_posterior_predictive(xs, stats, hyper.prior)
@@ -232,7 +243,7 @@ class TestCgsSweep:
                 cache = state.table
                 for i in (0, 1, 2, 6):
                     own = cache.row_of[labels[i : i + 1]]
-                    fast = cache.point_log_weights(data[i : i + 1], own)[:, 0]
+                    fast = cache.point_log_weights(columns(data[i : i + 1]), own)[:, 0]
                     xs = stats_from_points(data[i])
                     slow = []
                     for lab, stats in stats_of(cache).items():
@@ -254,13 +265,13 @@ class TestCgsSweep:
         def inflated(cache, rows):
             refresh(cache, rows)
             # An inflated whitening map makes 1 - kappa / (kappa - 1) q negative.
-            cache.whitens[rows] *= 1e3
-            cache.shifts[rows] *= 1e3
+            cache.maps[rows] *= 1e3
 
         monkeypatch.setattr(_ClusterCache, "_refresh", inflated)
         data = np.random.default_rng(32).standard_normal((3, 2))
         state = state_for_partition(data, [0, 5, 5], unit_hyper(2))
-        assert np.isnan(state.table.point_log_weights(data[1:2], own=np.array([1]))[1, 0])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(state.table.point_log_weights(columns(data[1:2]), own=np.array([1]))[1, 0])
         # Point 0 is a singleton and changes the table; point 1 is reached next.
         with pytest.raises(NumericalDegeneracyError) as info:
             cgs_sweep(state, data, np.random.default_rng(0))
@@ -279,7 +290,7 @@ class TestCgsSweep:
                 weights[own[0], 0] = -np.inf  # point 0 must move
                 weights[own[1], 1] = np.nan  # as if point 1's downdate failed
                 weights[:, 2] = np.inf  # non-finite weights for point 2
-            blocks.append(xs.shape[0])
+            blocks.append(xs.shape[1])
             return weights
 
         monkeypatch.setattr(_ClusterCache, "point_log_weights", faulty_first_block)
@@ -299,8 +310,8 @@ class TestCgsSweep:
 
         def infinite_for_point_4(cache, xs, own=None):
             weights = score(cache, xs, own)
-            first = int(np.flatnonzero((data == xs[0]).all(axis=1))[0])
-            if first <= 4 < first + xs.shape[0]:
+            first = int(np.flatnonzero((data == xs[:-1, 0]).all(axis=1))[0])
+            if first <= 4 < first + xs.shape[1]:
                 weights[-1, 4 - first] = np.inf
             return weights
 
@@ -499,7 +510,7 @@ def assert_live_table(table, labels, data):
         assert np.allclose(table.sums[r], members.sum(axis=0), rtol=1e-10, atol=1e-9)
         assert np.allclose(table.outers[r], members.T @ members, rtol=1e-10, atol=1e-9)
     fresh = table_of(table.prior, table.alpha, stats_of(table))
-    for name in ("whitens", "shifts", "terms"):
+    for name in ("maps", "terms"):
         assert np.array_equal(getattr(table, name)[: k + 1], getattr(fresh, name)[: k + 1])
 
 
@@ -584,6 +595,55 @@ class TestLiveClusterTable:
             apply_global_labels(w, gstate.targets[0])
         assert len(built) == 1 + 5 and built[0] is w.local.table
 
+    def test_packed_views_survive_table_growth(self):
+        """Rows opened by move past the initial 16-row capacity: counts, sums
+        and outers stay views of the grown packed stats, in the table and in
+        a deep copy of it, and every row holds the sums of its members."""
+        rng = np.random.default_rng(81)
+        data = rng.standard_normal((60, 3))
+        table = table_of(unit_hyper(3).prior, 1.0, {})
+        assert table.stats.shape[0] == 16
+        labels = np.zeros(60, dtype=np.int64)
+        for i, x in enumerate(data):
+            choice = len(table.labels) if i < 30 else i % 30  # 30 new rows, then a second point each
+            labels[i] = table.move(None, choice, pack_stats(1, x, np.outer(x, x)))
+        assert len(table.labels) == 30 and table.stats.shape[0] > 16
+        for t in (table, copy.deepcopy(table)):
+            for view in (t.counts, t.sums, t.outers):
+                assert np.shares_memory(view, t.stats)
+            got = stats_of(t)
+            assert sorted(got) == sorted(set(labels.tolist()))
+            for lab, stats in got.items():
+                want = stats_from_points(data[labels == lab])
+                assert stats.n == want.n == 2
+                assert np.allclose(stats.sum, want.sum, rtol=1e-12, atol=1e-12)
+                assert np.allclose(stats.sum_outer, want.sum_outer, rtol=1e-12, atol=1e-12)
+
+    def test_block_product_stays_under_the_cell_cap(self, monkeypatch):
+        """On a stable d=8 partition of 60 far-apart clusters the block
+        length reaches its cap, and every block's product with the augmented
+        maps, rows * d * B * (d + 1) multiply-adds, stays within
+        _BLOCK_CELLS."""
+        from dpgibbs import gibbs
+
+        score = gibbs._ClusterCache.point_log_weights
+        products = []
+
+        def recorded(cache, xs, own=None):
+            products.append((len(cache.labels) + 1) * cache.d * xs.shape[1] * xs.shape[0])
+            return score(cache, xs, own)
+
+        monkeypatch.setattr(gibbs._ClusterCache, "point_log_weights", recorded)
+        rng = np.random.default_rng(82)
+        d, k = 8, 60
+        labels = np.repeat(np.arange(k), 20)
+        data = 100.0 * rng.standard_normal((k, d))[labels] + rng.standard_normal((labels.size, d))
+        state = state_for_partition(data, labels, unit_hyper(d))
+        cgs_sweep(state, data, np.random.default_rng(83))
+        assert np.array_equal(state.labels, labels)  # stable: no block ends early
+        assert max(products) <= gibbs._BLOCK_CELLS
+        assert max(products) > gibbs._BLOCK_CELLS // 2
+
 
 class TestFactorRoute:
     """The table's cached factors against NumPy's public linalg route."""
@@ -591,10 +651,11 @@ class TestFactorRoute:
     @pytest.mark.parametrize("d", [1, 2, 8])
     def test_cached_factors_equal_the_public_numpy_route(self, d):
         """After sweeps with churn, the master's table and worker applies,
-        every row's whitening factor, shift and terms equal bit for bit those
-        of np.linalg.cholesky, np.linalg.inv, math.log, niw.log_multigamma
-        and the un-memoized count constant, and each row's MARGINAL less the
-        base row's equals niw.log_marginal within 1e-12 relative."""
+        every row's augmented map [L^-1 | -L^-1 mu] and terms equal bit for
+        bit those of np.linalg.cholesky, np.linalg.inv, math.log,
+        niw.log_multigamma and the un-memoized count constant, and each row's
+        MARGINAL less the base row's equals niw.log_marginal within 1e-12
+        relative."""
         from dpgibbs.master import master_sweep
         from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
 
@@ -613,8 +674,8 @@ class TestFactorRoute:
             for table in [gstate.table] + [w.local.table for w in workers]:
                 rows = np.arange(len(table.labels) + 1)
                 whitens, shifts, terms, log_marginals = _oracles.reference_refresh(table, rows)
-                assert np.array_equal(table.whitens[rows], whitens)
-                assert np.array_equal(table.shifts[rows], shifts)
+                assert np.array_equal(table.maps[rows, :, :d], whitens)
+                assert np.array_equal(table.maps[rows, :, d], -shifts)
                 assert np.array_equal(table.terms[rows], terms)
                 marginals = table.terms[rows, table._MARGINAL] - table.terms[rows[-1], table._MARGINAL]
                 for got, want in zip(marginals.tolist(), log_marginals.tolist()):
@@ -667,13 +728,15 @@ class TestDegenerateScales:
         return table_of(unit_hyper(d).prior, 1.0, clusters)
 
     def test_move_to_a_non_positive_definite_scale(self):
+        # A table's caller ignores floating-point errors, as the sweeps do.
         table = self.table()
-        with pytest.raises(NumericalDegeneracyError, match="cluster posterior scale") as info:
-            table.move(None, 1, 1, np.full(2, 100.0), np.zeros((2, 2)))
-        assert info.value.context == {"cluster_label": 8}
-        table = self.table()
-        with pytest.raises(NumericalDegeneracyError) as info:
-            table.move(3, 2, 1, np.full(2, -100.0), np.zeros((2, 2)))  # a new row
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalDegeneracyError, match="cluster posterior scale") as info:
+                table.move(None, 1, pack_stats(1, np.full(2, 100.0), np.zeros((2, 2))))
+            assert info.value.context == {"cluster_label": 8}
+            table = self.table()
+            with pytest.raises(NumericalDegeneracyError) as info:
+                table.move(3, 2, pack_stats(1, np.full(2, -100.0), np.zeros((2, 2))))  # a new row
         assert info.value.context == {"cluster_label": 3}
 
     def test_table_with_a_non_positive_definite_scale(self):
@@ -687,11 +750,12 @@ class TestDegenerateScales:
     def test_batch_with_a_non_positive_definite_candidate_scale(self):
         table = self.table()
         for own in (None, 1):
-            with pytest.raises(NumericalDegeneracyError, match="candidate scale matrix") as info:
-                table.batch_log_weights(3, np.full(2, 1e3), np.zeros((2, 2)), own)
+            with np.errstate(all="ignore"):
+                with pytest.raises(NumericalDegeneracyError, match="candidate scale matrix") as info:
+                    table.batch_log_weights(pack_stats(3, np.full(2, 1e3), np.zeros((2, 2))), own)
             assert info.value.min_eigenvalue < 0.0
         batch = stats_from_points(np.eye(2))
-        assert np.all(np.isfinite(table.batch_log_weights(batch.n, batch.sum, batch.sum_outer)))
+        assert np.all(np.isfinite(table.batch_log_weights(packed(batch))))
 
 
 class TestLgammaPaths:
@@ -758,7 +822,7 @@ class TestLgammaPaths:
             )
             for prior in self.priors(d):
                 cache = table_of(prior, 2.5, {0: small, 1: holder})
-                weights = cache.batch_log_weights(batch.n, batch.sum, batch.sum_outer, own=1)
+                weights = cache.batch_log_weights(packed(batch), own=1)
                 expected = []
                 for rest, log_count in ((small, math.log(7)), (big, math.log(big.n)), (None, math.log(2.5))):
                     base = prior if rest is None else niw_posterior(prior, rest)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from dpgibbs.gibbs import log_joint, sample_log_weights
+from dpgibbs.gibbs import log_joint, pack_stats, sample_log_weights
 from dpgibbs.master import global_log_joint, master_sweep
 from dpgibbs.metrics import ari
 from dpgibbs.niw import (
@@ -267,7 +267,8 @@ class TestMasterSweep:
         for name, rows in initial[0].items():
             assert np.array_equal(rows, getattr(reference, name)[: len(merged) + 1]), name
         batch = batches[(0, 2)]
-        assert np.array_equal(log[0], reference.batch_log_weights(batch.n, batch.sum, batch.sum_outer))
+        row = pack_stats(batch.n, batch.sum, batch.sum_outer)
+        assert np.array_equal(log[0], reference.batch_log_weights(row))
 
     def test_duplicate_worker_rejected(self):
         rng = np.random.default_rng(13)

@@ -54,6 +54,17 @@ def spans_named(path, name):
     return [s for s in json.loads(path.read_text()) if s["name"] == name]
 
 
+def assert_sweeps_count_their_draws(path):
+    """Every gibbs.sweep span in the file counted the block draws its sweep
+    made through the module's sample_log_weights, each over K >= 1 clusters
+    on the weights' first axis."""
+    sweeps = spans_named(path, "gibbs.sweep")
+    assert sweeps
+    for span in sweeps:
+        assert span["attrs"]["sample_calls"] >= 1
+        assert span["attrs"]["sample_k_sum"] >= span["attrs"]["sample_calls"]
+
+
 @pytest.mark.parametrize("command", sorted(EXTRA_ARGS))
 def test_trace_then_plain_run(tmp_path, data_path, command):
     report, spans = run_fitproc(tmp_path, data_path, command, "trace")
@@ -61,6 +72,7 @@ def test_trace_then_plain_run(tmp_path, data_path, command):
     coordinator = spans / "coordinator.json"
     if command == "fit":
         assert len(spans_named(coordinator, "gibbs.sweep")) == ITERS
+        assert_sweeps_count_their_draws(coordinator)
         assert sorted(os.listdir(spans)) == ["coordinator.json"]
     else:
         iterations = spans_named(coordinator, "runtime.iteration")
@@ -74,6 +86,7 @@ def test_trace_then_plain_run(tmp_path, data_path, command):
         for j in range(2):
             worker = spans / ("worker-%d.json" % j)
             assert len(spans_named(worker, "worker.apply")) == ITERS
+            assert_sweeps_count_their_draws(worker)
             assert all(s["attrs"]["clusters"] >= 1 for s in spans_named(worker, "worker.summarize"))
 
     report, _ = run_fitproc(tmp_path, data_path, command, "plain")
