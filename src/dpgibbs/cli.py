@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -28,6 +27,7 @@ from .datasets import (
     read_labels,
     spec_from_json,
     write_dataset,
+    write_json,
     write_labels,
     write_metrics,
     write_trace,
@@ -143,9 +143,7 @@ def _write_manifest(out_dir, payload):
     # Commands without a sampler run record its keys as null.
     run_keys = dict.fromkeys(("seed", "alpha", "iterations", "workers", "prior"))
     payload = {**run_keys, **payload, "version": __version__}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
 def _load_fit_inputs(args):
@@ -299,9 +297,7 @@ def _write_timings(out_dir, rows):
         writer = csv.DictWriter(handle, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    with open(os.path.join(out_dir, "timings.json"), "w") as handle:
-        json.dump(rows, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(os.path.join(out_dir, "timings.json"), rows)
 
 
 def main(argv=None):

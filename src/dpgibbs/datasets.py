@@ -366,15 +366,16 @@ def write_labels(path, labels):
 
 
 def write_metrics(path, metrics):
-    _write_json(path, dict(metrics))
+    write_json(path, dict(metrics))
 
 
 def write_trace(path, trace):
     """Trace file is a JSON array of per-iteration records."""
-    _write_json(path, trace.to_payload())
+    write_json(path, trace.to_payload())
 
 
-def _write_json(path, payload):
+def write_json(path, payload):
+    """The one JSON format of every output file: sorted keys, indent 2, a final newline."""
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -33,7 +33,6 @@ from .niw import (
     NiwParams,
     cholesky_logdet,
     log_multigamma,
-    stats_from_points,
 )
 from .trace import run_iterations
 
@@ -96,8 +95,8 @@ class PartitionState:
     @classmethod
     def single_cluster(cls, data, hyper):
         data = np.asarray(data, dtype=np.float64)
-        s = stats_from_points(data)
-        table = _ClusterCache(hyper.prior, hyper.alpha, [0], [pack_stats(s.n, s.sum, s.sum_outer)])
+        row = pack_stats(data.shape[0], data.sum(axis=0), data.T @ data)
+        table = _ClusterCache(hyper.prior, hyper.alpha, [0], [row])
         return cls(labels=np.zeros(data.shape[0], dtype=np.int64), table=table)
 
 
@@ -160,19 +159,17 @@ class _ClusterCache:
 
     Exact raw sums (n, sum x, sum x x^T) are the source of truth, packed in
     one row of ``stats`` (1 + d + d^2 wide) so that a move or a merge is one
-    add; ``counts``, ``sums`` and ``outers`` view its fields.  Beside
-    them each row caches the augmented map [L^-1 | -L^-1 mu] (d x (d + 1),
-    ``maps``) of Psi = L L^T and the posterior mean mu, and scalar terms
+    add; ``counts`` views its first column.  Beside them each row caches
+    the augmented map [L^-1 | -L^-1 mu] (d x (d + 1), ``maps``) of
+    Psi = L L^T and the posterior mean mu, and scalar terms
     (``terms``, columns named by _CRP.._OWN_POWER), recomputed from the sums
     (never updated in place) whenever the row's membership changes.
     """
 
     _ROW_ARRAYS = ("stats", "maps", "terms")
-    # Views of the packed fields, made on each access, so that they follow
-    # ``stats`` when the table grows and survive a copy or a pickle.
+    # A view of the counts, made on each access, so that it follows
+    # ``stats`` when the table grows and survives a copy or a pickle.
     counts = property(lambda self: self.stats[:, 0])
-    sums = property(lambda self: self.stats[:, 1 : self.d + 1])
-    outers = property(lambda self: self.stats[:, self.d + 1 :].reshape(-1, self.d, self.d))
     # CRP is log m (log alpha on the base row).  MARGINAL is the row's log
     # marginal plus a constant of the table, A(m) - nu_m / 2 log det Psi with
     # A(m) = -d / 2 (m log pi + log kappa_m) + log Gamma_d(nu_m / 2), so a

@@ -1,8 +1,9 @@
 """Master-level batch reassignment over worker cluster statistics.
 
 The master never sees raw points.  Each worker-local cluster is a batch,
-one row of a worker's summary: (worker_id, local_label, previous global id,
-n, sum x, sum x x^T).  One master sweep starts from the previous
+one row of a worker's summary: (worker_id, local_label, previous global id)
+and its raw sums (n, sum x, sum x x^T), packed in one row as the cluster
+table packs them.  One master sweep starts from the previous
 assignment, visits the batches in a randomized order and reassigns each
 whole batch among the current global clusters with log-weights
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .gibbs import _ClusterCache, pack_stats, sample_log_weights
+from .gibbs import _ClusterCache, sample_log_weights
 
 
 @dataclass
@@ -42,26 +43,25 @@ class GlobalState:
         return len(self.table.labels)
 
 
-def _collect_batches(summaries):
+def _collect_batches(summaries, d):
     """Every summary's rows, joined in worker order: (worker ids, local
-    labels, previous global ids, counts, sums, outers)."""
+    labels, previous global ids, packed raw sums of dimension ``d``)."""
     summaries = sorted(summaries, key=lambda s: s.worker_id)
     ids = [s.worker_id for s in summaries]
     sizes = [len(s.clusters) for s in summaries]
     if not sum(sizes):
         raise ValueError("no batches to assign")
-    d = np.shape(summaries[0].sums)[-1]
     for s, k, before in zip(summaries, sizes, [None] + ids):
         if s.worker_id == before:
             raise ValueError("duplicate summary for worker %d" % s.worker_id)
-        shapes = [np.shape(a) for a in (s.clusters, s.previous, s.counts, s.sums, s.outers)]
-        if shapes != [(k,), (k,), (k,), (k, d), (k, d, d)]:
+        shapes = [np.shape(a) for a in (s.clusters, s.previous, s.stats)]
+        if shapes != [(k,), (k,), (k, 1 + d + d * d)]:
             message = "worker %d sent shapes %r, not those of %d batches of dimension %d"
             raise ValueError(message % (s.worker_id, shapes, k, d))
-        if k and np.min(s.counts) < 1:
-            h = s.clusters[np.argmin(s.counts)]
+        if k and np.min(s.stats[:, 0]) < 1:
+            h = s.clusters[np.argmin(s.stats[:, 0])]
             raise ValueError("batch (%d, %d) is empty" % (s.worker_id, h))
-    fields = zip(*((s.clusters, s.previous, s.counts, s.sums, s.outers) for s in summaries))
+    fields = zip(*((s.clusters, s.previous, s.stats) for s in summaries))
     return (np.repeat(ids, sizes),) + tuple(map(np.concatenate, fields))
 
 
@@ -75,8 +75,7 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
     ``order`` overrides the random visitation order (a permutation of batch
     indices); ``weight_log`` collects the per-step candidate log-weight vectors.
     """
-    workers, local_labels, previous, counts, sums, outers = _collect_batches(summaries)
-    stats = pack_stats(counts, sums, outers)
+    workers, local_labels, previous, stats = _collect_batches(summaries, hyper.prior.d)
     seeded = np.flatnonzero(previous >= 0)
     table = _ClusterCache(hyper.prior, hyper.alpha, range(seeded.shape[0]), stats[seeded])
     table.rename(previous[seeded])
@@ -87,7 +86,7 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
     for i in order:
         label = int(assigned[i]) if assigned[i] >= 0 else None
         own = None if label is None else int(table.row_of[label])
-        if own is not None and table.counts[own] == counts[i]:  # the batch is the whole cluster
+        if own is not None and table.counts[own] == stats[i, 0]:  # the batch is the whole cluster
             table.delete(label)
             label = own = None
         try:

@@ -110,7 +110,8 @@ def worker_loop(channel, worker_id, shard_data, seed, hyper):
 
     Holds the shard privately; outbound traffic is WorkerSummary per sweep and
     the shard's global label vector on explicit request.  Closes the channel
-    on return.
+    on return; after sending a failure, only once the coordinator has closed
+    its end, so that its next send cannot break the pipe and hide the error.
     """
     try:
         state = WorkerState.single_cluster(worker_id, shard_data, hyper)
@@ -138,6 +139,8 @@ def worker_loop(channel, worker_id, shard_data, seed, hyper):
             exc = RuntimeError(repr(exc))
         try:
             channel.send(WorkerFailure(worker_id, exc, details))
+            while True:
+                channel.recv()  # until EOF
         except Exception:
             pass  # the coordinator sees the channel close
     finally:

@@ -3,7 +3,7 @@
 A worker owns a contiguous shard of the data and runs the same collapsed
 Gibbs sweep as the centralized sampler, with the same concentration alpha and
 base measure.  After each sweep it ships its table's rows, each cluster's
-sufficient statistics, to the master; the master's reply, the global id of
+sufficient statistics packed as the table packs them, to the master; the master's reply, the global id of
 each row in the order sent, is applied by renaming and merging local
 clusters, never by splitting them, and keys the local clusters by their
 global ids from then on.  A worker keeps one cluster table for its whole
@@ -43,15 +43,13 @@ class WorkerState:
 @dataclass(frozen=True)
 class WorkerSummary:
     """The first K rows of one worker's table, by ascending local label: int64
-    local labels, global ids from the last apply (-1 for a cluster born since)
-    and raw sums, (K,), (K,), (K,), (K, d) and (K, d, d)."""
+    local labels (K,), global ids from the last apply (K,; -1 for a cluster
+    born since) and the packed raw sums (n, sum x, sum x x^T), (K, 1 + d + d^2)."""
 
     worker_id: int
     clusters: np.ndarray
     previous: np.ndarray
-    counts: np.ndarray
-    sums: np.ndarray
-    outers: np.ndarray
+    stats: np.ndarray
 
 
 def worker_sweep(w, rng):
@@ -65,8 +63,7 @@ def summarize(w):
     t = w.local.table
     clusters = np.array(t.labels, dtype=np.int64)
     previous = np.where(clusters < w.first_new, clusters, -1)
-    rows = (a[: len(clusters)].copy() for a in (t.counts, t.sums, t.outers))
-    return WorkerSummary(w.worker_id, clusters, previous, *rows)
+    return WorkerSummary(w.worker_id, clusters, previous, t.stats[: len(clusters)].copy())
 
 
 def apply_global_labels(w, targets):

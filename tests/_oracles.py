@@ -12,7 +12,9 @@ from the table.  The row-by-row CSV writers are the package's writers before
 they formatted blocks of rows at once; tests that need a data file with a
 label column write it with ``rowwise_write_dataset``.  ``state_from_stats``,
 ``table_of`` and ``stats_of`` build a state or a cluster table of the
-package's from {label: SufficientStats} and read a table's rows back.
+package's from {label: SufficientStats} and read a table's rows back;
+``unpack`` and ``packed_stats`` are the tests' one reading of the package's
+packed rows of raw sums.
 """
 
 from __future__ import annotations
@@ -229,12 +231,24 @@ def table_of(prior, alpha, clusters):
     return _ClusterCache(prior, alpha, sorted(clusters), rows)
 
 
-def stats_of(table):
-    """{label: SufficientStats} of a cluster table's rows in ascending label order, copied."""
+def unpack(stats, d):
+    """Views (n, sum x, sum x x^T) of packed raw sums, rows 1 + d + d^2 wide
+    along the last axis: for (K, 1 + d + d^2), (K,), (K, d) and (K, d, d)."""
+    stats = np.asarray(stats)
+    outers = stats[..., d + 1 :].reshape(stats.shape[:-1] + (d, d))
+    return stats[..., 0], stats[..., 1 : d + 1], outers
+
+
+def packed_stats(stats, d):
+    """[SufficientStats] of each packed row of raw sums in ``stats``, copied."""
     from dpgibbs.niw import SufficientStats
 
-    rows = zip(table.labels, table.counts.tolist(), table.sums, table.outers)
-    return {lab: SufficientStats(int(n), s, o) for lab, n, s, o in rows}
+    return [SufficientStats(int(n), s, o) for n, s, o in zip(*unpack(stats, d))]
+
+
+def stats_of(table):
+    """{label: SufficientStats} of a cluster table's rows in ascending label order, copied."""
+    return dict(zip(table.labels, packed_stats(table.stats[: len(table.labels)], table.d)))
 
 
 def reference_refresh(table, rows):
@@ -259,18 +273,18 @@ def reference_refresh(table, rows):
     prior = table.prior
     d = prior.d
     rows = np.asarray(rows)
-    counts = table.counts[rows]
+    counts, sums, outers = unpack(table.stats[rows], d)
     kappa_mu = prior.kappa * prior.mu
-    t = table.sums[rows] + kappa_mu
+    t = sums + kappa_mu
     mus = t / (counts + prior.kappa)[:, None]
-    psi = table.outers[rows] + (prior.psi + kappa_mu[:, None] * prior.mu)
+    psi = outers + (prior.psi + kappa_mu[:, None] * prior.mu)
     psi -= t[:, :, None] * mus[:, None, :]
     chol = np.linalg.cholesky(psi)
     whitens = np.linalg.inv(chol)
     shifts = (whitens @ mus[:, :, None])[:, :, 0]
     terms = []
     log_marginals = []
-    raw = zip(counts.tolist(), table.sums[rows], table.outers[rows], chol.diagonal(0, 1, 2).tolist())
+    raw = zip(counts.tolist(), sums, outers, chol.diagonal(0, 1, 2).tolist())
     for m, sumv, outer, diag in raw:
         log_det = 2.0 * sum(map(math.log, diag))
         kappa, nu = prior.kappa + m, prior.nu + m
@@ -365,12 +379,11 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
             own = None
         weights = []
         for r in range(len(cache.labels) + 1):
-            n = int(cache.counts[r])
+            count, sumv, outer = unpack(cache.stats[r], prior.d)
+            n = int(count)
             log_weight = np.log(n - (r == own)) if r < len(cache.labels) else cache.log_alpha
             try:
-                weights.append(_pointwise_log_weight(
-                    prior, log_weight, n, cache.sums[r], cache.outers[r], x, r == own
-                ))
+                weights.append(_pointwise_log_weight(prior, log_weight, n, sumv, outer, x, r == own))
             except NumericalDegeneracyError as err:
                 err.add_context(cluster_label=cache.labels[r], point_index=i)
                 raise

@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 import _oracles
 from dpgibbs.cli import main as cli_main
 from dpgibbs.datasets import generate_gmm, preset_spec, write_dataset, write_labels
-from dpgibbs.gibbs import PartitionState, cgs_sweep, log_joint, run_cgs
+from dpgibbs.gibbs import PartitionState, cgs_sweep, log_joint, pack_stats, run_cgs
 from dpgibbs.master import master_sweep
 from dpgibbs.metrics import acc, ari, nmi
 from dpgibbs.niw import (
@@ -254,9 +254,7 @@ def test_criterion_04_master_matches_central_on_singletons():
             worker_id=0,
             clusters=np.arange(n, dtype=np.int64),
             previous=init.astype(np.int64),
-            counts=np.ones(n),
-            sums=data.copy(),
-            outers=data[:, :, None] * data[:, None, :],
+            stats=pack_stats(np.ones(n), data, data[:, :, None] * data[:, None, :]),
         )
         master_log = []
         out = master_sweep(

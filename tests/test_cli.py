@@ -363,6 +363,7 @@ class TestFitDistributed:
         in a worker's table or in the master's candidate scales."""
         from dataclasses import replace
 
+        from _oracles import unpack
         from dpgibbs import runtime
         from dpgibbs.gibbs import _ClusterCache
 
@@ -381,10 +382,11 @@ class TestFitDistributed:
 
             def bad_batch(summaries, hyper, rng):
                 first = summaries[0]
-                sums, outers = first.sums.copy(), first.outers.copy()
+                stats = first.stats.copy()
+                _, sums, outers = unpack(stats, hyper.prior.d)  # views of the copy
                 sums[0] += 1e3
                 outers[0] = 0.0
-                summaries = [replace(first, sums=sums, outers=outers)] + summaries[1:]
+                summaries = [replace(first, stats=stats)] + summaries[1:]
                 return master_sweep(summaries, hyper, rng)
 
             monkeypatch.setattr(runtime, "master_sweep", bad_batch)

@@ -17,13 +17,12 @@ from dpgibbs.niw import (
     log_posterior_predictive,
     log_prior_predictive,
     stats_from_points,
-    SufficientStats,
     stats_merge,
     zero_stats,
 )
 from dpgibbs.worker import WorkerState, WorkerSummary, apply_global_labels, summarize
 
-from _oracles import state_from_stats, stats_of, table_of
+from _oracles import packed_stats, state_from_stats, stats_of, table_of
 
 
 def make_hyper(d=2, alpha=1.0, scale=1.0):
@@ -48,18 +47,16 @@ def summary_of_stats(worker_id, stats, previous=None):
         worker_id=worker_id,
         clusters=np.arange(len(stats), dtype=np.int64),
         previous=np.array([-1 if g is None else g for g in previous], dtype=np.int64),
-        counts=np.array([s.n for s in stats], dtype=np.float64),
-        sums=np.array([s.sum for s in stats]),
-        outers=np.array([s.sum_outer for s in stats]),
+        stats=np.array([pack_stats(s.n, s.sum, s.sum_outer) for s in stats]),
     )
 
 
-def batches_of(summaries):
-    """{(worker_id, local_label): SufficientStats} of every batch."""
+def batches_of(summaries, d):
+    """{(worker_id, local_label): SufficientStats} of every batch of dimension d."""
     return {
-        (s.worker_id, int(h)): SufficientStats(int(n), sumv, outer)
+        (s.worker_id, int(h)): stats
         for s in summaries
-        for h, n, sumv, outer in zip(s.clusters, s.counts, s.sums, s.outers)
+        for h, stats in zip(s.clusters, packed_stats(s.stats, d))
     }
 
 
@@ -106,7 +103,7 @@ class TestMasterSweep:
             for j in range(3)
         ]
         out = master_sweep(summaries, make_hyper(), np.random.default_rng(5))
-        batches = batches_of(summaries)
+        batches = batches_of(summaries, 2)
         merged_in = stats_merge(list(batches.values()))
         merged_out = stats_merge(list(stats_of(out.table).values()))
         assert merged_in.n == merged_out.n
@@ -172,7 +169,7 @@ class TestMasterSweep:
                 ])
             previous = [[int(rng.integers(0, 3)) for _ in shard] for shard in shards]
             summaries = [summary_of(j, shards[j], previous[j]) for j in range(3)]
-            batches = batches_of(summaries)
+            batches = batches_of(summaries, d)
             keys = sorted(batches)
             seeded = {(j, h): g for j in range(3) for h, g in enumerate(previous[j])}
             order = rng.permutation(len(keys))
@@ -221,10 +218,18 @@ class TestMasterSweep:
         with pytest.raises(ValueError, match="dimension"):
             master_sweep([summary, wide], make_hyper(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("previous", [[0], None], ids=["seeded", "unseeded"])
+    def test_summary_of_the_wrong_dimension_rejected(self, previous):
+        """The dimension is the model's, not the first summary's: a lone d = 3
+        summary sent to a d = 2 model is refused before any arithmetic."""
+        pts = np.random.default_rng(27).standard_normal((4, 3))
+        with pytest.raises(ValueError, match="worker 0 sent shapes"):
+            master_sweep([summary_of(0, [pts], previous)], make_hyper(d=2), np.random.default_rng(0))
+
     def test_fields_of_different_lengths_rejected(self):
         rng = np.random.default_rng(24)
         summary = summary_of(0, [rng.standard_normal((3, 2)), rng.standard_normal((4, 2))])
-        for field in ("clusters", "previous", "counts", "sums", "outers"):
+        for field in ("clusters", "previous", "stats"):
             short = replace(summary, **{field: getattr(summary, field)[:1]})
             with pytest.raises(ValueError, match="shapes"):
                 master_sweep([short], make_hyper(), np.random.default_rng(0))
@@ -251,7 +256,7 @@ class TestMasterSweep:
         shards = [[rng.standard_normal((m, 3)) + 3.0 * j for m in row] for j, row in enumerate(sizes)]
         previous = [[7, 2, None, 2], [4, 4, 2]]
         summaries = [summary_of(j, shards[j], previous[j]) for j in range(2)]
-        batches = batches_of(summaries)
+        batches = batches_of(summaries, 3)
         members = {}
         for j, ids in enumerate(previous):
             for h, g in enumerate(ids):

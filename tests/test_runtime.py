@@ -446,7 +446,7 @@ class TestMessageTraffic:
             summaries = [m for m in received if isinstance(m, WorkerSummary)]
             assert len(arrays) == iters
             assert all(a.shape == (size,) for a in arrays)
-            assert [s.counts.sum() for s in summaries] == [size] * iters
+            assert [s.stats[:, 0].sum() for s in summaries] == [size] * iters
             per_channel_arrays.append(arrays)
         for t in range(iters):
             labels = np.concatenate([arrays[t] for arrays in per_channel_arrays])
@@ -459,13 +459,16 @@ class TestMessageTraffic:
 
 class TestFitPathUsesTheClusterTable:
     def test_fits_complete_without_niw_posterior(self, monkeypatch):
-        """Sweeps and the trace's log joint read the cluster table alone."""
+        """Sweeps and the trace's log joint read the cluster table alone, and
+        statistics cross from worker table to master table as packed rows:
+        neither sampler calls niw_posterior or builds a SufficientStats."""
         from dpgibbs import niw
 
-        def forbidden(prior, stats):
-            raise AssertionError("niw_posterior called on the fit path")
+        def forbidden(*args):
+            raise AssertionError("niw_posterior or SufficientStats on the fit path")
 
         monkeypatch.setattr(niw, "niw_posterior", forbidden)
+        monkeypatch.setattr(niw.SufficientStats, "__post_init__", forbidden)
         data, truth = two_blob_data(40, seed=16)
         hyper = ModelHyperParams(alpha=1.0, prior=default_prior(data))
         _, trace = run_cgs(data, hyper, 3, seed=2, ground_truth=truth)
@@ -558,7 +561,53 @@ class TestWorkerLoopFailure:
         with pytest.raises(RuntimeError, match="unknown command") as info:
             _checked(msg, 3)
         assert "worker 0 failed at iteration 3" in str(info.value.__cause__)
+        master_end.close()  # a failed worker waits for EOF before it closes its end
         th.join(timeout=5.0)
         assert not th.is_alive()
-        master_end.close()
         worker_end.close()
+
+    @pytest.mark.parametrize("backend, workers", [("thread", 2), ("process", 8)])
+    def test_setup_failure_reaches_the_coordinator_before_its_next_send(
+        self, monkeypatch, backend, workers
+    ):
+        """A worker whose setup fails keeps its end open after sending the
+        failure, so the coordinator's next send does not break the pipe and
+        the worker's own error surfaces.  On the thread backend the factory
+        returns only once worker 0's loop has returned (or after 1 s), so a
+        worker that closed its end at once would always break that send."""
+        from dpgibbs import runtime
+        from dpgibbs.errors import NumericalDegeneracyError
+        from dpgibbs.worker import WorkerState
+
+        setup = WorkerState.single_cluster
+
+        def failing_setup(cls, worker_id, data, hyper):
+            if worker_id == 0:
+                raise NumericalDegeneracyError("forced setup failure")
+            return setup(worker_id, data, hyper)
+
+        monkeypatch.setattr(WorkerState, "single_cluster", classmethod(failing_setup))
+        factory = process_channels
+        if backend == "thread":
+            returned = threading.Event()
+            loop = runtime.worker_loop
+
+            def worker_loop_0_signals(channel, worker_id, *args):
+                try:
+                    loop(channel, worker_id, *args)
+                finally:
+                    if worker_id == 0:
+                        returned.set()
+
+            def factory(*args):
+                channels, shutdown = thread_channels(*args)
+                returned.wait(timeout=1.0)
+                return channels, shutdown
+
+            monkeypatch.setattr(runtime, "worker_loop", worker_loop_0_signals)
+        data, _ = two_blob_data(20, seed=18)
+        cfg = config(data, iterations=2, workers=workers, seed=1)
+        with pytest.raises(NumericalDegeneracyError, match="forced setup failure") as info:
+            run_discgs(data, cfg, channel_factory=factory)
+        assert info.value.context == {"worker_id": 0, "iteration": 1}
+        assert not multiprocessing.active_children()

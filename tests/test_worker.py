@@ -13,7 +13,7 @@ from dpgibbs.niw import (
 )
 from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
 
-from _oracles import state_from_labels, stats_of
+from _oracles import state_from_labels, stats_of, unpack
 
 
 def shard_hyper(data, alpha=1.0):
@@ -61,7 +61,7 @@ class TestWorkerSweep:
         a = worker_sweep(a, np.random.default_rng(9))
         b = worker_sweep(b, np.random.default_rng(9))
         sa, sb = summarize(a), summarize(b)
-        for field in ("clusters", "previous", "counts", "sums", "outers"):
+        for field in ("clusters", "previous", "stats"):
             assert np.array_equal(getattr(sa, field), getattr(sb, field))
 
     def test_conservation_across_sweeps(self):
@@ -70,7 +70,7 @@ class TestWorkerSweep:
         rng = np.random.default_rng(5)
         for _ in range(5):
             w = worker_sweep(w, rng)
-            assert summarize(w).counts.sum() == 50
+            assert summarize(w).stats[:, 0].sum() == 50
 
 
 class TestSummarize:
@@ -79,7 +79,7 @@ class TestSummarize:
         w = WorkerState.single_cluster(2, data, shard_hyper(data))
         summary = summarize(w)
         assert summary.clusters.tolist() == [0]
-        assert summary.counts.tolist() == [30]
+        assert summary.stats[:, 0].tolist() == [30]
         assert summary.previous.tolist() == [-1]
         assert summary.worker_id == 2
 
@@ -90,7 +90,7 @@ class TestSummarize:
         for _ in range(10):
             w = worker_sweep(w, rng)
         summary = summarize(w)
-        for h, n, sumv, outer in zip(summary.clusters, summary.counts, summary.sums, summary.outers):
+        for h, n, sumv, outer in zip(summary.clusters, *unpack(summary.stats, 2)):
             ref = stats_from_points(data[w.local.labels == h])
             assert n == ref.n
             assert np.allclose(sumv, ref.sum, rtol=1e-10)
@@ -104,9 +104,10 @@ class TestSummarize:
             w = worker_sweep(w, rng)
         summary = summarize(w)
         whole = stats_from_points(data)
-        assert summary.counts.sum() == whole.n
-        assert np.allclose(summary.sums.sum(axis=0), whole.sum, rtol=1e-10)
-        assert np.allclose(summary.outers.sum(axis=0), whole.sum_outer, rtol=1e-10)
+        counts, sums, outers = unpack(summary.stats, 2)
+        assert counts.sum() == whole.n
+        assert np.allclose(sums.sum(axis=0), whole.sum, rtol=1e-10)
+        assert np.allclose(outers.sum(axis=0), whole.sum_outer, rtol=1e-10)
 
     def test_summary_is_a_copy_of_the_live_rows(self):
         w = _worker_with_k_clusters(seed=16)
@@ -115,11 +116,10 @@ class TestSummarize:
         summary = summarize(w)
         assert summary.clusters.dtype == summary.previous.dtype == np.int64
         assert summary.clusters.tolist() == table.labels
-        for field in ("counts", "sums", "outers"):
-            assert np.array_equal(getattr(summary, field), getattr(table, field)[:k])
+        assert np.array_equal(summary.stats, table.stats[:k])
         labels = list(table.labels)
         rows = {name: getattr(table, name).copy() for name in table._ROW_ARRAYS}
-        for field in ("clusters", "previous", "counts", "sums", "outers"):
+        for field in ("clusters", "previous", "stats"):
             getattr(summary, field)[...] = -7
         assert table.labels == labels
         for name, before in rows.items():
@@ -222,7 +222,7 @@ class TestPreviousGlobalIds:
         summary = summarize(w)
         entries = dict(zip(summary.clusters.tolist(), summary.previous.tolist()))
         assert entries == {3: 3, 9: 9, int(w.local.labels[20]): -1}
-        for h, n, sumv in zip(summary.clusters, summary.counts, summary.sums):
+        for h, n, sumv, _ in zip(summary.clusters, *unpack(summary.stats, 2)):
             ref = stats_from_points(data[w.local.labels == h])
             assert n == ref.n
             assert np.allclose(sumv, ref.sum, rtol=1e-12)
