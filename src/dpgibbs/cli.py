@@ -12,6 +12,7 @@ would in ``fit``.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import os
 import sys
@@ -290,8 +291,6 @@ def _timing_row(mode, workers, iterations, total_seconds):
 
 
 def _write_timings(out_dir, rows):
-    import csv
-
     columns = ["mode", "workers", "iterations", "total_seconds", "per_iteration_seconds"]
     with open(os.path.join(out_dir, "timings.csv"), "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=columns, lineterminator="\n")

@@ -434,24 +434,23 @@ class _ClusterCache:
 
 
 @np.errstate(all="ignore")  # a failed factor or downdate is NaN, and raises
-def cgs_sweep(state, data, rng, weight_log=None):
+def cgs_sweep(state, data, rng):
     """One collapsed Gibbs pass over all points in ascending index order.
 
     A point is scored in its own cluster without leaving it, so the table
     changes only when a point moves, or when a singleton is reached (its
     cluster is deleted, and re-created under a new label if it draws
     "new").  A block of consecutive points is therefore scored against the
-    unchanged table at once and drawn with uniforms taken for the whole
-    sweep up front, one per point in index order.  The block is committed up
-    to and including its first point that changes the table, and the next
-    block starts after it.  Block lengths follow the run lengths between
-    such points seen so far in the sweep; they set how much work is done,
-    not which draws are made (up to last-bit rounding of the weights).
+    unchanged table at once and drawn with uniforms that the sweep takes
+    from ``rng`` at its start, one per point in index order, and nothing
+    else.  The block is committed up to and including its first point that
+    changes the table, and the next block starts after it.  Block lengths
+    follow the run lengths between such points seen so far in the sweep;
+    they set how much work is done, not which draws are made (up to
+    last-bit rounding of the weights).
     Emptied clusters are deleted immediately and their labels are not
     reused: surviving clusters keep their labels, and new clusters are
     numbered above the largest label the sweep started with.
-    When ``weight_log`` is a list, the log-weight vector of each point
-    reached is appended to it (a singleton's without its own cluster).
     The state's labels and table are updated in place; returns the state.
     """
     data = np.asarray(data, dtype=np.float64)
@@ -480,8 +479,6 @@ def cgs_sweep(state, data, rng, weight_log=None):
             changed = bool(stops[stay])
             if not changed:
                 stay = own.shape[0]
-            if weight_log is not None:
-                weight_log.extend(weights[:, :stay].T.copy())
             reached = _RUN_DECAY * reached + stay + changed
             changes = _RUN_DECAY * changes + changed
             i += stay
@@ -493,14 +490,10 @@ def cgs_sweep(state, data, rng, weight_log=None):
                     "downdated scale matrix is not positive definite",
                     context={"cluster_label": cache.labels[r]},
                 )
-            singleton = cache.counts[r] == 1.0
-            if weight_log is not None:
-                column = weights[:, stay]
-                weight_log.append(np.delete(column, r) if singleton else column.copy())
             if idx < 0:
                 raise NumericalDegeneracyError("non-finite sampling weights")
             source = int(labels[i])
-            if singleton:
+            if cache.counts[r] == 1.0:  # a singleton
                 cache.delete(source)
                 source = None
                 if idx > r:

@@ -4,8 +4,9 @@ The master never sees raw points.  Each worker-local cluster is a batch,
 one row of a worker's summary: (worker_id, local_label, previous global id)
 and its raw sums (n, sum x, sum x x^T), packed in one row as the cluster
 table packs them.  One master sweep starts from the previous
-assignment, visits the batches in a randomized order and reassigns each
-whole batch among the current global clusters with log-weights
+assignment, visits the batches in an order drawn from the master's stream
+and draws each whole batch, with one uniform from that stream, among the
+current global clusters by log-weights
 
     existing k: log n_k    + log p(batch stats | global cluster k's posterior)
     new:        log alpha  + log p(batch stats | base measure)
@@ -66,24 +67,22 @@ def _collect_batches(summaries, d):
 
 
 @np.errstate(all="ignore")  # a failed factor is NaN, and raises
-def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
+def master_sweep(summaries, hyper, rng):
     """One randomized pass reassigning every batch; returns a GlobalState.
 
     The sweep starts from the previous assignment the batches name: the
     rows of the batches that name a global id are renamed to it, which sums
     those that share one, and a batch without one starts unassigned.
-    ``order`` overrides the random visitation order (a permutation of batch
-    indices); ``weight_log`` collects the per-step candidate log-weight vectors.
+    ``rng`` draws the order of the visits, one permutation of the batch
+    indices (summaries in worker order, each one's rows in order), then one
+    uniform per batch visited, for its draw.
     """
     workers, local_labels, previous, stats = _collect_batches(summaries, hyper.prior.d)
     seeded = np.flatnonzero(previous >= 0)
     table = _ClusterCache(hyper.prior, hyper.alpha, range(seeded.shape[0]), stats[seeded])
     table.rename(previous[seeded])
     assigned = previous  # each batch's global id, -1 while it has none
-    order = rng.permutation(len(assigned)) if order is None else np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(len(assigned))):
-        raise ValueError("order must be a permutation of batch indices")
-    for i in order:
+    for i in rng.permutation(len(assigned)):
         label = int(assigned[i]) if assigned[i] >= 0 else None
         own = None if label is None else int(table.row_of[label])
         if own is not None and table.counts[own] == stats[i, 0]:  # the batch is the whole cluster
@@ -91,8 +90,6 @@ def master_sweep(summaries, hyper, rng, order=None, weight_log=None):
             label = own = None
         try:
             weights = table.batch_log_weights(stats[i], own)
-            if weight_log is not None:
-                weight_log.append(weights.copy())
             choice = int(sample_log_weights(weights, rng.random()))
             if choice < 0:
                 raise NumericalDegeneracyError("non-finite sampling weights")

@@ -14,11 +14,14 @@ label column write it with ``rowwise_write_dataset``.  ``state_from_stats``,
 ``table_of`` and ``stats_of`` build a state or a cluster table of the
 package's from {label: SufficientStats} and read a table's rows back;
 ``unpack`` and ``packed_stats`` are the tests' one reading of the package's
-packed rows of raw sums.
+packed rows of raw sums.  ``recorded_weights`` observes the candidate
+weights the sweeps draw from by wrapping the package's scoring and drawing
+functions, and ``FixedOrderRng`` sets the order of a master sweep's visits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 
 import numpy as np
@@ -401,6 +404,72 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
     dense = cache.row_of[labels]
     cache.rename(np.arange(len(cache.labels)))
     return PartitionState(labels=dense, table=cache)
+
+
+@contextlib.contextmanager
+def recorded_weights():
+    """Record the candidate log-weight vectors the sweeps draw from.
+
+    Inside the block, ``cgs_sweep`` and ``master_sweep`` append to the
+    yielded list, in the order drawn, one vector per point or batch reached.
+    A block of points scored by ``_ClusterCache.point_log_weights`` and drawn
+    by ``gibbs.sample_log_weights`` adds its columns up to and including its
+    first draw that leaves the point's own row, the points the sweep
+    commits; that column drops its -inf own entry when the point is a
+    singleton, whose row the sweep deletes.  ``master.sample_log_weights``
+    adds each batch's vector.  The functions are wrapped as they are when
+    the block is entered and restored when it is left.
+    """
+    from dpgibbs import gibbs, master
+
+    log = []
+    scored = []  # the last block scored: (weights, table, own rows)
+    score = gibbs._ClusterCache.point_log_weights
+    point_draw, batch_draw = gibbs.sample_log_weights, master.sample_log_weights
+
+    def score_block(table, xs, own=None):
+        weights = score(table, xs, own)
+        scored[:] = [(weights, table, own)]
+        return weights
+
+    def draw_points(weights, u):
+        draws = point_draw(weights, u)
+        block, table, own = scored.pop()
+        assert block is weights, "a draw from weights the sweep did not score"
+        stops = np.flatnonzero(draws != own)
+        stay = int(stops[0]) if stops.shape[0] else own.shape[0]
+        log.extend(weights[:, :stay].T.copy())
+        if stay < own.shape[0]:
+            r = int(own[stay])
+            column = weights[:, stay]
+            log.append(np.delete(column, r) if table.counts[r] == 1.0 else column.copy())
+        return draws
+
+    def draw_batch(weights, u):
+        log.append(weights.copy())
+        return batch_draw(weights, u)
+
+    gibbs._ClusterCache.point_log_weights = score_block
+    gibbs.sample_log_weights, master.sample_log_weights = draw_points, draw_batch
+    try:
+        yield log
+    finally:
+        gibbs._ClusterCache.point_log_weights = score
+        gibbs.sample_log_weights, master.sample_log_weights = point_draw, batch_draw
+
+
+class FixedOrderRng:
+    """A stand-in RNG for ``master_sweep`` that visits the batches in
+    ``order``: its ``permutation(n)`` returns ``order`` (of length n), and
+    its uniforms come from the Generator ``rng``."""
+
+    def __init__(self, order, rng):
+        self.order = np.array(order, dtype=np.int64)
+        self.random = rng.random
+
+    def permutation(self, n):
+        assert n == self.order.shape[0], "the order covers %d batches, not %d" % (self.order.shape[0], n)
+        return self.order.copy()
 
 
 def rowwise_write_dataset(path, data, labels=None):

@@ -244,9 +244,9 @@ def test_criterion_04_master_matches_central_on_singletons():
             int(g): stats_from_points(data[init == g]) for g in np.unique(init)
         }
         central = _oracles.state_from_stats(init, clusters, hyper)
-        central_log = []
         seed = 10_000 + trial
-        swept = cgs_sweep(central, data, np.random.default_rng(seed), weight_log=central_log)
+        with _oracles.recorded_weights() as central_log:
+            swept = cgs_sweep(central, data, np.random.default_rng(seed))
 
         # Each point is a batch whose previous global cluster is its
         # cluster in the central partition.
@@ -256,14 +256,9 @@ def test_criterion_04_master_matches_central_on_singletons():
             previous=init.astype(np.int64),
             stats=pack_stats(np.ones(n), data, data[:, :, None] * data[:, None, :]),
         )
-        master_log = []
-        out = master_sweep(
-            [summary],
-            hyper,
-            np.random.default_rng(seed),
-            order=list(range(n)),
-            weight_log=master_log,
-        )
+        with _oracles.recorded_weights() as master_log:
+            rng_in_order = _oracles.FixedOrderRng(range(n), np.random.default_rng(seed))
+            out = master_sweep([summary], hyper, rng_in_order)
 
         assert len(central_log) == len(master_log) == n
         for wc, wm in zip(central_log, master_log):

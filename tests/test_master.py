@@ -22,7 +22,7 @@ from dpgibbs.niw import (
 )
 from dpgibbs.worker import WorkerState, WorkerSummary, apply_global_labels, summarize
 
-from _oracles import packed_stats, state_from_stats, stats_of, table_of
+from _oracles import FixedOrderRng, packed_stats, recorded_weights, state_from_stats, stats_of, table_of
 
 
 def make_hyper(d=2, alpha=1.0, scale=1.0):
@@ -80,9 +80,8 @@ class TestMasterSweep:
         w_new = math.log(hyper.alpha) + log_prior_predictive(sb, hyper.prior)
         p_join = math.exp(w_join - logsumexp([w_join, w_new]))
         assert p_join > 0.99
-        out = master_sweep(
-            [summary_of(0, [a, b])], hyper, np.random.default_rng(2), order=[0, 1]
-        )
+        in_order = FixedOrderRng([0, 1], np.random.default_rng(2))
+        out = master_sweep([summary_of(0, [a, b])], hyper, in_order)
         assert out.targets[0][0] == out.targets[0][1]
         assert out.num_clusters == 1
 
@@ -131,11 +130,10 @@ class TestMasterSweep:
         b1 = rng.standard_normal((4, 2)) + 0.5
         hyper = make_hyper()
         s0, s1 = stats_from_points(b0), stats_from_points(b1)
-        log = []
-        master_sweep(
-            [summary_of(0, [b0, b1])], hyper, np.random.default_rng(8),
-            order=[0, 1], weight_log=log,
-        )
+        with recorded_weights() as log:
+            master_sweep(
+                [summary_of(0, [b0, b1])], hyper, FixedOrderRng([0, 1], np.random.default_rng(8))
+            )
         assert len(log) == 2
         # Step 1: empty state, only the new-cluster option exists.
         assert log[0].shape == (1,)
@@ -153,7 +151,9 @@ class TestMasterSweep:
         )
 
     def test_batched_scores_equal_per_candidate_predictive(self):
-        """Replay a sweep with one log_posterior_predictive call per candidate."""
+        """Replay a sweep with one log_posterior_predictive call per candidate,
+        drawing from a twin of the master's stream: one permutation of the
+        batches, then one uniform per batch in that order."""
         rng = np.random.default_rng(23)
         for trial in range(12):
             d = int(rng.integers(1, 9))
@@ -172,12 +172,11 @@ class TestMasterSweep:
             batches = batches_of(summaries, d)
             keys = sorted(batches)
             seeded = {(j, h): g for j in range(3) for h, g in enumerate(previous[j])}
-            order = rng.permutation(len(keys))
-            log = []
-            master_sweep(
-                summaries, hyper, np.random.default_rng(trial), order=order, weight_log=log,
-            )
+            with recorded_weights() as log:
+                master_sweep(summaries, hyper, np.random.default_rng(trial))
             replay_rng = np.random.default_rng(trial)
+            order = replay_rng.permutation(len(keys))
+            assert len(log) == len(keys)
             assigned = dict(seeded)
             for step, i in enumerate(order):
                 stats = batches[keys[i]]
@@ -267,8 +266,8 @@ class TestMasterSweep:
         reference = table_of(hyper.prior, hyper.alpha, merged)
         first = sorted(batches).index((0, 2))
         order = [first] + [i for i in range(len(batches)) if i != first]
-        log = []
-        master_sweep(summaries, hyper, np.random.default_rng(26), order=order, weight_log=log)
+        with recorded_weights() as log:
+            master_sweep(summaries, hyper, FixedOrderRng(order, np.random.default_rng(26)))
         for name, rows in initial[0].items():
             assert np.array_equal(rows, getattr(reference, name)[: len(merged) + 1]), name
         batch = batches[(0, 2)]

@@ -20,6 +20,7 @@ from dpgibbs.datasets import write_dataset
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FITPROC = os.path.join(ROOT, "perfbench", "fitproc.py")
 ITERS = 3
+POINTS = 120
 EXTRA_ARGS = {"fit": [], "fit-distributed": ["--workers", "2"]}
 
 
@@ -27,12 +28,18 @@ EXTRA_ARGS = {"fit": [], "fit-distributed": ["--workers", "2"]}
 def data_path(tmp_path_factory):
     rng = np.random.default_rng(0)
     data = np.vstack([
-        rng.standard_normal((60, 2)) - [6.0, 0.0],
-        rng.standard_normal((60, 2)) + [6.0, 0.0],
+        rng.standard_normal((POINTS // 2, 2)) - [6.0, 0.0],
+        rng.standard_normal((POINTS // 2, 2)) + [6.0, 0.0],
     ])
     path = tmp_path_factory.mktemp("tooling") / "data.csv"
     write_dataset(path, data)
     return str(path)
+
+
+def cli_args(tmp_path, data_path, command, mode):
+    """The CLI arguments of a run of ``command`` that writes to tmp_path/mode."""
+    args = [command, "--data", data_path, "--iters", str(ITERS), "--seed", "1"]
+    return args + ["--out", str(tmp_path / mode)] + EXTRA_ARGS[command]
 
 
 def run_fitproc(tmp_path, data_path, command, mode):
@@ -43,11 +50,18 @@ def run_fitproc(tmp_path, data_path, command, mode):
     if mode == "trace":
         spans.mkdir()
         cmd += ["--spans", str(spans), "--fit-id", command]
-    cmd += ["--", command, "--data", data_path, "--iters", str(ITERS), "--seed", "1"]
-    cmd += ["--out", str(tmp_path / mode)] + EXTRA_ARGS[command]
+    cmd += ["--"] + cli_args(tmp_path, data_path, command, mode)
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(report.read_text()), spans
+
+
+def run_outputs(out_dir):
+    """A run's labels.csv, and its trace.json without the seconds."""
+    trace = json.loads((out_dir / "trace.json").read_text())
+    for record in trace:
+        del record["seconds"]
+    return (out_dir / "labels.csv").read_text(), trace
 
 
 def spans_named(path, name):
@@ -91,4 +105,16 @@ def test_trace_then_plain_run(tmp_path, data_path, command):
 
     report, _ = run_fitproc(tmp_path, data_path, command, "plain")
     assert report["first_sweep"] is not None and report["sampling_end"] is not None
-    assert (tmp_path / "plain" / "labels.csv").exists()
+
+    # The hooks change no output: the traced, plain and direct CLI runs
+    # write the same labels and, but for the seconds, the same trace.
+    path = [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    direct = [sys.executable, "-m", "dpgibbs.cli"] + cli_args(tmp_path, data_path, command, "direct")
+    proc = subprocess.run(direct, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    expected = run_outputs(tmp_path / "direct")
+    assert len(expected[0].splitlines()) == 1 + POINTS
+    assert len(expected[1]) == ITERS
+    assert run_outputs(tmp_path / "trace") == expected
+    assert run_outputs(tmp_path / "plain") == expected
