@@ -13,8 +13,10 @@ its own cluster without leaving it, so the cluster table changes only when a
 point moves or a singleton is reached; a run of consecutive points is scored
 against the unchanged table at once, and the block is committed up to and
 including its first point that changes the table, with one matrix product
-of the rows' augmented whitening maps and the points.  Row terms that depend
-only on the count are memoized for the last model a table was built for.
+of the rows' augmented whitening maps and the points.  A row's raw sums are
+the moment matrix of [1, x], and one Cholesky factor of it plus the base row
+gives the row's whitening map and log det.  Row terms that depend only on
+the count are memoized for the last model a table was built for.
 """
 
 from __future__ import annotations
@@ -70,9 +72,11 @@ def seed_to_u64(seed):
 
 
 def pack_stats(n, sums, outers):
-    """Raw sums (n, sum x, sum x x^T) packed along the last axis, 1 + d + d^2 wide."""
-    outers = np.reshape(outers, np.shape(outers)[:-2] + (-1,))
-    return np.concatenate((np.expand_dims(n, -1), sums, outers), axis=-1)
+    """Raw sums (n, sum x, sum x x^T) packed along the last axis as the
+    flattened (d + 1) x (d + 1) moment matrix of [1, x], [[n, s^T], [s, S]]."""
+    top = np.concatenate((np.expand_dims(n, -1), sums), axis=-1)
+    below = np.concatenate((np.expand_dims(sums, -1), outers), axis=-1)
+    return np.concatenate((np.expand_dims(top, -2), below), axis=-2).reshape(top.shape[:-1] + (-1,))
 
 
 @dataclass
@@ -158,12 +162,17 @@ class _ClusterCache:
     canonical order: existing clusters by ascending label, then "new".
 
     Exact raw sums (n, sum x, sum x x^T) are the source of truth, packed in
-    one row of ``stats`` (1 + d + d^2 wide) so that a move or a merge is one
-    add; ``counts`` views its first column.  Beside them each row caches
-    the augmented map [L^-1 | -L^-1 mu] (d x (d + 1), ``maps``) of
+    one row of ``stats`` as the flattened moment matrix [[n, s^T], [s, S]]
+    of [1, x] ((d + 1)^2 wide), so that a move or a merge is one add;
+    ``counts`` views its first column.  Beside them each row caches the
+    augmented map [-L^-1 mu | L^-1] (d x (d + 1), ``maps``) of
     Psi = L L^T and the posterior mean mu, and scalar terms
     (``terms``, columns named by _CRP.._OWN_POWER), recomputed from the sums
-    (never updated in place) whenever the row's membership changes.
+    (never updated in place) whenever the row's membership changes.  Both
+    come from one Cholesky factor of the row plus the base row,
+    [[kappa_n, t^T], [t, Psi_n + t t^T / kappa_n]] with t = kappa_n mu:
+    it is [[sqrt kappa_n, 0], [t / sqrt kappa_n, L]], and the lower d rows
+    of its inverse are the augmented map.
     """
 
     _ROW_ARRAYS = ("stats", "maps", "terms")
@@ -179,21 +188,21 @@ class _ClusterCache:
     _CRP, _MARGINAL, _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(8)
 
     def __init__(self, prior, alpha, labels, stats):
-        """Rows of clusters ``labels`` (ascending) copied from packed raw sums (K, 1 + d + d^2)."""
+        """Rows of clusters ``labels`` (ascending) copied from packed raw sums (K, (d + 1)^2)."""
         self.prior = prior
         self.alpha = alpha
         self.log_alpha = math.log(alpha)
         self.d = d = prior.d
         self._name_rows([int(lab) for lab in labels])
         k = len(self.labels)
-        shapes = {"stats": (1 + d + d * d,), "maps": (d, d + 1), "terms": (8,)}
+        shapes = {"stats": ((d + 1) ** 2,), "maps": (d, d + 1), "terms": (8,)}
         for name in self._ROW_ARRAYS:
             setattr(self, name, np.zeros((max(16, k + 2),) + shapes[name]))
         if k:
             self.stats[:k] = stats
             if self.counts[:k].min() < 1:
                 raise ValueError("cluster %d is empty" % self.labels[self.counts[:k].argmin()])
-        # Adding this base row to raw sums gives (kappa_n, t, Psi_n + t t^T / kappa_n) with
+        # Adding this base row to raw sums gives [[kappa_n, t^T], [t, Psi_n + t t^T / kappa_n]] with
         # t = kappa0 mu0 + sum x, since Psi_n = Psi0 + kappa0 mu0 mu0^T + sum x x^T - t t^T / kappa_n.
         kappa_mu = prior.kappa * prior.mu
         self._base = pack_stats(prior.kappa, kappa_mu, prior.psi + kappa_mu[:, None] * prior.mu)
@@ -248,16 +257,11 @@ class _ClusterCache:
         return terms
 
     def _scales(self, stats):
-        """Posterior scales Psi_n and means mu_n of rows with these packed raw
-        sums, which are overwritten.  Only the lower triangle of each Psi_n is
-        exact, and only it is read."""
-        d = self.d
-        stats += self._base
-        sums = stats[:, 1 : d + 1]
-        mus = sums / stats[:, :1]
-        psi = stats[:, d + 1 :].reshape(-1, d, d)
-        psi -= sums[:, :, None] * mus[:, None, :]
-        return psi, mus
+        """Posterior scales Psi_n = Psi' - t t^T / kappa_n of packed rows plus
+        the base row, formed explicitly only to report a failed factor."""
+        moments = stats.reshape(-1, self.d + 1, self.d + 1)
+        t = moments[:, 1:, 0]
+        return moments[:, 1:, 1:] - t[:, :, None] * (t / moments[:, :1, 0])[:, None, :]
 
     def _refresh(self, rows):
         """Recompute the cached posteriors of ``rows`` (an index array) with one
@@ -265,20 +269,22 @@ class _ClusterCache:
         floating-point errors (a failed factor is NaN, and raises here)."""
         stats = self.stats.take(rows, axis=0)
         counts = stats[:, 0].tolist()
-        psi, mus = self._scales(stats)
-        # L^-1 comes from LAPACK (dgesv); for d x d blocks this small
-        # OpenBLAS runs it on one thread, so workers sharing the cores do not
-        # stall each other.
-        chol = _cholesky(psi, signature="d->d")
-        whitens = _inverse(chol, signature="d->d")
-        log_dets = [2.0 * sum(map(math.log, diag)) for diag in chol.diagonal(0, 1, 2).tolist()]
-        if not math.isfinite(sum(log_dets)):
-            for r, mat in zip(rows.tolist(), psi):  # find the row at fault
-                try:
-                    cholesky_logdet(mat, "cluster posterior scale")
-                except NumericalDegeneracyError as err:
-                    raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
-        self.maps[rows] = np.concatenate((whitens, whitens @ -mus[:, :, None]), axis=2)
+        stats += self._base
+        chol = _cholesky(stats.reshape(-1, self.d + 1, self.d + 1), signature="d->d")
+        log_dets = [2.0 * sum(map(math.log, diag[1:])) for diag in chol.diagonal(0, 1, 2).tolist()]
+        if not math.isfinite(sum(log_dets)):  # name the first row at fault
+            at = [math.isfinite(v) for v in log_dets].index(False)
+            r = int(rows[at])
+            err = NumericalDegeneracyError("cluster posterior scale is not positive definite")
+            try:  # the explicit scale's factor gives its min eigenvalue; rounding may let it pass
+                cholesky_logdet(self._scales(stats[at])[0], "cluster posterior scale")
+            except NumericalDegeneracyError as found:
+                err = found
+            raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
+        # The inverse comes from LAPACK (dgesv); for (d + 1) x (d + 1) blocks
+        # this small OpenBLAS runs it on one thread, so workers sharing the
+        # cores do not stall each other.
+        self.maps[rows] = _inverse(chol, signature="d->d")[:, 1:]
         nu0 = self.prior.nu
         for r, m, log_det in zip(rows.tolist(), counts, log_dets):
             crp, marginal, base, gain, power, own_base, shrink, own_power = self._count_row(m)
@@ -356,7 +362,7 @@ class _ClusterCache:
     def point_log_weights(self, xs, own=None):
         """Log-weights of points over (clusters by ascending label, new).
 
-        ``xs`` is a block of B points as columns with a last row of ones,
+        ``xs`` is a block of B points as columns under a first row of ones,
         (d + 1, B); candidates run along the first axis of the result,
         (K+1, B).  By the matrix-determinant lemma, absorbing x changes
         log det Psi by log1p(kappa / (kappa + 1) q) with
@@ -395,27 +401,27 @@ class _ClusterCache:
         """Log-weights of a batch with packed raw sums ``row`` over (clusters
         by ascending label, new).  The caller ignores floating-point errors.
 
-        Each candidate's posterior scale after absorbing the batch is formed
-        from the merged raw sums, and all of them are factored by one stacked
-        Cholesky; a candidate C's weight is its CRP term plus
+        Each candidate's merged raw sums plus the base row are factored by
+        one stacked Cholesky, whose diagonal after its first entry gives
+        log det Psi_n; a candidate C's weight is its CRP term plus
         log p(B | C) = MARGINAL(C + B) - MARGINAL(C).  ``own`` is the row of
         the cluster C that holds the batch and other points.  That entry is
         the batch's weight with the batch taken out, p(C) / p(C \\ batch),
         computed without changing the table: its place in the stack factors
-        the scale of C \\ batch, and its gain flips sign.
+        the sums of C \\ batch, and its gain flips sign.
         """
         rows = len(self.labels) + 1
         stats = self.stats[:rows] + row
         if own is not None:
             stats[own] = self.stats[own] - row
         counts = stats[:, 0].copy()
-        psi, _ = self._scales(stats)
-        chol = _cholesky(psi, signature="d->d")
-        log_det = 2.0 * np.log(chol.diagonal(0, 1, 2)).sum(axis=1)
+        stats += self._base
+        chol = _cholesky(stats.reshape(rows, self.d + 1, self.d + 1), signature="d->d")
+        log_det = 2.0 * np.log(chol.diagonal(0, 1, 2)[:, 1:]).sum(axis=1)
         if math.isnan(log_det.sum()):
             raise NumericalDegeneracyError(
                 "candidate scale matrix is not positive definite",
-                min_eigenvalue=float(np.linalg.eigvalsh(psi).min()),
+                min_eigenvalue=float(np.linalg.eigvalsh(self._scales(stats)).min()),
             )
         marginals = np.array([self._count_row(m)[self._MARGINAL] for m in counts.tolist()])
         marginals -= 0.5 * (self.prior.nu + counts) * log_det
@@ -461,7 +467,7 @@ def cgs_sweep(state, data, rng):
     labels = state.labels
     cache.next_label = cache.labels[-1] + 1 if cache.labels else 0
     uniforms = rng.random(n)
-    columns = np.vstack((data.T, np.ones(n)))  # points over a row of ones, for the augmented maps
+    columns = np.vstack((np.ones(n), data.T))  # a row of ones over the points: [1, x] per column
     cells = _BLOCK_CELLS // (cache.d * max(cache.d + 1, 4))
     # Decayed counts of points reached and of table changes: the run length.
     reached, changes = _FIRST_RUN, 1.0
@@ -498,8 +504,8 @@ def cgs_sweep(state, data, rng):
                 source = None
                 if idx > r:
                     idx -= 1  # deleting the singleton's row moved later rows up
-            x = data[i]
-            labels[i] = cache.move(source, idx, np.concatenate(((1.0,), x, (x[:, None] * x).ravel())))
+            x = columns[:, i]
+            labels[i] = cache.move(source, idx, (x[:, None] * x).ravel())  # the moment matrix of [1, x]
             i += 1
     except NumericalDegeneracyError as err:
         err.add_context(point_index=i)

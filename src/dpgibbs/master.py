@@ -2,8 +2,8 @@
 
 The master never sees raw points.  Each worker-local cluster is a batch,
 one row of a worker's summary: (worker_id, local_label, previous global id)
-and its raw sums (n, sum x, sum x x^T), packed in one row as the cluster
-table packs them.  One master sweep starts from the previous
+and its raw sums, packed as the cluster table packs them: the flattened
+moment matrix of [1, x].  One master sweep starts from the previous
 assignment, visits the batches in an order drawn from the master's stream
 and draws each whole batch, with one uniform from that stream, among the
 current global clusters by log-weights
@@ -46,7 +46,8 @@ class GlobalState:
 
 def _collect_batches(summaries, d):
     """Every summary's rows, joined in worker order: (worker ids, local
-    labels, previous global ids, packed raw sums of dimension ``d``)."""
+    labels, previous global ids, packed raw sums of dimension ``d``, each
+    row the flattened (d + 1) x (d + 1) moment matrix of [1, x])."""
     summaries = sorted(summaries, key=lambda s: s.worker_id)
     ids = [s.worker_id for s in summaries]
     sizes = [len(s.clusters) for s in summaries]
@@ -56,7 +57,7 @@ def _collect_batches(summaries, d):
         if s.worker_id == before:
             raise ValueError("duplicate summary for worker %d" % s.worker_id)
         shapes = [np.shape(a) for a in (s.clusters, s.previous, s.stats)]
-        if shapes != [(k,), (k,), (k, 1 + d + d * d)]:
+        if shapes != [(k,), (k,), (k, (d + 1) ** 2)]:
             message = "worker %d sent shapes %r, not those of %d batches of dimension %d"
             raise ValueError(message % (s.worker_id, shapes, k, d))
         if k and np.min(s.stats[:, 0]) < 1:

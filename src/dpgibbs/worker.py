@@ -3,12 +3,12 @@
 A worker owns a contiguous shard of the data and runs the same collapsed
 Gibbs sweep as the centralized sampler, with the same concentration alpha and
 base measure.  After each sweep it ships its table's rows, each cluster's
-sufficient statistics packed as the table packs them, to the master; the master's reply, the global id of
-each row in the order sent, is applied by renaming and merging local
-clusters, never by splitting them, and keys the local clusters by their
-global ids from then on.  A worker keeps one cluster table for its whole
-run: the sweep updates it in place, the summary copies its rows, and the
-apply renames them, summing the rows that share a global id.
+raw sums as the moment matrix of [1, x], to the master; the master's reply,
+the global id of each row in the order sent, is applied by renaming and
+merging local clusters, never by splitting them, and keys the local
+clusters by their global ids from then on.  A worker keeps one cluster
+table for its whole run: the sweep updates it in place, the summary copies
+its rows, and the apply renames them, summing the rows that share a global id.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class WorkerState:
 class WorkerSummary:
     """The first K rows of one worker's table, by ascending local label: int64
     local labels (K,), global ids from the last apply (K,; -1 for a cluster
-    born since) and the packed raw sums (n, sum x, sum x x^T), (K, 1 + d + d^2)."""
+    born since) and the packed raw sums, (K, (d + 1)^2): moment matrices of [1, x]."""
 
     worker_id: int
     clusters: np.ndarray

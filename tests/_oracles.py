@@ -8,9 +8,11 @@ own but keeps its clusters in a cluster table of the package's, built afresh
 from the state's statistics, so that row order and label numbering match the
 sweep it checks; and ``reference_refresh``, which recomputes a table's cached
 factors through NumPy's public linalg routines but takes its count constant
-from the table.  The row-by-row CSV writers are the package's writers before
-they formatted blocks of rows at once; tests that need a data file with a
-label column write it with ``rowwise_write_dataset``.  ``state_from_stats``,
+from the table.  ``schur_route`` factors each row's posterior scale formed
+explicitly, the route the table's moment-matrix factor replaces.  The
+row-by-row CSV writers are the package's writers before they formatted
+blocks of rows at once; tests that need a data file with a label column
+write it with ``rowwise_write_dataset``.  ``state_from_stats``,
 ``table_of`` and ``stats_of`` build a state or a cluster table of the
 package's from {label: SufficientStats} and read a table's rows back;
 ``unpack`` and ``packed_stats`` are the tests' one reading of the package's
@@ -235,11 +237,13 @@ def table_of(prior, alpha, clusters):
 
 
 def unpack(stats, d):
-    """Views (n, sum x, sum x x^T) of packed raw sums, rows 1 + d + d^2 wide
-    along the last axis: for (K, 1 + d + d^2), (K,), (K, d) and (K, d, d)."""
-    stats = np.asarray(stats)
-    outers = stats[..., d + 1 :].reshape(stats.shape[:-1] + (d, d))
-    return stats[..., 0], stats[..., 1 : d + 1], outers
+    """Views (n, sum x, sum x x^T) of packed raw sums, each row the flattened
+    (d + 1) x (d + 1) moment matrix [[n, s^T], [s, S]] of [1, x] along the
+    last axis: for (K, (d + 1)^2), (K,), (K, d) and (K, d, d).  The sum is
+    read from the first column, in the lower triangle that the table's
+    factor reads."""
+    moments = np.asarray(stats).reshape(np.shape(stats)[:-1] + (d + 1, d + 1))
+    return moments[..., 0, 0], moments[..., 1:, 0], moments[..., 1:, 1:]
 
 
 def packed_stats(stats, d):
@@ -258,10 +262,12 @@ def reference_refresh(table, rows):
     """(whitens, shifts, terms, log_marginals) of a cluster table's ``rows``
     through the public route.
 
-    Each row's posterior scale is formed from its raw sums in the order the
-    table forms it, factored with ``np.linalg.cholesky`` and inverted with
-    ``np.linalg.inv``; the table keeps [whitens | -shifts] as one augmented
-    map per row.  Its CRP term is ``math.log`` of its count (of alpha
+    Each row's moment matrix plus the base row's,
+    [[kappa_n, t^T], [t, Psi_n + t t^T / kappa_n]], is factored with
+    ``np.linalg.cholesky`` and the factor inverted with ``np.linalg.inv``;
+    its lower d rows are [-shifts | whitens], the augmented map the table
+    keeps, and the factor's diagonal after its first entry gives
+    log det Psi_n.  Its CRP term is ``math.log`` of its count (of alpha
     on the base row), its MARGINAL is A(m) - nu_m / 2 log det Psi with A(m)
     from ``niw.log_multigamma``, and its point-weight terms come from the
     table's un-memoized count constant, so ``terms`` should equal the
@@ -276,20 +282,19 @@ def reference_refresh(table, rows):
     prior = table.prior
     d = prior.d
     rows = np.asarray(rows)
-    counts, sums, outers = unpack(table.stats[rows], d)
+    stats = table.stats[rows]
+    counts, sums, outers = unpack(stats, d)
     kappa_mu = prior.kappa * prior.mu
-    t = sums + kappa_mu
-    mus = t / (counts + prior.kappa)[:, None]
-    psi = outers + (prior.psi + kappa_mu[:, None] * prior.mu)
-    psi -= t[:, :, None] * mus[:, None, :]
-    chol = np.linalg.cholesky(psi)
-    whitens = np.linalg.inv(chol)
-    shifts = (whitens @ mus[:, :, None])[:, :, 0]
+    base = np.block([[np.full((1, 1), prior.kappa), kappa_mu[None]],
+                     [kappa_mu[:, None], prior.psi + kappa_mu[:, None] * prior.mu]])
+    chol = np.linalg.cholesky(stats.reshape(-1, d + 1, d + 1) + base)
+    inverse = np.linalg.inv(chol)
+    whitens, shifts = inverse[:, 1:, 1:], -inverse[:, 1:, 0]
     terms = []
     log_marginals = []
     raw = zip(counts.tolist(), sums, outers, chol.diagonal(0, 1, 2).tolist())
     for m, sumv, outer, diag in raw:
-        log_det = 2.0 * sum(map(math.log, diag))
+        log_det = 2.0 * sum(map(math.log, diag[1:]))
         kappa, nu = prior.kappa + m, prior.nu + m
         own = (-math.inf, 0.0, 0.0)
         if m > 1:
@@ -302,6 +307,23 @@ def reference_refresh(table, rows):
         terms.append((crp, marginal, base, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)) + own)
         log_marginals.append(log_marginal(SufficientStats(int(m), sumv, outer), prior))
     return whitens, shifts, np.array(terms), np.array(log_marginals)
+
+
+def schur_route(table, rows):
+    """(whitens, shifts, log_dets, mus) of a cluster table's ``rows`` by the
+    explicit Schur route: Psi_n = Psi' - t t^T / kappa_n is formed from the
+    raw sums and the prior, factored with ``np.linalg.cholesky`` and the
+    factor inverted with ``np.linalg.inv``; shifts are L^-1 mu."""
+    prior = table.prior
+    counts, sums, outers = unpack(table.stats[rows], prior.d)
+    kappa = counts + prior.kappa
+    t = sums + prior.kappa * prior.mu
+    mus = t / kappa[:, None]
+    psi = outers + (prior.psi + prior.kappa * np.outer(prior.mu, prior.mu)) - t[:, :, None] * mus[:, None, :]
+    chol = np.linalg.cholesky(psi)
+    whitens = np.linalg.inv(chol)
+    shifts = (whitens @ mus[:, :, None])[:, :, 0]
+    return whitens, shifts, 2.0 * np.log(chol.diagonal(0, 1, 2)).sum(axis=1), mus
 
 
 def masked_sample_log_weights(weights, u):

@@ -365,15 +365,15 @@ class TestFitDistributed:
 
         from _oracles import unpack
         from dpgibbs import runtime
-        from dpgibbs.gibbs import _ClusterCache
+        from dpgibbs.gibbs import _ClusterCache, pack_stats
 
         if where == "worker move":
             move = _ClusterCache.move
 
             def bad_move(cache, label, choice, row):
-                d = cache.d
-                row = np.concatenate((row[:1], 1e3 * row[1 : d + 1], 0.0 * row[d + 1 :]))
-                return move(cache, label, choice, row)
+                moments = 1e3 * row.reshape(cache.d + 1, cache.d + 1)  # scales both copies of sum x
+                moments[0, 0], moments[1:, 1:] = row[0], 0.0
+                return move(cache, label, choice, moments.ravel())
 
             monkeypatch.setattr(_ClusterCache, "move", bad_move)
             fields = ("iteration=1", "worker_id=", "point_index=", "cluster_label=")
@@ -382,10 +382,10 @@ class TestFitDistributed:
 
             def bad_batch(summaries, hyper, rng):
                 first = summaries[0]
+                d = hyper.prior.d
                 stats = first.stats.copy()
-                _, sums, outers = unpack(stats, hyper.prior.d)  # views of the copy
-                sums[0] += 1e3
-                outers[0] = 0.0
+                counts, sums, _ = unpack(stats, d)
+                stats[0] = pack_stats(counts[0], sums[0] + 1e3, np.zeros((d, d)))  # symmetric
                 summaries = [replace(first, stats=stats)] + summaries[1:]
                 return master_sweep(summaries, hyper, rng)
 

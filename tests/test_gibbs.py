@@ -70,8 +70,8 @@ def compacted(state):
 
 
 def columns(xs):
-    """Points (B, d) as the columns over a row of ones that point_log_weights scores, (d + 1, B)."""
-    return np.vstack([xs.T, np.ones((1, xs.shape[0]))])
+    """Points (B, d) as the columns under a row of ones that point_log_weights scores, (d + 1, B)."""
+    return np.vstack([np.ones((1, xs.shape[0])), xs.T])
 
 
 def packed(stats):
@@ -310,7 +310,7 @@ class TestCgsSweep:
 
         def infinite_for_point_4(cache, xs, own=None):
             weights = score(cache, xs, own)
-            first = int(np.flatnonzero((data == xs[:-1, 0]).all(axis=1))[0])
+            first = int(np.flatnonzero((data == xs[1:, 0]).all(axis=1))[0])
             if first <= 4 < first + xs.shape[1]:
                 weights[-1, 4 - first] = np.inf
             return weights
@@ -555,6 +555,37 @@ class TestLiveClusterTable:
             assert np.array_equal(stats.sum, merged.sum)
             assert np.array_equal(stats.sum_outer, merged.sum_outer)
 
+    def test_moment_matrices_stay_symmetric(self):
+        """Every live row's moment matrix equals its transpose bit for bit, in
+        the central, worker and master tables, after sweeps, applies and
+        master sweeps.  The factor reads only the lower triangle, so a drift
+        in symmetry would otherwise go unseen."""
+        from dpgibbs.master import master_sweep
+        from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
+
+        def assert_symmetric(table):
+            k, d = len(table.labels), table.d
+            moments = table.stats[:k].reshape(k, d + 1, d + 1)
+            assert np.array_equal(moments, moments.transpose(0, 2, 1))
+
+        data, hyper = self.churning_shards()
+        state = PartitionState.single_cluster(data, hyper)
+        shards = (data[:120], data[120:])
+        workers = [WorkerState.single_cluster(j, shard, hyper) for j, shard in enumerate(shards)]
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            cgs_sweep(state, data, rng)
+            assert_symmetric(state.table)
+            for w in workers:
+                worker_sweep(w, rng)
+                assert_symmetric(w.local.table)
+            gstate = master_sweep([summarize(w) for w in workers], hyper, rng)
+            assert_symmetric(gstate.table)
+            for w in workers:
+                apply_global_labels(w, gstate.targets[w.worker_id])
+                assert_symmetric(w.local.table)
+        assert state.num_clusters > 3 and gstate.num_clusters > 3
+
     def test_one_table_per_sampler(self, monkeypatch):
         """run_cgs and a worker build one table for the run, a master sweep
         one per sweep, and the log joints none."""
@@ -641,8 +672,9 @@ class TestFactorRoute:
     @pytest.mark.parametrize("d", [1, 2, 8])
     def test_cached_factors_equal_the_public_numpy_route(self, d):
         """After sweeps with churn, the master's table and worker applies,
-        every row's augmented map [L^-1 | -L^-1 mu] and terms equal bit for
-        bit those of np.linalg.cholesky, np.linalg.inv, math.log,
+        every row's augmented map [-L^-1 mu | L^-1] and terms equal bit for
+        bit those of np.linalg.cholesky of the row plus the base row, then
+        np.linalg.inv of the factor, math.log,
         niw.log_multigamma and the un-memoized count constant, and each row's
         MARGINAL less the base row's equals niw.log_marginal within 1e-12
         relative."""
@@ -664,14 +696,44 @@ class TestFactorRoute:
             for table in [gstate.table] + [w.local.table for w in workers]:
                 rows = np.arange(len(table.labels) + 1)
                 whitens, shifts, terms, log_marginals = _oracles.reference_refresh(table, rows)
-                assert np.array_equal(table.maps[rows, :, :d], whitens)
-                assert np.array_equal(table.maps[rows, :, d], -shifts)
+                assert np.array_equal(table.maps[rows, :, 1:], whitens)
+                assert np.array_equal(table.maps[rows, :, 0], -shifts)
                 assert np.array_equal(table.terms[rows], terms)
                 marginals = table.terms[rows, table._MARGINAL] - table.terms[rows[-1], table._MARGINAL]
                 for got, want in zip(marginals.tolist(), log_marginals.tolist()):
                     assert math.isclose(got, want, rel_tol=1e-12)
                 tables += len(rows) > 3
         assert tables > 3
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_moment_factor_agrees_with_the_schur_route(self, d, offset):
+        """L^-1, -L^-1 mu and log det Psi_n from the factor of a row's moment
+        matrix plus the base row agree with the explicit Schur route, which
+        forms Psi_n = Psi' - t t^T / kappa_n and factors it, on a row of
+        20,000 points and on rows of about 5,000 whose means lie far from
+        the origin, with the data offset by ``offset`` and then centered.
+        The tolerances are over ten times the worst gaps measured over 20
+        such inputs per case (3.2e-12, 1.2e-12 and 8.9e-14): L^-1 relative to
+        its largest entry, -L^-1 mu relative to max |L^-1| max |mu|, and the
+        log det relative to itself.  Against a 50-digit reference from the
+        same sums, both routes err by about as much."""
+        rng = np.random.default_rng(90 + d)
+        labels = rng.integers(0, 4, 20_000)
+        mix = rng.uniform(0.2, 2.0, (d, d))
+        data = rng.uniform(-30.0, 30.0, (4, d))[labels] + rng.standard_normal((labels.size, d)) @ mix + offset
+        data, hyper = center_on_prior(data, ModelHyperParams(alpha=1.0, prior=default_prior(data)))
+        tables = (PartitionState.single_cluster(data, hyper).table, state_from_labels(data, labels, hyper).table)
+        for table in tables:
+            rows = np.arange(len(table.labels) + 1)
+            whitens, shifts, log_dets, mus = _oracles.schur_route(table, rows)
+            for r in rows:
+                scale = np.abs(whitens[r]).max()
+                assert np.abs(table.maps[r, :, 1:] - whitens[r]).max() <= 4e-11 * scale
+                assert np.abs(table.maps[r, :, 0] + shifts[r]).max() <= 2e-11 * scale * np.abs(mus[r]).max()
+                # BASE is the count's term less half the log det.
+                half = table._count_row(int(table.counts[r]))[table._BASE] - table.terms[r, table._BASE]
+                assert math.isclose(2.0 * half, log_dets[r], rel_tol=1e-12)
 
     def test_fast_path_skips_numpy_linalg_wrappers(self, monkeypatch):
         """Once the states are built, sweeps, a worker round and a master
