@@ -11,16 +11,20 @@ sampled by inverse CDF on a single uniform, so RNG consumption is exactly one
 draw per point per sweep.  Points are scored in blocks.  A point is scored in
 its own cluster without leaving it, so the cluster table changes only when a
 point moves or a singleton is reached; a run of consecutive points is scored
-against the unchanged table at once, and the block is committed up to and
-including its first point that changes the table, with one matrix product
-of the rows' augmented whitening maps and the points.  A row's raw sums are
-the moment matrix of [1, x], and one Cholesky factor of it plus the base row
-gives the row's whitening map and log det.  Row terms that depend only on
-the count are memoized for the last model a table was built for.
+against the unchanged table at once, with one matrix product of the rows'
+augmented whitening maps and the points.  A block is committed up to and
+including its first point that changes the table, or, when it plans several
+moves between existing rows, up to and including the first point whose draw
+against the rows as its planned moves leave them differs from the plan.  A
+row's raw sums are the moment matrix of [1, x], and one Cholesky factor of
+it plus the base row gives the row's whitening map and log det.  Row terms
+that depend only on the count are memoized for the last model a table was
+built for.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -41,14 +45,17 @@ from .trace import run_iterations
 _LOG_PI = math.log(math.pi)
 # Block lengths in cgs_sweep.  Scoring a block costs a fixed overhead, about
 # that of 1,500 (point, candidate row) cells with NumPy 2 and OpenBLAS at
-# d <= 8, plus one cell per point and row; the points after the block's first
-# table change are scored in vain.  With runs of mean length L between
-# changes, the cost per committed point is least near sqrt(2 L overhead / rows)
-# points.  L starts at 16; each block decays the earlier counts by 0.75.
-# Scoring also takes rows * d * (d + 1) multiply-adds per point in one matrix
-# product, which OpenBLAS runs on every core above 2^18 of them (stalling
-# workers that share the cores), and rows * d doubles per point of
-# temporaries, so rows * d * max(d + 1, 4) per point stays under 2^18.
+# d <= 8, plus one cell per point and row; the points after the block's end
+# are scored in vain.  With runs of mean length L committed per block that
+# ends early, the cost per committed point is least near
+# sqrt(2 L overhead / rows) points.  L starts at 16; each block decays the
+# earlier counts by 0.75.  Rescoring a block's later points costs a cell per
+# point and row version (two per planned move), so it is tried only where it
+# saves more overhead than it costs.  A product takes rows * d * (d + 1)
+# multiply-adds per point, which OpenBLAS runs on every core above 2^18 of
+# them (stalling workers that share the cores), and rows * d doubles per
+# point of temporaries, so rows * d * max(d + 1, 4) per point stays under
+# 2^18, for a block and for its rescoring alike.
 _BLOCK_OVERHEAD = 1500.0
 _BLOCK_CELLS = 1 << 18
 _FIRST_RUN = 16.0
@@ -263,34 +270,44 @@ class _ClusterCache:
         t = moments[:, 1:, 0]
         return moments[:, 1:, 1:] - t[:, :, None] * (t / moments[:, :1, 0])[:, None, :]
 
-    def _refresh(self, rows):
-        """Recompute the cached posteriors of ``rows`` (an index array) with one
-        stacked Cholesky and one stacked inverse; the caller ignores
-        floating-point errors (a failed factor is NaN, and raises here)."""
-        stats = self.stats.take(rows, axis=0)
+    def _factor(self, stats):
+        """The augmented maps (R, d, d + 1) and terms (a list of R tuples) of
+        packed rows ``stats`` (R, (d + 1)^2, overwritten), whether the
+        table's or not, with one stacked Cholesky and one stacked inverse of
+        the rows plus the base row.  A row whose factor fails has a
+        non-finite MARGINAL.  The caller ignores floating-point errors."""
         counts = stats[:, 0].tolist()
         stats += self._base
         chol = _cholesky(stats.reshape(-1, self.d + 1, self.d + 1), signature="d->d")
-        log_dets = [2.0 * sum(map(math.log, diag[1:])) for diag in chol.diagonal(0, 1, 2).tolist()]
-        if not math.isfinite(sum(log_dets)):  # name the first row at fault
-            at = [math.isfinite(v) for v in log_dets].index(False)
-            r = int(rows[at])
-            err = NumericalDegeneracyError("cluster posterior scale is not positive definite")
-            try:  # the explicit scale's factor gives its min eigenvalue; rounding may let it pass
-                cholesky_logdet(self._scales(stats[at])[0], "cluster posterior scale")
-            except NumericalDegeneracyError as found:
-                err = found
-            raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
+        nu0 = self.prior.nu
+        terms = []
+        for m, diag in zip(counts, chol.diagonal(0, 1, 2).tolist()):
+            crp, marginal, base, gain, power, own_base, shrink, own_power = self._count_row(m)
+            half = sum(map(math.log, diag[1:]))  # half log det Psi_n
+            marginal -= (nu0 + m) * half
+            terms.append((crp, marginal, base - half, gain, power, own_base - half, shrink, own_power))
         # The inverse comes from LAPACK (dgesv); for (d + 1) x (d + 1) blocks
         # this small OpenBLAS runs it on one thread, so workers sharing the
         # cores do not stall each other.
-        self.maps[rows] = _inverse(chol, signature="d->d")[:, 1:]
-        nu0 = self.prior.nu
-        for r, m, log_det in zip(rows.tolist(), counts, log_dets):
-            crp, marginal, base, gain, power, own_base, shrink, own_power = self._count_row(m)
-            half = 0.5 * log_det
-            marginal -= (nu0 + m) * half
-            self.terms[r] = (crp, marginal, base - half, gain, power, own_base - half, shrink, own_power)
+        return _inverse(chol, signature="d->d")[:, 1:], terms
+
+    def _refresh(self, rows):
+        """Recompute the cached posteriors of ``rows`` (an index array) from
+        their sums; the caller ignores floating-point errors (a failed factor
+        raises here)."""
+        maps, terms = self._factor(self.stats.take(rows, axis=0))
+        marginals = [row[self._MARGINAL] for row in terms]
+        if not math.isfinite(sum(marginals)):  # name the first row at fault
+            r = int(rows[[math.isfinite(v) for v in marginals].index(False)])
+            err = NumericalDegeneracyError("cluster posterior scale is not positive definite")
+            try:  # the explicit scale's factor gives its min eigenvalue; rounding may let it pass
+                cholesky_logdet(self._scales(self.stats[r] + self._base)[0], "cluster posterior scale")
+            except NumericalDegeneracyError as found:
+                err = found
+            raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
+        self.maps[rows] = maps
+        for r, row in zip(rows.tolist(), terms):
+            self.terms[r] = row
 
     # -- mutation -----------------------------------------------------------
 
@@ -377,24 +394,41 @@ class _ClusterCache:
         not positive definite.
         """
         rows = len(self.labels) + 1
-        d = self.d
-        z = self.maps[:rows].reshape(rows * d, d + 1) @ xs
-        z *= z
-        q = np.add.reduce(z.reshape(rows, d, -1), axis=1) if d > 1 else z
+        q = self._squares(self.maps[:rows], xs)
         if own is not None:
             at = own * q.shape[1] + np.arange(own.shape[0])  # (own, column) in q and weights, flat
-            base, shrink, power = self.terms.take(own, axis=0)[:, self._OWN_BASE :].T
-            shrink = shrink * q.take(at)
-        terms = self.terms[:rows, :, None]
-        q *= terms[:, self._GAIN]  # BASE - POWER log1p(GAIN q), in place on q
-        np.log1p(q, out=q)
-        q *= terms[:, self._POWER]
-        weights = np.subtract(terms[:, self._BASE], q, out=q)
+            own_weights = self._own_weights(q.take(at), self.terms.take(own, axis=0))
+        weights = self._row_weights(q, self.terms[:rows, :, None])
         if own is not None:
-            own_weights = base + power * np.log1p(shrink)
-            if not np.minimum.reduce(shrink) > -1.0:  # NaN where the downdate is not positive definite
-                own_weights[shrink <= -1.0] = np.nan
             weights.put(at, own_weights)
+        return weights
+
+    def _squares(self, maps, xs):
+        """q = |L^-1 x - L^-1 mu|^2 of rows with augmented maps ``maps``
+        (R, d, d + 1) against the point columns ``xs`` (d + 1, B), with one
+        matrix product: (R, B)."""
+        z = maps.reshape(-1, self.d + 1) @ xs
+        z *= z
+        return np.add.reduce(z.reshape(maps.shape[0], self.d, -1), axis=1) if self.d > 1 else z
+
+    @classmethod
+    def _row_weights(cls, q, terms):
+        """A point's weight BASE - POWER log1p(GAIN q) against rows with
+        ``terms`` (their columns along the second axis), in place on q."""
+        q *= terms[:, cls._GAIN]
+        np.log1p(q, out=q)
+        q *= terms[:, cls._POWER]
+        return np.subtract(terms[:, cls._BASE], q, out=q)
+
+    @classmethod
+    def _own_weights(cls, q, terms):
+        """A point's weight OWN_BASE + OWN_POWER log1p(OWN_SHRINK q) against
+        the rows with ``terms`` that hold it, with it taken out; NaN where
+        the downdate is not positive definite."""
+        shrink = terms[:, cls._OWN_SHRINK] * q
+        weights = terms[:, cls._OWN_BASE] + terms[:, cls._OWN_POWER] * np.log1p(shrink)
+        if not np.minimum.reduce(shrink, axis=None) > -1.0:
+            weights[shrink <= -1.0] = np.nan
         return weights
 
     def batch_log_weights(self, row, own=None):
@@ -450,9 +484,13 @@ def cgs_sweep(state, data, rng):
     unchanged table at once and drawn with uniforms that the sweep takes
     from ``rng`` at its start, one per point in index order, and nothing
     else.  The block is committed up to and including its first point that
-    changes the table, and the next block starts after it.  Block lengths
-    follow the run lengths between such points seen so far in the sweep;
-    they set how much work is done, not which draws are made (up to
+    changes the table, and the next block starts after it; or, when the
+    block plans enough moves between existing rows to pay for it,
+    ``_speculate`` rescores the points after the first against the rows as
+    the planned moves leave them and commits up to and including the first
+    point whose redraw differs from the plan.  Block lengths follow the
+    points committed per block seen so far in the sweep; they and the
+    speculation set how much work is done, not which draws are made (up to
     last-bit rounding of the weights).
     Emptied clusters are deleted immediately and their labels are not
     reused: surviving clusters keep their labels, and new clusters are
@@ -469,29 +507,39 @@ def cgs_sweep(state, data, rng):
     uniforms = rng.random(n)
     columns = np.vstack((np.ones(n), data.T))  # a row of ones over the points: [1, x] per column
     cells = _BLOCK_CELLS // (cache.d * max(cache.d + 1, 4))
-    # Decayed counts of points reached and of table changes: the run length.
-    reached, changes = _FIRST_RUN, 1.0
+    # Decayed counts of points committed and of blocks that ended early: the run length.
+    reached, ends = _FIRST_RUN, 1.0
     i = 0
     try:
         while i < n:
             rows = len(cache.labels) + 1
-            length = math.sqrt(2.0 * _BLOCK_OVERHEAD * reached / changes / rows)
+            length = math.sqrt(2.0 * _BLOCK_OVERHEAD * reached / ends / rows)
             length = int(min(max(length, 1.0), max(cells // rows, 1)))
             own = cache.row_of[labels[i : i + length]]
-            weights = cache.point_log_weights(columns[:, i : i + own.shape[0]], own)
-            draws = sample_log_weights(weights, uniforms[i : i + own.shape[0]])
+            block = own.shape[0]
+            xs, u = columns[:, i : i + block], uniforms[i : i + block]
+            weights = cache.point_log_weights(xs, own)
+            draws = sample_log_weights(weights, u)
             stops = draws != own
-            stay = int(stops.argmax())
-            changed = bool(stops[stay])
-            if not changed:
-                stay = own.shape[0]
-            reached = _RUN_DECAY * reached + stay + changed
-            changes = _RUN_DECAY * changes + changed
+            count = int(np.count_nonzero(stops))
+            stay, column, idx = block, None, -1  # the points committed, then the change at ``stay``
+            if count:
+                stay = int(stops.argmax())
+                column, idx = weights[:, stay], int(draws[stay])
+                # Rescoring the points after the first change saves a block's
+                # overhead per further change.  It costs about one overhead
+                # itself, and a cell per point and row version, two per change.
+                cost = 2 * count * (block - stay - 1)
+                if count > 2 and (count - 2) * _BLOCK_OVERHEAD > cost and cost <= cells:
+                    planned = _speculate(cache, labels[i : i + block], xs, u, weights, own, draws, stops)
+                    stay, column, idx = planned or (stay, column, idx)
+            reached = _RUN_DECAY * reached + stay + (column is not None)
+            ends = _RUN_DECAY * ends + (column is not None or stay < block)
             i += stay
-            if not changed:
+            if column is None:
                 continue
-            r, idx = int(own[stay]), int(draws[stay])
-            if math.isnan(weights[r, stay]):
+            r = int(own[stay])
+            if math.isnan(column[r]):
                 raise NumericalDegeneracyError(
                     "downdated scale matrix is not positive definite",
                     context={"cluster_label": cache.labels[r]},
@@ -511,6 +559,95 @@ def cgs_sweep(state, data, rng):
         err.add_context(point_index=i)
         raise
     return state
+
+
+def _speculate(cache, labels, xs, uniforms, weights, own, draws, stops):
+    """Commit a scored block past its first table change, as far as its
+    draws hold against the table as its changes leave it.
+
+    ``labels``, ``xs`` and ``uniforms`` are the block's (``labels`` a view
+    that is written); ``weights``, ``own``, ``draws`` and ``stops`` come
+    from its scoring.  The block's changes between existing rows, up to the
+    first that would open or delete a row or cannot be drawn, are the plan.
+    Each row a planned change touches gets a version after each such
+    change, its sums added in the sweep's order, so that it is the row the
+    sweep would meet, and all versions are factored at once.  The points
+    after the first change are rescored, own entry included, against the
+    versions they would meet, with one product, and redrawn with their own
+    uniforms; the point that ends the plan is among them.  The points are
+    committed up to the first whose redraw differs from the block's draw,
+    or up to the point that ends the plan, whose redraw is then the
+    sweep's own.  Returns (stay, column, idx) as ``cgs_sweep`` reads them:
+    the points committed, then the weights and draw of the change at
+    ``stay``, or None and -1 if there is none; None if there is no plan.
+    """
+    base, block = len(cache.labels), own.shape[0]
+    counts, plan = {}, []  # touched rows' counts after the plan; (point, source, target)
+    end = block  # the first change the plan leaves out
+    moves = np.flatnonzero(stops)
+    for p, a, b in zip(moves.tolist(), own[moves].tolist(), draws[moves].tolist()):
+        left = counts.get(a, cache.stats[a, 0])
+        if b < 0 or b == base or left == 1.0:
+            end = p
+            break
+        counts[a] = left - 1.0
+        counts[b] = counts.get(b, cache.stats[b, 0]) + 1.0
+        plan.append((p, a, b))
+    if not plan:
+        return None
+    touched = list(counts)
+    slot = {r: j for j, r in enumerate(touched)}
+    latest = [-1] * len(touched)
+    versions, seen = [], []  # two rows per change; after each change, each touched row's latest version
+    for p, a, b in plan:
+        x = xs[:, p]
+        moved = (x[:, None] * x).ravel()
+        for r, delta in ((a, -moved), (b, moved)):
+            j = slot[r]
+            versions.append((cache.stats[r] if latest[j] < 0 else versions[latest[j]]) + delta)
+            latest[j] = len(versions) - 1
+        seen.append(list(latest))
+    versions = np.array(versions)
+    maps, terms = cache._factor(versions.copy())
+    terms = np.array(terms)
+    marginals = terms[:, cache._MARGINAL]
+    if not math.isfinite(np.add.reduce(marginals)):  # a change whose row fails ends the plan, and raises
+        cut = int(np.isfinite(marginals).argmin()) // 2
+        end = plan[cut][0]
+        del plan[cut:], seen[cut:]
+        if not plan:
+            return None
+    points = [p for p, _, _ in plan]
+    lo, hi = points[0] + 1, min(end + 1, block)  # the points rescored
+    # The version of each touched row that each rescored point meets, -1 for the row as scored.
+    met = np.repeat(np.array(seen), np.diff(points + [hi - 1]), axis=0).T
+    at_row, at = np.nonzero(met >= 0)
+    version = met[at_row, at]
+    rows = np.array(touched)[at_row]
+    q = cache._squares(maps, xs[:, lo:hi])[version, at]
+    version_terms = terms[version]
+    own_weights = cache._own_weights(q, version_terms)
+    row_weights = cache._row_weights(q, version_terms)  # in place on q
+    rescored = weights[:, lo:hi]
+    rescored[rows, at] = np.where(own[lo:hi][at] == rows, own_weights, row_weights)
+    redraws = sample_log_weights(rescored, uniforms[lo:hi])
+    differ = np.flatnonzero(redraws[: end - lo] != draws[lo:end])
+    stop = lo + int(differ[0]) if differ.shape[0] else end
+    done = bisect.bisect_left(points, stop)  # the planned changes before ``stop``
+    for p, _, b in plan[:done]:
+        labels[p] = cache.labels[b]
+    # The rows as the last committed change leaves them, factored as a refresh would factor them.
+    rows = [r for r, v in zip(touched, seen[done - 1]) if v >= 0]
+    version = [v for v in seen[done - 1] if v >= 0]
+    cache.stats[rows] = versions[version]
+    cache.maps[rows] = maps[version]
+    cache.terms[rows] = terms[version]
+    if stop == block:
+        return block, None, -1
+    idx = int(redraws[stop - lo])
+    if idx == own[stop]:  # the point stays after all
+        return stop + 1, None, -1
+    return stop, rescored[:, stop - lo], idx
 
 
 def crp_log_prob(alpha, sizes, n):

@@ -62,8 +62,8 @@ def cholesky_logdet(mat, what="scale matrix"):
 class NiwParams:
     """Normal-Inverse-Wishart parameters (mu, kappa, nu, Psi).
 
-    Invariants checked on construction: kappa > 0, nu > d - 1, Psi symmetric
-    and positive definite.  ``log_det_psi`` is cached from the validating
+    Invariants checked on construction: mu finite, kappa > 0 and nu > d - 1
+    finite, Psi symmetric and positive definite.  ``log_det_psi`` is cached from the validating
     Cholesky factorization.
     """
 
@@ -82,10 +82,12 @@ class NiwParams:
         scale = max(1.0, float(np.abs(psi).max()))
         if float(np.abs(psi - psi.T).max()) > 1e-12 * scale:
             raise ValueError("psi must be symmetric within 1e-12")
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive, got %r" % (self.kappa,))
-        if not self.nu > d - 1:
-            raise ValueError("nu must exceed d - 1 = %d, got %r" % (d - 1, self.nu))
+        if not np.isfinite(mu).all():
+            raise ValueError("mu must be finite, got %r" % (mu,))
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError("kappa must be positive and finite, got %r" % (self.kappa,))
+        if not d - 1 < self.nu < np.inf:
+            raise ValueError("nu must be finite and exceed d - 1 = %d, got %r" % (d - 1, self.nu))
         psi = _readonly(0.5 * (psi + psi.T))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa", float(self.kappa))

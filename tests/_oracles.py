@@ -436,35 +436,61 @@ def recorded_weights():
     yielded list, in the order drawn, one vector per point or batch reached.
     A block of points scored by ``_ClusterCache.point_log_weights`` and drawn
     by ``gibbs.sample_log_weights`` adds its columns up to and including its
-    first draw that leaves the point's own row, the points the sweep
-    commits; that column drops its -inf own entry when the point is a
-    singleton, whose row the sweep deletes.  ``master.sample_log_weights``
-    adds each batch's vector.  The functions are wrapped as they are when
-    the block is entered and restored when it is left.
+    first draw that leaves the point's own row.  When the sweep then redraws
+    the block's later points against the table as its changes leave it (a
+    draw not preceded by a scoring), those columns follow, up to and
+    including the first redraw that differs from the block's draw: the
+    points the sweep commits.  A column whose draw leaves a singleton by
+    then drops its -inf own entry, as the sweep deletes the singleton's row
+    first.  ``master.sample_log_weights`` adds each batch's vector.  The
+    functions are wrapped as they are when the block is entered and
+    restored when it is left.
     """
     from dpgibbs import gibbs, master
 
     log = []
     scored = []  # the last block scored: (weights, table, own rows)
+    drawn = []  # the last block drawn: (draws, own rows, its rows' counts after its first change)
     score = gibbs._ClusterCache.point_log_weights
     point_draw, batch_draw = gibbs.sample_log_weights, master.sample_log_weights
 
     def score_block(table, xs, own=None):
         weights = score(table, xs, own)
         scored[:] = [(weights, table, own)]
+        drawn[:] = []
         return weights
+
+    def record(weights, draws, planned, own, counts):
+        """Log each column up to and including the first whose draw is not
+        ``planned``, moving each drawn point in ``counts`` (by row) as it
+        goes; a column whose draw leaves a singleton's row drops its own
+        entry."""
+        for p in range(draws.shape[0]):
+            r, b = int(own[p]), int(draws[p])
+            column = weights[:, p]
+            log.append(np.delete(column, r) if b != r and counts[r] == 1.0 else column.copy())
+            if b != r:
+                counts[r] -= 1.0
+                counts[b] += 1.0
+            if b != planned[p]:
+                return
 
     def draw_points(weights, u):
         draws = point_draw(weights, u)
-        block, table, own = scored.pop()
-        assert block is weights, "a draw from weights the sweep did not score"
-        stops = np.flatnonzero(draws != own)
-        stay = int(stops[0]) if stops.shape[0] else own.shape[0]
-        log.extend(weights[:, :stay].T.copy())
-        if stay < own.shape[0]:
-            r = int(own[stay])
-            column = weights[:, stay]
-            log.append(np.delete(column, r) if table.counts[r] == 1.0 else column.copy())
+        if scored:
+            block, table, own = scored.pop()
+            assert block is weights, "a draw from weights the sweep did not score"
+            counts = table.counts[: len(table.labels) + 1].copy()
+            record(weights, draws, own, own, counts)
+            drawn[:] = [(draws, own, counts)]
+            return draws
+        # A redraw of the points after the block's first change, which
+        # ``counts`` holds made; a redraw ends where the sweep's plan ends.
+        assert drawn, "a redraw of no scored block"
+        block, own, counts = drawn.pop()
+        lo = int(np.flatnonzero(block != own)[0]) + 1
+        hi = lo + draws.shape[0]
+        record(weights, draws, block[lo:hi], own[lo:hi], counts)
         return draws
 
     def draw_batch(weights, u):

@@ -367,7 +367,9 @@ class TestBlockSweepMatchesPointwiseLoop:
     """The block sweep is the point-by-point sampler: same draws, same table."""
 
     @pytest.mark.parametrize("d", range(1, 9))
-    def test_singletons_churn_and_stillness(self, d):
+    def test_singletons_churn_and_stillness(self, d, monkeypatch):
+        from dpgibbs.gibbs import _ClusterCache
+
         rng = np.random.default_rng(50 + d)
         n = 90
         data = rng.standard_normal((n, d)) + 6.0 * rng.integers(0, 3, (n, 1))
@@ -377,13 +379,26 @@ class TestBlockSweepMatchesPointwiseLoop:
             data, np.arange(n), ModelHyperParams(alpha=1.0, prior=prior)
         )
         assert _compare_with_pointwise(data, singletons, seed=d) > 0
-        # A large alpha over many small clusters keeps points moving.
+        # A large alpha over many small clusters keeps points moving, and a
+        # scored block commits more than one of its changes.
         churn = state_from_labels(
             data,
             np.unique(rng.integers(0, 30, n), return_inverse=True)[1],
             ModelHyperParams(alpha=50.0, prior=prior),
         )
+        scorings = []  # the labels as each block is scored
+        score = _ClusterCache.point_log_weights
+
+        def watched(cache, xs, own=None):
+            if cache is churn.table:
+                scorings.append(churn.labels.copy())
+            return score(cache, xs, own)
+
+        monkeypatch.setattr(_ClusterCache, "point_log_weights", watched)
         assert _compare_with_pointwise(data, churn, seed=100 + d) > n // 2
+        monkeypatch.undo()
+        committed = [np.count_nonzero(a != b) for a, b in zip(scorings, scorings[1:])]
+        assert max(committed) >= 2
         # One tight cluster and a tiny alpha: nobody moves.
         tight = rng.standard_normal((n, d))
         still = PartitionState.single_cluster(
@@ -641,20 +656,23 @@ class TestLiveClusterTable:
                 assert np.allclose(stats.sum_outer, want.sum_outer, rtol=1e-12, atol=1e-12)
 
     def test_block_product_stays_under_the_cell_cap(self, monkeypatch):
-        """On a stable d=8 partition of 60 far-apart clusters the block
-        length reaches its cap, and every block's product with the augmented
-        maps, rows * d * B * (d + 1) multiply-adds, stays within
-        _BLOCK_CELLS."""
+        """Every product of augmented maps and points, rows * d * B * (d + 1)
+        multiply-adds, stays within _BLOCK_CELLS.  On a stable d=8 partition
+        of 60 far-apart clusters the block length reaches its cap; where two
+        d=8 clusters overlap, the points after a block's first change are
+        rescored against the rows its changes leave, in products of their
+        own, which reach the cap too."""
         from dpgibbs import gibbs
 
-        score = gibbs._ClusterCache.point_log_weights
-        products = []
+        squares = gibbs._ClusterCache._squares
+        products = {"block": [], "rescore": []}
 
-        def recorded(cache, xs, own=None):
-            products.append((len(cache.labels) + 1) * cache.d * xs.shape[1] * xs.shape[0])
-            return score(cache, xs, own)
+        def recorded(cache, maps, xs):
+            kind = "block" if np.shares_memory(maps, cache.maps) else "rescore"
+            products[kind].append(maps.shape[0] * cache.d * xs.shape[1] * xs.shape[0])
+            return squares(cache, maps, xs)
 
-        monkeypatch.setattr(gibbs._ClusterCache, "point_log_weights", recorded)
+        monkeypatch.setattr(gibbs._ClusterCache, "_squares", recorded)
         rng = np.random.default_rng(82)
         d, k = 8, 60
         labels = np.repeat(np.arange(k), 20)
@@ -662,8 +680,23 @@ class TestLiveClusterTable:
         state = state_for_partition(data, labels, unit_hyper(d))
         cgs_sweep(state, data, np.random.default_rng(83))
         assert np.array_equal(state.labels, labels)  # stable: no block ends early
-        assert max(products) <= gibbs._BLOCK_CELLS
-        assert max(products) > gibbs._BLOCK_CELLS // 2
+        assert max(products["block"]) <= gibbs._BLOCK_CELLS
+        assert max(products["block"]) > gibbs._BLOCK_CELLS // 2
+        assert not products["rescore"]
+
+        # Two of four far-apart clusters overlap, so their points keep
+        # moving while long blocks plan many moves each.
+        labels = np.repeat(np.arange(4), 600)
+        means = 100.0 * rng.standard_normal((4, d))
+        means[1] = means[0] + 1.0
+        data = means[labels] + rng.standard_normal((labels.size, d))
+        state = state_for_partition(data, labels, unit_hyper(d))
+        sweep_rng = np.random.default_rng(84)
+        for _ in range(2):
+            cgs_sweep(state, data, sweep_rng)
+        assert len(products["rescore"]) > 10
+        assert max(products["block"] + products["rescore"]) <= gibbs._BLOCK_CELLS
+        assert max(products["rescore"]) > gibbs._BLOCK_CELLS // 2
 
 
 class TestFactorRoute:

@@ -276,6 +276,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             NiwParams(mu=[0.0, 0.0], kappa=1.0, nu=1.0, psi=np.eye(2))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mu", [float("nan"), 0.0]), ("mu", [0.0, float("inf")]), ("kappa", float("inf")),
+         ("kappa", float("nan")), ("nu", float("inf")), ("nu", float("nan"))],
+    )
+    def test_non_finite_mu_kappa_nu_rejected(self, field, value):
+        params = dict(mu=[0.0, 0.0], kappa=1.0, nu=3.0, psi=np.eye(2))
+        params[field] = value
+        with pytest.raises(ValueError, match=field):
+            NiwParams(**params)
+
     def test_asymmetric_psi_rejected(self):
         with pytest.raises(ValueError):
             NiwParams(mu=[0.0, 0.0], kappa=1.0, nu=3.0, psi=[[1.0, 0.1], [0.0, 1.0]])

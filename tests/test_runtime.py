@@ -1,6 +1,7 @@
 """Tests for sharding, the worker actor loop, and end-to-end distributed runs."""
 
 import dataclasses
+import hashlib
 import multiprocessing
 import threading
 
@@ -385,6 +386,33 @@ class TestRunDiscgs:
         _, trace = fit(data, ModelHyperParams(1.0, default_prior(data)), truth)
         assert all(r.ari is not None for r in trace.records)
         assert all(r.seconds < 0.5 for r in trace.records)
+
+
+class TestSampledPathPin:
+    """The labels both samplers draw on a fixed 8-d mixture whose clusters
+    churn, held as the SHA-256 of their int64 bytes.  A change to how the
+    sweeps compute must leave these unchanged; a change to what they draw
+    updates them and says so."""
+
+    @staticmethod
+    def digest(labels):
+        return hashlib.sha256(np.asarray(labels, dtype=np.int64).tobytes()).hexdigest()
+
+    @staticmethod
+    def mixture():
+        rng = np.random.default_rng(2023)
+        data = rng.standard_normal((400, 8)) + 3.0 * rng.integers(0, 4, (400, 1))
+        return data, config(data, alpha=10.0, iterations=4, workers=2, seed=7)
+
+    def test_central_labels(self):
+        data, cfg = self.mixture()
+        labels, _ = run_cgs(data, cfg.hyper, cfg.iterations, seed=cfg.seed)
+        assert self.digest(labels) == "0c2b78952706644615930ea7d395d651c3dddfd9033ff5425bd0f8b2182eaaca"
+
+    def test_distributed_labels(self):
+        data, cfg = self.mixture()
+        labels, _ = run_discgs(data, cfg, channel_factory=thread_channels)
+        assert self.digest(labels) == "60b5b691fa545d10b01080a4e1d028e263fd566ebdb56537c67f2ddc232ed600"
 
 
 class TestMessageTraffic:
