@@ -131,6 +131,8 @@ def run_inputs(data, hyper, ground_truth=None):
     data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("data must be a non-empty (n, d) array")
+    if not np.isfinite(data).all():
+        raise ValueError("data must be finite: it has NaN or infinite entries")
     if ground_truth is not None:
         ground_truth = np.asarray(ground_truth).reshape(-1)
         if ground_truth.shape[0] != data.shape[0]:
@@ -263,29 +265,42 @@ class _ClusterCache:
                 self._count_rows[m] = terms
         return terms
 
-    def _scales(self, stats):
-        """Posterior scales Psi_n = Psi' - t t^T / kappa_n of packed rows plus
-        the base row, formed explicitly only to report a failed factor."""
-        moments = stats.reshape(-1, self.d + 1, self.d + 1)
-        t = moments[:, 1:, 0]
-        return moments[:, 1:, 1:] - t[:, :, None] * (t / moments[:, :1, 0])[:, None, :]
+    def _cholesky_rows(self, stats):
+        """The counts (R,), stacked Cholesky factors (R, d + 1, d + 1) and half
+        log det Psi_n (R,) of packed rows ``stats`` (R, (d + 1)^2) plus the
+        base row, which overwrite ``stats``: the table's one factoring.  A
+        failed factor is NaN, and so is its half log det."""
+        counts = stats[:, 0].copy()
+        stats += self._base
+        chol = _cholesky(stats.reshape(-1, self.d + 1, self.d + 1), signature="d->d")
+        return counts, chol, np.add.reduce(np.log(chol.diagonal(0, 1, 2)[:, 1:]), axis=1)
+
+    def _factor_error(self, stats, what):
+        """The error of a packed row plus the base row ``stats`` whose factor
+        failed, as ``cholesky_logdet`` reports its explicit scale
+        Psi_n = Psi' - t t^T / kappa_n: non-finite entries, or not positive
+        definite with its least eigenvalue (none where rounding lets it pass)."""
+        moments = stats.reshape(self.d + 1, self.d + 1)
+        t = moments[1:, 0]
+        try:
+            cholesky_logdet(moments[1:, 1:] - np.outer(t, t / moments[0, 0]), what)
+        except NumericalDegeneracyError as err:
+            return err
+        return NumericalDegeneracyError("%s is not positive definite" % what)
 
     def _factor(self, stats):
         """The augmented maps (R, d, d + 1) and terms (a list of R tuples) of
         packed rows ``stats`` (R, (d + 1)^2, overwritten), whether the
-        table's or not, with one stacked Cholesky and one stacked inverse of
-        the rows plus the base row.  A row whose factor fails has a
-        non-finite MARGINAL.  The caller ignores floating-point errors."""
-        counts = stats[:, 0].tolist()
-        stats += self._base
-        chol = _cholesky(stats.reshape(-1, self.d + 1, self.d + 1), signature="d->d")
+        table's or not, from ``_cholesky_rows`` and one stacked inverse of
+        its factors.  A row whose factor fails has a non-finite MARGINAL.
+        The caller ignores floating-point errors."""
+        counts, chol, half = self._cholesky_rows(stats)
         nu0 = self.prior.nu
         terms = []
-        for m, diag in zip(counts, chol.diagonal(0, 1, 2).tolist()):
+        for m, h in zip(counts.tolist(), half.tolist()):
             crp, marginal, base, gain, power, own_base, shrink, own_power = self._count_row(m)
-            half = sum(map(math.log, diag[1:]))  # half log det Psi_n
-            marginal -= (nu0 + m) * half
-            terms.append((crp, marginal, base - half, gain, power, own_base - half, shrink, own_power))
+            marginal -= (nu0 + m) * h
+            terms.append((crp, marginal, base - h, gain, power, own_base - h, shrink, own_power))
         # The inverse comes from LAPACK (dgesv); for (d + 1) x (d + 1) blocks
         # this small OpenBLAS runs it on one thread, so workers sharing the
         # cores do not stall each other.
@@ -295,19 +310,16 @@ class _ClusterCache:
         """Recompute the cached posteriors of ``rows`` (an index array) from
         their sums; the caller ignores floating-point errors (a failed factor
         raises here)."""
-        maps, terms = self._factor(self.stats.take(rows, axis=0))
+        stats = self.stats.take(rows, axis=0)
+        maps, terms = self._factor(stats)
         marginals = [row[self._MARGINAL] for row in terms]
         if not math.isfinite(sum(marginals)):  # name the first row at fault
-            r = int(rows[[math.isfinite(v) for v in marginals].index(False)])
-            err = NumericalDegeneracyError("cluster posterior scale is not positive definite")
-            try:  # the explicit scale's factor gives its min eigenvalue; rounding may let it pass
-                cholesky_logdet(self._scales(self.stats[r] + self._base)[0], "cluster posterior scale")
-            except NumericalDegeneracyError as found:
-                err = found
+            j = [math.isfinite(v) for v in marginals].index(False)
+            r = int(rows[j])
+            err = self._factor_error(stats[j], "cluster posterior scale")
             raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
         self.maps[rows] = maps
-        for r, row in zip(rows.tolist(), terms):
-            self.terms[r] = row
+        self.terms[rows] = terms
 
     # -- mutation -----------------------------------------------------------
 
@@ -435,9 +447,9 @@ class _ClusterCache:
         """Log-weights of a batch with packed raw sums ``row`` over (clusters
         by ascending label, new).  The caller ignores floating-point errors.
 
-        Each candidate's merged raw sums plus the base row are factored by
-        one stacked Cholesky, whose diagonal after its first entry gives
-        log det Psi_n; a candidate C's weight is its CRP term plus
+        Each candidate's merged raw sums are factored by the step a refresh
+        takes, so MARGINAL(C + B) is bit for bit what C's row caches once B
+        moves in; a candidate C's weight is its CRP term plus
         log p(B | C) = MARGINAL(C + B) - MARGINAL(C).  ``own`` is the row of
         the cluster C that holds the batch and other points.  That entry is
         the batch's weight with the batch taken out, p(C) / p(C \\ batch),
@@ -448,17 +460,11 @@ class _ClusterCache:
         stats = self.stats[:rows] + row
         if own is not None:
             stats[own] = self.stats[own] - row
-        counts = stats[:, 0].copy()
-        stats += self._base
-        chol = _cholesky(stats.reshape(rows, self.d + 1, self.d + 1), signature="d->d")
-        log_det = 2.0 * np.log(chol.diagonal(0, 1, 2)[:, 1:]).sum(axis=1)
-        if math.isnan(log_det.sum()):
-            raise NumericalDegeneracyError(
-                "candidate scale matrix is not positive definite",
-                min_eigenvalue=float(np.linalg.eigvalsh(self._scales(stats)).min()),
-            )
+        counts, _, half = self._cholesky_rows(stats)
+        if not math.isfinite(np.add.reduce(half)):
+            raise self._factor_error(stats[int(np.isfinite(half).argmin())], "candidate scale matrix")
         marginals = np.array([self._count_row(m)[self._MARGINAL] for m in counts.tolist()])
-        marginals -= 0.5 * (self.prior.nu + counts) * log_det
+        marginals -= (self.prior.nu + counts) * half
         gains = marginals - self.terms[:rows, self._MARGINAL]
         weights = self.terms[:rows, self._CRP] + gains
         if own is not None:
@@ -582,31 +588,24 @@ def _speculate(cache, labels, xs, uniforms, weights, own, draws, stops):
     ``stay``, or None and -1 if there is none; None if there is no plan.
     """
     base, block = len(cache.labels), own.shape[0]
-    counts, plan = {}, []  # touched rows' counts after the plan; (point, source, target)
+    versions, plan = [], []  # two rows per change; (point, source, target)
+    latest, seen = {}, []  # {row: its latest version}; ``latest`` after each change
     end = block  # the first change the plan leaves out
     moves = np.flatnonzero(stops)
     for p, a, b in zip(moves.tolist(), own[moves].tolist(), draws[moves].tolist()):
-        left = counts.get(a, cache.stats[a, 0])
-        if b < 0 or b == base or left == 1.0:
+        source = versions[latest[a]] if a in latest else cache.stats[a]
+        if b < 0 or b == base or source[0] == 1.0:  # the source's running count
             end = p
             break
-        counts[a] = left - 1.0
-        counts[b] = counts.get(b, cache.stats[b, 0]) + 1.0
-        plan.append((p, a, b))
-    if not plan:
-        return None
-    touched = list(counts)
-    slot = {r: j for j, r in enumerate(touched)}
-    latest = [-1] * len(touched)
-    versions, seen = [], []  # two rows per change; after each change, each touched row's latest version
-    for p, a, b in plan:
         x = xs[:, p]
         moved = (x[:, None] * x).ravel()
-        for r, delta in ((a, -moved), (b, moved)):
-            j = slot[r]
-            versions.append((cache.stats[r] if latest[j] < 0 else versions[latest[j]]) + delta)
-            latest[j] = len(versions) - 1
-        seen.append(list(latest))
+        target = versions[latest[b]] if b in latest else cache.stats[b]
+        versions += [source - moved, target + moved]
+        latest = {**latest, a: len(versions) - 2, b: len(versions) - 1}
+        plan.append((p, a, b))
+        seen.append(latest)
+    if not plan:
+        return None
     versions = np.array(versions)
     maps, terms = cache._factor(versions.copy())
     terms = np.array(terms)
@@ -620,7 +619,8 @@ def _speculate(cache, labels, xs, uniforms, weights, own, draws, stops):
     points = [p for p, _, _ in plan]
     lo, hi = points[0] + 1, min(end + 1, block)  # the points rescored
     # The version of each touched row that each rescored point meets, -1 for the row as scored.
-    met = np.repeat(np.array(seen), np.diff(points + [hi - 1]), axis=0).T
+    touched = list(seen[-1])
+    met = np.repeat([[s.get(r, -1) for r in touched] for s in seen], np.diff(points + [hi - 1]), axis=0).T
     at_row, at = np.nonzero(met >= 0)
     version = met[at_row, at]
     rows = np.array(touched)[at_row]
@@ -637,8 +637,7 @@ def _speculate(cache, labels, xs, uniforms, weights, own, draws, stops):
     for p, _, b in plan[:done]:
         labels[p] = cache.labels[b]
     # The rows as the last committed change leaves them, factored as a refresh would factor them.
-    rows = [r for r, v in zip(touched, seen[done - 1]) if v >= 0]
-    version = [v for v in seen[done - 1] if v >= 0]
+    rows, version = list(seen[done - 1]), list(seen[done - 1].values())
     cache.stats[rows] = versions[version]
     cache.maps[rows] = maps[version]
     cache.terms[rows] = terms[version]

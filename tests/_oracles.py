@@ -267,9 +267,12 @@ def reference_refresh(table, rows):
     ``np.linalg.cholesky`` and the factor inverted with ``np.linalg.inv``;
     its lower d rows are [-shifts | whitens], the augmented map the table
     keeps, and the factor's diagonal after its first entry gives
-    log det Psi_n.  Its CRP term is ``math.log`` of its count (of alpha
-    on the base row), its MARGINAL is A(m) - nu_m / 2 log det Psi with A(m)
-    from ``niw.log_multigamma``, and its point-weight terms come from the
+    half log det Psi_n as the sum of its logs, taken with the table's one
+    NumPy reduction (``np.add.reduce`` of ``np.log`` along each row), whose
+    pairwise order a Python sum would not match in the last bits.  Its CRP
+    term is ``math.log`` of its count (of alpha on the base row), its
+    MARGINAL is A(m) - nu_m / 2 log det Psi with A(m) from
+    ``niw.log_multigamma``, and its point-weight terms come from the
     table's un-memoized count constant, so ``terms`` should equal the
     table's cached factors bit for bit.  ``log_marginals`` holds each row's
     log marginal by ``niw.log_marginal`` (0 on the base row), which the
@@ -292,18 +295,17 @@ def reference_refresh(table, rows):
     whitens, shifts = inverse[:, 1:, 1:], -inverse[:, 1:, 0]
     terms = []
     log_marginals = []
-    raw = zip(counts.tolist(), sums, outers, chol.diagonal(0, 1, 2).tolist())
-    for m, sumv, outer, diag in raw:
-        log_det = 2.0 * sum(map(math.log, diag[1:]))
+    halves = np.add.reduce(np.log(chol.diagonal(0, 1, 2)[:, 1:]), axis=1)
+    for m, sumv, outer, half in zip(counts.tolist(), sums, outers, halves.tolist()):
         kappa, nu = prior.kappa + m, prior.nu + m
         own = (-math.inf, 0.0, 0.0)
         if m > 1:
-            own_base = table._count_const(m - 1) - 0.5 * log_det
+            own_base = table._count_const(m - 1) - half
             own = (own_base, -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
-        base = table._count_const(m) - 0.5 * log_det
+        base = table._count_const(m) - half
         crp = math.log(m) if m else math.log(table.alpha)
         marginal = -0.5 * d * (m * math.log(math.pi) + math.log(kappa)) + log_multigamma(d, 0.5 * nu)
-        marginal -= nu * (0.5 * log_det)
+        marginal -= nu * half
         terms.append((crp, marginal, base, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)) + own)
         log_marginals.append(log_marginal(SufficientStats(int(m), sumv, outer), prior))
     return whitens, shifts, np.array(terms), np.array(log_marginals)

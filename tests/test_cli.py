@@ -329,14 +329,15 @@ class TestFitDistributed:
         from dpgibbs import runtime
         from dpgibbs.gibbs import _ClusterCache
 
-        refresh = _ClusterCache._refresh
+        step = _ClusterCache._cholesky_rows
 
-        def inflated(cache, rows):
-            refresh(cache, rows)
-            # An inflated whitening map makes 1 - kappa / (kappa - 1) q negative.
-            cache.maps[rows] *= 1e3
+        def shrunk(cache, stats):
+            counts, chol, half = step(cache, stats)
+            # A shrunk factor inflates the whitening map, the lower rows of its
+            # inverse, which makes 1 - kappa / (kappa - 1) q negative.
+            return counts, chol * 1e-3, half
 
-        monkeypatch.setattr(_ClusterCache, "_refresh", inflated)
+        monkeypatch.setattr(_ClusterCache, "_cholesky_rows", shrunk)
         if backend == "thread":
             monkeypatch.setattr(runtime, "process_channels", runtime.thread_channels)
         data_path, _ = blob_files(tmp_path, n=20)

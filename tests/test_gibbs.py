@@ -302,6 +302,56 @@ class TestCgsSweep:
         assert len(log) == 12 and all(np.all(np.isfinite(w)) for w in log[1:])
         validate_partition(compacted(out), data)
 
+    def test_a_failing_planned_version_raises_where_the_pointwise_sweep_does(self, monkeypatch):
+        """A row version that a speculating block plans past its first
+        change, and that a point-by-point sweep reaches, fails to factor:
+        cgs_sweep raises at the point and cluster that pointwise_cgs_sweep
+        names under the same fault."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        rng = np.random.default_rng(58)
+        n = 90
+        data = rng.standard_normal((n, 3)) + 6.0 * rng.integers(0, 3, (n, 1))
+        labels = np.unique(rng.integers(0, 30, n), return_inverse=True)[1]
+        hyper = ModelHyperParams(alpha=50.0, prior=default_prior(data))
+        step = _ClusterCache._cholesky_rows
+        calls, bad = [], set()  # the packed rows of each factoring; the rows made to fail
+
+        def faulty(cache, stats):
+            keys = [r.tobytes() for r in stats]
+            calls.append(keys)
+            counts, chol, half = step(cache, stats)
+            failed = [key in bad for key in keys]
+            chol[failed] = np.nan
+            half[failed] = np.nan
+            return counts, chol, half
+
+        monkeypatch.setattr(_ClusterCache, "_cholesky_rows", faulty)
+
+        def sweep(run, log=None):
+            state = state_from_labels(data, labels, hyper)
+            del calls[:]
+            args = (state, data, np.random.default_rng(7))
+            return run(*args) if log is None else run(*args, weight_log=log)
+
+        sweep(_oracles.pointwise_cgs_sweep)
+        reached = {key for keys in calls for key in keys}
+        sweep(cgs_sweep)
+        # Versions after a plan's first change (its first two rows) that the pointwise sweep reaches.
+        planned = [key for keys in calls if len(keys) > 2 for key in keys[2:] if key in reached]
+        assert planned
+        bad.add(planned[0])
+        log = []
+        with pytest.raises(NumericalDegeneracyError) as ref:
+            sweep(_oracles.pointwise_cgs_sweep, log)
+        with pytest.raises(NumericalDegeneracyError) as info:
+            sweep(cgs_sweep)
+        assert any(planned[0] in keys for keys in calls if len(keys) > 2)  # the block speculated
+        label = ref.value.context["cluster_label"]
+        point = len(log) - 1  # the reference logs each point's weights before its move
+        assert info.value.context == {"cluster_label": label, "point_index": point}
+        assert info.value.message == ref.value.message
+
     def test_non_finite_weights_raise_at_the_point_reached(self, monkeypatch):
         from dpgibbs.gibbs import _ClusterCache
 
@@ -768,6 +818,40 @@ class TestFactorRoute:
                 half = table._count_row(int(table.counts[r]))[table._BASE] - table.terms[r, table._BASE]
                 assert math.isclose(2.0 * half, log_dets[r], rel_tol=1e-12)
 
+    def test_batch_weights_are_the_gains_a_move_caches(self):
+        """At d = 8, over random tables, a batch's weight against the row it
+        then moves to is that row's CRP term plus its MARGINAL after the
+        move less its MARGINAL before, bit for bit; its own entry is the CRP
+        term of the row it leaves less that row's change.  The master's
+        candidates and a refresh take log det Psi_n through one Cholesky
+        step and one reduction, so the table a draw moves into is the one
+        it scored."""
+        rng = np.random.default_rng(97)
+        d = 8
+        for trial in range(200):
+            k = int(rng.integers(2, 8))
+            means = 3.0 * rng.standard_normal((k, d))
+            points = [means[j] + rng.standard_normal((int(rng.integers(3, 40)), d)) for j in range(k)]
+            prior = default_prior(np.vstack(points))
+            clusters = {j: stats_from_points(x) for j, x in enumerate(points)}  # labels are the rows
+            table = table_of(prior, float(rng.uniform(0.2, 5.0)), clusters)
+            own = int(rng.integers(k)) if trial % 2 else None
+            if own is None:  # a batch from outside the table
+                batch = means[int(rng.integers(k))] + rng.standard_normal((int(rng.integers(1, 20)), d))
+            else:  # a batch that leaves part of its cluster behind
+                batch = points[own][: int(rng.integers(1, len(points[own])))]
+            row = packed(stats_from_points(batch))
+            weights = table.batch_log_weights(row, own)
+            choice = int(rng.choice([c for c in range(k + 1) if c != own]))
+            before = table.terms.copy()
+            table.move(own, choice, row)
+            after = table.terms
+            gain = after[choice, table._MARGINAL] - before[choice, table._MARGINAL]
+            assert weights[choice] == before[choice, table._CRP] + gain
+            if own is not None:
+                loss = after[own, table._MARGINAL] - before[own, table._MARGINAL]
+                assert weights[own] == after[own, table._CRP] - loss
+
     def test_fast_path_skips_numpy_linalg_wrappers(self, monkeypatch):
         """Once the states are built, sweeps, a worker round and a master
         sweep factor their rows without np.linalg.cholesky or np.linalg.inv."""
@@ -831,6 +915,25 @@ class TestDegenerateScales:
             table_of(unit_hyper(2).prior, 1.0, {0: good, 6: bad})
         assert info.value.context == {"cluster_label": 6}
         assert info.value.min_eigenvalue < 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_and_candidate(self, bad):
+        """A non-finite row, moved into the table or scored as a batch's
+        candidate, reports non-finite entries without an eigenvalue
+        estimate, from a refresh and from the batch alike."""
+        row = pack_stats(1, np.array([bad, 0.0]), np.zeros((2, 2)))
+        with np.errstate(all="ignore"):
+            refresh = "non-finite entries in cluster posterior scale"
+            with pytest.raises(NumericalDegeneracyError, match=refresh) as info:
+                self.table().move(None, 1, row)
+            assert info.value.min_eigenvalue is None
+            assert info.value.context == {"cluster_label": 8}
+            for own in (None, 1):
+                candidate = "non-finite entries in candidate scale matrix"
+                with pytest.raises(NumericalDegeneracyError, match=candidate) as info:
+                    self.table().batch_log_weights(row, own)
+                assert info.value.min_eigenvalue is None
+                assert "min eigenvalue" not in str(info.value)
 
     def test_batch_with_a_non_positive_definite_candidate_scale(self):
         table = self.table()

@@ -328,6 +328,21 @@ class TestRunDiscgs:
             fit(data, TestRunConfig.HYPER)
 
     @BOTH_SAMPLERS
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, fit, bad, monkeypatch):
+        """Both samplers blame NaN or infinite data on the data, before any
+        cluster table or worker is built."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        built = []
+        monkeypatch.setattr(_ClusterCache, "__init__", lambda *args: built.append(args))
+        data, _ = two_blob_data(20, seed=12)
+        data[13, 1] = data[4, 0] = bad
+        with pytest.raises(ValueError, match="data must be finite: it has NaN or infinite entries"):
+            fit(data, TestRunConfig.HYPER)
+        assert built == []
+
+    @BOTH_SAMPLERS
     def test_truth_length_mismatch_rejected(self, fit, monkeypatch):
         """Both samplers check the ground truth's length before any sweep."""
         from dpgibbs import gibbs, worker
