@@ -10,16 +10,17 @@ existing clusters and one fresh cluster with log-weights
 sampled by inverse CDF on a single uniform, so RNG consumption is exactly one
 draw per point per sweep.  Points are scored in blocks.  A point is scored in
 its own cluster without leaving it, so the cluster table changes only when a
-point moves or a singleton is reached; a run of consecutive points is scored
-against the unchanged table at once, with one matrix product of the rows'
-augmented whitening maps and the points.  A block is committed up to and
-including its first point that changes the table, or, when it plans several
-moves between existing rows, up to and including the first point whose draw
-against the rows as its planned moves leave them differs from the plan.  A
-row's raw sums are the moment matrix of [1, x], and one Cholesky factor of
-it plus the base row gives the row's whitening map and log det.  Row terms
-that depend only on the count are memoized for the last model a table was
-built for.
+point moves; a singleton's own entry is -inf, so it always moves, and the
+move deletes the row it empties (``_ClusterCache.move``, which the master's
+batches share).  A run of consecutive points is scored against the unchanged
+table at once, with one matrix product of the rows' augmented whitening maps
+and the points.  A block is committed up to and including its first point
+that changes the table, or, when it plans several moves between existing
+rows, up to and including the first point whose draw against the rows as
+its planned moves leave them differs from the plan.  A row's raw sums are
+the moment matrix of [1, x], and one Cholesky factor of it plus the base
+row gives the row's whitening map and log det.  Row terms that depend only
+on the count are memoized for the last model a table was built for.
 """
 
 from __future__ import annotations
@@ -337,11 +338,14 @@ class _ClusterCache:
     def move(self, label, choice, row):
         """Move points with packed raw sums ``row`` into candidate row ``choice``.
 
-        The points leave cluster ``label``, which keeps at least one other
-        point, or enter from outside the table when ``label`` is None.  The
-        base-measure row opens a new cluster.  The source and target rows
-        are refreshed together.  Returns the target's label.
+        The points leave cluster ``label`` (None: they enter from outside),
+        and the base-measure row opens a new cluster.  ``row`` is added to
+        the target, then taken from the source, whose row is deleted if the
+        move empties it and else refreshed with the target's.  A failed draw
+        (-1) raises before the table changes.  Returns the target's label.
         """
+        if choice < 0:
+            raise NumericalDegeneracyError("non-finite sampling weights")
         k = len(self.labels)
         if choice == k:  # a new row; the base-measure row moves down one
             for name in self._ROW_ARRAYS:
@@ -355,14 +359,18 @@ class _ClusterCache:
             self.row_of[self.next_label] = k
             self.labels.append(self.next_label)
             self.next_label += 1
-        rows = [choice]
+        self.stats[choice] += row
+        target, rows = self.labels[choice], [choice]
         if label is not None:
             r = self.row_of[label]
             self.stats[r] -= row
-            rows.insert(0, r)
-        self.stats[choice] += row
+            if self.counts[r]:
+                rows.insert(0, r)
+            else:
+                self.delete(label)
+                rows = [self.row_of[target]]
         self._refresh(np.array(rows))
-        return self.labels[choice]
+        return target
 
     def rename(self, targets):
         """Give row r the label ``targets[r]`` (non-negative ints, one per row).
@@ -451,10 +459,11 @@ class _ClusterCache:
         takes, so MARGINAL(C + B) is bit for bit what C's row caches once B
         moves in; a candidate C's weight is its CRP term plus
         log p(B | C) = MARGINAL(C + B) - MARGINAL(C).  ``own`` is the row of
-        the cluster C that holds the batch and other points.  That entry is
-        the batch's weight with the batch taken out, p(C) / p(C \\ batch),
-        computed without changing the table: its place in the stack factors
-        the sums of C \\ batch, and its gain flips sign.
+        the cluster C that holds the batch.  That entry is the batch's
+        weight with the batch taken out, p(C) / p(C \\ batch), computed
+        without changing the table: its place in the stack factors the sums
+        of C \\ batch, and its gain flips sign; it is -inf (log 0) when the
+        batch is all of C, as for a singleton point.
         """
         rows = len(self.labels) + 1
         stats = self.stats[:rows] + row
@@ -468,7 +477,8 @@ class _ClusterCache:
         gains = marginals - self.terms[:rows, self._MARGINAL]
         weights = self.terms[:rows, self._CRP] + gains
         if own is not None:
-            weights[own] = self._count_row(float(counts[own]))[self._CRP] - gains[own]
+            m = float(counts[own])
+            weights[own] = (self._count_row(m)[self._CRP] if m else -math.inf) - gains[own]
         return weights
 
     def log_joint(self, n):
@@ -484,20 +494,20 @@ def cgs_sweep(state, data, rng):
     """One collapsed Gibbs pass over all points in ascending index order.
 
     A point is scored in its own cluster without leaving it, so the table
-    changes only when a point moves, or when a singleton is reached (its
-    cluster is deleted, and re-created under a new label if it draws
-    "new").  A block of consecutive points is therefore scored against the
-    unchanged table at once and drawn with uniforms that the sweep takes
-    from ``rng`` at its start, one per point in index order, and nothing
-    else.  The block is committed up to and including its first point that
-    changes the table, and the next block starts after it; or, when the
-    block plans enough moves between existing rows to pay for it,
-    ``_speculate`` rescores the points after the first against the rows as
-    the planned moves leave them and commits up to and including the first
-    point whose redraw differs from the plan.  Block lengths follow the
-    points committed per block seen so far in the sweep; they and the
-    speculation set how much work is done, not which draws are made (up to
-    last-bit rounding of the weights).
+    changes only when a point moves; a singleton, whose own entry is -inf,
+    always moves, and ``_ClusterCache.move`` deletes the row it empties.  A
+    block of consecutive points is therefore scored against the unchanged
+    table at once and drawn with uniforms that the sweep takes from ``rng``
+    at its start, one per point in index order, and nothing else.  The
+    block is committed up to and including its first point that changes
+    the table, and the next block starts after it; or, when the block plans
+    enough moves between existing rows to pay for it, ``_speculate``
+    rescores the points after the first against the rows as the planned
+    moves leave them and commits up to and including the first point whose
+    redraw differs from the plan.  Block lengths follow the points
+    committed per block seen so far in the sweep; they and the speculation
+    set how much work is done, not which draws are made (up to last-bit
+    rounding of the weights).
     Emptied clusters are deleted immediately and their labels are not
     reused: surviving clusters keep their labels, and new clusters are
     numbered above the largest label the sweep started with.
@@ -550,16 +560,8 @@ def cgs_sweep(state, data, rng):
                     "downdated scale matrix is not positive definite",
                     context={"cluster_label": cache.labels[r]},
                 )
-            if idx < 0:
-                raise NumericalDegeneracyError("non-finite sampling weights")
-            source = int(labels[i])
-            if cache.counts[r] == 1.0:  # a singleton
-                cache.delete(source)
-                source = None
-                if idx > r:
-                    idx -= 1  # deleting the singleton's row moved later rows up
-            x = columns[:, i]
-            labels[i] = cache.move(source, idx, (x[:, None] * x).ravel())  # the moment matrix of [1, x]
+            x = columns[:, i]  # [1, x], whose moment matrix is the moved row
+            labels[i] = cache.move(int(labels[i]), idx, (x[:, None] * x).ravel())
             i += 1
     except NumericalDegeneracyError as err:
         err.add_context(point_index=i)

@@ -14,11 +14,13 @@ current global clusters by log-weights
 mirroring the per-point centralized sweep with batches in place of points.
 Global clusters live in the centralized sampler's cluster table: exact sums
 maintained by field-wise add/subtract of batch statistics, with every
-candidate scored against a batch in one vectorized evaluation.  A batch is
-scored in its own global cluster without leaving it (unless it is the whole
-cluster), so only a batch that moves changes the table.  The sweep's result
-holds that table, its rows renamed to the dense global labels, which the
-trace's log joint reads, and each worker's reply: its rows' global labels.
+candidate scored against a batch in one vectorized evaluation.  As a point
+in the centralized sweep, a batch is scored in its own global cluster
+without leaving it (-inf if it is the whole cluster), so only a batch that
+moves changes the table, and the move deletes a row it empties.  The
+sweep's result holds that table, its rows renamed to the dense global
+labels, which the trace's log joint reads, and each worker's reply: its
+rows' global labels.
 """
 
 from __future__ import annotations
@@ -86,19 +88,14 @@ def master_sweep(summaries, hyper, rng):
     for i in rng.permutation(len(assigned)):
         label = int(assigned[i]) if assigned[i] >= 0 else None
         own = None if label is None else int(table.row_of[label])
-        if own is not None and table.counts[own] == stats[i, 0]:  # the batch is the whole cluster
-            table.delete(label)
-            label = own = None
         try:
             weights = table.batch_log_weights(stats[i], own)
             choice = int(sample_log_weights(weights, rng.random()))
-            if choice < 0:
-                raise NumericalDegeneracyError("non-finite sampling weights")
+            if choice != own:
+                assigned[i] = table.move(label, choice, stats[i])
         except NumericalDegeneracyError as err:
             err.add_context(worker_id=int(workers[i]), local_label=int(local_labels[i]))
             raise
-        if choice != own:
-            assigned[i] = table.move(label, choice, stats[i])
     dense = table.row_of[assigned]
     table.rename(np.arange(len(table.labels)))
     return GlobalState({s.worker_id: dense[workers == s.worker_id].tolist() for s in summaries}, table)

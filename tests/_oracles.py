@@ -384,9 +384,10 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
 
     Points are visited in index order.  A point in a cluster of two or more
     is scored against its own cluster with itself taken out; a singleton's
-    cluster is deleted first.  Each draw takes its own ``rng.random()`` and
-    inverts the CDF with ``searchsorted``.  Weights are computed from the
-    table's raw sums with dense solves; the table itself (row order, label
+    cluster is deleted first (its logged weights hold -inf at its row, as
+    the sweep's do).  Each draw takes its own ``rng.random()`` and inverts
+    the CDF with ``searchsorted``.  Weights are computed from the table's
+    raw sums with dense solves; the table itself (row order, label
     numbering, moves) is a new ``_ClusterCache`` of the state's statistics.
     ``state`` is left as it is; the result is a new state with labels made
     dense 0..K-1.
@@ -400,7 +401,7 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
     for i in range(data.shape[0]):
         x = data[i]
         label = int(labels[i])
-        own = cache.row_of[label]
+        own = gone = cache.row_of[label]
         if cache.counts[own] == 1.0:
             cache.delete(label)
             own = None
@@ -415,8 +416,8 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
                 err.add_context(cluster_label=cache.labels[r], point_index=i)
                 raise
         weights = np.array(weights)
-        if weight_log is not None:
-            weight_log.append(weights)
+        if weight_log is not None:  # as drawn by the sweep: -inf at a deleted singleton's row
+            weight_log.append(weights if own is not None else np.insert(weights, gone, -np.inf))
         m = weights.max()
         if not np.isfinite(m):
             raise NumericalDegeneracyError("non-finite sampling weights", context={"point_index": i})
@@ -442,57 +443,46 @@ def recorded_weights():
     the block's later points against the table as its changes leave it (a
     draw not preceded by a scoring), those columns follow, up to and
     including the first redraw that differs from the block's draw: the
-    points the sweep commits.  A column whose draw leaves a singleton by
-    then drops its -inf own entry, as the sweep deletes the singleton's row
-    first.  ``master.sample_log_weights`` adds each batch's vector.  The
-    functions are wrapped as they are when the block is entered and
-    restored when it is left.
+    points the sweep commits.  Every column is logged as drawn, so a
+    singleton's holds its -inf own entry.  ``master.sample_log_weights``
+    adds each batch's vector.  The functions are wrapped as they are when
+    the block is entered and restored when it is left.
     """
     from dpgibbs import gibbs, master
 
     log = []
-    scored = []  # the last block scored: (weights, table, own rows)
-    drawn = []  # the last block drawn: (draws, own rows, its rows' counts after its first change)
+    scored = []  # the last block scored: (weights, own rows)
+    drawn = []  # the last block drawn: (draws, own rows)
     score = gibbs._ClusterCache.point_log_weights
     point_draw, batch_draw = gibbs.sample_log_weights, master.sample_log_weights
 
     def score_block(table, xs, own=None):
         weights = score(table, xs, own)
-        scored[:] = [(weights, table, own)]
+        scored[:] = [(weights, own)]
         drawn[:] = []
         return weights
 
-    def record(weights, draws, planned, own, counts):
-        """Log each column up to and including the first whose draw is not
-        ``planned``, moving each drawn point in ``counts`` (by row) as it
-        goes; a column whose draw leaves a singleton's row drops its own
-        entry."""
+    def record(weights, draws, planned):
+        """Log each column up to and including the first whose draw is not ``planned``."""
         for p in range(draws.shape[0]):
-            r, b = int(own[p]), int(draws[p])
-            column = weights[:, p]
-            log.append(np.delete(column, r) if b != r and counts[r] == 1.0 else column.copy())
-            if b != r:
-                counts[r] -= 1.0
-                counts[b] += 1.0
-            if b != planned[p]:
+            log.append(weights[:, p].copy())
+            if draws[p] != planned[p]:
                 return
 
     def draw_points(weights, u):
         draws = point_draw(weights, u)
         if scored:
-            block, table, own = scored.pop()
+            block, own = scored.pop()
             assert block is weights, "a draw from weights the sweep did not score"
-            counts = table.counts[: len(table.labels) + 1].copy()
-            record(weights, draws, own, own, counts)
-            drawn[:] = [(draws, own, counts)]
+            record(weights, draws, own)
+            drawn[:] = [(draws, own)]
             return draws
-        # A redraw of the points after the block's first change, which
-        # ``counts`` holds made; a redraw ends where the sweep's plan ends.
+        # A redraw of the points after the block's first change; a redraw
+        # ends where the sweep's plan ends.
         assert drawn, "a redraw of no scored block"
-        block, own, counts = drawn.pop()
+        block, own = drawn.pop()
         lo = int(np.flatnonzero(block != own)[0]) + 1
-        hi = lo + draws.shape[0]
-        record(weights, draws, block[lo:hi], own[lo:hi], counts)
+        record(weights, draws, block[lo : lo + draws.shape[0]])
         return draws
 
     def draw_batch(weights, u):

@@ -705,6 +705,47 @@ class TestLiveClusterTable:
                 assert np.allclose(stats.sum, want.sum, rtol=1e-12, atol=1e-12)
                 assert np.allclose(stats.sum_outer, want.sum_outer, rtol=1e-12, atol=1e-12)
 
+    @staticmethod
+    def three_clusters(size):
+        """A table of clusters 2, 5 and 9 over integer-valued points, whose
+        sums are exact in any order, and the packed sums of cluster 5 (of
+        ``size`` points)."""
+        rng = np.random.default_rng(41)
+        points = {lab: rng.integers(-3, 4, (m, 2)).astype(float) for lab, m in {2: 3, 5: size, 9: 2}.items()}
+        table = table_of(unit_hyper(2).prior, 1.5, {lab: stats_from_points(x) for lab, x in points.items()})
+        moved = points[5]
+        return table, points, pack_stats(len(moved), moved.sum(axis=0), moved.T @ moved)
+
+    @pytest.mark.parametrize("size", [1, 4], ids=["point", "batch"])
+    @pytest.mark.parametrize("target", [2, 9, "new"], ids=["before", "after", "new"])
+    def test_a_move_that_empties_its_source_deletes_its_row(self, target, size):
+        """All of cluster 5 moves to a row before it, after it or "new": its
+        row goes, the labels stay ascending, row_of forgets 5, the target's
+        label comes back, and the rows are bit for bit those of a table
+        built from the same sums."""
+        table, points, row = self.three_clusters(size)
+        label = table.next_label if target == "new" else target
+        choice = len(table.labels) if target == "new" else int(table.row_of[target])
+        assert table.move(5, choice, row) == label
+        points[label] = np.vstack([points.get(label, np.empty((0, 2))), points.pop(5)])
+        assert table.labels == sorted(points)
+        assert table.row_of[5] == -1
+        assert table.row_of[table.labels].tolist() == list(range(len(points)))
+        sums = {lab: stats_from_points(x) for lab, x in points.items()}
+        expected = table_of(table.prior, table.alpha, sums)
+        rows = len(points) + 1  # the base-measure row included
+        for name in table._ROW_ARRAYS:
+            assert np.array_equal(getattr(table, name)[:rows], getattr(expected, name)[:rows]), name
+
+    def test_a_failed_draw_raises_and_leaves_the_table(self):
+        table, _, row = self.three_clusters(4)
+        before = {name: getattr(table, name).copy() for name in table._ROW_ARRAYS}
+        with pytest.raises(NumericalDegeneracyError, match="non-finite sampling weights"):
+            table.move(5, -1, row)
+        assert table.labels == [2, 5, 9]
+        for name, rows in before.items():
+            assert np.array_equal(getattr(table, name), rows), name
+
     def test_block_product_stays_under_the_cell_cap(self, monkeypatch):
         """Every product of augmented maps and points, rows * d * B * (d + 1)
         multiply-adds, stays within _BLOCK_CELLS.  On a stable d=8 partition

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from dpgibbs.errors import NumericalDegeneracyError
 from dpgibbs.gibbs import log_joint, pack_stats, sample_log_weights
 from dpgibbs.master import global_log_joint, master_sweep
 from dpgibbs.metrics import ari
@@ -180,20 +181,24 @@ class TestMasterSweep:
             assigned = dict(seeded)
             for step, i in enumerate(order):
                 stats = batches[keys[i]]
-                del assigned[keys[i]]
+                own = assigned.pop(keys[i])
                 members = {}
                 for key, g in assigned.items():
                     members.setdefault(g, []).append(batches[key])
+                # A batch that was its whole cluster still has that cluster's
+                # candidate, at -inf (log 0 for the empty rest), until it leaves.
+                candidates = sorted(set(members) | {own})
                 reference = [
                     math.log(sum(s.n for s in members[g]))
                     + log_posterior_predictive(stats, stats_merge(members[g]), hyper.prior)
-                    for g in sorted(members)
+                    if g in members else -math.inf
+                    for g in candidates
                 ]
                 reference.append(math.log(hyper.alpha) + log_prior_predictive(stats, hyper.prior))
                 assert np.allclose(log[step], reference, rtol=1e-12, atol=1e-12)
                 choice = sample_log_weights(log[step], replay_rng.random())
                 fresh = max(list(members) + [max(seeded.values())]) + 1
-                assigned[keys[i]] = sorted(members)[choice] if choice < len(members) else fresh
+                assigned[keys[i]] = candidates[choice] if choice < len(candidates) else fresh
 
     def test_initial_state_reassignment(self):
         rng = np.random.default_rng(9)
@@ -273,6 +278,30 @@ class TestMasterSweep:
         batch = batches[(0, 2)]
         row = pack_stats(batch.n, batch.sum, batch.sum_outer)
         assert np.array_equal(log[0], reference.batch_log_weights(row))
+
+    @pytest.mark.parametrize("previous", [0, 1, None], ids=["whole-cluster", "shared-cluster", "unseeded"])
+    def test_a_failed_draw_names_its_batch(self, monkeypatch, previous):
+        """Batch (1, 1) gets +inf weights: the sweep raises non-finite
+        sampling weights with that batch's worker id and local label,
+        whether the batch seeds a cluster alone, shares one or is unseeded."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        rng = np.random.default_rng(29)
+        shards = [[rng.standard_normal((m, 2)) for m in sizes] for sizes in ((3, 4), (5, 6))]
+        summaries = [summary_of(0, shards[0], [1, 1]), summary_of(1, shards[1], [2, previous])]
+        bad = summaries[1].stats[1]
+        score = _ClusterCache.batch_log_weights
+
+        def infinite_for_one_batch(table, row, own=None):
+            weights = score(table, row, own)
+            if np.array_equal(row, bad):
+                weights[:] = np.inf
+            return weights
+
+        monkeypatch.setattr(_ClusterCache, "batch_log_weights", infinite_for_one_batch)
+        with pytest.raises(NumericalDegeneracyError, match="non-finite sampling weights") as info:
+            master_sweep(summaries, make_hyper(), np.random.default_rng(30))
+        assert info.value.context == {"worker_id": 1, "local_label": 1}
 
     def test_duplicate_worker_rejected(self):
         rng = np.random.default_rng(13)
