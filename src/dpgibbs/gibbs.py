@@ -20,7 +20,8 @@ rows, up to and including the first point whose draw against the rows as
 its planned moves leave them differs from the plan.  A row's raw sums are
 the moment matrix of [1, x], and one Cholesky factor of it plus the base
 row gives the row's whitening map and log det.  Row terms that depend only
-on the count are memoized for the last model a table was built for.
+on the count are rows of one array per model, filled once per run before
+any worker starts and gathered by count.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +64,59 @@ _BLOCK_CELLS = 1 << 18
 _FIRST_RUN = 16.0
 _RUN_DECAY = 0.75
 _U64 = (1 << 64) - 1
-# Only counts below _COUNT_CAP are memoized, which bounds a run's memo; a
-# large cluster's count rarely recurs.
+# Only counts below _COUNT_CAP have rows in a model's array of count terms,
+# which bounds it at 256 KB; a large cluster's count rarely recurs.
 _COUNT_CAP = 4096
+_COUNT_LOCK = threading.Lock()  # so a smaller fill never replaces a larger one
 
 
 @functools.lru_cache(maxsize=1)
 def _count_rows(kappa, nu, d, alpha):
-    """The memo of a model's row terms by count, filled on demand and shared
-    by every table of the model, so master sweeps reuse them.  Only the last
-    model's memo is kept."""
-    return {}
+    """The model's array of row terms by count, (size, 8), in a one-item
+    list: row m is ``_ClusterCache._count_row(m)``.  Every table of the model
+    shares it, in workers forked after ``run_inputs`` too.  Only the last
+    model's is kept."""
+    return [np.empty((0, 8))]
+
+
+def _grow_count_rows(prior, alpha, size):
+    """The model's list, its array filled to min(size, _COUNT_CAP) rows or
+    more; a grown array replaces the held one whole, so threads never see a
+    part-filled one."""
+    held = _count_rows(prior.kappa, prior.nu, prior.d, alpha)
+    size = min(size, _COUNT_CAP)
+    with _COUNT_LOCK:
+        if held[0].shape[0] < size:
+            held[0] = _fill_count_rows(prior, alpha, size)
+    return held
+
+
+def _calls(f, args):
+    """``f`` of each entry of the float array ``args``, called once per value."""
+    values = np.sort(args, axis=None)  # np.unique would import numpy.ma
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return np.array(list(map(f, values.tolist())))[np.searchsorted(values, args)]
+
+
+def _fill_count_rows(prior, alpha, size):
+    """Rows 0..size-1 of count terms, row m bit for bit what
+    ``_ClusterCache._count_row(m)`` computes: ``math.log`` and
+    ``math.lgamma`` of that route's own arguments (never ``np.log``, whose
+    last bits may differ), joined by the same IEEE operations in its order."""
+    d, m = prior.d, np.arange(size, dtype=np.float64)
+    kappa, nu = prior.kappa + m, prior.nu + m
+    args = [0.5 * nu - 0.5 * j for j in range(d)] + [0.5 * (nu + 1.0), 0.5 * (nu + 1.0 - d)]
+    *gammas, up, down = _calls(math.lgamma, np.array(args))
+    log_m, log_kappa, log_next = _calls(math.log, np.array([np.maximum(m, 1.0), kappa, kappa + 1.0]))
+    crp = np.concatenate(([math.log(alpha)], log_m[1:]))
+    const = crp - 0.5 * d * _LOG_PI + 0.5 * d * (log_kappa - log_next) + up - down
+    # sum() adds the arrays one at a time from 0, as niw.log_multigamma adds its floats.
+    marginal = -0.5 * d * (m * _LOG_PI + log_kappa) + (sum(gammas) + d * (d - 1) / 4.0 * _LOG_PI)
+    terms = np.empty((size, 8))
+    terms[:, :5] = np.stack([crp, marginal, const, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)], axis=1)
+    terms[:2, 5:] = (-math.inf, 0.0, 0.0)  # a singleton's own entry is -inf
+    terms[2:, 5:] = np.stack([const[1:-1], -kappa[2:] / (kappa[2:] - 1.0), 0.5 * (nu[2:] - 1.0)], axis=1)
+    return terms
 
 
 def seed_to_u64(seed):
@@ -127,8 +171,9 @@ def center_on_prior(data, hyper):
 
 
 def run_inputs(data, hyper, ground_truth=None):
-    """Check a run's data and ground truth; returns (the data centered on
-    the prior, the centered model, the truth flattened or None)."""
+    """Check a run's data and ground truth, and fill the model's count terms
+    for the run's counts, which workers forked later inherit; returns (the
+    data centered on the prior, the centered model, the truth flattened or None)."""
     data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("data must be a non-empty (n, d) array")
@@ -142,6 +187,7 @@ def run_inputs(data, hyper, ground_truth=None):
                 % (ground_truth.shape[0], data.shape[0])
             )
     data, hyper = center_on_prior(data, hyper)
+    _grow_count_rows(hyper.prior, hyper.alpha, data.shape[0] + 1)  # before any worker starts
     return data, hyper, ground_truth
 
 
@@ -216,7 +262,7 @@ class _ClusterCache:
         # t = kappa0 mu0 + sum x, since Psi_n = Psi0 + kappa0 mu0 mu0^T + sum x x^T - t t^T / kappa_n.
         kappa_mu = prior.kappa * prior.mu
         self._base = pack_stats(prior.kappa, kappa_mu, prior.psi + kappa_mu[:, None] * prior.mu)
-        self._count_rows = _count_rows(prior.kappa, prior.nu, d, alpha)
+        self._count_rows = _count_rows(prior.kappa, prior.nu, d, alpha)  # filled by the refresh below
         with np.errstate(all="ignore"):
             self._refresh(np.arange(k + 1))
 
@@ -246,24 +292,33 @@ class _ClusterCache:
 
     def _count_row(self, m):
         """Terms CRP..OWN_POWER of a row of m points before its log det Psi
-        (A(m) in place of MARGINAL), memoized below _COUNT_CAP: the one place
-        where terms that depend only on the count are computed."""
-        terms = self._count_rows.get(m)
-        if terms is None:
-            kappa, nu = self.prior.kappa + m, self.prior.nu + m
-            crp = math.log(m) if m else self.log_alpha
-            marginal = -0.5 * self.d * (m * _LOG_PI + math.log(kappa)) + log_multigamma(self.d, 0.5 * nu)
-            # Taking x out of a cluster of m >= 2 gives
-            # Psi' = Psi - kappa / (kappa - 1) v v^T with v = x - mu, so
-            # log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).  A
-            # singleton's own entry is -inf: its only other home is "new".
-            own = (-math.inf, 0.0, 0.0)
-            if m > 1:
-                own = (self._count_const(m - 1), -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
-            row = (self._count_const(m), kappa / (kappa + 1.0), 0.5 * (nu + 1.0))
-            terms = (crp, marginal) + row + own
-            if m < _COUNT_CAP:
-                self._count_rows[m] = terms
+        (A(m) in place of MARGINAL): the definition of the terms that depend
+        only on the count, which ``_fill_count_rows`` repeats in bulk, and
+        the route of counts at or above _COUNT_CAP."""
+        kappa, nu = self.prior.kappa + m, self.prior.nu + m
+        crp = math.log(m) if m else self.log_alpha
+        marginal = -0.5 * self.d * (m * _LOG_PI + math.log(kappa)) + log_multigamma(self.d, 0.5 * nu)
+        # Taking x out of a cluster of m >= 2 gives
+        # Psi' = Psi - kappa / (kappa - 1) v v^T with v = x - mu, so
+        # log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).  A
+        # singleton's own entry is -inf: its only other home is "new".
+        own = (-math.inf, 0.0, 0.0)
+        if m > 1:
+            own = (self._count_const(m - 1), -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
+        row = (self._count_const(m), kappa / (kappa + 1.0), 0.5 * (nu + 1.0))
+        return (crp, marginal) + row + own
+
+    def _count_terms(self, counts):
+        """Terms CRP..OWN_POWER (R, 8, a new array) of rows of ``counts``
+        (R,) before their log det Psi: rows of the model's array, grown if a
+        count below _COUNT_CAP is beyond it, and ``_count_row`` above."""
+        held = self._count_rows[0]
+        if np.maximum.reduce(counts) < held.shape[0]:
+            return held.take(counts.astype(np.intp), axis=0)
+        held = _grow_count_rows(self.prior, self.alpha, max(int(counts.max()) + 1, 2 * held.shape[0]))[0]
+        terms = held.take(np.minimum(counts, held.shape[0] - 1).astype(np.intp), axis=0)
+        for r in np.flatnonzero(counts >= held.shape[0]).tolist():  # at or above the cap
+            terms[r] = self._count_row(float(counts[r]))
         return terms
 
     def _cholesky_rows(self, stats):
@@ -290,18 +345,16 @@ class _ClusterCache:
         return NumericalDegeneracyError("%s is not positive definite" % what)
 
     def _factor(self, stats):
-        """The augmented maps (R, d, d + 1) and terms (a list of R tuples) of
-        packed rows ``stats`` (R, (d + 1)^2, overwritten), whether the
-        table's or not, from ``_cholesky_rows`` and one stacked inverse of
-        its factors.  A row whose factor fails has a non-finite MARGINAL.
-        The caller ignores floating-point errors."""
+        """The augmented maps (R, d, d + 1) and terms (R, 8) of packed rows
+        ``stats`` (R, (d + 1)^2, overwritten), whether the table's or not,
+        from ``_cholesky_rows`` and one stacked inverse of its factors.  A
+        row whose factor fails has a non-finite MARGINAL.  The caller
+        ignores floating-point errors."""
         counts, chol, half = self._cholesky_rows(stats)
-        nu0 = self.prior.nu
-        terms = []
-        for m, h in zip(counts.tolist(), half.tolist()):
-            crp, marginal, base, gain, power, own_base, shrink, own_power = self._count_row(m)
-            marginal -= (nu0 + m) * h
-            terms.append((crp, marginal, base - h, gain, power, own_base - h, shrink, own_power))
+        terms = self._count_terms(counts)
+        terms[:, self._MARGINAL] -= (self.prior.nu + counts) * half
+        terms[:, self._BASE] -= half
+        terms[:, self._OWN_BASE] -= half
         # The inverse comes from LAPACK (dgesv); for (d + 1) x (d + 1) blocks
         # this small OpenBLAS runs it on one thread, so workers sharing the
         # cores do not stall each other.
@@ -313,9 +366,9 @@ class _ClusterCache:
         raises here)."""
         stats = self.stats.take(rows, axis=0)
         maps, terms = self._factor(stats)
-        marginals = [row[self._MARGINAL] for row in terms]
-        if not math.isfinite(sum(marginals)):  # name the first row at fault
-            j = [math.isfinite(v) for v in marginals].index(False)
+        marginals = terms[:, self._MARGINAL]
+        if not math.isfinite(np.add.reduce(marginals)):  # name the first row at fault
+            j = int(np.isfinite(marginals).argmin())
             r = int(rows[j])
             err = self._factor_error(stats[j], "cluster posterior scale")
             raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
@@ -472,13 +525,12 @@ class _ClusterCache:
         counts, _, half = self._cholesky_rows(stats)
         if not math.isfinite(np.add.reduce(half)):
             raise self._factor_error(stats[int(np.isfinite(half).argmin())], "candidate scale matrix")
-        marginals = np.array([self._count_row(m)[self._MARGINAL] for m in counts.tolist()])
-        marginals -= (self.prior.nu + counts) * half
+        terms = self._count_terms(counts)
+        marginals = terms[:, self._MARGINAL] - (self.prior.nu + counts) * half
         gains = marginals - self.terms[:rows, self._MARGINAL]
         weights = self.terms[:rows, self._CRP] + gains
         if own is not None:
-            m = float(counts[own])
-            weights[own] = (self._count_row(m)[self._CRP] if m else -math.inf) - gains[own]
+            weights[own] = (terms[own, self._CRP] if counts[own] else -math.inf) - gains[own]
         return weights
 
     def log_joint(self, n):
@@ -610,7 +662,6 @@ def _speculate(cache, labels, xs, uniforms, weights, own, draws, stops):
         return None
     versions = np.array(versions)
     maps, terms = cache._factor(versions.copy())
-    terms = np.array(terms)
     marginals = terms[:, cache._MARGINAL]
     if not math.isfinite(np.add.reduce(marginals)):  # a change whose row fails ends the plan, and raises
         cut = int(np.isfinite(marginals).argmin()) // 2

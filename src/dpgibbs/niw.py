@@ -218,7 +218,10 @@ def log_multigamma(d, a):
     """Log multivariate gamma log Gamma_d(a); requires a > (d - 1) / 2."""
     if not a > (d - 1) / 2.0:
         raise ValueError("log_multigamma needs a > (d - 1) / 2")
-    return sum(math.lgamma(a - 0.5 * j) for j in range(d)) + d * (d - 1) / 4.0 * _LOG_PI
+    total = 0.0  # summed in order by IEEE adds, which gibbs._fill_count_rows repeats
+    for j in range(d):
+        total += math.lgamma(a - 0.5 * j)
+    return total + d * (d - 1) / 4.0 * _LOG_PI
 
 
 def log_marginal(stats, prior):

@@ -1115,30 +1115,34 @@ class TestRunCgs:
         assert ari(base, fit(transform(data))) >= 0.999
 
     def test_tables_of_one_model_share_one_memo(self):
-        """Tables of one model share one memo of count terms, and a table of
-        another model gets a fresh memo while the first keeps its own."""
+        """Tables of one model share one array of count terms, and a table of
+        another model gets its own, whose row 0 differs by log alpha, while
+        the first keeps its array."""
         data, _ = separated_two_component(60, seed=31)
         hyper, other = empirical_hyper(data, alpha=2.0), empirical_hyper(data, alpha=3.0)
         a, b = (PartitionState.single_cluster(data, hyper).table for _ in range(2))
         assert a._count_rows is b._count_rows
-        terms = dict(a._count_rows)
-        assert {0, 60} <= set(terms)  # the counts of the two rows
+        terms = a._count_rows[0]
+        assert terms.shape == (61, 8)  # every count up to the cluster's 60
         c = PartitionState.single_cluster(data, other).table
         assert c._count_rows is not a._count_rows
-        assert c._count_rows[0] != terms[0]  # log alpha differs
-        assert a._count_rows == terms
+        theirs = c._count_rows[0]
+        assert (terms[0, a._CRP], theirs[0, a._CRP]) == (math.log(2.0), math.log(3.0))
+        assert theirs[0, a._BASE] - terms[0, a._BASE] == pytest.approx(math.log(1.5), rel=1e-12)
+        assert np.array_equal(theirs[1:], terms[1:])  # only the base row sees alpha
+        assert a._count_rows[0] is terms
 
     def test_run_frees_its_models_count_terms(self):
         """Once a table of another model is built, the module keeps only that
-        model's count terms, and a later run of the first model refills a
-        fresh memo and gives the labels of its first run."""
+        model's array of count terms, and a later run of the first model
+        fills a fresh one and gives the labels of its first run."""
         from dpgibbs import gibbs
 
         data, _ = separated_two_component(60, seed=31)
         hyper, other = empirical_hyper(data, alpha=2.0), empirical_hyper(data, alpha=3.0)
         first, _ = run_cgs(data, hyper, 4, seed=5)
         held = PartitionState.single_cluster(data, hyper).table._count_rows
-        assert held  # the run filled its model's memo
+        assert held[0].shape == (61, 8)  # the run filled its model's array: counts 0..n
         run_cgs(data, other, 4, seed=5)
         assert gibbs._count_rows.cache_info().currsize == 1
         second, _ = run_cgs(data, hyper, 4, seed=5)
@@ -1146,8 +1150,9 @@ class TestRunCgs:
         assert np.array_equal(first, second)
 
     def test_count_memo_keeps_only_counts_below_its_cap(self, monkeypatch):
-        """With the cap at 8, sweeps over clusters of up to 60 points keep at
-        most 8 count entries and give the labels of an uncapped run."""
+        """With the cap at 8, sweeps over clusters of up to 60 points hold an
+        array of at most 8 counts and give the labels and log joint of an
+        uncapped run."""
         from dpgibbs import gibbs
 
         data, _ = separated_two_component(60, seed=31)
@@ -1157,23 +1162,74 @@ class TestRunCgs:
             monkeypatch.setattr(gibbs, "_COUNT_CAP", cap)
             gibbs._count_rows.cache_clear()
             state = PartitionState.single_cluster(data, hyper)
-            memo = state.table._count_rows
+            held = state.table._count_rows
             rng = np.random.default_rng(5)
             for _ in range(4):
                 cgs_sweep(state, data, rng)
-                assert len(memo) <= cap
-                assert all(m < cap for m in memo)
-            return state.labels, log_joint(state), len(memo)
+                assert held[0].shape[0] <= cap
+            return state.labels, log_joint(state), held[0].shape[0]
 
         capped, capped_joint, _ = sweeps(8)
-        uncapped, uncapped_joint, memo = sweeps(1 << 30)
-        assert memo > 8  # the run's counts passed the cap
+        uncapped, uncapped_joint, size = sweeps(1 << 30)
+        assert size > 8  # the run's counts passed the cap
         assert np.unique(capped).size > 1
         assert np.array_equal(capped, uncapped)
         assert capped_joint == uncapped_joint
 
 
-@pytest.mark.slow
+class TestCountTerms:
+    @pytest.mark.parametrize("alpha", [0.3, 5.0])
+    @pytest.mark.parametrize("kappa, extra", [(1.0, 1.0), (0.37, 3.3)], ids=["paper", "fractional"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_bulk_fill_equals_the_scalar_route(self, d, kappa, extra, alpha):
+        """Row m of the filled array is _count_row(m) bit for bit, the -inf
+        own entries at m = 0 and 1 included, for every count below the cap;
+        the paper's prior is kappa0 = 1, nu0 = d + 1."""
+        from dpgibbs import gibbs
+
+        prior = NiwParams(mu=np.zeros(d), kappa=kappa, nu=d + extra, psi=np.eye(d))
+        table = gibbs._ClusterCache(prior, alpha, [], np.zeros((0, (d + 1) ** 2)))
+        filled = gibbs._fill_count_rows(prior, alpha, gibbs._COUNT_CAP)
+        scalar = np.array([table._count_row(float(m)) for m in range(gibbs._COUNT_CAP)])
+        assert np.isneginf(filled[:2, table._OWN_BASE]).all()
+        assert np.array_equal(filled, scalar)
+
+    def test_threads_growing_one_array_keep_the_largest(self):
+        """Threads that grow one model's array at once, more of them than
+        cores and switching often, each read a whole array at least as large
+        as they asked for, and the largest array asked for is kept."""
+        import sys
+        import threading
+
+        from dpgibbs import gibbs
+
+        prior = NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
+        reference = gibbs._fill_count_rows(prior, 2.0, 800)
+        gibbs._count_rows.cache_clear()
+        whole = []
+        sizes = np.random.default_rng(0).permutation(np.arange(100, 900, 100)).tolist()
+        start = threading.Barrier(len(sizes))
+
+        def grow(size):
+            start.wait(timeout=10.0)
+            held = gibbs._grow_count_rows(prior, 2.0, size)[0]
+            whole.append(held.shape[0] >= size and np.array_equal(held, reference[: held.shape[0]]))
+
+        threads = [threading.Thread(target=grow, args=(size,)) for size in sizes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert whole == [True] * len(sizes)
+        assert gibbs._count_rows(1.0, 3.0, 2, 2.0)[0].shape[0] == 800
+
+
 class TestExchangeability:
     def test_partition_frequencies_match_enumeration(self):
         """n=4 toy chain visits partitions with the exact posterior frequencies."""

@@ -201,6 +201,25 @@ class TestRunDiscgs:
             assert np.array_equal(thread_labels, proc_labels)
             assert np.array_equal(thread_trace.log_joints, proc_trace.log_joints)
 
+    def test_spawned_workers_give_the_thread_backends_labels(self, monkeypatch):
+        """Workers started by spawn inherit nothing from the coordinator, not
+        even its array of count terms, and fill their own; the labels and
+        log joints are the thread backend's."""
+        get_context, methods = multiprocessing.get_context, []
+
+        def spawn_context(method=None):
+            methods.append(method or "spawn")
+            return get_context(method or "spawn")
+
+        data = two_blob_data(40, seed=6)[0]
+        cfg = config(data, iterations=3, workers=2, seed=13)
+        thread_labels, thread_trace = run_discgs(data, cfg, channel_factory=thread_channels)
+        monkeypatch.setattr(multiprocessing, "get_context", spawn_context)
+        spawn_labels, spawn_trace = run_discgs(data, cfg)
+        assert methods == ["spawn"]
+        assert np.array_equal(thread_labels, spawn_labels)
+        assert np.array_equal(thread_trace.log_joints, spawn_trace.log_joints)
+
     def test_master_seeds_each_batch_with_its_own_previous_global_id(self, monkeypatch):
         """A batch is seeded with the global id its cluster held after the
         last apply: a cluster that survives the sweep keeps its label, which
@@ -526,7 +545,7 @@ class TestFitPathUsesTheClusterTable:
         assert len(trace) == 3 and np.all(np.isfinite(trace.log_joints))
 
     def test_run_frees_its_models_count_terms(self):
-        """On the thread backend the workers fill the coordinator's memo of
+        """On the thread backend the workers share the coordinator's array of
         count terms; a run of another model replaces it, and a later run of
         the first model gives the labels of its first run."""
         from dpgibbs import gibbs
@@ -537,12 +556,45 @@ class TestFitPathUsesTheClusterTable:
         other = config(data, alpha=3.0, iterations=3, workers=2, seed=4)
         first, _ = run_discgs(data, cfg, channel_factory=thread_channels)
         held = PartitionState.single_cluster(data, cfg.hyper).table._count_rows
-        assert held  # the run filled its model's memo
+        assert held[0].shape == (41, 8)  # the run filled its model's array: counts 0..n
         run_discgs(data, other, channel_factory=thread_channels)
         assert gibbs._count_rows.cache_info().currsize == 1
         second, _ = run_discgs(data, cfg, channel_factory=thread_channels)
         assert PartitionState.single_cluster(data, cfg.hyper).table._count_rows is not held
         assert np.array_equal(first, second)
+
+    def test_a_run_fills_its_models_count_terms_once(self, monkeypatch):
+        """run_cgs and run_discgs (two workers, thread backend) each fill the
+        model's array of count terms once, before their sweeps, and only
+        counts beyond the array take the scalar route."""
+        from dpgibbs import gibbs
+
+        fill, scalar = gibbs._fill_count_rows, gibbs._ClusterCache._count_row
+        fills, rows = [], []  # the sizes filled; (count, array size) of each scalar row
+
+        def counted_fill(prior, alpha, size):
+            fills.append(size)
+            return fill(prior, alpha, size)
+
+        def watched_row(self, m):
+            rows.append((m, self._count_rows[0].shape[0]))
+            return scalar(self, m)
+
+        monkeypatch.setattr(gibbs, "_COUNT_CAP", 16)  # the 40-point clusters pass it
+        monkeypatch.setattr(gibbs, "_fill_count_rows", counted_fill)
+        monkeypatch.setattr(gibbs._ClusterCache, "_count_row", watched_row)
+        data, _ = two_blob_data(40, seed=19)
+        cfg = config(data, alpha=2.0, iterations=3, workers=2, seed=4)
+        runs = (
+            lambda: run_cgs(data, cfg.hyper, 3, seed=4),
+            lambda: run_discgs(data, cfg, channel_factory=thread_channels),
+        )
+        for run in runs:
+            gibbs._count_rows.cache_clear()
+            fills.clear(), rows.clear()
+            run()
+            assert fills == [16]
+            assert rows and all(m >= size == 16 for m, size in rows)
 
 
 class TestWorkerLoopFailure:
