@@ -83,9 +83,9 @@ def _grow_count_rows(prior, alpha, size):
     """The model's list, its array filled to min(size, _COUNT_CAP) rows or
     more; a grown array replaces the held one whole, so threads never see a
     part-filled one."""
-    held = _count_rows(prior.kappa, prior.nu, prior.d, alpha)
     size = min(size, _COUNT_CAP)
-    with _COUNT_LOCK:
+    with _COUNT_LOCK:  # threads that miss the cache at once would each make a list
+        held = _count_rows(prior.kappa, prior.nu, prior.d, alpha)
         if held[0].shape[0] < size:
             held[0] = _fill_count_rows(prior, alpha, size)
     return held
@@ -223,15 +223,17 @@ class _ClusterCache:
     ``counts`` views its first column.  Beside them each row caches the
     augmented map [-L^-1 mu | L^-1] (d x (d + 1), ``maps``) of
     Psi = L L^T and the posterior mean mu, and scalar terms
-    (``terms``, columns named by _CRP.._OWN_POWER), recomputed from the sums
-    (never updated in place) whenever the row's membership changes.  Both
-    come from one Cholesky factor of the row plus the base row,
+    (``terms``, columns named by _CRP.._OWN_POWER), computed from the sums
+    (never updated in place) whenever they change.  Both come from one
+    Cholesky factor of the row plus the base row,
     [[kappa_n, t^T], [t, Psi_n + t t^T / kappa_n]] with t = kappa_n mu:
     it is [[sqrt kappa_n, 0], [t / sqrt kappa_n, L]], and the lower d rows
-    of its inverse are the augmented map.
+    of its inverse are the augmented map.  A row's factors depend on its
+    sums alone, bit for bit, not on the rows factored with it, so a row
+    may move with its factors.  Only points are scored with the maps: a
+    table built with ``points=False`` (the master's) keeps none, and
+    skips the inverse; its ``maps`` is None.
     """
-
-    _ROW_ARRAYS = ("stats", "maps", "terms")
     # A view of the counts, made on each access, so that it follows
     # ``stats`` when the table grows and survives a copy or a pickle.
     counts = property(lambda self: self.stats[:, 0])
@@ -243,8 +245,9 @@ class _ClusterCache:
     # row, with itself taken out, OWN_BASE + OWN_POWER log1p(OWN_SHRINK q).
     _CRP, _MARGINAL, _BASE, _GAIN, _POWER, _OWN_BASE, _OWN_SHRINK, _OWN_POWER = range(8)
 
-    def __init__(self, prior, alpha, labels, stats):
-        """Rows of clusters ``labels`` (ascending) copied from packed raw sums (K, (d + 1)^2)."""
+    def __init__(self, prior, alpha, labels, stats, *, points=True):
+        """Rows of clusters ``labels`` (ascending) copied from packed raw sums
+        (K, (d + 1)^2); with ``points=False``, a table that scores batches only."""
         self.prior = prior
         self.alpha = alpha
         self.log_alpha = math.log(alpha)
@@ -252,7 +255,9 @@ class _ClusterCache:
         self._name_rows([int(lab) for lab in labels])
         k = len(self.labels)
         shapes = {"stats": ((d + 1) ** 2,), "maps": (d, d + 1), "terms": (8,)}
-        for name in self._ROW_ARRAYS:
+        self._row_arrays = ("stats", "maps", "terms") if points else ("stats", "terms")
+        self.maps = None
+        for name in self._row_arrays:
             setattr(self, name, np.zeros((max(16, k + 2),) + shapes[name]))
         if k:
             self.stats[:k] = stats
@@ -345,16 +350,18 @@ class _ClusterCache:
         return NumericalDegeneracyError("%s is not positive definite" % what)
 
     def _factor(self, stats):
-        """The augmented maps (R, d, d + 1) and terms (R, 8) of packed rows
-        ``stats`` (R, (d + 1)^2, overwritten), whether the table's or not,
-        from ``_cholesky_rows`` and one stacked inverse of its factors.  A
-        row whose factor fails has a non-finite MARGINAL.  The caller
-        ignores floating-point errors."""
+        """The augmented maps (R, d, d + 1; None on a table without maps) and
+        terms (R, 8) of packed rows ``stats`` (R, (d + 1)^2, overwritten),
+        whether the table's or not, from ``_cholesky_rows`` and one stacked
+        inverse of its factors.  A row whose factor fails has a non-finite
+        MARGINAL.  The caller ignores floating-point errors."""
         counts, chol, half = self._cholesky_rows(stats)
         terms = self._count_terms(counts)
         terms[:, self._MARGINAL] -= (self.prior.nu + counts) * half
         terms[:, self._BASE] -= half
         terms[:, self._OWN_BASE] -= half
+        if self.maps is None:
+            return None, terms
         # The inverse comes from LAPACK (dgesv); for (d + 1) x (d + 1) blocks
         # this small OpenBLAS runs it on one thread, so workers sharing the
         # cores do not stall each other.
@@ -372,7 +379,8 @@ class _ClusterCache:
             r = int(rows[j])
             err = self._factor_error(stats[j], "cluster posterior scale")
             raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
-        self.maps[rows] = maps
+        if maps is not None:
+            self.maps[rows] = maps
         self.terms[rows] = terms
 
     # -- mutation -----------------------------------------------------------
@@ -381,12 +389,28 @@ class _ClusterCache:
         """Delete a cluster and its row; later rows move up one."""
         r = self.row_of[label]
         k = len(self.labels)
-        for name in self._ROW_ARRAYS:
+        for name in self._row_arrays:
             arr = getattr(self, name)
             arr[r:k] = arr[r + 1 : k + 1]
         self.row_of[label] = -1
         del self.labels[r]
         self.row_of[self.labels[r:]] -= 1
+
+    def _open_row(self):
+        """Open row K for a new cluster numbered ``next_label``: a copy of the
+        base-measure row (zero sums), which moves down one."""
+        k = len(self.labels)
+        for name in self._row_arrays:
+            arr = getattr(self, name)
+            if k + 2 > arr.shape[0]:
+                arr = np.concatenate([arr, np.zeros_like(arr)])
+                setattr(self, name, arr)
+            arr[k + 1] = arr[k]
+        if self.next_label >= self.row_of.shape[0]:
+            self.row_of = np.append(self.row_of, np.full(self.next_label + 1, -1, dtype=np.int64))
+        self.row_of[self.next_label] = k
+        self.labels.append(self.next_label)
+        self.next_label += 1
 
     def move(self, label, choice, row):
         """Move points with packed raw sums ``row`` into candidate row ``choice``.
@@ -394,28 +418,29 @@ class _ClusterCache:
         The points leave cluster ``label`` (None: they enter from outside),
         and the base-measure row opens a new cluster.  ``row`` is added to
         the target, then taken from the source, whose row is deleted if the
-        move empties it and else refreshed with the target's.  A failed draw
-        (-1) raises before the table changes.  Returns the target's label.
+        move empties it and else refreshed with the target's.  A whole
+        cluster that moves to a new row is rotated instead when the new
+        row's sums, the base row's zeros plus ``row``, equal its own byte
+        for byte (a -0.0 in its sums, which the add makes +0.0, fails):
+        its row, cached factors and all, becomes the new row, as a refresh
+        would cache it.  A failed draw (-1) raises before the table
+        changes.  Returns the target's label.
         """
         if choice < 0:
             raise NumericalDegeneracyError("non-finite sampling weights")
         k = len(self.labels)
-        if choice == k:  # a new row; the base-measure row moves down one
-            for name in self._ROW_ARRAYS:
-                arr = getattr(self, name)
-                if k + 2 > arr.shape[0]:
-                    arr = np.concatenate([arr, np.zeros_like(arr)])
-                    setattr(self, name, arr)
-                arr[k + 1] = arr[k]
-            if self.next_label >= self.row_of.shape[0]:
-                self.row_of = np.append(self.row_of, np.full(self.next_label + 1, -1, dtype=np.int64))
-            self.row_of[self.next_label] = k
-            self.labels.append(self.next_label)
-            self.next_label += 1
+        r = None if label is None else self.row_of[label]
+        if choice == k:
+            self._open_row()
+            if r is not None and (self.stats[k] + row).tobytes() == self.stats[r].tobytes():
+                for name in self._row_arrays:
+                    arr = getattr(self, name)
+                    arr[k] = arr[r]
+                self.delete(label)
+                return self.labels[-1]
         self.stats[choice] += row
         target, rows = self.labels[choice], [choice]
-        if label is not None:
-            r = self.row_of[label]
+        if r is not None:
             self.stats[r] -= row
             if self.counts[r]:
                 rows.insert(0, r)
@@ -439,7 +464,7 @@ class _ClusterCache:
                 self.stats[first[j]] += self.stats[r]
                 merged.add(j)
         keep = np.append(first, len(self.labels))  # the base-measure row stays last
-        for name in self._ROW_ARRAYS:
+        for name in self._row_arrays:
             arr = getattr(self, name)
             arr[: keep.shape[0]] = arr[keep]
         self._name_rows(labels.tolist())
@@ -464,8 +489,10 @@ class _ClusterCache:
         it.  That entry is the point's weight with it taken out,
         p(C) / p(C \\ x), computed without changing the table: -inf for a
         singleton, whose row would be deleted, and NaN where the downdate is
-        not positive definite.
+        not positive definite.  A table without maps raises ValueError.
         """
+        if self.maps is None:
+            raise ValueError("this cluster table keeps no whitening maps: it scores batches only")
         rows = len(self.labels) + 1
         q = self._squares(self.maps[:rows], xs)
         if own is not None:

@@ -14,13 +14,18 @@ current global clusters by log-weights
 mirroring the per-point centralized sweep with batches in place of points.
 Global clusters live in the centralized sampler's cluster table: exact sums
 maintained by field-wise add/subtract of batch statistics, with every
-candidate scored against a batch in one vectorized evaluation.  As a point
-in the centralized sweep, a batch is scored in its own global cluster
-without leaving it (-inf if it is the whole cluster), so only a batch that
-moves changes the table, and the move deletes a row it empties.  The
-sweep's result holds that table, its rows renamed to the dense global
-labels, which the trace's log joint reads, and each worker's reply: its
-rows' global labels.
+candidate scored against a batch in one vectorized evaluation.  The table
+scores no points, so it is built without whitening maps and a factoring
+skips their inverse.  Its rows start as the sums of the batches seeded
+with each global id, added in batch order, and are factored once.  As a
+point in the centralized sweep, a batch is scored in its own global
+cluster without leaving it (-inf if it is the whole cluster), so only a
+batch that moves changes the table, and the move deletes a row it
+empties.  A whole-cluster batch that draws "new" with sums equal to its
+row's only renames the cluster: its row, factors and all, is rotated to
+the new row's place without a refactoring.  The sweep's result holds that
+table, its rows named by the dense global labels, which the trace's log
+joint reads, and each worker's reply: its rows' global labels.
 """
 
 from __future__ import annotations
@@ -74,30 +79,37 @@ def master_sweep(summaries, hyper, rng):
     """One randomized pass reassigning every batch; returns a GlobalState.
 
     The sweep starts from the previous assignment the batches name: the
-    rows of the batches that name a global id are renamed to it, which sums
-    those that share one, and a batch without one starts unassigned.
+    batches that name a global id are summed by id, in batch order, and
+    each id's row is factored once; a batch without one starts unassigned.
     ``rng`` draws the order of the visits, one permutation of the batch
-    indices (summaries in worker order, each one's rows in order), then one
-    uniform per batch visited, for its draw.
+    indices (summaries in worker order, each one's rows in order), then the
+    uniforms of the batches' draws, one per visit in visiting order.
     """
     workers, local_labels, previous, stats = _collect_batches(summaries, hyper.prior.d)
-    seeded = np.flatnonzero(previous >= 0)
-    table = _ClusterCache(hyper.prior, hyper.alpha, range(seeded.shape[0]), stats[seeded])
-    table.rename(previous[seeded])
+    seeded = {}  # global id -> the sums of its batches
+    for i in np.flatnonzero(previous >= 0).tolist():
+        g = int(previous[i])
+        if g in seeded:
+            seeded[g] += stats[i]
+        else:
+            seeded[g] = stats[i].copy()
+    labels = sorted(seeded)
+    table = _ClusterCache(hyper.prior, hyper.alpha, labels, [seeded[g] for g in labels], points=False)
     assigned = previous  # each batch's global id, -1 while it has none
-    for i in rng.permutation(len(assigned)):
+    order = rng.permutation(len(assigned))
+    for i, u in zip(order.tolist(), rng.random(len(assigned)).tolist()):
         label = int(assigned[i]) if assigned[i] >= 0 else None
         own = None if label is None else int(table.row_of[label])
         try:
             weights = table.batch_log_weights(stats[i], own)
-            choice = int(sample_log_weights(weights, rng.random()))
+            choice = int(sample_log_weights(weights, u))
             if choice != own:
                 assigned[i] = table.move(label, choice, stats[i])
         except NumericalDegeneracyError as err:
             err.add_context(worker_id=int(workers[i]), local_label=int(local_labels[i]))
             raise
     dense = table.row_of[assigned]
-    table.rename(np.arange(len(table.labels)))
+    table._name_rows(list(range(len(table.labels))))  # the labels ascend, so the rows keep their order
     return GlobalState({s.worker_id: dense[workers == s.worker_id].tolist() for s in summaries}, table)
 
 

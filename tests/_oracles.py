@@ -19,6 +19,11 @@ package's from {label: SufficientStats} and read a table's rows back;
 packed rows of raw sums.  ``recorded_weights`` observes the candidate
 weights the sweeps draw from by wrapping the package's scoring and drawing
 functions, and ``FixedOrderRng`` sets the order of a master sweep's visits.
+``reference_move`` and ``reference_master_sweep`` are the cluster table's
+move and the master sweep without their shortcuts (a whole cluster rotated
+into a new row, a table without maps, seeded rows summed before their one
+factoring, the dense relabel by naming), built from the table's own
+delete, refresh and rename.
 """
 
 from __future__ import annotations
@@ -510,6 +515,58 @@ class FixedOrderRng:
     def permutation(self, n):
         assert n == self.order.shape[0], "the order covers %d batches, not %d" % (self.order.shape[0], n)
         return self.order.copy()
+
+
+def reference_move(table, label, choice, row):
+    """``_ClusterCache.move`` by delete and refresh alone: ``row`` is added
+    to the target (a new row opened for the base-measure choice), then
+    taken from the source, whose row is deleted if that empties it and else
+    refreshed with the target's.  Returns the target's label."""
+    if choice < 0:
+        raise NumericalDegeneracyError("non-finite sampling weights")
+    if choice == len(table.labels):
+        table._open_row()
+    table.stats[choice] += row
+    target, rows = table.labels[choice], [choice]
+    if label is not None:
+        r = table.row_of[label]
+        table.stats[r] -= row
+        if table.counts[r]:
+            rows.insert(0, r)
+        else:
+            table.delete(label)
+            rows = [table.row_of[target]]
+    with np.errstate(all="ignore"):
+        table._refresh(np.array(rows))
+    return target
+
+
+def reference_master_sweep(summaries, hyper, rng):
+    """The master sweep by its plainest route, for comparison with
+    ``master_sweep``: a table of one row per seeded batch (maps included)
+    renamed to the batches' previous ids, which sums the rows that share
+    one; each batch visited in ``rng.permutation(B)`` order, scored with
+    ``batch_log_weights``, drawn with its own ``rng.random()`` and moved by
+    ``reference_move``; the table renamed 0..K-1 at the end.  Returns
+    (targets, table) as ``master_sweep``'s GlobalState holds them."""
+    from dpgibbs.gibbs import _ClusterCache, sample_log_weights
+    from dpgibbs.master import _collect_batches
+
+    workers, _, previous, stats = _collect_batches(summaries, hyper.prior.d)
+    seeded = np.flatnonzero(previous >= 0)
+    table = _ClusterCache(hyper.prior, hyper.alpha, range(seeded.shape[0]), stats[seeded])
+    table.rename(previous[seeded])
+    assigned = previous
+    with np.errstate(all="ignore"):
+        for i in rng.permutation(len(assigned)):
+            label = int(assigned[i]) if assigned[i] >= 0 else None
+            own = None if label is None else int(table.row_of[label])
+            choice = int(sample_log_weights(table.batch_log_weights(stats[i], own), rng.random()))
+            if choice != own:
+                assigned[i] = reference_move(table, label, choice, stats[i])
+    dense = table.row_of[assigned]
+    table.rename(np.arange(len(table.labels)))
+    return {s.worker_id: dense[workers == s.worker_id].tolist() for s in summaries}, table
 
 
 def rowwise_write_dataset(path, data, labels=None):

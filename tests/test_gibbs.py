@@ -555,7 +555,7 @@ class TestLogJoint:
 def assert_live_table(table, labels, data):
     """Each row's count and sums are those of the points with its label, and
     its cached factors are bit for bit those of a table built afresh from
-    its raw sums."""
+    its raw sums: its terms, and its maps where the table keeps them."""
     k = len(table.labels)
     assert table.labels == sorted(set(labels.tolist()))
     assert np.array_equal(table.row_of[table.labels], np.arange(k))
@@ -566,8 +566,8 @@ def assert_live_table(table, labels, data):
         assert np.allclose(sums, members.sum(axis=0), rtol=1e-10, atol=1e-9)
         assert np.allclose(outers, members.T @ members, rtol=1e-10, atol=1e-9)
     fresh = table_of(table.prior, table.alpha, stats_of(table))
-    for name in ("maps", "terms"):
-        assert np.array_equal(getattr(table, name)[: k + 1], getattr(fresh, name)[: k + 1])
+    for name in table._row_arrays:
+        assert np.array_equal(getattr(table, name)[: k + 1], getattr(fresh, name)[: k + 1]), name
 
 
 class TestLiveClusterTable:
@@ -602,6 +602,7 @@ class TestLiveClusterTable:
                 apply_global_labels(w, gstate.targets[w.worker_id])
                 assert_live_table(w.local.table, w.local.labels, w.data)
             assert gstate.table.labels == list(range(gstate.num_clusters))
+            assert gstate.table.maps is None  # the master's table scores batches only
             labels = np.concatenate([w.local.labels for w in workers])
             assert_live_table(gstate.table, labels, data)
         assert deleted > 0 and added > 0
@@ -734,12 +735,84 @@ class TestLiveClusterTable:
         sums = {lab: stats_from_points(x) for lab, x in points.items()}
         expected = table_of(table.prior, table.alpha, sums)
         rows = len(points) + 1  # the base-measure row included
-        for name in table._ROW_ARRAYS:
+        for name in table._row_arrays:
             assert np.array_equal(getattr(table, name)[:rows], getattr(expected, name)[:rows]), name
+
+    @staticmethod
+    def rotation_table(k, points, rng):
+        """A d = 3 table of k clusters with labels 0, 2, 4, ... over random
+        points, with maps unless ``points`` is False."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        rows = []
+        for j in range(k):
+            x = 4.0 * rng.standard_normal(3) + rng.standard_normal((int(rng.integers(1, 9)), 3))
+            rows.append(pack_stats(x.shape[0], x.sum(axis=0), x.T @ x))
+        return _ClusterCache(unit_hyper(3).prior, 2.0, range(0, 2 * k, 2), rows, points=points)
+
+    @staticmethod
+    def counted_refreshes(monkeypatch):
+        """A list to which each later ``_ClusterCache._refresh`` call appends its rows."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        refreshes = []
+        refresh = _ClusterCache._refresh
+        monkeypatch.setattr(_ClusterCache, "_refresh", lambda t, rows: refreshes.append(rows) or refresh(t, rows))
+        return refreshes
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        assert got.labels == want.labels and got.next_label == want.next_label
+        assert got.row_of.tobytes() == want.row_of.tobytes()
+        assert got._row_arrays == want._row_arrays
+        for name in got._row_arrays:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("points", [True, False], ids=["maps", "no-maps"])
+    @pytest.mark.parametrize("k", [14, 15], ids=["room", "grows"])
+    def test_a_whole_cluster_moved_to_a_new_row_is_rotated(self, k, points, monkeypatch):
+        """A whole cluster that moves to "new" with sums that come out as its
+        own is rotated, without a refresh: labels, next_label, row_of and
+        every row array (stats, terms and maps where kept; capacity
+        included) are byte for byte those of the delete-and-refresh path,
+        from each row of a table with room for the new row and of one that
+        grows."""
+        table = self.rotation_table(k, points, np.random.default_rng(270 + k))
+        refreshes = self.counted_refreshes(monkeypatch)
+        for r, label in enumerate(table.labels):
+            rotated, reference = copy.deepcopy(table), copy.deepcopy(table)
+            row = table.stats[r].copy()
+            assert rotated.move(label, k, row) == table.next_label
+            assert not refreshes
+            assert _oracles.reference_move(reference, label, k, row) == table.next_label
+            assert len(refreshes) == 1
+            del refreshes[:]
+            self.assert_same_bytes(rotated, reference)
+
+    def test_a_negative_zero_in_the_source_takes_the_refresh_path(self, monkeypatch):
+        """A singleton at x = (-0.0, 1.5) holds -0.0 sums, which the new row,
+        zeros plus the moved sums, would hold as +0.0: its move to "new"
+        refreshes the new row, as the delete-and-refresh path does, and the
+        row holds +0.0."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        x, y = np.array([-0.0, 1.5]), np.array([[2.0, -1.0], [3.0, 0.5]])
+        row = pack_stats(1.0, x, np.outer(x, x))
+        assert np.signbit(row[row == 0.0]).any()
+        table = _ClusterCache(unit_hyper(2).prior, 1.0, [3, 7], [row, pack_stats(2.0, y.sum(axis=0), y.T @ y)])
+        reference = copy.deepcopy(table)
+        refreshes = self.counted_refreshes(monkeypatch)
+        assert table.move(3, 2, row) == 8
+        assert len(refreshes) == 1
+        _oracles.reference_move(reference, 3, 2, row)
+        self.assert_same_bytes(table, reference)
+        moved = table.stats[table.row_of[8]]
+        assert not np.signbit(moved[moved == 0.0]).any()
 
     def test_a_failed_draw_raises_and_leaves_the_table(self):
         table, _, row = self.three_clusters(4)
-        before = {name: getattr(table, name).copy() for name in table._ROW_ARRAYS}
+        before = {name: getattr(table, name).copy() for name in table._row_arrays}
         with pytest.raises(NumericalDegeneracyError, match="non-finite sampling weights"):
             table.move(5, -1, row)
         assert table.labels == [2, 5, 9]
@@ -796,12 +869,12 @@ class TestFactorRoute:
     @pytest.mark.parametrize("d", [1, 2, 8])
     def test_cached_factors_equal_the_public_numpy_route(self, d):
         """After sweeps with churn, the master's table and worker applies,
-        every row's augmented map [-L^-1 mu | L^-1] and terms equal bit for
-        bit those of np.linalg.cholesky of the row plus the base row, then
-        np.linalg.inv of the factor, math.log,
-        niw.log_multigamma and the un-memoized count constant, and each row's
-        MARGINAL less the base row's equals niw.log_marginal within 1e-12
-        relative."""
+        every row's terms equal bit for bit those of np.linalg.cholesky of
+        the row plus the base row, math.log, niw.log_multigamma and the
+        un-memoized count constant, and so does every worker row's augmented
+        map [-L^-1 mu | L^-1], by np.linalg.inv of the factor (the master's
+        table keeps none); each row's MARGINAL less the base row's equals
+        niw.log_marginal within 1e-12 relative."""
         from dpgibbs.master import master_sweep
         from dpgibbs.worker import WorkerState, apply_global_labels, summarize, worker_sweep
 
@@ -820,14 +893,40 @@ class TestFactorRoute:
             for table in [gstate.table] + [w.local.table for w in workers]:
                 rows = np.arange(len(table.labels) + 1)
                 whitens, shifts, terms, log_marginals = _oracles.reference_refresh(table, rows)
-                assert np.array_equal(table.maps[rows, :, 1:], whitens)
-                assert np.array_equal(table.maps[rows, :, 0], -shifts)
+                if table is not gstate.table:
+                    assert np.array_equal(table.maps[rows, :, 1:], whitens)
+                    assert np.array_equal(table.maps[rows, :, 0], -shifts)
                 assert np.array_equal(table.terms[rows], terms)
                 marginals = table.terms[rows, table._MARGINAL] - table.terms[rows[-1], table._MARGINAL]
                 for got, want in zip(marginals.tolist(), log_marginals.tolist()):
                     assert math.isclose(got, want, rel_tol=1e-12)
                 tables += len(rows) > 3
         assert tables > 3
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_a_rows_factors_do_not_depend_on_the_rows_factored_with_it(self, d):
+        """Each row of a table of K = 24 rows (one of over _COUNT_CAP points)
+        and its base row, factored alone, has bit for bit the maps and terms
+        it has in stacks of 2, 17 and K + 1 rows, at any place in them.  A
+        rotation moves a row with its cached factors on this ground."""
+        from dpgibbs import gibbs
+
+        rng = np.random.default_rng(40 + d)
+        sizes = [int(m) for m in rng.integers(1, 60, 23)] + [gibbs._COUNT_CAP + 5]
+        means = 3.0 * rng.standard_normal((len(sizes), d))
+        clusters = {j: stats_from_points(means[j] + rng.standard_normal((m, d))) for j, m in enumerate(sizes)}
+        table = table_of(default_prior(means), 1.5, clusters)
+        rows = len(sizes) + 1
+        stats = table.stats[:rows]
+        for r in range(rows):
+            maps, terms = table._factor(stats[[r]].copy())
+            for size in (2, 17, rows):
+                stack = rng.choice(np.delete(np.arange(rows), r), size - 1, replace=False)
+                at = int(rng.integers(size))
+                stack = np.insert(stack, at, r)
+                stacked_maps, stacked_terms = table._factor(stats[stack].copy())
+                assert stacked_maps[at].tobytes() == maps[0].tobytes(), (r, size)
+                assert stacked_terms[at].tobytes() == terms[0].tobytes(), (r, size)
 
     @pytest.mark.parametrize("offset", [0.0, 1e8])
     @pytest.mark.parametrize("d", [1, 2, 8])

@@ -23,7 +23,15 @@ from dpgibbs.niw import (
 )
 from dpgibbs.worker import WorkerState, WorkerSummary, apply_global_labels, summarize
 
-from _oracles import FixedOrderRng, packed_stats, recorded_weights, state_from_stats, stats_of, table_of
+from _oracles import (
+    FixedOrderRng,
+    packed_stats,
+    recorded_weights,
+    reference_master_sweep,
+    state_from_stats,
+    stats_of,
+    table_of,
+)
 
 
 def make_hyper(d=2, alpha=1.0, scale=1.0):
@@ -241,7 +249,8 @@ class TestMasterSweep:
     def test_initial_table_is_the_merge_of_each_ids_members(self, monkeypatch):
         """Seeded batches, 1, 2 and 3 to a global id over two workers, give
         the table built from stats_merge of each id's members, bit for bit:
-        its rows, and the weights of an unseeded batch visited first."""
+        its rows' sums and terms (it keeps no maps), and the weights of an
+        unseeded batch visited first."""
         from dpgibbs.gibbs import _ClusterCache
 
         initial = []
@@ -250,7 +259,7 @@ class TestMasterSweep:
         def spy(table, *args):
             if not initial:
                 rows = len(table.labels) + 1
-                initial.append({name: getattr(table, name)[:rows].copy() for name in table._ROW_ARRAYS})
+                initial.append({name: getattr(table, name)[:rows].copy() for name in table._row_arrays})
             return score(table, *args)
 
         monkeypatch.setattr(_ClusterCache, "batch_log_weights", spy)
@@ -273,6 +282,7 @@ class TestMasterSweep:
         order = [first] + [i for i in range(len(batches)) if i != first]
         with recorded_weights() as log:
             master_sweep(summaries, hyper, FixedOrderRng(order, np.random.default_rng(26)))
+        assert sorted(initial[0]) == ["stats", "terms"]
         for name, rows in initial[0].items():
             assert np.array_equal(rows, getattr(reference, name)[: len(merged) + 1]), name
         batch = batches[(0, 2)]
@@ -303,6 +313,16 @@ class TestMasterSweep:
             master_sweep(summaries, make_hyper(), np.random.default_rng(30))
         assert info.value.context == {"worker_id": 1, "local_label": 1}
 
+    def test_its_table_keeps_no_maps_and_scores_no_points(self):
+        """The master's table scores batches only: it keeps no whitening
+        maps, and scoring points against it raises."""
+        rng = np.random.default_rng(31)
+        out = master_sweep([summary_of(0, [rng.standard_normal((4, 2)), rng.standard_normal((3, 2))])],
+                           make_hyper(), rng)
+        assert out.table.maps is None and "maps" not in out.table._row_arrays
+        with pytest.raises(ValueError, match="no whitening maps"):
+            out.table.point_log_weights(np.ones((3, 5)))
+
     def test_duplicate_worker_rejected(self):
         rng = np.random.default_rng(13)
         s = summary_of(0, [rng.standard_normal((3, 2))])
@@ -318,6 +338,74 @@ class TestMasterSweep:
         out = master_sweep(summaries, make_hyper(), np.random.default_rng(15))
         assert out.table.labels == list(range(out.num_clusters))
         assert {g for t in out.targets.values() for g in t} == set(out.table.labels)
+
+
+class TestMasterSweepMatchesTheReference:
+    """master_sweep against the plain route of ``_oracles.reference_master_sweep``."""
+
+    @staticmethod
+    def random_summaries(rng, d, workers):
+        """1 to 6 batches per worker, of 1 to 24 points around four means,
+        each seeded with a global id in 0..4 or newborn (-1), so ids are
+        shared by several batches, held by one whole-cluster batch or absent."""
+        means = 5.0 * rng.standard_normal((4, d))
+        summaries = []
+        for j in range(workers):
+            k = int(rng.integers(1, 7))
+            batches = [means[rng.integers(4)] + rng.standard_normal((int(rng.integers(1, 25)), d)) for _ in range(k)]
+            summaries.append(summary_of(j, batches, [None if g < 0 else g for g in rng.integers(-1, 5, k).tolist()]))
+        return summaries
+
+    def test_targets_and_table_are_the_reference_sweeps_byte_for_byte(self, monkeypatch):
+        """On 60 random summary sets, at d in {1, 2, 8} with 1 to 3 workers
+        and alpha from 0.3 to 30, master_sweep and the reference sweep from
+        the same seed give the same targets, and tables whose live rows of
+        stats and terms, labels and row_of are byte-identical.  The sets hold
+        seeded, newborn and whole-cluster batches, and whole clusters that
+        move to a new row without a refresh (a rotation)."""
+        from dpgibbs.gibbs import _ClusterCache
+
+        moved, refreshed = [], []
+        move, refresh = _ClusterCache.move, _ClusterCache._refresh
+
+        def counted_move(table, *args):
+            refreshed.append(0)
+            target = move(table, *args)
+            moved.append(refreshed.pop())
+            return target
+
+        def counted_refresh(table, rows):
+            if refreshed:
+                refreshed[-1] += 1
+            return refresh(table, rows)
+
+        monkeypatch.setattr(_ClusterCache, "move", counted_move)
+        monkeypatch.setattr(_ClusterCache, "_refresh", counted_refresh)
+        rng = np.random.default_rng(270)
+        kinds = {"seeded": 0, "newborn": 0, "whole": 0}
+        rotations = 0
+        for trial in range(60):
+            d, workers = (1, 2, 8)[trial % 3], 1 + trial // 3 % 3
+            hyper = make_hyper(d=d, alpha=float(np.exp(rng.uniform(math.log(0.3), math.log(30.0)))))
+            summaries = self.random_summaries(rng, d, workers)
+            previous = np.concatenate([s.previous for s in summaries])
+            ids, sizes = np.unique(previous[previous >= 0], return_counts=True)
+            kinds["seeded"] += int(np.count_nonzero(previous >= 0))
+            kinds["newborn"] += int(np.count_nonzero(previous < 0))
+            kinds["whole"] += int(np.count_nonzero(sizes == 1))
+            seed = int(rng.integers(2**32))
+            del moved[:]
+            got = master_sweep(summaries, hyper, np.random.default_rng(seed))
+            rotations += moved.count(0)
+            targets, table = reference_master_sweep(summaries, hyper, np.random.default_rng(seed))
+            assert got.targets == targets, trial
+            assert got.table.labels == table.labels, trial
+            rows = len(table.labels) + 1
+            for name in ("stats", "terms"):
+                assert getattr(got.table, name)[:rows].tobytes() == getattr(table, name)[:rows].tobytes(), (trial, name)
+            assert got.table.row_of.tobytes() == table.row_of.tobytes(), trial
+        assert min(kinds.values()) >= 30, kinds
+        assert rotations >= 10
 
 
 def collected_labels(replies, workers):

@@ -118,7 +118,7 @@ class TestSummarize:
         assert summary.clusters.tolist() == table.labels
         assert np.array_equal(summary.stats, table.stats[:k])
         labels = list(table.labels)
-        rows = {name: getattr(table, name).copy() for name in table._ROW_ARRAYS}
+        rows = {name: getattr(table, name).copy() for name in table._row_arrays}
         for field in ("clusters", "previous", "stats"):
             getattr(summary, field)[...] = -7
         assert table.labels == labels
