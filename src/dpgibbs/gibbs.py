@@ -20,8 +20,8 @@ rows, up to and including the first point whose draw against the rows as
 its planned moves leave them differs from the plan.  A row's raw sums are
 the moment matrix of [1, x], and one Cholesky factor of it plus the base
 row gives the row's whitening map and log det.  Row terms that depend only
-on the count are rows of one array per model, filled once per run before
-any worker starts and gathered by count.
+on a count below a cap are rows of one array per model, filled once at its
+full size before any worker starts and gathered by count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,30 +64,10 @@ _FIRST_RUN = 16.0
 _RUN_DECAY = 0.75
 _U64 = (1 << 64) - 1
 # Only counts below _COUNT_CAP have rows in a model's array of count terms,
-# which bounds it at 256 KB; a large cluster's count rarely recurs.
+# which keeps it at 256 KB, filled in about 2-3 ms.  A row of a larger count
+# takes the scalar _count_row, about 6 us, each time it is needed, and on
+# 20,000 points every cluster can be that large.
 _COUNT_CAP = 4096
-_COUNT_LOCK = threading.Lock()  # so a smaller fill never replaces a larger one
-
-
-@functools.lru_cache(maxsize=1)
-def _count_rows(kappa, nu, d, alpha):
-    """The model's array of row terms by count, (size, 8), in a one-item
-    list: row m is ``_ClusterCache._count_row(m)``.  Every table of the model
-    shares it, in workers forked after ``run_inputs`` too.  Only the last
-    model's is kept."""
-    return [np.empty((0, 8))]
-
-
-def _grow_count_rows(prior, alpha, size):
-    """The model's list, its array filled to min(size, _COUNT_CAP) rows or
-    more; a grown array replaces the held one whole, so threads never see a
-    part-filled one."""
-    size = min(size, _COUNT_CAP)
-    with _COUNT_LOCK:  # threads that miss the cache at once would each make a list
-        held = _count_rows(prior.kappa, prior.nu, prior.d, alpha)
-        if held[0].shape[0] < size:
-            held[0] = _fill_count_rows(prior, alpha, size)
-    return held
 
 
 def _calls(f, args):
@@ -98,13 +77,16 @@ def _calls(f, args):
     return np.array(list(map(f, values.tolist())))[np.searchsorted(values, args)]
 
 
-def _fill_count_rows(prior, alpha, size):
-    """Rows 0..size-1 of count terms, row m bit for bit what
-    ``_ClusterCache._count_row(m)`` computes: ``math.log`` and
-    ``math.lgamma`` of that route's own arguments (never ``np.log``, whose
-    last bits may differ), joined by the same IEEE operations in its order."""
-    d, m = prior.d, np.arange(size, dtype=np.float64)
-    kappa, nu = prior.kappa + m, prior.nu + m
+@functools.lru_cache(maxsize=1)
+def _count_rows(kappa, nu, d, alpha):
+    """The model's array of row terms by count, (_COUNT_CAP, 8), filled once:
+    row m is bit for bit ``_ClusterCache._count_row(m)``, by ``math.log``
+    and ``math.lgamma`` of that route's own arguments (never ``np.log``,
+    whose last bits may differ), joined by the same IEEE operations in its
+    order.  Every table of the model shares it, in workers forked after
+    ``run_inputs`` too.  Only the last model's is kept."""
+    m = np.arange(_COUNT_CAP, dtype=np.float64)
+    kappa, nu = kappa + m, nu + m
     args = [0.5 * nu - 0.5 * j for j in range(d)] + [0.5 * (nu + 1.0), 0.5 * (nu + 1.0 - d)]
     *gammas, up, down = _calls(math.lgamma, np.array(args))
     log_m, log_kappa, log_next = _calls(math.log, np.array([np.maximum(m, 1.0), kappa, kappa + 1.0]))
@@ -112,7 +94,7 @@ def _fill_count_rows(prior, alpha, size):
     const = crp - 0.5 * d * _LOG_PI + 0.5 * d * (log_kappa - log_next) + up - down
     # sum() adds the arrays one at a time from 0, as niw.log_multigamma adds its floats.
     marginal = -0.5 * d * (m * _LOG_PI + log_kappa) + (sum(gammas) + d * (d - 1) / 4.0 * _LOG_PI)
-    terms = np.empty((size, 8))
+    terms = np.empty((_COUNT_CAP, 8))
     terms[:, :5] = np.stack([crp, marginal, const, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)], axis=1)
     terms[:2, 5:] = (-math.inf, 0.0, 0.0)  # a singleton's own entry is -inf
     terms[2:, 5:] = np.stack([const[1:-1], -kappa[2:] / (kappa[2:] - 1.0), 0.5 * (nu[2:] - 1.0)], axis=1)
@@ -171,8 +153,8 @@ def center_on_prior(data, hyper):
 
 
 def run_inputs(data, hyper, ground_truth=None):
-    """Check a run's data and ground truth, and fill the model's count terms
-    for the run's counts, which workers forked later inherit; returns (the
+    """Check a run's data and ground truth, and fill the model's array of
+    count terms, which workers forked later inherit; returns (the
     data centered on the prior, the centered model, the truth flattened or None)."""
     data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
@@ -187,7 +169,7 @@ def run_inputs(data, hyper, ground_truth=None):
                 % (ground_truth.shape[0], data.shape[0])
             )
     data, hyper = center_on_prior(data, hyper)
-    _grow_count_rows(hyper.prior, hyper.alpha, data.shape[0] + 1)  # before any worker starts
+    _count_rows(hyper.prior.kappa, hyper.prior.nu, hyper.prior.d, hyper.alpha)  # before any worker starts
     return data, hyper, ground_truth
 
 
@@ -267,7 +249,7 @@ class _ClusterCache:
         # t = kappa0 mu0 + sum x, since Psi_n = Psi0 + kappa0 mu0 mu0^T + sum x x^T - t t^T / kappa_n.
         kappa_mu = prior.kappa * prior.mu
         self._base = pack_stats(prior.kappa, kappa_mu, prior.psi + kappa_mu[:, None] * prior.mu)
-        self._count_rows = _count_rows(prior.kappa, prior.nu, d, alpha)  # filled by the refresh below
+        self._count_rows = _count_rows(prior.kappa, prior.nu, d, alpha)
         with np.errstate(all="ignore"):
             self._refresh(np.arange(k + 1))
 
@@ -298,8 +280,8 @@ class _ClusterCache:
     def _count_row(self, m):
         """Terms CRP..OWN_POWER of a row of m points before its log det Psi
         (A(m) in place of MARGINAL): the definition of the terms that depend
-        only on the count, which ``_fill_count_rows`` repeats in bulk, and
-        the route of counts at or above _COUNT_CAP."""
+        only on the count, which ``_count_rows`` repeats in bulk, and the
+        route of counts at or above _COUNT_CAP."""
         kappa, nu = self.prior.kappa + m, self.prior.nu + m
         crp = math.log(m) if m else self.log_alpha
         marginal = -0.5 * self.d * (m * _LOG_PI + math.log(kappa)) + log_multigamma(self.d, 0.5 * nu)
@@ -315,14 +297,13 @@ class _ClusterCache:
 
     def _count_terms(self, counts):
         """Terms CRP..OWN_POWER (R, 8, a new array) of rows of ``counts``
-        (R,) before their log det Psi: rows of the model's array, grown if a
-        count below _COUNT_CAP is beyond it, and ``_count_row`` above."""
-        held = self._count_rows[0]
+        (R,) before their log det Psi: rows of the model's array, and
+        ``_count_row`` for counts at or above _COUNT_CAP."""
+        held = self._count_rows
         if np.maximum.reduce(counts) < held.shape[0]:
             return held.take(counts.astype(np.intp), axis=0)
-        held = _grow_count_rows(self.prior, self.alpha, max(int(counts.max()) + 1, 2 * held.shape[0]))[0]
         terms = held.take(np.minimum(counts, held.shape[0] - 1).astype(np.intp), axis=0)
-        for r in np.flatnonzero(counts >= held.shape[0]).tolist():  # at or above the cap
+        for r in np.flatnonzero(counts >= held.shape[0]).tolist():
             terms[r] = self._count_row(float(counts[r]))
         return terms
 

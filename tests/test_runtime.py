@@ -1,6 +1,7 @@
 """Tests for sharding, the worker actor loop, and end-to-end distributed runs."""
 
 import dataclasses
+import functools
 import hashlib
 import multiprocessing
 import threading
@@ -556,7 +557,7 @@ class TestFitPathUsesTheClusterTable:
         other = config(data, alpha=3.0, iterations=3, workers=2, seed=4)
         first, _ = run_discgs(data, cfg, channel_factory=thread_channels)
         held = PartitionState.single_cluster(data, cfg.hyper).table._count_rows
-        assert held[0].shape == (41, 8)  # the run filled its model's array: counts 0..n
+        assert held.shape == (gibbs._COUNT_CAP, 8)  # the run filled its model's array
         run_discgs(data, other, channel_factory=thread_channels)
         assert gibbs._count_rows.cache_info().currsize == 1
         second, _ = run_discgs(data, cfg, channel_factory=thread_channels)
@@ -565,23 +566,18 @@ class TestFitPathUsesTheClusterTable:
 
     def test_a_run_fills_its_models_count_terms_once(self, monkeypatch):
         """run_cgs and run_discgs (two workers, thread backend) each fill the
-        model's array of count terms once, before their sweeps, and only
-        counts beyond the array take the scalar route."""
+        model's array of count terms once, and only counts at or above the
+        cap take the scalar route."""
         from dpgibbs import gibbs
 
-        fill, scalar = gibbs._fill_count_rows, gibbs._ClusterCache._count_row
-        fills, rows = [], []  # the sizes filled; (count, array size) of each scalar row
-
-        def counted_fill(prior, alpha, size):
-            fills.append(size)
-            return fill(prior, alpha, size)
+        scalar = gibbs._ClusterCache._count_row
+        rows = []  # (count, array size) of each scalar row
 
         def watched_row(self, m):
-            rows.append((m, self._count_rows[0].shape[0]))
+            rows.append((m, self._count_rows.shape[0]))
             return scalar(self, m)
 
         monkeypatch.setattr(gibbs, "_COUNT_CAP", 16)  # the 40-point clusters pass it
-        monkeypatch.setattr(gibbs, "_fill_count_rows", counted_fill)
         monkeypatch.setattr(gibbs._ClusterCache, "_count_row", watched_row)
         data, _ = two_blob_data(40, seed=19)
         cfg = config(data, alpha=2.0, iterations=3, workers=2, seed=4)
@@ -590,10 +586,11 @@ class TestFitPathUsesTheClusterTable:
             lambda: run_discgs(data, cfg, channel_factory=thread_channels),
         )
         for run in runs:
-            gibbs._count_rows.cache_clear()
-            fills.clear(), rows.clear()
+            # a memo of its own, so no array of a patched cap outlives the test
+            monkeypatch.setattr(gibbs, "_count_rows", functools.lru_cache(maxsize=1)(gibbs._count_rows.__wrapped__))
+            rows.clear()
             run()
-            assert fills == [16]
+            assert gibbs._count_rows.cache_info().misses == 1
             assert rows and all(m >= size == 16 for m, size in rows)
 
 

@@ -146,8 +146,7 @@ class TestApplyGlobalLabels:
     def test_merging_two_clusters(self):
         w = _worker_with_k_clusters()
         k = w.local.num_clusters
-        if k < 2:
-            pytest.skip("fixture did not split; adjust seed")
+        assert k >= 2  # a fixture that stops splitting must fail, not skip
         # Send the first two local clusters to the same global id, the rest
         # to distinct ones.
         clusters = stats_of(w.local.table)
@@ -163,8 +162,9 @@ class TestApplyGlobalLabels:
     def test_apply_is_a_coarsening(self):
         w = _worker_with_k_clusters(seed=13)
         k = w.local.num_clusters
+        assert k >= 2  # one cluster would coarsen trivially
         rng = np.random.default_rng(14)
-        targets = rng.integers(0, max(1, k - 1), k)  # random merges
+        targets = rng.integers(0, k - 1, k)  # random merges
         labels, clusters = w.local.labels.copy(), list(w.local.table.labels)
         out = apply_global_labels(w, targets.tolist())
         for h in clusters:
