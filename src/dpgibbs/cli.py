@@ -40,13 +40,9 @@ from .niw import ModelHyperParams, default_prior
 from .runtime import RunConfig, run_discgs
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _positive_int(text):
@@ -221,7 +217,7 @@ def cmd_evaluate(args):
     pred = read_labels(args.pred)
     truth = read_labels(args.truth)
     if pred.shape[0] != truth.shape[0]:
-        raise UsageError(
+        raise ValueError(
             "label files disagree on length: %d vs %d" % (pred.shape[0], truth.shape[0])
         )
     write_metrics(os.path.join(args.out, "metrics.json"), metrics_report(pred, truth))
@@ -237,14 +233,14 @@ def cmd_evaluate(args):
 
 def cmd_bench(args):
     if args.truth is not None and not args.force:
-        raise UsageError(
+        raise ValueError(
             "per-iteration trace scoring during a timing run pollutes the numbers; "
             "pass --force to do it anyway"
         )
     data, truth, hyper, prior_payload = _load_fit_inputs(args)
     for workers in args.workers_list:
         if workers > data.shape[0]:
-            raise UsageError(
+            raise ValueError(
                 "more workers (%d) than points (%d)" % (workers, data.shape[0])
             )
     rows = []
@@ -306,9 +302,6 @@ def main(argv=None):
         os.makedirs(args.out, exist_ok=True)
         args.func(args)
         return 0
-    except UsageError as err:
-        print("usage-error: %s" % err, file=sys.stderr)
-        return 2
     except (DatasetError, OSError) as err:
         print("io-error: %s" % err, file=sys.stderr)
         return 3

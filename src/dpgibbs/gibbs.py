@@ -210,8 +210,10 @@ class _ClusterCache:
     Cholesky factor of the row plus the base row,
     [[kappa_n, t^T], [t, Psi_n + t t^T / kappa_n]] with t = kappa_n mu:
     it is [[sqrt kappa_n, 0], [t / sqrt kappa_n, L]], and the lower d rows
-    of its inverse are the augmented map.  A row's factors depend on its
-    sums alone, bit for bit, not on the rows factored with it, so a row
+    of its inverse are the augmented map.  ``_factor`` alone turns packed
+    sums into these factors: a refresh's rows, a block's planned row
+    versions and a batch's candidates alike.  A row's factors depend on
+    its sums alone, bit for bit, not on the rows factored with it, so a row
     may move with its factors.  Only points are scored with the maps: a
     table built with ``points=False`` (the master's) keeps none, and
     skips the inverse; its ``maps`` is None.
@@ -307,16 +309,6 @@ class _ClusterCache:
             terms[r] = self._count_row(float(counts[r]))
         return terms
 
-    def _cholesky_rows(self, stats):
-        """The counts (R,), stacked Cholesky factors (R, d + 1, d + 1) and half
-        log det Psi_n (R,) of packed rows ``stats`` (R, (d + 1)^2) plus the
-        base row, which overwrite ``stats``: the table's one factoring.  A
-        failed factor is NaN, and so is its half log det."""
-        counts = stats[:, 0].copy()
-        stats += self._base
-        chol = _cholesky(stats.reshape(-1, self.d + 1, self.d + 1), signature="d->d")
-        return counts, chol, np.add.reduce(np.log(chol.diagonal(0, 1, 2)[:, 1:]), axis=1)
-
     def _factor_error(self, stats, what):
         """The error of a packed row plus the base row ``stats`` whose factor
         failed, as ``cholesky_logdet`` reports its explicit scale
@@ -331,34 +323,41 @@ class _ClusterCache:
         return NumericalDegeneracyError("%s is not positive definite" % what)
 
     def _factor(self, stats):
-        """The augmented maps (R, d, d + 1; None on a table without maps) and
-        terms (R, 8) of packed rows ``stats`` (R, (d + 1)^2, overwritten),
-        whether the table's or not, from ``_cholesky_rows`` and one stacked
-        inverse of its factors.  A row whose factor fails has a non-finite
-        MARGINAL.  The caller ignores floating-point errors."""
-        counts, chol, half = self._cholesky_rows(stats)
+        """The augmented maps (R, d, d + 1; None on a table without maps),
+        terms (R, 8) and first failed row of packed rows ``stats``
+        (R, (d + 1)^2, overwritten by themselves plus the base row), whether
+        the table's or not: the table's one factoring.  Each row plus the
+        base row gets one Cholesky factor, whose diagonal gives half
+        log det Psi_n by one reduction and whose stacked inverse gives the
+        maps.  A failed factor is NaN, and so is its row's MARGINAL; the
+        first row whose MARGINAL is not finite is returned, or -1 if every
+        row factored.  The caller ignores floating-point errors."""
+        counts = stats[:, 0].copy()
+        stats += self._base
+        chol = _cholesky(stats.reshape(-1, self.d + 1, self.d + 1), signature="d->d")
+        half = np.add.reduce(np.log(chol.diagonal(0, 1, 2)[:, 1:]), axis=1)
         terms = self._count_terms(counts)
         terms[:, self._MARGINAL] -= (self.prior.nu + counts) * half
         terms[:, self._BASE] -= half
         terms[:, self._OWN_BASE] -= half
+        marginals = terms[:, self._MARGINAL]
+        failed = -1 if math.isfinite(np.add.reduce(marginals)) else int(np.isfinite(marginals).argmin())
         if self.maps is None:
-            return None, terms
+            return None, terms, failed
         # The inverse comes from LAPACK (dgesv); for (d + 1) x (d + 1) blocks
         # this small OpenBLAS runs it on one thread, so workers sharing the
         # cores do not stall each other.
-        return _inverse(chol, signature="d->d")[:, 1:], terms
+        return _inverse(chol, signature="d->d")[:, 1:], terms, failed
 
     def _refresh(self, rows):
         """Recompute the cached posteriors of ``rows`` (an index array) from
         their sums; the caller ignores floating-point errors (a failed factor
         raises here)."""
         stats = self.stats.take(rows, axis=0)
-        maps, terms = self._factor(stats)
-        marginals = terms[:, self._MARGINAL]
-        if not math.isfinite(np.add.reduce(marginals)):  # name the first row at fault
-            j = int(np.isfinite(marginals).argmin())
-            r = int(rows[j])
-            err = self._factor_error(stats[j], "cluster posterior scale")
+        maps, terms, failed = self._factor(stats)
+        if failed >= 0:
+            r = int(rows[failed])
+            err = self._factor_error(stats[failed], "cluster posterior scale")
             raise err.add_context(cluster_label=self.labels[r] if r < len(self.labels) else "new")
         if maps is not None:
             self.maps[rows] = maps
@@ -516,29 +515,28 @@ class _ClusterCache:
         """Log-weights of a batch with packed raw sums ``row`` over (clusters
         by ascending label, new).  The caller ignores floating-point errors.
 
-        Each candidate's merged raw sums are factored by the step a refresh
-        takes, so MARGINAL(C + B) is bit for bit what C's row caches once B
-        moves in; a candidate C's weight is its CRP term plus
-        log p(B | C) = MARGINAL(C + B) - MARGINAL(C).  ``own`` is the row of
-        the cluster C that holds the batch.  That entry is the batch's
-        weight with the batch taken out, p(C) / p(C \\ batch), computed
-        without changing the table: its place in the stack factors the sums
-        of C \\ batch, and its gain flips sign; it is -inf (log 0) when the
-        batch is all of C, as for a singleton point.
+        The candidates' merged raw sums are factored by ``_factor``, as a
+        refresh factors rows, so MARGINAL(C + B) is by construction bit for
+        bit what C's row caches once B moves in.  A candidate C's weight is
+        its CRP term plus log p(B | C) = MARGINAL(C + B) - MARGINAL(C).
+        ``own`` is the row of the cluster C that holds the batch.  That
+        entry is the batch's weight with the batch taken out,
+        p(C) / p(C \\ batch), computed without changing the table: its place
+        in the stack factors the sums of C \\ batch, and its gain flips sign;
+        it is -inf (log 0) when the batch is all of C, as for a singleton
+        point.
         """
         rows = len(self.labels) + 1
         stats = self.stats[:rows] + row
         if own is not None:
             stats[own] = self.stats[own] - row
-        counts, _, half = self._cholesky_rows(stats)
-        if not math.isfinite(np.add.reduce(half)):
-            raise self._factor_error(stats[int(np.isfinite(half).argmin())], "candidate scale matrix")
-        terms = self._count_terms(counts)
-        marginals = terms[:, self._MARGINAL] - (self.prior.nu + counts) * half
-        gains = marginals - self.terms[:rows, self._MARGINAL]
+        _, terms, failed = self._factor(stats)
+        if failed >= 0:
+            raise self._factor_error(stats[failed], "candidate scale matrix")
+        gains = terms[:, self._MARGINAL] - self.terms[:rows, self._MARGINAL]
         weights = self.terms[:rows, self._CRP] + gains
         if own is not None:
-            weights[own] = (terms[own, self._CRP] if counts[own] else -math.inf) - gains[own]
+            weights[own] = (-math.inf if self.stats[own, 0] == row[0] else terms[own, self._CRP]) - gains[own]
         return weights
 
     def log_joint(self, n):
@@ -669,10 +667,9 @@ def _speculate(cache, labels, xs, uniforms, weights, own, draws, stops):
     if not plan:
         return None
     versions = np.array(versions)
-    maps, terms = cache._factor(versions.copy())
-    marginals = terms[:, cache._MARGINAL]
-    if not math.isfinite(np.add.reduce(marginals)):  # a change whose row fails ends the plan, and raises
-        cut = int(np.isfinite(marginals).argmin()) // 2
+    maps, terms, failed = cache._factor(versions.copy())
+    if failed >= 0:  # a change whose row fails ends the plan, and raises
+        cut = failed // 2
         end = plan[cut][0]
         del plan[cut:], seen[cut:]
         if not plan:

@@ -13,10 +13,12 @@ current global clusters by log-weights
 
 mirroring the per-point centralized sweep with batches in place of points.
 Global clusters live in the centralized sampler's cluster table: exact sums
-maintained by field-wise add/subtract of batch statistics, with every
-candidate scored against a batch in one vectorized evaluation.  The table
-scores no points, so it is built without whitening maps and a factoring
-skips their inverse.  Its rows start as the sums of the batches seeded
+maintained by field-wise add/subtract of batch statistics.  Every
+candidate of a batch is factored at once by the table's one factoring,
+the one that refreshes its rows, so a candidate's log marginal is bit for
+bit what its row caches once the batch moves in.  The table scores no
+points, so it is built without whitening maps and a factoring skips
+their inverse.  Its rows start as the sums of the batches seeded
 with each global id, added in batch order, and are factored once.  As a
 point in the centralized sweep, a batch is scored in its own global
 cluster without leaving it (-inf if it is the whole cluster), so only a

@@ -543,12 +543,13 @@ def reference_move(table, label, choice, row):
 
 def reference_master_sweep(summaries, hyper, rng):
     """The master sweep by its plainest route, for comparison with
-    ``master_sweep``: a table of one row per seeded batch (maps included)
-    renamed to the batches' previous ids, which sums the rows that share
-    one; each batch visited in ``rng.permutation(B)`` order, scored with
-    ``batch_log_weights``, drawn with its own ``rng.random()`` and moved by
-    ``reference_move``; the table renamed 0..K-1 at the end.  Returns
-    (targets, table) as ``master_sweep``'s GlobalState holds them."""
+    ``master_sweep``: a table of one row per seeded batch (maps included,
+    so its batch scoring also inverts each candidate's factor, for the
+    same terms) renamed to the batches' previous ids, which sums the rows
+    that share one; each batch visited in ``rng.permutation(B)`` order,
+    scored with ``batch_log_weights``, drawn with its own ``rng.random()``
+    and moved by ``reference_move``; the table renamed 0..K-1 at the end.
+    Returns (targets, table) as ``master_sweep``'s GlobalState holds them."""
     from dpgibbs.gibbs import _ClusterCache, sample_log_weights
     from dpgibbs.master import _collect_batches
 

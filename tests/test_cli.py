@@ -326,18 +326,16 @@ class TestFitDistributed:
     def test_degenerate_downdate_in_a_worker_sweep_is_exit_4(
         self, tmp_path, capsys, monkeypatch, backend
     ):
-        from dpgibbs import runtime
-        from dpgibbs.gibbs import _ClusterCache
+        from dpgibbs import gibbs, runtime
 
-        step = _ClusterCache._cholesky_rows
+        step = gibbs._inverse
 
-        def shrunk(cache, stats):
-            counts, chol, half = step(cache, stats)
-            # A shrunk factor inflates the whitening map, the lower rows of its
-            # inverse, which makes 1 - kappa / (kappa - 1) q negative.
-            return counts, chol * 1e-3, half
+        def inflated(chol, signature):
+            # The inverse of a factor shrunk 1e3-fold, its log det untouched,
+            # inflates the whitening map, which makes 1 - kappa / (kappa - 1) q negative.
+            return step(chol, signature=signature) * 1e3
 
-        monkeypatch.setattr(_ClusterCache, "_cholesky_rows", shrunk)
+        monkeypatch.setattr(gibbs, "_inverse", inflated)
         if backend == "thread":
             monkeypatch.setattr(runtime, "process_channels", runtime.thread_channels)
         data_path, _ = blob_files(tmp_path, n=20)

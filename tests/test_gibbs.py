@@ -308,26 +308,24 @@ class TestCgsSweep:
         change, and that a point-by-point sweep reaches, fails to factor:
         cgs_sweep raises at the point and cluster that pointwise_cgs_sweep
         names under the same fault."""
-        from dpgibbs.gibbs import _ClusterCache
+        from dpgibbs import gibbs
 
         rng = np.random.default_rng(58)
         n = 90
         data = rng.standard_normal((n, 3)) + 6.0 * rng.integers(0, 3, (n, 1))
         labels = np.unique(rng.integers(0, 30, n), return_inverse=True)[1]
         hyper = ModelHyperParams(alpha=50.0, prior=default_prior(data))
-        step = _ClusterCache._cholesky_rows
-        calls, bad = [], set()  # the packed rows of each factoring; the rows made to fail
+        step = gibbs._cholesky
+        calls, bad = [], set()  # the rows (plus the base row) of each factoring; the rows made to fail
 
-        def faulty(cache, stats):
-            keys = [r.tobytes() for r in stats]
+        def faulty(moments, signature):
+            keys = [r.tobytes() for r in moments]
             calls.append(keys)
-            counts, chol, half = step(cache, stats)
-            failed = [key in bad for key in keys]
-            chol[failed] = np.nan
-            half[failed] = np.nan
-            return counts, chol, half
+            chol = step(moments, signature=signature)
+            chol[[key in bad for key in keys]] = np.nan
+            return chol
 
-        monkeypatch.setattr(_ClusterCache, "_cholesky_rows", faulty)
+        monkeypatch.setattr(gibbs, "_cholesky", faulty)
 
         def sweep(run, log=None):
             state = state_from_labels(data, labels, hyper)
@@ -920,12 +918,12 @@ class TestFactorRoute:
         rows = len(sizes) + 1
         stats = table.stats[:rows]
         for r in range(rows):
-            maps, terms = table._factor(stats[[r]].copy())
+            maps, terms, _ = table._factor(stats[[r]].copy())
             for size in (2, 17, rows):
                 stack = rng.choice(np.delete(np.arange(rows), r), size - 1, replace=False)
                 at = int(rng.integers(size))
                 stack = np.insert(stack, at, r)
-                stacked_maps, stacked_terms = table._factor(stats[stack].copy())
+                stacked_maps, stacked_terms, _ = table._factor(stats[stack].copy())
                 assert stacked_maps[at].tobytes() == maps[0].tobytes(), (r, size)
                 assert stacked_terms[at].tobytes() == terms[0].tobytes(), (r, size)
 
@@ -964,9 +962,8 @@ class TestFactorRoute:
         then moves to is that row's CRP term plus its MARGINAL after the
         move less its MARGINAL before, bit for bit; its own entry is the CRP
         term of the row it leaves less that row's change.  The master's
-        candidates and a refresh take log det Psi_n through one Cholesky
-        step and one reduction, so the table a draw moves into is the one
-        it scored."""
+        candidates and a refresh are factored by the one ``_factor``, so
+        the table a draw moves into is the one it scored."""
         rng = np.random.default_rng(97)
         d = 8
         for trial in range(200):
@@ -1075,6 +1072,22 @@ class TestDegenerateScales:
                     self.table().batch_log_weights(row, own)
                 assert info.value.min_eigenvalue is None
                 assert "min eigenvalue" not in str(info.value)
+
+    def test_factor_names_the_first_row_that_fails(self):
+        """``_factor`` returns the first row whose factor fails, not positive
+        definite or not finite, and -1 when every row factors."""
+        table = self.table()
+        rows = {  # two of the table's rows, one not positive definite, one not finite
+            "a": table.stats[0],
+            "b": table.stats[1],
+            "p": pack_stats(1, np.full(2, 100.0), np.zeros((2, 2))),
+            "n": pack_stats(1, np.array([np.nan, 0.0]), np.zeros((2, 2))),
+        }
+        with np.errstate(all="ignore"):
+            for stack, first in (("aba", -1), ("abpn", 2), ("anpab", 1)):
+                _, terms, failed = table._factor(np.array([rows[c] for c in stack]))
+                assert failed == first
+                assert np.isfinite(terms[:, table._MARGINAL]).tolist() == [c in "ab" for c in stack]
 
     def test_batch_with_a_non_positive_definite_candidate_scale(self):
         table = self.table()
