@@ -20,8 +20,9 @@ rows, up to and including the first point whose draw against the rows as
 its planned moves leave them differs from the plan.  A row's raw sums are
 the moment matrix of [1, x], and one Cholesky factor of it plus the base
 row gives the row's whitening map and log det.  Row terms that depend only
-on a count below a cap are rows of one array per model, filled once at its
-full size before any worker starts and gathered by count.
+on a count are rows filled in bulk and gathered by count: of one array per
+model for counts below a cap, filled before any worker starts, and above it
+of chunks of consecutive counts, each filled when first met and memoized.
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky, inv as _inverse
 
 from .errors import NumericalDegeneracyError
-from .niw import (
-    ModelHyperParams,
-    NiwParams,
-    cholesky_logdet,
-    log_multigamma,
-)
+from .niw import ModelHyperParams, NiwParams, cholesky_logdet
 from .trace import run_iterations
 
 _LOG_PI = math.log(math.pi)
@@ -64,10 +60,13 @@ _FIRST_RUN = 16.0
 _RUN_DECAY = 0.75
 _U64 = (1 << 64) - 1
 # Only counts below _COUNT_CAP have rows in a model's array of count terms,
-# which keeps it at 256 KB, filled in about 2-3 ms.  A row of a larger count
-# takes the scalar _count_row, about 6 us, each time it is needed, and on
-# 20,000 points every cluster can be that large.
+# which keeps it at 256 KB, filled in about 2-3 ms.  On 20,000 points every
+# cluster can be larger: such a row comes from a chunk of _CHUNK consecutive
+# counts (8 KB), filled in about 0.1 ms when a count in it is first met; a
+# model keeps its last _CHUNKS chunks (about 2 MB at most).
 _COUNT_CAP = 4096
+_CHUNK = 128
+_CHUNKS = 256
 
 
 def _calls(f, args):
@@ -77,28 +76,49 @@ def _calls(f, args):
     return np.array(list(map(f, values.tolist())))[np.searchsorted(values, args)]
 
 
-@functools.lru_cache(maxsize=1)
-def _count_rows(kappa, nu, d, alpha):
-    """The model's array of row terms by count, (_COUNT_CAP, 8), filled once:
-    row m is bit for bit ``_ClusterCache._count_row(m)``, by ``math.log``
-    and ``math.lgamma`` of that route's own arguments (never ``np.log``,
-    whose last bits may differ), joined by the same IEEE operations in its
-    order.  Every table of the model shares it, in workers forked after
-    ``run_inputs`` too.  Only the last model's is kept."""
-    m = np.arange(_COUNT_CAP, dtype=np.float64)
+def _fill_counts(kappa, nu, d, alpha, start, size):
+    """Terms CRP..OWN_POWER of rows of m points before their log det Psi
+    (A(m) in place of MARGINAL), for the ``size`` counts m from ``start``:
+    (size, 8).  Each entry is the scalar definition's, bit for bit: the
+    count constant is log m (log alpha at m = 0) plus every point-weight
+    term that depends only on m, by ``math.log`` and ``math.lgamma`` of
+    the definition's own arguments (never ``np.log``, whose last bits may
+    differ), joined by the same IEEE operations in its order."""
+    lo = max(start - 1, 0)  # row m's own terms take the constant of m - 1
+    m = np.arange(lo, start + size, dtype=np.float64)
     kappa, nu = kappa + m, nu + m
     args = [0.5 * nu - 0.5 * j for j in range(d)] + [0.5 * (nu + 1.0), 0.5 * (nu + 1.0 - d)]
     *gammas, up, down = _calls(math.lgamma, np.array(args))
-    log_m, log_kappa, log_next = _calls(math.log, np.array([np.maximum(m, 1.0), kappa, kappa + 1.0]))
-    crp = np.concatenate(([math.log(alpha)], log_m[1:]))
+    crp, log_kappa, log_next = _calls(math.log, np.array([np.maximum(m, 1.0), kappa, kappa + 1.0]))
+    if not lo:
+        crp[0] = math.log(alpha)
     const = crp - 0.5 * d * _LOG_PI + 0.5 * d * (log_kappa - log_next) + up - down
     # sum() adds the arrays one at a time from 0, as niw.log_multigamma adds its floats.
     marginal = -0.5 * d * (m * _LOG_PI + log_kappa) + (sum(gammas) + d * (d - 1) / 4.0 * _LOG_PI)
-    terms = np.empty((_COUNT_CAP, 8))
+    terms = np.empty((m.shape[0], 8))
     terms[:, :5] = np.stack([crp, marginal, const, kappa / (kappa + 1.0), 0.5 * (nu + 1.0)], axis=1)
-    terms[:2, 5:] = (-math.inf, 0.0, 0.0)  # a singleton's own entry is -inf
-    terms[2:, 5:] = np.stack([const[1:-1], -kappa[2:] / (kappa[2:] - 1.0), 0.5 * (nu[2:] - 1.0)], axis=1)
-    return terms
+    # Taking x out of a cluster of m >= 2 gives Psi' = Psi - kappa / (kappa - 1) v v^T
+    # with v = x - mu, so log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).
+    terms[1:, 5:] = np.stack([const[:-1], -kappa[1:] / (kappa[1:] - 1.0), 0.5 * (nu[1:] - 1.0)], axis=1)
+    terms[m < 2.0, 5:] = (-math.inf, 0.0, 0.0)  # a singleton's only other home is "new"
+    return terms[start - lo :]
+
+
+@functools.lru_cache(maxsize=1)
+def _count_rows(kappa, nu, d, alpha):
+    """The model's array of row terms by count, (_COUNT_CAP, 8), filled once.
+    Every table of the model shares it, in workers forked after
+    ``run_inputs`` too.  Only the last model's is kept."""
+    return _fill_counts(kappa, nu, d, alpha, 0, _COUNT_CAP)
+
+
+@functools.lru_cache(maxsize=1)
+def _count_chunks(kappa, nu, d, alpha):
+    """The model's memo of chunks of row terms: called with (start, size),
+    the rows of counts start..start + size - 1, filled on first use; it
+    keeps the last _CHUNKS used.  Threads that miss one chunk at once may
+    each fill it, alike.  Only the last model's is kept."""
+    return functools.lru_cache(maxsize=_CHUNKS)(functools.partial(_fill_counts, kappa, nu, d, alpha))
 
 
 def seed_to_u64(seed):
@@ -234,7 +254,6 @@ class _ClusterCache:
         (K, (d + 1)^2); with ``points=False``, a table that scores batches only."""
         self.prior = prior
         self.alpha = alpha
-        self.log_alpha = math.log(alpha)
         self.d = d = prior.d
         self._name_rows([int(lab) for lab in labels])
         k = len(self.labels)
@@ -252,6 +271,7 @@ class _ClusterCache:
         kappa_mu = prior.kappa * prior.mu
         self._base = pack_stats(prior.kappa, kappa_mu, prior.psi + kappa_mu[:, None] * prior.mu)
         self._count_rows = _count_rows(prior.kappa, prior.nu, d, alpha)
+        self._count_chunks = _count_chunks(prior.kappa, prior.nu, d, alpha)
         with np.errstate(all="ignore"):
             self._refresh(np.arange(k + 1))
 
@@ -264,49 +284,18 @@ class _ClusterCache:
         self.row_of = np.full(max(16, self.next_label), -1, dtype=np.int64)  # label -> row, -1 if none
         self.row_of[labels] = np.arange(len(labels))
 
-    def _count_const(self, m):
-        """log m plus every point-weight term that depends only on the count m.
-
-        m = 0 is the base measure, whose CRP weight is alpha.
-        """
-        kappa = self.prior.kappa + m
-        nu = self.prior.nu + m
-        return (
-            (math.log(m) if m else self.log_alpha)
-            - 0.5 * self.d * _LOG_PI
-            + 0.5 * self.d * (math.log(kappa) - math.log(kappa + 1.0))
-            + math.lgamma(0.5 * (nu + 1.0))
-            - math.lgamma(0.5 * (nu + 1.0 - self.d))
-        )
-
-    def _count_row(self, m):
-        """Terms CRP..OWN_POWER of a row of m points before its log det Psi
-        (A(m) in place of MARGINAL): the definition of the terms that depend
-        only on the count, which ``_count_rows`` repeats in bulk, and the
-        route of counts at or above _COUNT_CAP."""
-        kappa, nu = self.prior.kappa + m, self.prior.nu + m
-        crp = math.log(m) if m else self.log_alpha
-        marginal = -0.5 * self.d * (m * _LOG_PI + math.log(kappa)) + log_multigamma(self.d, 0.5 * nu)
-        # Taking x out of a cluster of m >= 2 gives
-        # Psi' = Psi - kappa / (kappa - 1) v v^T with v = x - mu, so
-        # log det Psi' = log det Psi + log1p(-kappa q / (kappa - 1)).  A
-        # singleton's own entry is -inf: its only other home is "new".
-        own = (-math.inf, 0.0, 0.0)
-        if m > 1:
-            own = (self._count_const(m - 1), -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
-        row = (self._count_const(m), kappa / (kappa + 1.0), 0.5 * (nu + 1.0))
-        return (crp, marginal) + row + own
-
     def _count_terms(self, counts):
         """Terms CRP..OWN_POWER (R, 8, a new array) of rows of ``counts``
-        (R,) before their log det Psi: rows of the model's array, and
-        ``_count_row`` for counts at or above _COUNT_CAP."""
-        held = self._count_rows
-        if np.maximum.reduce(counts) < held.shape[0]:
-            return held.take(counts.astype(np.intp), axis=0)
-        terms = held.take(np.minimum(counts, held.shape[0] - 1).astype(np.intp), axis=0)
-        for r in np.flatnonzero(counts >= held.shape[0]).tolist():
-            terms[r] = self._count_row(float(counts[r]))
+        (R,) before their log det Psi: rows of the model's array, and for
+        counts at or above _COUNT_CAP rows of the memoized chunks of _CHUNK
+        counts that hold them."""
+        held, at = self._count_rows, counts.astype(np.intp)
+        if np.maximum.reduce(at) < held.shape[0]:
+            return held.take(at, axis=0)
+        terms = held.take(np.minimum(at, held.shape[0] - 1), axis=0)
+        large = np.flatnonzero(at >= held.shape[0])
+        for r, m in zip(large.tolist(), at[large].tolist()):
+            terms[r] = self._count_chunks(m - m % _CHUNK, _CHUNK)[m % _CHUNK]
         return terms
 
     def _factor_error(self, stats, what):
@@ -547,9 +536,18 @@ class _ClusterCache:
         return crp_log_prob(self.alpha, self.counts[:k].tolist(), n) + float(marginals.sum())
 
 
+def augment(data):
+    """The points ``data`` (n, d) as rows [1, x], (n, d + 1), which a run
+    builds once and hands to every ``cgs_sweep``: the transpose of one
+    (d + 1, n) array, so that a block of points is a slice of its columns,
+    as ``_ClusterCache.point_log_weights`` scores them."""
+    return np.vstack((np.ones(data.shape[0]), data.T)).T
+
+
 @np.errstate(all="ignore")  # a failed factor or downdate is NaN, and raises
-def cgs_sweep(state, data, rng):
-    """One collapsed Gibbs pass over all points in ascending index order.
+def cgs_sweep(state, points, rng):
+    """One collapsed Gibbs pass over all points in ascending index order;
+    ``points`` are the data as rows [1, x] (``augment``).
 
     A point is scored in its own cluster without leaving it, so the table
     changes only when a point moves; a singleton, whose own entry is -inf,
@@ -571,15 +569,14 @@ def cgs_sweep(state, data, rng):
     numbered above the largest label the sweep started with.
     The state's labels and table are updated in place; returns the state.
     """
-    data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
-    if state.labels.shape[0] != n:
-        raise ValueError("state covers %d points, data has %d" % (state.labels.shape[0], n))
     cache = state.table
     labels = state.labels
+    n = labels.shape[0]
+    if points.shape != (n, cache.d + 1):
+        raise ValueError("state covers %d points in %d dimensions, points are %r" % (n, cache.d, points.shape))
+    columns = points.T  # [1, x] per column
     cache.next_label = cache.labels[-1] + 1 if cache.labels else 0
     uniforms = rng.random(n)
-    columns = np.vstack((np.ones(n), data.T))  # a row of ones over the points: [1, x] per column
     cells = _BLOCK_CELLS // (cache.d * max(cache.d + 1, 4))
     # Decayed counts of points committed and of blocks that ended early: the run length.
     reached, ends = _FIRST_RUN, 1.0
@@ -735,10 +732,10 @@ def run_cgs(data, hyper, iterations, seed, ground_truth=None):
         raise ValueError("iterations must be >= 1, got %r" % (iterations,))
     data, hyper, truth = run_inputs(data, hyper, ground_truth)
     rng = np.random.default_rng(np.random.SeedSequence(seed_to_u64(seed)))
-    state = PartitionState.single_cluster(data, hyper)
+    state, points = PartitionState.single_cluster(data, hyper), augment(data)
 
     def step(t):
-        cgs_sweep(state, data, rng)
+        cgs_sweep(state, points, rng)
         return state.labels, log_joint(state), state.num_clusters
 
     labels, trace = run_iterations(iterations, truth, step)

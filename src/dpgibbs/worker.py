@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import PartitionState, cgs_sweep
+from .gibbs import PartitionState, augment, cgs_sweep
 
 
 @dataclass
 class WorkerState:
-    """worker_id, the local shard and its local partition.
+    """worker_id, the local shard as rows [1, x] (``gibbs.augment``, built
+    once and handed to every sweep) and its local partition.
 
     After an apply the local labels are global cluster ids.  A sweep numbers
     the clusters it creates above every label it starts with, so labels from
@@ -30,14 +31,15 @@ class WorkerState:
     """
 
     worker_id: int
-    data: np.ndarray
+    points: np.ndarray
     local: PartitionState
     first_new: int = 0
+    data = property(lambda self: self.points[:, 1:])  # the shard, (n, d)
 
     @classmethod
     def single_cluster(cls, worker_id, data, hyper):
         data = np.asarray(data, dtype=np.float64)
-        return cls(worker_id=int(worker_id), data=data, local=PartitionState.single_cluster(data, hyper))
+        return cls(int(worker_id), augment(data), PartitionState.single_cluster(data, hyper))
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class WorkerSummary:
 
 def worker_sweep(w, rng):
     """One local collapsed Gibbs sweep over the shard, in place; returns ``w``."""
-    cgs_sweep(w.local, w.data, rng)
+    cgs_sweep(w.local, w.points, rng)
     return w
 
 

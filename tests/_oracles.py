@@ -8,7 +8,9 @@ own but keeps its clusters in a cluster table of the package's, built afresh
 from the state's statistics, so that row order and label numbering match the
 sweep it checks; and ``reference_refresh``, which recomputes a table's cached
 factors through NumPy's public linalg routines but takes its count constant
-from the table.  ``schur_route`` factors each row's posterior scale formed
+from ``count_const``.  ``count_const`` and ``count_row`` are the scalar
+definition of the terms that depend only on a cluster's count, which the
+package fills in bulk.  ``schur_route`` factors each row's posterior scale formed
 explicitly, the route the table's moment-matrix factor replaces.  The
 row-by-row CSV writers are the package's writers before they formatted
 blocks of rows at once; tests that need a data file with a label column
@@ -263,6 +265,42 @@ def stats_of(table):
     return dict(zip(table.labels, packed_stats(table.stats[: len(table.labels)], table.d)))
 
 
+def count_const(prior, alpha, m):
+    """log m plus every point-weight term that depends only on the count m,
+    for the model ``prior`` and ``alpha``; m = 0 is the base measure, whose
+    CRP weight is alpha."""
+    import math
+
+    d, kappa, nu = prior.d, prior.kappa + m, prior.nu + m
+    return (
+        (math.log(m) if m else math.log(alpha))
+        - 0.5 * d * math.log(math.pi)
+        + 0.5 * d * (math.log(kappa) - math.log(kappa + 1.0))
+        + math.lgamma(0.5 * (nu + 1.0))
+        - math.lgamma(0.5 * (nu + 1.0 - d))
+    )
+
+
+def count_row(prior, alpha, m):
+    """Terms CRP..OWN_POWER of a cluster-table row of m points before its
+    log det Psi (A(m) in place of MARGINAL), one float at a time: the
+    definition that the package's bulk fill repeats bit for bit."""
+    import math
+
+    from dpgibbs.niw import log_multigamma
+
+    d, kappa, nu = prior.d, prior.kappa + m, prior.nu + m
+    crp = math.log(m) if m else math.log(alpha)
+    marginal = -0.5 * d * (m * math.log(math.pi) + math.log(kappa)) + log_multigamma(d, 0.5 * nu)
+    # Taking x out of a cluster of m >= 2 gives Psi' = Psi - kappa / (kappa - 1) v v^T
+    # with v = x - mu; a singleton's own entry is -inf: its only other home is "new".
+    own = (-math.inf, 0.0, 0.0)
+    if m > 1:
+        own = (count_const(prior, alpha, m - 1), -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
+    row = (count_const(prior, alpha, m), kappa / (kappa + 1.0), 0.5 * (nu + 1.0))
+    return (crp, marginal) + row + own
+
+
 def reference_refresh(table, rows):
     """(whitens, shifts, terms, log_marginals) of a cluster table's ``rows``
     through the public route.
@@ -277,9 +315,9 @@ def reference_refresh(table, rows):
     pairwise order a Python sum would not match in the last bits.  Its CRP
     term is ``math.log`` of its count (of alpha on the base row), its
     MARGINAL is A(m) - nu_m / 2 log det Psi with A(m) from
-    ``niw.log_multigamma``, and its point-weight terms come from the
-    table's un-memoized count constant, so ``terms`` should equal the
-    table's cached factors bit for bit.  ``log_marginals`` holds each row's
+    ``niw.log_multigamma``, and its point-weight terms come from
+    ``count_const``, so ``terms`` should equal the table's cached factors
+    bit for bit.  ``log_marginals`` holds each row's
     log marginal by ``niw.log_marginal`` (0 on the base row), which the
     table's MARGINAL less its base row's should equal to rounding.
     """
@@ -305,9 +343,9 @@ def reference_refresh(table, rows):
         kappa, nu = prior.kappa + m, prior.nu + m
         own = (-math.inf, 0.0, 0.0)
         if m > 1:
-            own_base = table._count_const(m - 1) - half
+            own_base = count_const(prior, table.alpha, m - 1) - half
             own = (own_base, -kappa / (kappa - 1.0), 0.5 * (nu - 1.0))
-        base = table._count_const(m) - half
+        base = count_const(prior, table.alpha, m) - half
         crp = math.log(m) if m else math.log(table.alpha)
         marginal = -0.5 * d * (m * math.log(math.pi) + math.log(kappa)) + log_multigamma(d, 0.5 * nu)
         marginal -= nu * half
@@ -397,6 +435,8 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
     ``state`` is left as it is; the result is a new state with labels made
     dense 0..K-1.
     """
+    import math
+
     from dpgibbs.gibbs import PartitionState, pack_stats
 
     data = np.asarray(data, dtype=np.float64)
@@ -414,7 +454,7 @@ def pointwise_cgs_sweep(state, data, rng, weight_log=None):
         for r in range(len(cache.labels) + 1):
             count, sumv, outer = unpack(cache.stats[r], prior.d)
             n = int(count)
-            log_weight = np.log(n - (r == own)) if r < len(cache.labels) else cache.log_alpha
+            log_weight = np.log(n - (r == own)) if r < len(cache.labels) else math.log(cache.alpha)
             try:
                 weights.append(_pointwise_log_weight(prior, log_weight, n, sumv, outer, x, r == own))
             except NumericalDegeneracyError as err:

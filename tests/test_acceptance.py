@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 import _oracles
 from dpgibbs.cli import main as cli_main
 from dpgibbs.datasets import generate_gmm, preset_spec, write_dataset, write_labels
-from dpgibbs.gibbs import PartitionState, cgs_sweep, log_joint, pack_stats, run_cgs
+from dpgibbs.gibbs import PartitionState, augment, cgs_sweep, log_joint, pack_stats, run_cgs
 from dpgibbs.master import master_sweep
 from dpgibbs.metrics import acc, ari, nmi
 from dpgibbs.niw import (
@@ -208,13 +208,13 @@ def test_criterion_03_sampler_frequencies():
     probs = np.exp(log_posterior)
     index_of = {tuple(sorted(p)): i for i, p in enumerate(partitions)}
     rng = np.random.default_rng(303)
-    state = PartitionState.single_cluster(data, hyper)
+    state, points = PartitionState.single_cluster(data, hyper), augment(data)
     for _ in range(500):
-        state = cgs_sweep(state, data, rng)
+        state = cgs_sweep(state, points, rng)
     sweeps = 50_000
     counts = np.zeros(5)
     for _ in range(sweeps):
-        state = cgs_sweep(state, data, rng)
+        state = cgs_sweep(state, points, rng)
         counts[index_of[_oracles.canonical_partition(state.labels)]] += 1
     worst = 0.0
     for i, p in enumerate(probs):
@@ -246,7 +246,7 @@ def test_criterion_04_master_matches_central_on_singletons():
         central = _oracles.state_from_stats(init, clusters, hyper)
         seed = 10_000 + trial
         with _oracles.recorded_weights() as central_log:
-            swept = cgs_sweep(central, data, np.random.default_rng(seed))
+            swept = cgs_sweep(central, augment(data), np.random.default_rng(seed))
 
         # Each point is a batch whose previous global cluster is its
         # cluster in the central partition.

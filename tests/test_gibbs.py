@@ -10,6 +10,7 @@ from scipy.special import gammaln, logsumexp
 
 from dpgibbs.gibbs import (
     PartitionState,
+    augment,
     center_on_prior,
     cgs_sweep,
     crp_log_prob,
@@ -167,7 +168,7 @@ class TestCgsSweep:
         data = np.array([[1.5]])
         for seed in range(5):
             state = PartitionState.single_cluster(data, unit_hyper(1))
-            out = cgs_sweep(state, data, np.random.default_rng(seed))
+            out = cgs_sweep(state, augment(data), np.random.default_rng(seed))
             assert out.num_clusters == 1
             validate_partition(compacted(out), data)
 
@@ -182,15 +183,15 @@ class TestCgsSweep:
         w_new = math.log(hyper.alpha) + log_prior_predictive(x, hyper.prior)
         p_share = math.exp(w_exist - logsumexp([w_exist, w_new]))
         assert p_share > 0.99
-        out = cgs_sweep(state, data, np.random.default_rng(4))
+        out = cgs_sweep(state, augment(data), np.random.default_rng(4))
         assert out.num_clusters == 1
 
     def test_fixed_seed_bit_identical_labels(self):
         rng_data = np.random.default_rng(5)
         data = rng_data.standard_normal((40, 2))
         a, b = (PartitionState.single_cluster(data, unit_hyper(2)) for _ in range(2))
-        cgs_sweep(a, data, np.random.default_rng(17))
-        cgs_sweep(b, data, np.random.default_rng(17))
+        cgs_sweep(a, augment(data), np.random.default_rng(17))
+        cgs_sweep(b, augment(data), np.random.default_rng(17))
         assert np.array_equal(a.labels, b.labels)
 
     def test_invariants_over_many_sweeps(self):
@@ -203,8 +204,8 @@ class TestCgsSweep:
         for _ in range(10):
             before = set(state.table.labels)
             fresh = state_from_stats(state.labels, stats_of(state.table), unit_hyper(2))
-            cgs_sweep(fresh, data, copy.deepcopy(sweep_rng))
-            state = cgs_sweep(state, data, sweep_rng)
+            cgs_sweep(fresh, augment(data), copy.deepcopy(sweep_rng))
+            state = cgs_sweep(state, augment(data), sweep_rng)
             validate_partition(compacted(state), data)
             assert sum(s.n for s in stats_of(state.table).values()) == data.shape[0]
             # Surviving clusters keep their labels; new ones are numbered
@@ -275,7 +276,7 @@ class TestCgsSweep:
             assert np.isnan(state.table.point_log_weights(columns(data[1:2]), own=np.array([1]))[1, 0])
         # Point 0 is a singleton and changes the table; point 1 is reached next.
         with pytest.raises(NumericalDegeneracyError) as info:
-            cgs_sweep(state, data, np.random.default_rng(0))
+            cgs_sweep(state, augment(data), np.random.default_rng(0))
         assert info.value.context == {"cluster_label": 5, "point_index": 1}
 
     def test_faults_past_a_blocks_first_move_are_not_raised(self, monkeypatch):
@@ -298,7 +299,7 @@ class TestCgsSweep:
         data = np.random.default_rng(35).standard_normal((12, 2))
         state = state_for_partition(data, [0] * 6 + [1] * 6, unit_hyper(2))
         with _oracles.recorded_weights() as log:
-            out = cgs_sweep(state, data, np.random.default_rng(3))
+            out = cgs_sweep(state, augment(data), np.random.default_rng(3))
         assert blocks[0] > 3 and len(blocks) > 1
         assert len(log) == 12 and all(np.all(np.isfinite(w)) for w in log[1:])
         validate_partition(compacted(out), data)
@@ -330,7 +331,7 @@ class TestCgsSweep:
         def sweep(run, log=None):
             state = state_from_labels(data, labels, hyper)
             del calls[:]
-            args = (state, data, np.random.default_rng(7))
+            args = (state, augment(data) if run is cgs_sweep else data, np.random.default_rng(7))
             return run(*args) if log is None else run(*args, weight_log=log)
 
         sweep(_oracles.pointwise_cgs_sweep)
@@ -367,14 +368,14 @@ class TestCgsSweep:
         monkeypatch.setattr(_ClusterCache, "point_log_weights", infinite_for_point_4)
         state = state_for_partition(data, [0] * 10, unit_hyper(2))
         with pytest.raises(NumericalDegeneracyError, match="non-finite") as info:
-            cgs_sweep(state, data, np.random.default_rng(4))
+            cgs_sweep(state, augment(data), np.random.default_rng(4))
         assert info.value.context == {"point_index": 4}
 
     def test_mismatched_state_rejected(self):
         data = np.zeros((4, 1))
         state = PartitionState.single_cluster(np.zeros((3, 1)), unit_hyper(1))
         with pytest.raises(ValueError):
-            cgs_sweep(state, data, np.random.default_rng(0))
+            cgs_sweep(state, augment(data), np.random.default_rng(0))
 
 
 def _compare_with_pointwise(data, state, seed, sweeps=3):
@@ -394,7 +395,7 @@ def _compare_with_pointwise(data, state, seed, sweeps=3):
         ref = _oracles.pointwise_cgs_sweep(ref, data, ref_rng, weight_log=ref_log)
         before = block.labels.copy()
         with _oracles.recorded_weights() as block_log:
-            cgs_sweep(block, data, block_rng)
+            cgs_sweep(block, augment(data), block_rng)
         dense = compacted(block)
         assert np.array_equal(dense.labels, ref.labels)
         expected = stats_of(ref.table)
@@ -639,7 +640,7 @@ class TestLiveClusterTable:
         workers = [WorkerState.single_cluster(j, shard, hyper) for j, shard in enumerate(shards)]
         rng = np.random.default_rng(14)
         for _ in range(3):
-            cgs_sweep(state, data, rng)
+            cgs_sweep(state, augment(data), rng)
             assert_symmetric(state.table)
             for w in workers:
                 worker_sweep(w, rng)
@@ -841,7 +842,7 @@ class TestLiveClusterTable:
         labels = np.repeat(np.arange(k), 20)
         data = 100.0 * rng.standard_normal((k, d))[labels] + rng.standard_normal((labels.size, d))
         state = state_for_partition(data, labels, unit_hyper(d))
-        cgs_sweep(state, data, np.random.default_rng(83))
+        cgs_sweep(state, augment(data), np.random.default_rng(83))
         assert np.array_equal(state.labels, labels)  # stable: no block ends early
         assert max(products["block"]) <= gibbs._BLOCK_CELLS
         assert max(products["block"]) > gibbs._BLOCK_CELLS // 2
@@ -856,7 +857,7 @@ class TestLiveClusterTable:
         state = state_for_partition(data, labels, unit_hyper(d))
         sweep_rng = np.random.default_rng(84)
         for _ in range(2):
-            cgs_sweep(state, data, sweep_rng)
+            cgs_sweep(state, augment(data), sweep_rng)
         assert len(products["rescore"]) > 10
         assert max(products["block"] + products["rescore"]) <= gibbs._BLOCK_CELLS
         assert max(products["rescore"]) > gibbs._BLOCK_CELLS // 2
@@ -954,7 +955,8 @@ class TestFactorRoute:
                 assert np.abs(table.maps[r, :, 1:] - whitens[r]).max() <= 4e-11 * scale
                 assert np.abs(table.maps[r, :, 0] + shifts[r]).max() <= 2e-11 * scale * np.abs(mus[r]).max()
                 # BASE is the count's term less half the log det.
-                half = table._count_row(int(table.counts[r]))[table._BASE] - table.terms[r, table._BASE]
+                terms = _oracles.count_row(table.prior, table.alpha, int(table.counts[r]))
+                half = terms[table._BASE] - table.terms[r, table._BASE]
                 assert math.isclose(2.0 * half, log_dets[r], rel_tol=1e-12)
 
     def test_batch_weights_are_the_gains_a_move_caches(self):
@@ -1008,7 +1010,7 @@ class TestFactorRoute:
         monkeypatch.setattr(np.linalg, "cholesky", wrapper_called)
         monkeypatch.setattr(np.linalg, "inv", wrapper_called)
         for _ in range(3):
-            cgs_sweep(state, data, rng)
+            cgs_sweep(state, augment(data), rng)
             log_joint(state)
             worker_sweep(w, rng)
             gstate = master_sweep([summarize(w)], hyper, rng)
@@ -1133,7 +1135,6 @@ class TestLgammaPaths:
     def test_count_constants(self):
         for d in range(1, 9):
             for prior in self.priors(d):
-                cache = table_of(prior, 2.5, {})
                 for m in self.COUNTS:
                     kappa, nu = prior.kappa + m, prior.nu + m
                     terms = [
@@ -1143,7 +1144,7 @@ class TestLgammaPaths:
                         gammaln(0.5 * (nu + 1.0)),
                         -gammaln(0.5 * (nu + 1.0 - d)),
                     ]
-                    assert self.agree(cache._count_const(m), terms)
+                    assert self.agree(_oracles.count_const(prior, 2.5, m), terms)
 
     def test_log_multigamma(self):
         for d in range(1, 9):
@@ -1265,28 +1266,33 @@ class TestRunCgs:
         assert np.array_equal(first, second)
 
     def test_count_memo_keeps_only_counts_below_its_cap(self, monkeypatch):
-        """With the cap at 8, sweeps over clusters of up to 60 points hold an
-        array of 8 counts and give the labels and log joint of a run whose
-        cap covers every count."""
+        """With the cap at 8 and chunks of 4 counts, sweeps over clusters of
+        up to 60 points hold an array of 8 counts, take the larger counts'
+        rows from several chunks, and give the labels and log joint of a run
+        whose cap covers every count."""
         from dpgibbs import gibbs
 
         data, _ = separated_two_component(60, seed=31)
         data, hyper = center_on_prior(data, empirical_hyper(data, alpha=2.0))
+        monkeypatch.setattr(gibbs, "_CHUNK", 4)
 
         def sweeps(cap):
             monkeypatch.setattr(gibbs, "_COUNT_CAP", cap)
-            # a memo of its own, so no array of a patched cap outlives the test
-            monkeypatch.setattr(gibbs, "_count_rows", functools.lru_cache(maxsize=1)(gibbs._count_rows.__wrapped__))
-            state = PartitionState.single_cluster(data, hyper)
+            # memos of their own, so no array of a patched cap or chunk outlives the test
+            for memo in ("_count_rows", "_count_chunks"):
+                monkeypatch.setattr(gibbs, memo, functools.lru_cache(maxsize=1)(getattr(gibbs, memo).__wrapped__))
+            state, points = PartitionState.single_cluster(data, hyper), augment(data)
             rng = np.random.default_rng(5)
             for _ in range(4):
-                cgs_sweep(state, data, rng)
+                cgs_sweep(state, points, rng)
                 assert state.table._count_rows.shape == (cap, 8)
-            return state.labels, log_joint(state), int(state.table.counts.max())
+            chunks = state.table._count_chunks.cache_info().currsize
+            return state.labels, log_joint(state), int(state.table.counts.max()), chunks
 
-        capped, capped_joint, largest = sweeps(8)
-        uncapped, uncapped_joint, _ = sweeps(64)  # the fill is the cap's size: never patch it huge
+        capped, capped_joint, largest, chunks = sweeps(8)
+        uncapped, uncapped_joint, _, none = sweeps(64)  # the fill is the cap's size: never patch it huge
         assert largest >= 8 and data.shape[0] < 64  # counts pass the small cap, not the large
+        assert chunks > 2 and none == 0
         assert np.unique(capped).size > 1
         assert np.array_equal(capped, uncapped)
         assert capped_joint == uncapped_joint
@@ -1297,24 +1303,28 @@ class TestCountTerms:
     @pytest.mark.parametrize("kappa, extra", [(1.0, 1.0), (0.37, 3.3)], ids=["paper", "fractional"])
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_bulk_fill_equals_the_scalar_route(self, d, kappa, extra, alpha):
-        """Row m of the model's array is _count_row(m) bit for bit, the -inf
-        own entries at m = 0 and 1 included, for every count below the cap,
-        and _count_terms gives each row of counts that straddle the cap its
-        scalar route; the paper's prior is kappa0 = 1, nu0 = d + 1."""
+        """Row m of the model's array is the scalar route's row of m bit for
+        bit, the -inf own entries at m = 0 and 1 included, for every count
+        below the cap, and _count_terms gives each row of counts on both
+        sides of the cap and of chunk boundaries above it its scalar row;
+        the paper's prior is kappa0 = 1, nu0 = d + 1."""
         from dpgibbs import gibbs
 
         prior = NiwParams(mu=np.zeros(d), kappa=kappa, nu=d + extra, psi=np.eye(d))
         gibbs._count_rows.cache_clear()
+        gibbs._count_chunks.cache_clear()
         table = gibbs._ClusterCache(prior, alpha, [], np.zeros((0, (d + 1) ** 2)))
         filled = gibbs._count_rows(prior.kappa, prior.nu, d, alpha)
-        scalar = np.array([table._count_row(float(m)) for m in range(gibbs._COUNT_CAP)])
+        scalar = np.array([_oracles.count_row(prior, alpha, float(m)) for m in range(gibbs._COUNT_CAP)])
         assert filled.shape == (gibbs._COUNT_CAP, 8)
         assert np.isneginf(filled[:2, table._OWN_BASE]).all()
         assert np.array_equal(filled, scalar)
-        cap = gibbs._COUNT_CAP
-        counts = np.array([0.0, 1.0, cap - 1.0, cap, cap + 1.0, 5.0, 3.0 * cap + 7.0])
-        expected = np.array([table._count_row(m) for m in counts.tolist()])
+        cap, chunk = gibbs._COUNT_CAP, gibbs._CHUNK
+        edges = [cap + k * chunk + e for k in (0, 1, 5) for e in (-1, 0, 1)]
+        counts = np.array([0.0, 1.0, 5.0, cap - 1.0, *edges, cap + chunk - 1.0, 3.0 * cap + 7.0, 20_000.0])
+        expected = np.array([_oracles.count_row(prior, alpha, m) for m in counts.tolist()])
         assert np.array_equal(table._count_terms(counts), expected)
+        assert np.array_equal(table._count_terms(counts[::-1]), expected[::-1])  # from the memo
 
 
 class TestExchangeability:
@@ -1329,12 +1339,12 @@ class TestExchangeability:
         probs = np.exp(oracle_log_post)
         index_of = { _oracles.canonical_partition(_labels_for(blocks)): i
                      for i, blocks in enumerate(partitions) }
-        state = PartitionState.single_cluster(data, hyper)
+        state, points = PartitionState.single_cluster(data, hyper), augment(data)
         rng = np.random.default_rng(16)
         burn_in, draws = 1000, 100_000
         counts = np.zeros(len(partitions))
         for sweep in range(burn_in + draws):
-            state = cgs_sweep(state, data, rng)
+            state = cgs_sweep(state, points, rng)
             if sweep >= burn_in:
                 counts[index_of[_oracles.canonical_partition(state.labels)]] += 1
         expected = probs * draws

@@ -425,9 +425,10 @@ class TestRunDiscgs:
 
 class TestSampledPathPin:
     """The labels both samplers draw on a fixed 8-d mixture whose clusters
-    churn, held as the SHA-256 of their int64 bytes.  A change to how the
-    sweeps compute must leave these unchanged; a change to what they draw
-    updates them and says so."""
+    churn, and the central sampler on a 2-d mixture whose clusters pass
+    _COUNT_CAP, held as the SHA-256 of their int64 bytes.  A change to how
+    the sweeps compute must leave these unchanged; a change to what they
+    draw updates them and says so."""
 
     @staticmethod
     def digest(labels):
@@ -448,6 +449,17 @@ class TestSampledPathPin:
         data, cfg = self.mixture()
         labels, _ = run_discgs(data, cfg, channel_factory=thread_channels)
         assert self.digest(labels) == "60b5b691fa545d10b01080a4e1d028e263fd566ebdb56537c67f2ddc232ed600"
+
+    def test_central_labels_past_the_count_cap(self):
+        from dpgibbs import gibbs
+
+        rng = np.random.default_rng(2030)
+        data = rng.standard_normal((6000, 2)) + 4.0 * rng.integers(0, 3, (6000, 1))
+        cfg = config(data, alpha=5.0, iterations=3, seed=7)
+        labels, _ = run_cgs(data, cfg.hyper, cfg.iterations, seed=cfg.seed)
+        assert self.digest(labels) == "f6637f1dd83c3f702addd0f51268b3f9e7d0495048a464583e9afc296ea4d22b"
+        p = cfg.hyper.prior
+        assert gibbs._count_chunks(p.kappa, p.nu, p.d, cfg.hyper.alpha).cache_info().currsize  # chunks were met
 
 
 class TestMessageTraffic:
@@ -566,19 +578,21 @@ class TestFitPathUsesTheClusterTable:
 
     def test_a_run_fills_its_models_count_terms_once(self, monkeypatch):
         """run_cgs and run_discgs (two workers, thread backend) each fill the
-        model's array of count terms once, and only counts at or above the
-        cap take the scalar route."""
+        model's array of count terms once, and take the rows of counts at or
+        above the cap from whole chunks, each filled at most once by each
+        thread: no count's terms are computed alone."""
         from dpgibbs import gibbs
 
-        scalar = gibbs._ClusterCache._count_row
-        rows = []  # (count, array size) of each scalar row
+        fill = gibbs._fill_counts
+        fills = []  # (thread, start, size) of each fill
 
-        def watched_row(self, m):
-            rows.append((m, self._count_rows.shape[0]))
-            return scalar(self, m)
+        def watched_fill(*model_and_rows):
+            fills.append((threading.get_ident(),) + model_and_rows[-2:])
+            return fill(*model_and_rows)
 
         monkeypatch.setattr(gibbs, "_COUNT_CAP", 16)  # the 40-point clusters pass it
-        monkeypatch.setattr(gibbs._ClusterCache, "_count_row", watched_row)
+        monkeypatch.setattr(gibbs, "_CHUNK", 4)
+        monkeypatch.setattr(gibbs, "_fill_counts", watched_fill)
         data, _ = two_blob_data(40, seed=19)
         cfg = config(data, alpha=2.0, iterations=3, workers=2, seed=4)
         runs = (
@@ -586,12 +600,71 @@ class TestFitPathUsesTheClusterTable:
             lambda: run_discgs(data, cfg, channel_factory=thread_channels),
         )
         for run in runs:
-            # a memo of its own, so no array of a patched cap outlives the test
-            monkeypatch.setattr(gibbs, "_count_rows", functools.lru_cache(maxsize=1)(gibbs._count_rows.__wrapped__))
-            rows.clear()
+            # memos of their own, so no array of a patched cap or chunk outlives the test
+            for memo in ("_count_rows", "_count_chunks"):
+                monkeypatch.setattr(gibbs, memo, functools.lru_cache(maxsize=1)(getattr(gibbs, memo).__wrapped__))
+            fills.clear()
             run()
             assert gibbs._count_rows.cache_info().misses == 1
-            assert rows and all(m >= size == 16 for m, size in rows)
+            chunks = [call for call in fills if call[1:] != (0, 16)]
+            assert len(fills) - len(chunks) == 1  # the array
+            assert chunks and all(start >= 16 and start % 4 == 0 and size == 4 for _, start, size in chunks)
+            # Two threads that miss one chunk at once may both fill it.
+            assert len(set(chunks)) == len(chunks)
+
+    def test_threads_that_share_the_chunk_memo_draw_the_process_labels(self, monkeypatch):
+        """Four workers on the thread backend, switched every microsecond on
+        two cores, whose clusters pass a cap of 16, share one memo of chunks
+        of 4 counts and draw the labels of four worker processes."""
+        import sys
+
+        from dpgibbs import gibbs
+
+        monkeypatch.setattr(gibbs, "_COUNT_CAP", 16)
+        monkeypatch.setattr(gibbs, "_CHUNK", 4)
+        for memo in ("_count_rows", "_count_chunks"):
+            monkeypatch.setattr(gibbs, memo, functools.lru_cache(maxsize=1)(getattr(gibbs, memo).__wrapped__))
+        data, _ = two_blob_data(240, seed=23)
+        cfg = config(data, alpha=2.0, iterations=4, workers=4, seed=6)
+        expected, _ = run_discgs(data, cfg, channel_factory=process_channels)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            labels, _ = run_discgs(data, cfg, channel_factory=thread_channels)
+        finally:
+            sys.setswitchinterval(interval)
+        p = cfg.hyper.prior
+        assert gibbs._count_chunks(p.kappa, p.nu, p.d, cfg.hyper.alpha).cache_info().currsize > 1
+        assert np.array_equal(labels, expected)
+
+    def test_a_run_builds_its_points_once(self, monkeypatch):
+        """run_cgs, and each worker on the thread backend, hand every sweep
+        one array of the points as rows [1, x], built with the run's state."""
+        from dpgibbs import gibbs, worker
+
+        handed = {}  # id of each state swept -> the points handed with it
+
+        def watched(sweep):
+            def sweep_once(state, points, rng):
+                handed.setdefault(id(state), []).append(points)
+                return sweep(state, points, rng)
+            return sweep_once
+
+        for module in (gibbs, worker):
+            monkeypatch.setattr(module, "cgs_sweep", watched(module.cgs_sweep))
+        data, _ = two_blob_data(40, seed=19)
+        cfg = config(data, alpha=2.0, iterations=3, workers=2, seed=4)
+        runs = (
+            (lambda: run_cgs(data, cfg.hyper, 3, seed=4), [40]),
+            (lambda: run_discgs(data, cfg, channel_factory=thread_channels), [20, 20]),
+        )
+        for run, sizes in runs:
+            handed.clear()
+            run()
+            assert sorted(len(points[0]) for points in handed.values()) == sizes
+            for points in handed.values():
+                assert len(points) == 3 and all(p is points[0] for p in points)
+                assert points[0].shape[1] == 3 and (points[0][:, 0] == 1.0).all()
 
 
 class TestWorkerLoopFailure:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dpgibbs.gibbs import augment
 from dpgibbs.metrics import ari
 from dpgibbs.niw import (
     ModelHyperParams,
@@ -212,7 +213,7 @@ class TestPreviousGlobalIds:
         hyper = ModelHyperParams(
             alpha=1.0, prior=NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
         )
-        w = WorkerState(0, data, state_from_labels(data, local, hyper))
+        w = WorkerState(0, augment(data), state_from_labels(data, local, hyper))
         w = apply_global_labels(w, [3, 5, 9])
         assert summarize(w).previous.tolist() == [3, 5, 9]
 
