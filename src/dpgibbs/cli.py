@@ -37,7 +37,7 @@ from .errors import DatasetError, NumericalDegeneracyError
 from .gibbs import run_cgs
 from .metrics import metrics_report
 from .niw import ModelHyperParams, default_prior
-from .runtime import RunConfig, run_discgs
+from .runtime import RunConfig, run_discgs, shard
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,10 +216,6 @@ def cmd_fit_distributed(args):
 def cmd_evaluate(args):
     pred = read_labels(args.pred)
     truth = read_labels(args.truth)
-    if pred.shape[0] != truth.shape[0]:
-        raise ValueError(
-            "label files disagree on length: %d vs %d" % (pred.shape[0], truth.shape[0])
-        )
     write_metrics(os.path.join(args.out, "metrics.json"), metrics_report(pred, truth))
     _write_manifest(
         args.out,
@@ -239,10 +235,7 @@ def cmd_bench(args):
         )
     data, truth, hyper, prior_payload = _load_fit_inputs(args)
     for workers in args.workers_list:
-        if workers > data.shape[0]:
-            raise ValueError(
-                "more workers (%d) than points (%d)" % (workers, data.shape[0])
-            )
+        shard(data, workers)  # rejects a worker count before any run starts
     rows = []
     if args.include_central:
         started = time.perf_counter()

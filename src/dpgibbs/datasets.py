@@ -25,7 +25,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -370,8 +370,8 @@ def write_metrics(path, metrics):
 
 
 def write_trace(path, trace):
-    """Trace file is a JSON array of per-iteration records."""
-    write_json(path, trace.to_payload())
+    """Trace file is a JSON array of a run's IterationRecords, one object each."""
+    write_json(path, [asdict(r) for r in trace])
 
 
 def write_json(path, payload):

@@ -721,12 +721,13 @@ def log_joint(state):
 def run_cgs(data, hyper, iterations, seed, ground_truth=None):
     """Run the centralized sampler from a single-cluster initialization.
 
-    Returns (final labels, RunTrace), the labels made dense 0..K-1 in the
+    Returns (final labels, trace), the labels made dense 0..K-1 in the
     order the sweeps numbered the clusters.  Each iteration is a sweep of
     the data centered on the prior mean, run as a step of
-    ``trace.run_iterations``, the loop ``run_discgs`` shares; its record
-    holds log p(x, z), the cluster count, the seconds and, given ground
-    truth (one label per point), the adjusted Rand index.
+    ``trace.run_iterations``, the loop ``run_discgs`` shares; the trace is
+    its list of IterationRecords, each holding log p(x, z), the cluster
+    count, the seconds and, given ground truth (one label per point), the
+    adjusted Rand index.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1, got %r" % (iterations,))

@@ -249,13 +249,14 @@ def _checked(msg, iteration):
 
 
 def run_discgs(data, config, ground_truth=None, channel_factory=None):
-    """Run the distributed sampler; returns (final global labels, RunTrace).
+    """Run the distributed sampler; returns (final global labels, trace).
 
     The model is ``config.hyper``, the same value ``run_cgs`` takes.
     Deterministic given (config, data); changing the worker count
     changes the sampled path by design.  ``channel_factory`` selects the
     worker backend (default: one OS process per worker).  Each global
-    iteration is a step of ``trace.run_iterations``, as in ``run_cgs``.
+    iteration is a step of ``trace.run_iterations``, as in ``run_cgs``,
+    and the trace is its list of IterationRecords.
     """
     data, hyper, truth = run_inputs(data, config.hyper, ground_truth)
     ranges = shard(data, config.workers)

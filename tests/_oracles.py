@@ -25,7 +25,8 @@ functions, and ``FixedOrderRng`` sets the order of a master sweep's visits.
 move and the master sweep without their shortcuts (a whole cluster rotated
 into a new row, a table without maps, seeded rows summed before their one
 factoring, the dense relabel by naming), built from the table's own
-delete, refresh and rename.
+delete, refresh and rename.  ``log_joints``, ``cluster_counts`` and
+``aris`` read a run's list of trace records as the tests compare them.
 """
 
 from __future__ import annotations
@@ -631,3 +632,18 @@ def rowwise_write_labels(path, labels):
         writer.writerow(["index", "label"])
         for i, label in enumerate(np.asarray(labels).reshape(-1)):
             writer.writerow([i, int(label)])
+
+
+def log_joints(records):
+    """A run's per-iteration log p(x, z), read from its trace records."""
+    return np.array([r.log_joint for r in records])
+
+
+def cluster_counts(records):
+    """A run's per-iteration cluster counts, read from its trace records."""
+    return np.array([r.num_clusters for r in records], dtype=np.int64)
+
+
+def aris(records):
+    """A run's per-iteration ARI (None where no truth was given)."""
+    return [r.ari for r in records]

@@ -356,9 +356,9 @@ def test_criterion_08_convergence_trace(central20k, discgs20k):
     details = []
     ok = True
     for name, trace in (("central", central20k[1]), ("distributed", discgs20k[1])):
-        moving = np.convolve(trace.log_joints, np.ones(10) / 10.0, mode="valid")
+        moving = np.convolve(_oracles.log_joints(trace), np.ones(10) / 10.0, mode="valid")
         rising = moving[0] < moving[20]
-        aris = np.array(trace.aris, dtype=np.float64)
+        aris = np.array(_oracles.aris(trace), dtype=np.float64)
         window_max = aris[49:100].max()
         stable = window_max - aris[99] <= 0.02
         ok = ok and rising and stable

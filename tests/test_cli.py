@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import _oracles
 import dpgibbs
 from dpgibbs.cli import main
 from dpgibbs.datasets import read_dataset, read_labels, write_dataset, write_labels
@@ -295,8 +296,8 @@ class TestFitDistributed:
         write_labels(tmp_path / "recipe.csv", labels)
         assert (tmp_path / "recipe.csv").read_bytes() == (tmp_path / "cli" / "labels.csv").read_bytes()
         records = json.loads((tmp_path / "cli" / "trace.json").read_text())
-        assert [r["log_joint"] for r in records] == trace.log_joints.tolist()
-        assert [r["num_clusters"] for r in records] == trace.num_clusters.tolist()
+        assert [r["log_joint"] for r in records] == _oracles.log_joints(trace).tolist()
+        assert [r["num_clusters"] for r in records] == _oracles.cluster_counts(trace).tolist()
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_worker_numerical_error_is_exit_4(self, tmp_path, capsys, monkeypatch, backend):
@@ -490,7 +491,8 @@ class TestEvaluate:
             capsys,
         )
         assert code == 2
-        assert err.startswith("usage-error:")
+        assert err == "usage-error: label vectors differ in length: 3 vs 2\n"
+        assert not (tmp_path / "e2" / "metrics.json").exists()
 
 
 class TestBench:
@@ -555,6 +557,28 @@ class TestBench:
             )
             assert code == 2
             assert err.startswith("usage-error:")
+
+    def test_more_workers_than_rows_is_usage_error_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from dpgibbs import cli
+
+        started = []
+        monkeypatch.setattr(cli, "run_cgs", lambda *a, **k: started.append("central"))
+        monkeypatch.setattr(cli, "run_discgs", lambda *a, **k: started.append("distributed"))
+        data_path, _ = blob_files(tmp_path, n=40)
+        code, _, err = run_cli(
+            [
+                "bench", "--data", data_path, "--workers-list", "2,500", "--include-central",
+                "--iters", "2", "--out", out_dir(tmp_path, "bw"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err == "usage-error: more workers (500) than points (40)\n"
+        assert started == []
+        assert not (tmp_path / "bw" / "timings.csv").exists()
+        assert not (tmp_path / "bw" / "timings.json").exists()
 
     def test_zero_worker_count_is_usage_error(self, tmp_path, capsys):
         data_path, _ = blob_files(tmp_path, n=20)

@@ -27,7 +27,7 @@ from dpgibbs.datasets import (
     write_trace,
 )
 from dpgibbs.errors import DatasetError
-from dpgibbs.trace import IterationRecord, RunTrace
+from dpgibbs.trace import IterationRecord
 
 import _oracles
 
@@ -225,6 +225,13 @@ class TestDatasetFiles:
         with pytest.raises(DatasetError, match="header"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=["1-d", "3-d"])
+    def test_write_rejects_other_than_two_dimensions(self, tmp_path, shape):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="must be 2-dimensional"):
+            write_dataset(path, np.ones(shape))
+        assert not path.exists()
+
     def test_write_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
             write_dataset(tmp_path / "x.csv", np.array([[np.nan]]))
@@ -302,10 +309,11 @@ class TestCsvContract:
             ("x0,x1\n1,2#3\n", "non-numeric cell '2#3'", 2),
             ("x0,label\n1.0,2\n2.0,3.0\n", "non-integer label '3.0'", 3),
             ("x0,label\n1.0,2\n2.0,99999999999999999999\n", "outside the int64 range", 3),
+            ("label\n0\n1\n", "no feature columns", 1),
         ],
         ids=[
             "blank-mid", "blank-end", "blank-crlf", "overflow", "long-row", "hash",
-            "float-label", "label-out-of-range",
+            "float-label", "label-out-of-range", "label-only",
         ],
     )
     def test_dataset_rejected(self, tmp_path, text, message, line):
@@ -426,11 +434,10 @@ class TestJsonOutputs:
         assert payload == {"ari": 1.0, "num_clusters_pred": 3}
 
     def test_trace_is_an_array_of_records(self, tmp_path):
-        trace = RunTrace()
-        trace.append(IterationRecord(iteration=1, log_joint=-10.0, num_clusters=2, seconds=0.5))
-        trace.append(
-            IterationRecord(iteration=2, log_joint=-9.0, num_clusters=2, seconds=0.4, ari=1.0)
-        )
+        trace = [
+            IterationRecord(iteration=1, log_joint=-10.0, num_clusters=2, seconds=0.5),
+            IterationRecord(iteration=2, log_joint=-9.0, num_clusters=2, seconds=0.4, ari=1.0),
+        ]
         path = tmp_path / "trace.json"
         write_trace(path, trace)
         payload = json.loads(path.read_text())

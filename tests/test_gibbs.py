@@ -304,11 +304,16 @@ class TestCgsSweep:
         assert len(log) == 12 and all(np.all(np.isfinite(w)) for w in log[1:])
         validate_partition(compacted(out), data)
 
-    def test_a_failing_planned_version_raises_where_the_pointwise_sweep_does(self, monkeypatch):
-        """A row version that a speculating block plans past its first
-        change, and that a point-by-point sweep reaches, fails to factor:
-        cgs_sweep raises at the point and cluster that pointwise_cgs_sweep
-        names under the same fault."""
+    @pytest.mark.parametrize("change", ["later", "first"])
+    def test_a_failing_planned_version_raises_where_the_pointwise_sweep_does(
+        self, monkeypatch, change
+    ):
+        """A row version that a speculating block plans, and that a
+        point-by-point sweep reaches, fails to factor: cgs_sweep raises at
+        the point and cluster that pointwise_cgs_sweep names under the same
+        fault.  The version is one after the plan's first change, or one of
+        the first change itself, which cuts the plan to nothing: _speculate
+        returns None and the plain path's move raises."""
         from dpgibbs import gibbs
 
         rng = np.random.default_rng(58)
@@ -316,8 +321,9 @@ class TestCgsSweep:
         data = rng.standard_normal((n, 3)) + 6.0 * rng.integers(0, 3, (n, 1))
         labels = np.unique(rng.integers(0, 30, n), return_inverse=True)[1]
         hyper = ModelHyperParams(alpha=50.0, prior=default_prior(data))
-        step = gibbs._cholesky
+        step, speculate = gibbs._cholesky, gibbs._speculate
         calls, bad = [], set()  # the rows (plus the base row) of each factoring; the rows made to fail
+        speculated = []  # (its first factoring, the factoring after its last, what it returned)
 
         def faulty(moments, signature):
             keys = [r.tobytes() for r in moments]
@@ -326,19 +332,33 @@ class TestCgsSweep:
             chol[[key in bad for key in keys]] = np.nan
             return chol
 
+        def watched(*args):
+            first = len(calls)
+            out = speculate(*args)
+            speculated.append((first, len(calls), out))
+            return out
+
         monkeypatch.setattr(gibbs, "_cholesky", faulty)
+        monkeypatch.setattr(gibbs, "_speculate", watched)
 
         def sweep(run, log=None):
             state = state_from_labels(data, labels, hyper)
-            del calls[:]
+            del calls[:], speculated[:]
             args = (state, augment(data) if run is cgs_sweep else data, np.random.default_rng(7))
             return run(*args) if log is None else run(*args, weight_log=log)
 
         sweep(_oracles.pointwise_cgs_sweep)
         reached = {key for keys in calls for key in keys}
         sweep(cgs_sweep)
-        # Versions after a plan's first change (its first two rows) that the pointwise sweep reaches.
-        planned = [key for keys in calls if len(keys) > 2 for key in keys[2:] if key in reached]
+        if change == "later":
+            # Versions after a plan's first change (its first two rows) that the pointwise sweep reaches.
+            planned = [key for keys in calls if len(keys) > 2 for key in keys[2:] if key in reached]
+        else:
+            # Versions of a plan's first change, not factored before, that the pointwise sweep reaches.
+            planned = [
+                key for c, keys in enumerate(calls) if len(keys) > 2 for key in keys[:2]
+                if key in reached and not any(key in earlier for earlier in calls[:c])
+            ]
         assert planned
         bad.add(planned[0])
         log = []
@@ -347,6 +367,9 @@ class TestCgsSweep:
         with pytest.raises(NumericalDegeneracyError) as info:
             sweep(cgs_sweep)
         assert any(planned[0] in keys for keys in calls if len(keys) > 2)  # the block speculated
+        if change == "first":
+            failing = [out for lo, hi, out in speculated if any(planned[0] in k for k in calls[lo:hi])]
+            assert failing == [None]
         label = ref.value.context["cluster_label"]
         point = len(log) - 1  # the reference logs each point's weights before its move
         assert info.value.context == {"cluster_label": label, "point_index": point}
@@ -578,6 +601,14 @@ class TestLiveClusterTable:
         rng = np.random.default_rng(12)
         data = rng.standard_normal((240, 3)) + 4.0 * rng.integers(0, 5, (240, 1))
         return data, ModelHyperParams(alpha=40.0, prior=default_prior(data))
+
+    def test_a_row_without_points_is_refused(self):
+        from dpgibbs.gibbs import _ClusterCache
+
+        prior = NiwParams(mu=np.zeros(2), kappa=1.0, nu=3.0, psi=np.eye(2))
+        rows = [pack_stats(2, np.ones(2), 2.0 * np.eye(2)), pack_stats(0, np.zeros(2), np.zeros((2, 2)))]
+        with pytest.raises(ValueError, match="cluster 7 is empty"):
+            _ClusterCache(prior, 1.0, [4, 7], rows)
 
     def test_rows_stay_the_sums_of_their_points(self):
         """Through sweeps with churn, applies that merge and reorder rows,
@@ -1198,7 +1229,7 @@ class TestRunCgs:
         data, truth = separated_two_component(40, seed=12)
         _, trace = run_cgs(data, unit_hyper(2), 7, seed=1, ground_truth=truth)
         assert len(trace) == 7
-        assert all(r.ari is not None for r in trace.records)
+        assert all(r.ari is not None for r in trace)
 
     def test_separated_fixture_reaches_perfect_ari(self):
         data, truth = separated_two_component(200, seed=13)
@@ -1211,7 +1242,7 @@ class TestRunCgs:
     def test_log_joint_moving_average_rises(self):
         data, _ = separated_two_component(200, seed=14)
         _, trace = run_cgs(data, empirical_hyper(data), 30, seed=3)
-        lj = trace.log_joints
+        lj = _oracles.log_joints(trace)
         assert lj[0:10].mean() < lj[20:30].mean()
 
     @pytest.mark.parametrize("transform", [lambda x: x + 1e8, lambda x: 3.0 * x])

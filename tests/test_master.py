@@ -229,6 +229,20 @@ class TestMasterSweep:
         wide = summary_of(1, [rng.standard_normal((3, 3))])
         with pytest.raises(ValueError, match="dimension"):
             master_sweep([summary, wide], make_hyper(), np.random.default_rng(0))
+        rowless = [
+            WorkerSummary(j, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 9)))
+            for j in (0, 1)
+        ]
+        with pytest.raises(ValueError, match="no batches to assign"):
+            master_sweep(rowless, make_hyper(), np.random.default_rng(0))
+
+    def test_log_joint_of_another_point_count_rejected(self):
+        rng = np.random.default_rng(25)
+        batches = [rng.standard_normal((3, 2)), rng.standard_normal((4, 2)) + 12.0]
+        gstate = master_sweep([summary_of(0, batches)], make_hyper(), np.random.default_rng(0))
+        assert math.isfinite(global_log_joint(gstate, 7))
+        with pytest.raises(ValueError, match="global cluster sizes sum to 7, expected 8"):
+            global_log_joint(gstate, 8)
 
     @pytest.mark.parametrize("previous", [[0], None], ids=["seeded", "unseeded"])
     def test_summary_of_the_wrong_dimension_rejected(self, previous):
