@@ -60,16 +60,10 @@ def _positive_float(text):
 
 
 def _workers_list(text):
-    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    tokens = [tok for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise argparse.ArgumentTypeError("workers list is empty")
-    values = []
-    for tok in tokens:
-        value = int(tok)
-        if value < 1:
-            raise argparse.ArgumentTypeError("worker counts must be >= 1, got %d" % value)
-        values.append(value)
-    return values
+    return [_positive_int(tok) for tok in tokens]
 
 
 def build_parser():

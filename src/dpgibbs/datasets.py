@@ -9,12 +9,14 @@ vectors, JSON for metrics and traces.  Readers reject malformed or non-finite
 input, and labels outside int64, with the offending line number; writers emit
 shortest round-trip float text so ``read(write(x)) == x`` for finite values.
 
-Files are read and written as whole tables, not cell by cell.  A reader parses the body after
-the header with one ``np.loadtxt`` call on the open file and keeps the result
-only when it parsed, is finite and has one row per line.  Otherwise the row
-parser (``csv`` plus ``float()``/``int()``, one call per cell) reads the file
-again: it takes what ``loadtxt`` does not (quoted cells, ``1_000``) and names
-the first bad line.  A writer formats a block of rows with one ``%``.
+Files are read and written as whole tables, not cell by cell.  Both readers
+take one route: a reader checks the header and gives each column's dtype,
+then one ``np.loadtxt`` call on the open file parses the body, kept only
+when it parsed, is finite and has one row per line.  Otherwise one row
+parser, the same for datasets and label files, reads the file again with
+``csv`` and one ``float()`` or ``int()`` call per cell, by the column's
+dtype: it takes what ``loadtxt`` does not (quoted cells, ``1_000``) and
+names the first bad cell.  A writer formats a block of rows with one ``%``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .niw import cholesky_logdet
 
 @dataclass(frozen=True)
 class GmmComponent:
-    """One mixture component: positive weight, mean vector, PD covariance."""
+    """One mixture component: positive weight, finite mean vector, PD covariance."""
 
     weight: float
     mean: np.ndarray
@@ -49,6 +51,8 @@ class GmmComponent:
         object.__setattr__(self, "cov", cov)
         if not self.weight > 0:
             raise ValueError("component weight must be positive, got %r" % (self.weight,))
+        if not np.isfinite(mean).all():
+            raise ValueError("component mean must be finite, got %r" % (mean.tolist(),))
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError("covariance shape %r does not match mean dimension %d" % (cov.shape, d))
@@ -162,7 +166,10 @@ def spec_from_json(path):
             )
             for c in payload["components"]
         )
-        return GmmSpec(components=components, n=int(payload["n"]), seed=int(payload.get("seed", 0)))
+        n, seed = payload["n"], payload.get("seed", 0)
+        if type(n) is not int or type(seed) is not int:  # not a float, nor a bool
+            raise ValueError("n and seed must be JSON integers, got %r and %r" % (n, seed))
+        return GmmSpec(components=components, n=n, seed=seed)
     except (KeyError, TypeError, ValueError) as err:
         raise DatasetError("invalid mixture spec: %s" % err) from err
 
@@ -183,20 +190,26 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _WRITE_ROWS = 4096
 
 
-def _read_header(reader):
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetError("empty file, expected a header row") from None
-    return [h.strip() for h in header]
+def _read_table(path, kinds_of):
+    """The header and the columns of the CSV at ``path``.
 
-
-def _rows_after_header(handle):
-    """A fresh CSV reader on ``handle`` past its header record."""
-    handle.seek(0)
-    reader = csv.reader(handle)
-    next(reader)
-    return reader
+    ``kinds_of(header)`` checks the header and gives each column's dtype.
+    The body is then read by the bulk parse, or else by the row parser.
+    """
+    with open(path, "r", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DatasetError("empty file, expected a header row") from None
+        kinds = kinds_of(header)
+        columns = _bulk_columns(handle, kinds)
+        if columns is None:
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            columns = _row_columns(reader, header, kinds)
+    return header, columns
 
 
 def _bulk_columns(handle, kinds):
@@ -224,22 +237,37 @@ def _bulk_columns(handle, kinds):
     return columns
 
 
-def _parse_cell(text, line_num, column):
-    try:
-        value = float(text)
-    except ValueError:
-        raise DatasetError(
-            "non-numeric cell %r in column %r" % (text, column), line=line_num
-        ) from None
-    if not math.isfinite(value):
-        raise DatasetError("non-finite value %r in column %r" % (text, column), line=line_num)
-    return value
+def _row_columns(reader, header, kinds):
+    """The rest of ``reader`` as ``_bulk_columns`` returns it for ``kinds``.
 
-
-def _check_label(value, text, line_num):
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise DatasetError("label %r outside the int64 range" % (text,), line=line_num)
-    return value
+    One ``float()`` or ``int()`` call per cell, by its column's dtype: it
+    takes the files the bulk parse does not, and names the first bad cell,
+    left to right, of a malformed one.
+    """
+    floats = [np.dtype(kind).kind == "f" for kind in kinds]
+    rows = []
+    for row in reader:
+        line = reader.line_num
+        if len(row) != len(kinds):
+            raise DatasetError("expected %d cells, got %d" % (len(kinds), len(row)), line=line)
+        values = []
+        for text, column, is_float in zip(row, header, floats):
+            try:
+                value = float(text) if is_float else int(text)
+            except ValueError:
+                what = "non-numeric" if is_float else "non-integer"
+                raise DatasetError(
+                    "%s cell %r in column %r" % (what, text, column), line=line
+                ) from None
+            if is_float and not math.isfinite(value):
+                raise DatasetError("non-finite value %r in column %r" % (text, column), line=line)
+            if not is_float and not _INT64_MIN <= value <= _INT64_MAX:
+                raise DatasetError("%s %r outside the int64 range" % (column, text), line=line)
+            values.append(value)
+        rows.append(values)
+    if not rows:
+        raise DatasetError("no rows after the header")
+    return [np.array(column, dtype=kind) for column, kind in zip(zip(*rows), kinds)]
 
 
 def _looks_numeric(cell):
@@ -250,56 +278,25 @@ def _looks_numeric(cell):
     return True
 
 
+def _dataset_kinds(header):
+    if all(_looks_numeric(h) for h in header):
+        raise DatasetError("missing header row", line=1)
+    if header == ["label"]:
+        raise DatasetError("no feature columns", line=1)
+    kinds = [np.float64] * len(header)
+    if "label" in header:
+        kinds[header.index("label")] = np.int64
+    return kinds
+
+
 def read_dataset(path):
-    """Read a header-ed CSV of observations; a ``label`` column is split out.
+    """Read a header-ed CSV of observations; its first ``label`` column is split out.
 
     Errors cite the 1-based physical line number of the offending row.
     """
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        header = _read_header(reader)
-        if all(_looks_numeric(h) for h in header):
-            raise DatasetError("missing header row", line=1)
-        label_col = header.index("label") if "label" in header else None
-        feature_cols = [i for i in range(len(header)) if i != label_col]
-        if not feature_cols:
-            raise DatasetError("no feature columns", line=1)
-        kinds = [np.int64 if i == label_col else np.float64 for i in range(len(header))]
-        columns = _bulk_columns(handle, kinds)
-        if columns is None:
-            return _dataset_rows(_rows_after_header(handle), header, label_col, feature_cols)
-    return LoadedDataset(
-        data=np.column_stack([columns[i] for i in feature_cols]),
-        labels=None if label_col is None else columns[label_col],
-    )
-
-
-def _dataset_rows(reader, header, label_col, feature_cols):
-    """Row-by-row parse of a dataset body: the files the bulk parse does
-    not take, and the first bad line of a malformed one."""
-    rows = []
-    labels = []
-    for row in reader:
-        if len(row) != len(header):
-            raise DatasetError(
-                "expected %d cells, got %d" % (len(header), len(row)),
-                line=reader.line_num,
-            )
-        rows.append([_parse_cell(row[i], reader.line_num, header[i]) for i in feature_cols])
-        if label_col is not None:
-            try:
-                label = int(row[label_col])
-            except ValueError:
-                raise DatasetError(
-                    "non-integer label %r" % (row[label_col],), line=reader.line_num
-                ) from None
-            labels.append(_check_label(label, row[label_col], reader.line_num))
-    if not rows:
-        raise DatasetError("no rows after the header")
-    return LoadedDataset(
-        data=np.asarray(rows, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64) if label_col is not None else None,
-    )
+    header, columns = _read_table(path, _dataset_kinds)
+    labels = columns.pop(header.index("label")) if "label" in header else None
+    return LoadedDataset(data=np.column_stack(columns), labels=labels)
 
 
 def _write_table(path, header, row_format, table):
@@ -323,40 +320,24 @@ def write_dataset(path, data):
     _write_table(path, ["x%d" % j for j in range(d)], ",".join(["%r"] * d) + "\n", data)
 
 
+def _label_kinds(header):
+    if header != ["index", "label"]:
+        raise DatasetError("expected header 'index,label', got %r" % ",".join(header), line=1)
+    return [np.int64, np.int64]
+
+
 def read_labels(path):
-    """Read an (index,label) CSV; indices must be exactly 0..n-1 in order."""
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        header = _read_header(reader)
-        if header != ["index", "label"]:
-            raise DatasetError("expected header 'index,label', got %r" % ",".join(header), line=1)
-        columns = _bulk_columns(handle, [np.int64, np.int64])
-        if columns is None or not np.array_equal(columns[0], np.arange(columns[0].shape[0])):
-            return _label_rows(_rows_after_header(handle))
-    return columns[1]
+    """Read an (index,label) CSV; indices must be exactly 0..n-1 in order.
 
-
-def _label_rows(reader):
-    """Row-by-row parse of a labels body, as ``_dataset_rows`` is for data."""
-    labels = []
-    for row in reader:
-        if len(row) != 2:
-            raise DatasetError("expected 2 cells, got %d" % len(row), line=reader.line_num)
-        try:
-            idx, label = int(row[0]), int(row[1])
-        except ValueError:
-            raise DatasetError(
-                "non-integer cell in row %r" % (row,), line=reader.line_num
-            ) from None
-        if idx != len(labels):
-            raise DatasetError(
-                "index %d out of order, expected %d" % (idx, len(labels)),
-                line=reader.line_num,
-            )
-        labels.append(_check_label(label, row[1], reader.line_num))
-    if not labels:
-        raise DatasetError("no rows after the header")
-    return np.asarray(labels, dtype=np.int64)
+    An index out of order cites line i + 2, the physical line of a one-line
+    record i.
+    """
+    _, (index, labels) = _read_table(path, _label_kinds)
+    wrong = np.flatnonzero(index != np.arange(index.shape[0]))
+    if wrong.size:
+        i = int(wrong[0])
+        raise DatasetError("index %d out of order, expected %d" % (index[i], i), line=i + 2)
+    return labels
 
 
 def write_labels(path, labels):

@@ -71,6 +71,16 @@ class TestGenerate:
         for name in ("data.csv", "labels.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_non_finite_spec_mean_is_dataset_error(self, tmp_path, capsys):
+        spec = {"n": 5, "components": [{"weight": 1.0, "mean": [float("nan")], "cov": [[1.0]]}]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = out_dir(tmp_path, "nan")
+        code, _, err = run_cli(["generate", "--spec", str(spec_path), "--out", out], capsys)
+        assert code == 3
+        assert "invalid mixture spec: component mean must be finite" in err
+        assert os.listdir(out) == []
+
     def test_bad_preset_lists_presets_on_stderr(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["generate", "--preset", "nope", "--out", out_dir(tmp_path, "x")], capsys

@@ -1,5 +1,6 @@
 """Tests for synthetic generation and dataset file plumbing."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import stats
 
+from dpgibbs import datasets
 from dpgibbs.datasets import (
     GmmComponent,
     GmmSpec,
@@ -276,7 +278,11 @@ class TestCsvContract:
 
     Every case but the int64 range describes the row parser's behaviour
     before the bulk parse existed: the same values, or the same message and
-    line number.  TestDatasetFiles covers nan, inf and a short row.
+    line number.  One message changed when one row parser came to serve both
+    readers: a dataset's non-integer label reads "non-integer cell '3.0' in
+    column 'label'", as a labels file's always did, where it read
+    "non-integer label '3.0'".  TestDatasetFiles covers nan, inf and a short
+    row.
     """
 
     @pytest.mark.parametrize(
@@ -307,7 +313,7 @@ class TestCsvContract:
             ("x0\n1\n1e400\n", "non-finite value '1e400'", 3),
             ("x0,x1\n1,2,3\n", "expected 2 cells, got 3", 2),
             ("x0,x1\n1,2#3\n", "non-numeric cell '2#3'", 2),
-            ("x0,label\n1.0,2\n2.0,3.0\n", "non-integer label '3.0'", 3),
+            ("x0,label\n1.0,2\n2.0,3.0\n", "non-integer cell '3.0' in column 'label'", 3),
             ("x0,label\n1.0,2\n2.0,99999999999999999999\n", "outside the int64 range", 3),
             ("label\n0\n1\n", "no feature columns", 1),
         ],
@@ -351,8 +357,12 @@ class TestCsvContract:
             ("index,label\n0,3.0\n", "non-integer cell", 2),
             ("index,label\n0,1\n1,2,3\n", "expected 2 cells, got 3", 3),
             ("index,label\n0,1\n1,-99999999999999999999\n", "outside the int64 range", 3),
+            ('"index","label"\n"0","1"\n"2","0"\n', "index 2 out of order", 3),
         ],
-        ids=["blank-mid", "blank-end", "float-label", "long-row", "label-out-of-range"],
+        ids=[
+            "blank-mid", "blank-end", "float-label", "long-row", "label-out-of-range",
+            "quoted-index-out-of-order",
+        ],
     )
     def test_labels_rejected(self, tmp_path, text, message, line):
         with pytest.raises(DatasetError, match=message) as err:
@@ -362,6 +372,13 @@ class TestCsvContract:
 
 floats64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
 SPECIAL = np.array([[-0.0, 5e-324], [1.7e308, -1.7e308], [2.2250738585072014e-308, -1e-310]])
+
+
+def int64_labels(data, draw):
+    """One int64 label per row: drawn, or int64's extremes and 0 for an @example."""
+    if draw is None:
+        return np.array([-(2**63), 2**63 - 1, 0][: data.shape[0]], dtype=np.int64)
+    return draw.draw(arrays(np.int64, data.shape[0]))
 
 
 class TestRoundTripBitwise:
@@ -374,11 +391,7 @@ class TestRoundTripBitwise:
     @example(data=SPECIAL, draw=None, with_labels=False)
     @example(data=SPECIAL, draw=None, with_labels=True)
     def test_read_returns_what_was_written(self, data, draw, with_labels):
-        labels = None
-        if with_labels:
-            labels = np.array([-(2**63), 2**63 - 1, 0][: data.shape[0]], dtype=np.int64)
-            if draw is not None:
-                labels = draw.draw(arrays(np.int64, data.shape[0]))
+        labels = int64_labels(data, draw) if with_labels else None
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
             if with_labels:
@@ -394,6 +407,42 @@ class TestRoundTripBitwise:
             assert np.array_equal(loaded.labels, labels)
         else:
             assert loaded.labels is None
+
+
+class TestReadRoutesAgree:
+    """The row parser returns the columns the bulk parse returns, bit for bit."""
+
+    @staticmethod
+    def both_routes(path, kinds):
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader)
+            bulk = datasets._bulk_columns(handle, kinds)
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            return bulk, datasets._row_columns(reader, header, kinds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=floats64),
+        draw=st.data(),
+        with_labels=st.booleans(),
+    )
+    @example(data=SPECIAL, draw=None, with_labels=False)
+    @example(data=SPECIAL, draw=None, with_labels=True)
+    def test_row_parser_matches_bulk_parse(self, data, draw, with_labels):
+        labels = int64_labels(data, draw) if with_labels else None
+        kinds = [np.float64] * data.shape[1] + [np.int64] * with_labels
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            _oracles.rowwise_write_dataset(path, data, labels=labels)
+            bulk, rows = self.both_routes(path, kinds)
+        assert bulk is not None
+        assert len(rows) == len(bulk) == len(kinds)
+        for row_column, bulk_column, kind in zip(rows, bulk, kinds):
+            assert row_column.dtype == bulk_column.dtype == kind
+            assert row_column.tobytes() == bulk_column.tobytes()
 
 
 class TestWriterBytes:
@@ -448,6 +497,10 @@ class TestJsonOutputs:
         assert payload[1]["ari"] == 1.0
 
 
+ONE_COMPONENT = {"components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}
+NAN_MEAN = {"n": 5, "components": [{"weight": 1.0, "mean": [float("nan")], "cov": [[1.0]]}]}
+
+
 class TestSpecFromJson:
     def test_load_and_generate(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -473,8 +526,20 @@ class TestSpecFromJson:
         with pytest.raises(DatasetError, match="invalid JSON"):
             spec_from_json(path)
 
-    def test_missing_field_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"n": 5}, "'components'"),
+            (dict(ONE_COMPONENT, n=10.7), "n and seed must be JSON integers, got 10.7 and 0"),
+            (dict(ONE_COMPONENT, n=True), "n and seed must be JSON integers, got True and 0"),
+            (dict(ONE_COMPONENT, n=5, seed=2.9), "n and seed must be JSON integers, got 5 and 2.9"),
+            (dict(ONE_COMPONENT, n=5, seed=False), "got 5 and False"),
+            (NAN_MEAN, "component mean must be finite, got \\[nan\\]"),
+        ],
+        ids=["missing-components", "float-n", "bool-n", "float-seed", "bool-seed", "nan-mean"],
+    )
+    def test_invalid_spec_rejected(self, tmp_path, spec, message):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"n": 5}))
-        with pytest.raises(DatasetError, match="invalid mixture spec"):
+        path.write_text(json.dumps(spec))
+        with pytest.raises(DatasetError, match="invalid mixture spec: .*" + message):
             spec_from_json(path)

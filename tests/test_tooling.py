@@ -1,12 +1,15 @@
-"""Smoke test of the benchmark's timing hooks against the program.
+"""Smoke test of the benchmark's timing hooks and inputs against the program.
 
 perfbench/fitproc.py wraps functions and tells messages apart by names it
 looks up in the package (runtime.master_sweep, runtime.apply_global_labels,
 runtime.ApplyCmd, worker.WorkerSummary, ...).  Running it here, as the
 benchmark runs it, makes a rename in the program fail a test rather than a
-benchmark run.
+benchmark run.  Likewise the benchmark's CSVs must take the reader's bulk
+parse: a change that sent them to the row parser would show only as slower
+setup in a benchmark run.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from dpgibbs import datasets
 from dpgibbs.datasets import write_dataset
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -118,3 +122,30 @@ def test_trace_then_plain_run(tmp_path, data_path, command):
     assert len(expected[1]) == ITERS
     assert run_outputs(tmp_path / "trace") == expected
     assert run_outputs(tmp_path / "plain") == expected
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, without putting perfbench on sys.path."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_benchmark_csv_takes_the_bulk_parse(tmp_path, monkeypatch, dim):
+    data = np.random.default_rng(dim).standard_normal((40, dim)) * 1e3
+    data[0, :2] = [-0.0, 5e-324]
+    data[1, :2] = [1.7e308, -1.7e308]
+    path = tmp_path / "data.csv"
+    load_workloads().write_data(path, data)
+
+    def no_row_parser(*args):
+        raise AssertionError("the benchmark's CSV fell back to the row parser")
+
+    monkeypatch.setattr(datasets, "_row_columns", no_row_parser)
+    loaded = datasets.read_dataset(path)
+    assert loaded.data.tobytes() == data.tobytes()
+    assert loaded.labels is None
